@@ -11,7 +11,7 @@ into a single grid.
 
 import numpy as np
 
-from branchedq import DispersionLaw, fold, unfold
+from branchedq import DispersionLaw
 
 law = DispersionLaw(kappa=3.0)
 cusp = law.cusp_points()
@@ -34,8 +34,8 @@ print()
 dom = law.domain()
 print(" u      p      branch   (fold of unfold)")
 for u in np.linspace(-5.0, 5.0, 11):
-    p, branch = fold(u, dom)
-    u_back = unfold(p, branch, dom)
+    p, branch = dom.fold(u)
+    u_back = dom.unfold(p, branch)
     assert abs(u_back - u) < 1e-12
     print(f"{u:+5.1f}  {p:+5.2f}     {branch}")
 

@@ -12,10 +12,7 @@ and self-adjoint extensions on metric graphs.
 from .classical import (ClassicalState, Trajectory, energy, hamilton_rhs,
                         integrate_euler_lagrange, integrate_hamilton,
                         poisson_bracket)
-from .dispersion import (BranchedDomain, CuspData, DispersionLaw,
-                         branch_energy, cusp_points, energy_of_velocity, fold,
-                         invert_momentum, momentum_of_velocity, unfold,
-                         velocity_sweep)
+from .dispersion import BranchedDomain, CuspData, DispersionLaw, velocity_sweep
 from .errors import (BranchedQError, ConfigError, ConvergenceError,
                      DegeneracyError, FluxBalanceError,
                      IntegrationStalledError, NonHermitianError,
@@ -49,22 +46,21 @@ __all__ = [
     "ConvergenceError", "CuspData", "DegeneracyError", "DispersionLaw",
     "Edge", "EigenResult", "EvolutionReport", "FluxBalanceError",
     "FoldedGrid", "GRAPH_LIBRARY", "GaussianPotential", "GraphLayout",
-    "HalfLine", "IntegrationStalledError", "LineGrid", "LorentzianPotential",
-    "MetricGraph", "MultiWave", "NonHermitianError", "OperatorBasis",
-    "OperatorMatrix", "PeriodicGrid", "PotentialSpec", "QuadraticPotential",
-    "QuarticPotential", "SampledPotential", "SechSquaredPotential",
-    "StencilSymbol", "Trajectory", "UnbranchedDispersionError",
-    "VertexCondition", "box_graph", "branch_energy",
+    "HalfLine", "IntegrationStalledError", "LineGrid",
+    "LorentzianPotential", "MetricGraph", "MultiWave", "NonHermitianError",
+    "OperatorBasis", "OperatorMatrix", "PeriodicGrid", "PotentialSpec",
+    "QuadraticPotential", "QuarticPotential", "SampledPotential",
+    "SechSquaredPotential", "StencilSymbol", "Trajectory",
+    "UnbranchedDispersionError", "VertexCondition", "box_graph",
     "build_convolution_hamiltonian", "build_convolution_potential",
     "build_dual_wire_hamiltonian", "build_folded_hamiltonian",
     "build_unfolded_hamiltonian", "compton_graph", "continuity_residual",
-    "count_conditions", "cusp_points", "dump_graph", "energy",
-    "energy_of_velocity", "fold", "fourier_conjugate_hamiltonian",
-    "graph_hamiltonian", "hamilton_rhs", "has_kernel", "hermiticity_defect",
-    "integrate_euler_lagrange", "integrate_hamilton", "invert_momentum",
-    "junction_flux_residual", "load_graph", "momentum_of_velocity",
+    "count_conditions", "dump_graph", "energy",
+    "fourier_conjugate_hamiltonian", "graph_hamiltonian", "hamilton_rhs",
+    "has_kernel", "hermiticity_defect", "integrate_euler_lagrange",
+    "integrate_hamilton", "junction_flux_residual", "load_graph",
     "newton_refine", "node_flux", "poisson_bracket", "probability_current",
     "propagate", "solve_eigensystem", "star_graph", "star_secular_spectrum",
-    "stationarity_residual", "subspace_overlap", "unfold",
-    "variance_minimize", "velocity_sweep",
+    "stationarity_residual", "subspace_overlap", "variance_minimize",
+    "velocity_sweep",
 ]

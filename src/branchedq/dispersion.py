@@ -329,34 +329,3 @@ def velocity_sweep(law, v_min, v_max, num):
         "E": law.energy(v),
         "branch": law.branch_of_velocity(v),
     }
-
-
-# Thin functional forms of the law's operations, for callers that prefer
-# free functions over methods.
-
-def momentum_of_velocity(xdot, law):
-    return law.momentum(xdot)
-
-
-def energy_of_velocity(xdot, law):
-    return law.energy(xdot)
-
-
-def cusp_points(law):
-    return law.cusp_points()
-
-
-def invert_momentum(p, law):
-    return law.invert_momentum(p)
-
-
-def branch_energy(p, branch, law):
-    return law.branch_energy(p, branch)
-
-
-def unfold(q, branch, domain):
-    return domain.unfold(q, branch)
-
-
-def fold(u, domain):
-    return domain.fold(u)

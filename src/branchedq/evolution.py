@@ -29,7 +29,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .grids import FoldedGrid
-from .operators import OperatorMatrix, StencilSymbol, as_matrix
+from .operators import OperatorMatrix, as_matrix
 
 
 def _grid_axis(grid):
@@ -52,6 +52,8 @@ class MultiWave:
     @classmethod
     def gaussian(cls, grid, center, width, boost=0.0):
         """Normalized Gaussian packet exp(-(u-c)^2/(4 w^2) + i k u)."""
+        if not width > 0.0:
+            raise ValueError("packet width must be positive")
         u = _grid_axis(grid)
         data = np.exp(-((u - center) ** 2) / (4.0 * width**2) + 1j * boost * u)
         wave = cls(grid, data)
@@ -192,16 +194,6 @@ def probability_current(psi, h, symbol):
     """
     f, d1, d2, d3 = _derivatives(psi, h)
     return _current_point(f, d1, d2, d3, symbol)
-
-
-def current_quadratic(psi, h, alpha=1.0):
-    """Current of the quadratic-potential operator (alpha/2) x^2."""
-    return probability_current(psi, h, StencilSymbol.from_quadratic_potential(alpha))
-
-
-def current_quartic(psi, h, alpha=0.0, beta=0.0, gamma=0.0):
-    """Current of the quartic-potential operator x^4+a x^3+b x^2+c x."""
-    return probability_current(psi, h, StencilSymbol.from_quartic_potential(alpha, beta, gamma))
 
 
 _EDGE1 = np.array([3.0, -4.0, 1.0]) / 2.0

@@ -1,16 +1,15 @@
 """Uniform grids for the line, the folded branched domain, and the ring.
 
 The folded grid is the workhorse: it lays the three branches out on the
-unfolded line with both junctions exactly on grid nodes, keeps one shared
-unknown per junction (value matching is then automatic), and records for
-each branch a segment descriptor that the operator assembly walks in the
-branch's own coordinate.  Arm lengths and the inner spacing are tied so
-that every node of branch 2 lines up with mirror nodes across both
-junctions; that alignment is what makes the ghost-point junction rules
-exact.
+unfolded line with both junctions exactly on grid nodes and keeps one
+shared unknown per junction (value matching is then automatic).  Arm
+lengths and the inner spacing are tied so that every node of branch 2
+lines up with mirror nodes across both junctions; with that alignment
+the alternating-parity junction matching of the derivatives is exactly
+the plain central stencil on the unfolded line.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,29 +80,6 @@ class PeriodicGrid:
         return self.n
 
 
-@dataclass
-class BranchSegment:
-    """One branch of a folded grid, in the branch's own coordinate order.
-
-    gidx maps local node index (folded coordinate ascending) to the global
-    unknown index.  flip_odd marks the orientation-reversed branch, whose
-    odd-order operator coefficients change sign.  Each end is either
-    ("dirichlet",) or ("mirror", partner_branch, partner_end): ghost values
-    k steps past a mirror end are the partner's values k steps in from its
-    named end, which realizes the alternating-parity junction matching
-    exactly for central stencils.  row_weight halves the equation
-    contribution at shared junction nodes so the two meeting branches
-    average there.
-    """
-
-    branch: int
-    gidx: np.ndarray
-    flip_odd: bool
-    left: tuple
-    right: tuple
-    row_weight: np.ndarray = field(repr=False)
-
-
 class FoldedGrid:
     """Three-branch folded grid with junctions exactly on grid nodes.
 
@@ -165,38 +141,6 @@ class FoldedGrid:
         p[self.junction_plus] = domain.p_plus
         p[self.junction_minus] = domain.p_minus
         self.p = p
-
-        window = np.zeros(self.size)
-        window[(u > domain.p_minus) & (u < domain.p_plus)] = 1.0
-        window[self.junction_plus] = 0.5
-        window[self.junction_minus] = 0.5
-        self.branch2_window = window
-
-    def segments(self):
-        """Per-branch segment descriptors, keyed by branch id."""
-        na, ni = self.n_arm, self.n_inner
-        w1 = np.ones(na)
-        w1[-1] = 0.5
-        seg1 = BranchSegment(1, np.arange(na), False,
-                             ("dirichlet",), ("mirror", 2, "right"), w1)
-        w2 = np.ones(ni + 1)
-        w2[0] = 0.5
-        w2[-1] = 0.5
-        seg2 = BranchSegment(2, np.arange(na - 1 + ni, na - 2, -1), True,
-                             ("mirror", 3, "left"), ("mirror", 1, "right"), w2)
-        w3 = np.ones(na)
-        w3[0] = 0.5
-        seg3 = BranchSegment(3, np.arange(na + ni - 1, 2 * na + ni - 1), False,
-                             ("mirror", 2, "left"), ("dirichlet",), w3)
-        return {1: seg1, 2: seg2, 3: seg3}
-
-    def branch_values(self, values, branch):
-        """Restrict a nodal array to one branch, folded coordinate ascending.
-
-        Junction nodes belong to both adjacent branches and appear in each
-        restriction.  Returns (folded coordinates, values)."""
-        seg = self.segments()[branch]
-        return self.p[seg.gidx], np.asarray(values)[seg.gidx]
 
     def __repr__(self):
         return (f"FoldedGrid(kind={self.kind!r}, n_inner={self.n_inner}, "

@@ -10,14 +10,14 @@ into (i d/dxi)**n on the unfolded momentum coordinate, and a kinetic
 polynomial in p turns into the same form via p = -i d/dx.  Plane waves
 e^{ikx} see the real value c4 k^4 + c3 k^3 + c2 k^2 + c1 k.
 
-Junctions between branches are handled by ghost points: values k steps
-past a junction are read from the partner branch k steps in from its end.
-Because the orientation-reversed branch carries the sign-flipped odd
-coefficients, this single rule enforces matching of the function and its
-first three derivatives with alternating parity, and the resulting matrix
-coincides with the plain assembly on the unfolded line.  Each junction
-equation is the average of the two one-sided assemblies (they agree
-exactly under the ghost rule).
+On the folded grid the three branches are laid end to end along the
+unfolded coordinate, with the orientation-reversed branch carrying the
+sign-flipped odd coefficients.  The paper's mirrored junction closure
+matches the function and its first three derivatives with alternating
+parity across each junction, and under that matching the folded
+Hamiltonian is exactly the plain stencil matrix on the unfolded line.
+So every stencil operator comes from one line assembly that writes its
+(at most five) diagonals directly.
 
 Outer ends are Dirichlet.  Second-layer ghosts there are closed by odd
 reflection for even-order stencils and by zero for odd-order stencils;
@@ -32,7 +32,7 @@ import numpy as np
 from scipy.linalg import toeplitz, circulant
 
 from .dispersion import BranchedDomain, DispersionLaw
-from .grids import BranchSegment, FoldedGrid, LineGrid, PeriodicGrid
+from .grids import FoldedGrid, LineGrid, PeriodicGrid
 from .potentials import KernelSpec, QuadraticPotential, QuarticPotential, has_kernel
 
 
@@ -135,58 +135,26 @@ def _stencil_weights(symbol, h, accuracy):
     return even, odd
 
 
-def _resolve(seg, segments, tgt):
-    """Map a local target index to [(global col, even factor, odd factor)]."""
-    m = len(seg.gidx)
-    if 0 <= tgt < m:
-        return [(seg.gidx[tgt], 1.0, 1.0)]
-    if tgt < 0:
-        end, k = seg.left, -tgt
-        inner = 0
-    else:
-        end, k = seg.right, tgt - (m - 1)
-        inner = m - 1
-    if end[0] == "dirichlet":
-        # Boundary node sits at distance 1 and carries value zero.
-        if k == 1:
-            return []
-        if k == 2:
-            return [(seg.gidx[inner], -1.0, 0.0)]
-        raise ValueError("stencil reaches past the boundary closure")
-    _, pb, pend = end
-    partner = segments[pb]
-    mp = len(partner.gidx)
-    if k >= mp:
-        raise ValueError("stencil reaches across the partner branch")
-    col = partner.gidx[k] if pend == "left" else partner.gidx[mp - 1 - k]
-    return [(col, 1.0, 1.0)]
+def _assemble_line(n, h, symbol, accuracy, odd_factor=1.0):
+    """Stencil matrix of the symbol on n line nodes with Dirichlet ends.
 
-
-def _assemble_stencil(segments, n_total, h, symbol, accuracy, flip_reversed):
-    H = np.zeros((n_total, n_total), dtype=complex)
+    odd_factor (a scalar or one value per row) scales the odd-order
+    weights of each row.
+    """
+    H = np.zeros((n, n), dtype=complex)
     if symbol is None or symbol.is_zero():
         return H
-    for seg in segments.values():
-        sym = symbol.flipped() if (flip_reversed and seg.flip_odd) else symbol
-        even, odd = _stencil_weights(sym, h, accuracy)
-        offsets = sorted(set(even) | set(odd))
-        m = len(seg.gidx)
-        for local in range(m):
-            rw = seg.row_weight[local]
-            if rw == 0.0:
-                continue
-            row = seg.gidx[local]
-            for off in offsets:
-                we = even.get(off, 0.0)
-                wo = odd.get(off, 0.0)
-                for col, fe, fo in _resolve(seg, segments, local + off):
-                    H[row, col] += rw * (fe * we + fo * wo)
+    even, odd = _stencil_weights(symbol, h, accuracy)
+    rows = np.arange(n)
+    factor = np.broadcast_to(odd_factor, (n,))
+    for off in set(even) | set(odd):
+        r = rows[max(0, -off):n - max(0, off)]
+        H[r, r + off] = even.get(off, 0.0) + odd.get(off, 0.0) * factor[r]
+    # Second-layer Dirichlet ghosts: odd reflection of the even part, zero
+    # for the odd part (which keeps it exactly antisymmetric).
+    H[0, 0] -= even.get(-2, 0.0)
+    H[-1, -1] -= even.get(2, 0.0)
     return H
-
-
-def _line_segment(n):
-    return {0: BranchSegment(0, np.arange(n), False,
-                             ("dirichlet",), ("dirichlet",), np.ones(n))}
 
 
 def _branchwise_energy(law, p, branch):
@@ -222,20 +190,34 @@ def _symbol_of_potential(V):
                     "build_convolution_potential")
 
 
+def _unflipped_odd_factor(grid):
+    """Per-row odd factor that undoes the sign flip on the reversed branch.
+
+    Inside branch 2 the unflipped symbol reads as the line's odd part with
+    the sign reversed; at the two junctions the flipped and unflipped
+    one-sided equations average, so the odd part cancels there.
+    """
+    factor = np.ones(grid.size)
+    factor[grid.junction_plus + 1:grid.junction_minus] = -1.0
+    factor[[grid.junction_plus, grid.junction_minus]] = 0.0
+    return factor
+
+
 def build_folded_hamiltonian(law, grid, V=None, accuracy=2, flip_reversed_branch=True):
     """Branched Hamiltonian on the folded momentum grid.
 
     The kinetic energy multiplies on the diagonal; the polynomial
     potential acts through derivative stencils, with odd coefficients
-    flipped on branch 2 and junction ghost matching between branches.
-    flip_reversed_branch=False assembles the (non-Hermitian) variant
-    without the sign flips, kept for negative-control tests.
+    flipped on branch 2, which makes it the plain stencil on the
+    unfolded line.  flip_reversed_branch=False assembles the
+    (non-Hermitian) variant without the sign flips, kept for
+    negative-control tests.
     """
     if not isinstance(grid, FoldedGrid):
         raise TypeError("build_folded_hamiltonian needs a FoldedGrid")
     symbol = _symbol_of_potential(V)
-    H = _assemble_stencil(grid.segments(), grid.size, grid.h,
-                          symbol, accuracy, flip_reversed_branch)
+    odd_factor = 1.0 if flip_reversed_branch else _unflipped_odd_factor(grid)
+    H = _assemble_line(grid.size, grid.h, symbol, accuracy, odd_factor)
     H[np.diag_indices_from(H)] += _branchwise_energy(law, grid.p, grid.branch)
     return OperatorMatrix(H, "folded", grid, symbol=symbol)
 
@@ -249,21 +231,17 @@ def build_unfolded_hamiltonian(law, grid, V=None, accuracy=2):
     """
     symbol = _symbol_of_potential(V)
     if isinstance(grid, FoldedGrid):
-        segments = _line_segment(grid.size)
         diag = _branchwise_energy(law, grid.p, grid.branch)
-        h = grid.h
     elif isinstance(grid, LineGrid):
-        segments = _line_segment(grid.size)
         diag = _unfolded_energy(law, grid.x)
-        h = grid.h
     else:
         raise TypeError("build_unfolded_hamiltonian needs a FoldedGrid or LineGrid")
-    H = _assemble_stencil(segments, len(diag), h, symbol, accuracy, False)
+    H = _assemble_line(grid.size, grid.h, symbol, accuracy)
     H[np.diag_indices_from(H)] += diag
     return OperatorMatrix(H, "unfolded", grid, symbol=symbol)
 
 
-def build_dual_wire_hamiltonian(kinetic, W, grid, accuracy=2, flip_reversed_branch=True):
+def build_dual_wire_hamiltonian(kinetic, W, grid, accuracy=2):
     """Position-space wire: polynomial kinetic stencil, multiplicative W.
 
     kinetic is a StencilSymbol or (c4, c3, c2, c1) coefficients of the
@@ -276,8 +254,6 @@ def build_dual_wire_hamiltonian(kinetic, W, grid, accuracy=2, flip_reversed_bran
     symbol = kinetic if isinstance(kinetic, StencilSymbol) else StencilSymbol.from_kinetic(*kinetic)
     if isinstance(grid, FoldedGrid):
         diag = _dual_wire_diag(W, grid)
-        H = _assemble_stencil(grid.segments(), grid.size, grid.h,
-                              symbol, accuracy, flip_reversed_branch)
     elif isinstance(grid, LineGrid):
         if W is None:
             diag = np.zeros(grid.size)
@@ -287,10 +263,9 @@ def build_dual_wire_hamiltonian(kinetic, W, grid, accuracy=2, flip_reversed_bran
             diag = np.asarray(W, dtype=float)
             if diag.shape != (grid.size,):
                 raise ValueError("W array must have one value per grid node")
-        H = _assemble_stencil(_line_segment(grid.size), grid.size, grid.h,
-                              symbol, accuracy, False)
     else:
         raise TypeError("build_dual_wire_hamiltonian needs a FoldedGrid or LineGrid")
+    H = _assemble_line(grid.size, grid.h, symbol, accuracy)
     H[np.diag_indices_from(H)] += diag
     return OperatorMatrix(H, "dual-wire", grid, symbol=symbol)
 

@@ -9,10 +9,12 @@ manifest hashes that actually match the files on disk.
 import hashlib
 import json
 
+import jsonschema
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
-from branchedq.cli import emit_dispersion_curve, main
+from branchedq.cli import CONFIG_SCHEMA, emit_dispersion_curve, main
 
 
 def _write_config(path, payload):
@@ -219,6 +221,7 @@ def test_kernel_mode_rejects_polynomial_potential(tmp_path):
 
 
 def test_schema_violation_exits_two(tmp_path):
+    jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
     cfg = _write_config(
         tmp_path / "bad.json",
         {"version": 1, "mode": "spectrum", "grid": {"kind": "hexagonal"}},
@@ -227,6 +230,30 @@ def test_schema_violation_exits_two(tmp_path):
     assert result.exit_code == 2
     assert "config error" in result.output
     assert "grid.kind" in result.output
+
+
+_SMALL_FOLDED = {
+    "version": 1,
+    "dispersion": {"kappa": 3.0},
+    "potential": {"form": "quadratic", "alpha": 1.0},
+    "grid": {"kind": "folded", "n_inner": 8, "n_arm": 10},
+}
+
+
+@pytest.mark.parametrize("payload,where", [
+    (dict(_SMALL_FOLDED, mode="spectrum",
+          sweep={"parameter": "solver.k", "values": [2, "abc"]}),
+     "sweep value 1"),
+    (dict(_SMALL_FOLDED, mode="evolve",
+          evolution={"dt": 1e-3, "steps": 2, "packet": {"width": 0}}),
+     "width"),
+], ids=["sweep-value", "packet-width"])
+def test_bad_values_exit_two(tmp_path, payload, where):
+    cfg = _write_config(tmp_path / "bad.json", payload)
+    result = _invoke(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert "config error" in result.output
+    assert where in result.output
 
 
 def test_malformed_json_exits_two(tmp_path):

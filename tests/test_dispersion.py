@@ -10,7 +10,6 @@ import pytest
 import sympy as sp
 
 from branchedq import (BranchedDomain, DispersionLaw, UnbranchedDispersionError,
-                       fold, invert_momentum, momentum_of_velocity, unfold,
                        velocity_sweep)
 
 LAW = DispersionLaw(kappa=3.0)
@@ -59,7 +58,7 @@ def test_branch_labels():
 
 
 def test_invert_momentum_three_roots():
-    roots = invert_momentum(0.0, LAW)
+    roots = LAW.invert_momentum(0.0)
     assert [b for b, _ in roots] == [1, 2, 3]
     vals = [v for _, v in roots]
     assert vals[0] == pytest.approx(-np.sqrt(3.0), abs=1e-12)
@@ -69,16 +68,16 @@ def test_invert_momentum_three_roots():
 
 def test_invert_momentum_at_junctions():
     """Double root at the cusp plus the far root on the opposite side."""
-    up = invert_momentum(2.0, LAW)
+    up = LAW.invert_momentum(2.0)
     assert [(b, pytest.approx(v, abs=1e-12)) for b, v in up] == \
         [(1, -1.0), (2, -1.0), (3, 2.0)]
-    down = invert_momentum(-2.0, LAW)
+    down = LAW.invert_momentum(-2.0)
     assert [(b, pytest.approx(v, abs=1e-12)) for b, v in down] == \
         [(1, -2.0), (2, 1.0), (3, 1.0)]
 
 
 def test_invert_momentum_single_root_outside():
-    roots = invert_momentum(10.0, LAW)
+    roots = LAW.invert_momentum(10.0)
     assert len(roots) == 1
     branch, v = roots[0]
     assert branch == 3
@@ -173,11 +172,3 @@ def test_branched_only_helpers_raise_on_flat_laws():
     assert dom.p_minus == 0.0 and dom.p_plus == 0.0
     q, b = dom.fold(1.5)
     assert dom.unfold(q, b) == pytest.approx(1.5)
-
-
-def test_module_level_helpers_match_methods():
-    assert momentum_of_velocity(1.3, LAW) == pytest.approx(LAW.momentum(1.3))
-    dom = LAW.domain()
-    assert unfold(0.5, 3, dom) == pytest.approx(dom.unfold(0.5, 3))
-    q, b = fold(5.0, dom)
-    assert (q, b) == (pytest.approx(1.0), 3)

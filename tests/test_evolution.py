@@ -33,6 +33,8 @@ def test_gaussian_packet_is_normalized():
     assert w.norm() == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         MultiWave(g, np.zeros(g.size + 1))
+    with pytest.raises(ValueError):
+        MultiWave.gaussian(g, -4.0, 0.0)
 
 
 def test_cayley_step_is_exactly_unitary():

@@ -54,36 +54,6 @@ def test_folded_grid_junction_momenta():
     assert g.p[g.junction_minus] == pytest.approx(-2.0)
 
 
-def test_branch2_window_halves_junctions():
-    g = FoldedGrid(LAW, 4, 5)
-    w = g.branch2_window
-    assert w[g.junction_plus] == 0.5
-    assert w[g.junction_minus] == 0.5
-    assert np.all(w[g.junction_plus + 1:g.junction_minus] == 1.0)
-    assert np.all(w[:g.junction_plus] == 0.0)
-    assert np.all(w[g.junction_minus + 1:] == 0.0)
-
-
-def test_segments_traverse_middle_branch_in_reverse():
-    g = FoldedGrid(LAW, 4, 5)
-    segs = g.segments()
-    assert sorted(segs) == [1, 2, 3]
-    assert list(segs[1].gidx) == [0, 1, 2, 3, 4]
-    assert list(segs[2].gidx) == [8, 7, 6, 5, 4]
-    assert list(segs[3].gidx) == [8, 9, 10, 11, 12]
-    assert segs[2].flip_odd and not segs[1].flip_odd and not segs[3].flip_odd
-
-
-def test_branch_values_restriction():
-    g = FoldedGrid(LAW, 4, 5)
-    vals = np.arange(g.size, dtype=float)
-    p2, v2 = g.branch_values(vals, 2)
-    assert np.allclose(p2, [-2, -1, 0, 1, 2])
-    assert np.allclose(v2, [8, 7, 6, 5, 4])
-    p1, v1 = g.branch_values(vals, 1)
-    assert np.all(np.diff(p1) > 0), "per-branch momentum must come out sorted"
-
-
 def test_folded_grid_validation():
     with pytest.raises(ValueError):
         FoldedGrid(LAW, 1, 5)

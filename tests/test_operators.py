@@ -1,14 +1,17 @@
 """Stencil and kernel assemblies of the branched Hamiltonians.
 
 The load-bearing identities: discrete sine vectors are exact eigenvectors
-of the even-order Dirichlet stencils, the folded assembly reproduces the
-plain unfolded assembly matrix entry by entry, and the convolution matrix
+of the even-order Dirichlet stencils, the folded assembly reproduces an
+independent ghost-point construction branch by branch (and with it the
+plain unfolded assembly matrix) entry by entry, and the convolution matrix
 acts on plane waves as multiplication by the potential in the conjugate
 variable.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from branchedq import (DispersionLaw, FoldedGrid, GaussianPotential, LineGrid,
                        PeriodicGrid, QuadraticPotential, QuarticPotential,
@@ -18,6 +21,56 @@ from branchedq import (DispersionLaw, FoldedGrid, GaussianPotential, LineGrid,
                        fourier_conjugate_hamiltonian, hermiticity_defect)
 
 LAW = DispersionLaw(kappa=3.0)
+
+
+def _second_order_weights(sym, h):
+    """Offset -> (even, odd) weight of the symbol's accuracy-2 stencil."""
+    e0 = 6.0 * sym.c4 / h**4 + 2.0 * sym.c2 / h**2
+    e1 = -4.0 * sym.c4 / h**4 - sym.c2 / h**2
+    e2 = sym.c4 / h**4
+    o1 = -0.5j * sym.c1 / h - 1j * sym.c3 / h**3
+    o2 = 0.5j * sym.c3 / h**3
+    return {-2: (e2, -o2), -1: (e1, -o1), 0: (e0, 0.0), 1: (e1, o1), 2: (e2, o2)}
+
+
+def ghost_rule_stencil(grid, sym, flip_reversed=True):
+    """Reference folded assembly by ghost points, branch by branch.
+
+    Each branch is walked in its own folded coordinate; the reversed
+    branch 2 carries the flipped symbol.  Values k steps past a junction
+    are read k steps in from the partner branch's named end, values past
+    an outer end are zero at distance 1 and the odd reflection of the even
+    part at distance 2, and each shared junction row averages the two
+    one-sided equations.
+    """
+    jp, jm, n = grid.junction_plus, grid.junction_minus, grid.size
+    # branch: (global nodes in branch order, reversed, left end, right end);
+    # an end is None (Dirichlet) or (partner branch, 0 = left / -1 = right).
+    branches = {1: (np.arange(jp + 1), False, None, (2, -1)),
+                2: (np.arange(jm, jp - 1, -1), True, (3, 0), (1, -1)),
+                3: (np.arange(jm, n), False, (2, 0), None)}
+    H = np.zeros((n, n), dtype=complex)
+    for nodes, reverse, left, right in branches.values():
+        weights = _second_order_weights(
+            sym.flipped() if reverse and flip_reversed else sym, grid.h)
+        m = len(nodes)
+        for i, row in enumerate(nodes):
+            half = (i == 0 and left) or (i == m - 1 and right)
+            rw = 0.5 if half else 1.0
+            for off, (we, wo) in weights.items():
+                t = i + off
+                if 0 <= t < m:
+                    H[row, nodes[t]] += rw * (we + wo)
+                    continue
+                end, k = (left, -t) if t < 0 else (right, t - m + 1)
+                if end is None:
+                    if k == 2:
+                        H[row, row] -= rw * we
+                    continue
+                partner = branches[end[0]][0]
+                H[row, partner[k] if end[1] == 0 else partner[-1 - k]] += \
+                    rw * (we + wo)
+    return H
 
 
 def test_plane_wave_energy_frozen():
@@ -110,10 +163,31 @@ def test_kinetic_diagonal_on_folded_grid():
 def test_folded_assembly_equals_unfolded(V):
     """Ghost matching plus junction averaging reproduces the plain line."""
     g = FoldedGrid(LAW, 16, 12)
-    A = build_folded_hamiltonian(LAW, g, V).matrix
+    op = build_folded_hamiltonian(LAW, g, V)
+    kinetic = build_folded_hamiltonian(LAW, g).matrix
+    ghost = ghost_rule_stencil(g, op.symbol) + kinetic
     B = build_unfolded_hamiltonian(LAW, g, V).matrix
     scale = np.max(np.abs(B))
-    assert np.max(np.abs(A - B)) < 1e-13 * scale
+    assert np.max(np.abs(ghost - B)) < 1e-13 * scale
+    assert np.array_equal(op.matrix, B)
+
+
+_COEFF = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sym=st.builds(StencilSymbol, _COEFF, _COEFF, _COEFF, _COEFF),
+       n_inner=st.integers(2, 24), n_arm=st.integers(3, 24))
+def test_folded_assembly_matches_ghost_rule_for_any_symbol(sym, n_inner, n_arm):
+    g = FoldedGrid(LAW, n_inner, n_arm)
+    kinetic = build_folded_hamiltonian(LAW, g).matrix
+    for flip in (True, False):
+        A = build_folded_hamiltonian(LAW, g, sym, flip_reversed_branch=flip).matrix
+        ref = ghost_rule_stencil(g, sym, flip_reversed=flip) + kinetic
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(A - ref)) <= 1e-13 * scale
+        if flip:
+            assert hermiticity_defect(A) <= 1e-12 * np.max(np.abs(A))
 
 
 @pytest.mark.parametrize("V", [QuadraticPotential(1.3),
