@@ -43,4 +43,5 @@ dual = build_dual_wire_hamiltonian(StencilSymbol.from_quadratic_potential(0.7),
                                    law, fg)
 print()
 print("folded dual-wire vs direct branched assembly:",
-      "identical" if np.array_equal(direct.matrix, dual.matrix) else "DIFFER")
+      "identical" if np.array_equal(direct.matrix.toarray(), dual.matrix.toarray())
+      else "DIFFER")

@@ -21,12 +21,14 @@ from .grids import FoldedGrid, LineGrid, PeriodicGrid
 from .operators import (StencilSymbol, build_convolution_hamiltonian,
                         build_convolution_potential, build_dual_wire_hamiltonian,
                         build_folded_hamiltonian, build_unfolded_hamiltonian,
-                        fourier_conjugate_hamiltonian, hermiticity_defect)
+                        fourier_conjugate_hamiltonian, gershgorin_bound,
+                        hermiticity_defect)
 from .potentials import GaussianPotential, QuadraticPotential, QuarticPotential
 from .spectra import (OperatorBasis, newton_refine, solve_eigensystem,
                       stationarity_residual, variance_minimize)
 
 SEED = 20260814
+EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -129,11 +131,15 @@ def criterion_fold_unfold():
         fg = FoldedGrid(law, 501, 750)
         hf = build_folded_hamiltonian(law, fg, V)
         hu = build_unfolded_hamiltonian(law, _matching_line(fg), V)
-        wf = solve_eigensystem(hf, k=10).eigenvalues
-        wu = solve_eigensystem(hu, k=10).eigenvalues
-        gap = float(np.max(np.abs(wf - wu)))
+        rf = solve_eigensystem(hf, k=10)
+        ru = solve_eigensystem(hu, k=10)
+        gap = float(np.max(np.abs(rf.eigenvalues - ru.eigenvalues)))
+        # The 1e-8 gate holds only while both sides take one solver path:
+        # two paths agree to about eps*||H||inf, printed alongside.
         ok = ok and gap < 1e-8
-        details.append(f"{name} max deviation {gap:.1e}")
+        details.append(f"{name} max deviation {gap:.1e} "
+                       f"(eps*||H||inf {EPS * gershgorin_bound(hf):.1e}, "
+                       f"{rf.solver}/{ru.solver})")
 
     grounds = []
     for n_inner, n_arm in ((125, 188), (250, 375), (500, 749)):
@@ -158,13 +164,17 @@ def criterion_known_spectra():
     box = LineGrid(0.0, np.pi, 2000)
     op4 = build_dual_wire_hamiltonian(StencilSymbol.from_kinetic(1, 0, 0, 0),
                                       None, box)
-    w4 = solve_eigensystem(op4, k=5).eigenvalues
+    res4 = solve_eigensystem(op4, k=5)
     quartic = np.arange(1, 6) ** 4
-    rel = float(np.max(np.abs(w4 - quartic) / quartic))
+    rel = float(np.max(np.abs(res4.eigenvalues - quartic) / quartic))
 
+    # The box's eps*||H||inf (about 6e-4) is close to the 1e-3 tolerance
+    # on its unit ground level: the measured error there is roundoff.
     ok = oscil < 1e-6 and rel < 1e-3
     return ok, (f"oscillator levels off by {oscil:.1e} (tol 1e-6); "
-                f"clamped-box levels off by {rel:.1e} relative (tol 1e-3)")
+                f"clamped-box levels off by {rel:.1e} relative (tol 1e-3; "
+                f"eps*||H||inf {EPS * gershgorin_bound(op4):.1e}, "
+                f"{res4.solver})")
 
 
 def _continuity_peak(op, wave, dt, steps):

@@ -24,12 +24,15 @@ junction flux residual.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
+import scipy.sparse
 from scipy.linalg import lu_factor, lu_solve
+from scipy.sparse.linalg import splu
 
 from .grids import FoldedGrid
-from .operators import OperatorMatrix, as_matrix
+from .operators import OperatorMatrix, as_matrix, gershgorin_bound
 
 
 def _grid_axis(grid):
@@ -94,12 +97,6 @@ class EvolutionReport:
         return float(np.max(np.abs(self.flux_residuals)))
 
 
-def gershgorin_bound(op):
-    """Upper bound on the spectral radius by row sums."""
-    H = as_matrix(op)
-    return float(np.max(np.sum(np.abs(H), axis=1)))
-
-
 def propagate(op, wave, dt, steps, snapshot_every=None, stability_budget=0.5):
     """Crank-Nicolson evolution for `steps` steps of size dt.
 
@@ -108,6 +105,9 @@ def propagate(op, wave, dt, steps, snapshot_every=None, stability_budget=0.5):
     Gershgorin bound times dt exceeds `stability_budget` (set None to
     disable the guard).  Junction flux residuals are tracked on folded
     grids when the operator carries a stencil symbol.
+
+    I + i dt H/2 is factored once: by sparse LU (splu) when H is stored
+    sparse, by dense LAPACK LU otherwise.
 
     Returns (final MultiWave, EvolutionReport); the input wave is not
     modified.
@@ -127,9 +127,12 @@ def propagate(op, wave, dt, steps, snapshot_every=None, stability_budget=0.5):
     grid = wave.grid
     track_flux = isinstance(grid, FoldedGrid) and symbol is not None
 
-    A = np.eye(n, dtype=complex) + 0.5j * dt * H
-    B = np.eye(n, dtype=complex) - 0.5j * dt * H
-    lu = lu_factor(A)
+    sparse = scipy.sparse.issparse(H)
+    one = (scipy.sparse.diags_array(np.ones(n, dtype=complex), format="csr")
+           if sparse else np.eye(n, dtype=complex))
+    A = one + 0.5j * dt * H
+    B = one - 0.5j * dt * H
+    solve = splu(A.tocsc()).solve if sparse else partial(lu_solve, lu_factor(A))
 
     psi = wave.data.copy()
     t0 = wave.time
@@ -154,7 +157,7 @@ def propagate(op, wave, dt, steps, snapshot_every=None, stability_budget=0.5):
     record(0, psi)
     snap(0, psi)
     for k in range(1, steps + 1):
-        psi = lu_solve(lu, B @ psi)
+        psi = solve(B @ psi)
         record(k, psi)
         snap(k, psi)
 

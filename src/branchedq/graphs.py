@@ -21,6 +21,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from .errors import FluxBalanceError
 from .operators import OperatorMatrix
@@ -279,7 +280,8 @@ class GraphLayout:
 
 
 def graph_hamiltonian(graph, resolution, conditions=None, truncation=None):
-    """Hermitian graph Hamiltonian by constrained P1 elements, lumped mass.
+    """Hermitian graph Hamiltonian by constrained P1 elements, lumped mass,
+    stored as a sparse CSR array.
 
     resolution is the interval count per line; half-lines are cut to
     `truncation` with Dirichlet caps.  An optional conditions mapping
@@ -297,9 +299,9 @@ def graph_hamiltonian(graph, resolution, conditions=None, truncation=None):
         complex(k).imag != 0.0
         for v in graph.vertices for k in layout._kappa[v].values())
     # Drift-free graphs with real weights assemble real symmetric, which
-    # halves memory and lets eigh take the fast path.
+    # halves memory and lets the eigensolvers take the real path.
     dtype = complex if complex_needed else float
-    A = np.zeros((layout.size, layout.size), dtype=dtype)
+    rows, cols, vals = [], [], []
     for c in layout.chains:
         stiff = c.alpha / c.h
         drift = -0.5j * c.beta
@@ -319,10 +321,22 @@ def graph_hamiltonian(graph, resolution, conditions=None, truncation=None):
                     term = fr * fc * k
                     if c.beta != 0.0 and r != col:
                         term = term + fr * fc * (drift if col > r else -drift)
-                    A[sr, sc] += term if dtype is complex else term.real
+                    rows.append(sr)
+                    cols.append(sc)
+                    vals.append(term if dtype is complex else term.real)
+    # Duplicates accumulate in loop order (np.add.at is unbuffered), so
+    # every entry is the same floating-point sum a dense += would form.
+    n = layout.size
+    keys, slot = np.unique(np.asarray(rows, dtype=np.intp) * n
+                           + np.asarray(cols, dtype=np.intp),
+                           return_inverse=True)
+    data = np.zeros(keys.size, dtype=dtype)
+    np.add.at(data, slot, np.asarray(vals, dtype=dtype))
+    row, col = np.divmod(keys, n)
     root = np.sqrt(layout.mass)
-    A /= root[:, None]
-    A /= root[None, :]
+    data /= root[row]
+    data /= root[col]
+    A = scipy.sparse.csr_array((data, (row, col)), shape=(n, n))
     return OperatorMatrix(A, "graph", layout)
 
 

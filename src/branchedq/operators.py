@@ -17,7 +17,7 @@ matches the function and its first three derivatives with alternating
 parity across each junction, and under that matching the folded
 Hamiltonian is exactly the plain stencil matrix on the unfolded line.
 So every stencil operator comes from one line assembly that writes its
-(at most five) diagonals directly.
+(at most five) diagonals directly into sparse storage.
 
 Outer ends are Dirichlet.  Second-layer ghosts there are closed by odd
 reflection for even-order stencils and by zero for odd-order stencils;
@@ -29,6 +29,7 @@ the boundary.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 from scipy.linalg import toeplitz, circulant
 
 from .dispersion import BranchedDomain, DispersionLaw
@@ -82,9 +83,16 @@ class StencilSymbol:
 
 @dataclass
 class OperatorMatrix:
-    """Dense discretized Hamiltonian with its provenance and grid."""
+    """Discretized Hamiltonian with its provenance and grid.
 
-    matrix: np.ndarray
+    The stencil builders (folded, unfolded, dual wire) and the graph
+    assembly store `matrix` as a scipy.sparse CSR array: they have at most
+    five diagonals, or P1 chains joined at vertices, so a dense N x N
+    array would be almost all zeros.  The kernel and Fourier operators are
+    full by nature and store a dense ndarray.
+    """
+
+    matrix: object
     provenance: str
     grid: object
     kernel: KernelSpec = None
@@ -96,7 +104,9 @@ class OperatorMatrix:
 
 
 def as_matrix(op):
-    return op.matrix if isinstance(op, OperatorMatrix) else np.asarray(op)
+    """The matrix of an operator: sparse stays sparse, the rest is an ndarray."""
+    H = op.matrix if isinstance(op, OperatorMatrix) else op
+    return H if scipy.sparse.issparse(H) else np.asarray(H)
 
 
 _D1_2 = {-1: -0.5, 1: 0.5}
@@ -135,26 +145,32 @@ def _stencil_weights(symbol, h, accuracy):
     return even, odd
 
 
-def _assemble_line(n, h, symbol, accuracy, odd_factor=1.0):
-    """Stencil matrix of the symbol on n line nodes with Dirichlet ends.
+def _assemble_line(n, h, symbol, accuracy, diag, odd_factor=1.0):
+    """Stencil matrix of the symbol on n line nodes with Dirichlet ends,
+    plus the multiplicative diagonal `diag`, as a CSR array.
 
     odd_factor (a scalar or one value per row) scales the odd-order
     weights of each row.
     """
-    H = np.zeros((n, n), dtype=complex)
-    if symbol is None or symbol.is_zero():
-        return H
-    even, odd = _stencil_weights(symbol, h, accuracy)
-    rows = np.arange(n)
-    factor = np.broadcast_to(odd_factor, (n,))
-    for off in set(even) | set(odd):
-        r = rows[max(0, -off):n - max(0, off)]
-        H[r, r + off] = even.get(off, 0.0) + odd.get(off, 0.0) * factor[r]
-    # Second-layer Dirichlet ghosts: odd reflection of the even part, zero
-    # for the odd part (which keeps it exactly antisymmetric).
-    H[0, 0] -= even.get(-2, 0.0)
-    H[-1, -1] -= even.get(2, 0.0)
-    return H
+    diagonals = {0: np.zeros(n, dtype=complex)}
+    if symbol is not None and not symbol.is_zero():
+        even, odd = _stencil_weights(symbol, h, accuracy)
+        factor = np.broadcast_to(odd_factor, (n,))
+        for off in set(even) | set(odd):
+            if abs(off) < n:
+                r = slice(max(0, -off), n - max(0, off))
+                diagonals[off] = np.asarray(
+                    even.get(off, 0.0) + odd.get(off, 0.0) * factor[r],
+                    dtype=complex)
+        # Second-layer Dirichlet ghosts: odd reflection of the even part,
+        # zero for the odd part (which keeps it exactly antisymmetric).
+        diagonals[0][0] -= even.get(-2, 0.0)
+        diagonals[0][-1] -= even.get(2, 0.0)
+    diagonals[0] += diag
+    offsets = sorted(diagonals)
+    return scipy.sparse.diags_array([diagonals[off] for off in offsets],
+                                    offsets=offsets, shape=(n, n),
+                                    format="csr", dtype=complex)
 
 
 def _branchwise_energy(law, p, branch):
@@ -217,8 +233,8 @@ def build_folded_hamiltonian(law, grid, V=None, accuracy=2, flip_reversed_branch
         raise TypeError("build_folded_hamiltonian needs a FoldedGrid")
     symbol = _symbol_of_potential(V)
     odd_factor = 1.0 if flip_reversed_branch else _unflipped_odd_factor(grid)
-    H = _assemble_line(grid.size, grid.h, symbol, accuracy, odd_factor)
-    H[np.diag_indices_from(H)] += _branchwise_energy(law, grid.p, grid.branch)
+    H = _assemble_line(grid.size, grid.h, symbol, accuracy,
+                       _branchwise_energy(law, grid.p, grid.branch), odd_factor)
     return OperatorMatrix(H, "folded", grid, symbol=symbol)
 
 
@@ -236,8 +252,7 @@ def build_unfolded_hamiltonian(law, grid, V=None, accuracy=2):
         diag = _unfolded_energy(law, grid.x)
     else:
         raise TypeError("build_unfolded_hamiltonian needs a FoldedGrid or LineGrid")
-    H = _assemble_line(grid.size, grid.h, symbol, accuracy)
-    H[np.diag_indices_from(H)] += diag
+    H = _assemble_line(grid.size, grid.h, symbol, accuracy, diag)
     return OperatorMatrix(H, "unfolded", grid, symbol=symbol)
 
 
@@ -265,8 +280,7 @@ def build_dual_wire_hamiltonian(kinetic, W, grid, accuracy=2):
                 raise ValueError("W array must have one value per grid node")
     else:
         raise TypeError("build_dual_wire_hamiltonian needs a FoldedGrid or LineGrid")
-    H = _assemble_line(grid.size, grid.h, symbol, accuracy)
-    H[np.diag_indices_from(H)] += diag
+    H = _assemble_line(grid.size, grid.h, symbol, accuracy, diag)
     return OperatorMatrix(H, "dual-wire", grid, symbol=symbol)
 
 
@@ -390,4 +404,10 @@ def fourier_conjugate_hamiltonian(law, V, grid):
 def hermiticity_defect(op):
     """Largest entrywise deviation |H - H*|; compare to 1e-12 max|H|."""
     H = as_matrix(op)
-    return float(np.max(np.abs(H - H.conj().T)))
+    return float(abs(H - H.conj().T).max())
+
+
+def gershgorin_bound(op):
+    """Upper bound on the spectral radius by row sums, ||H||_inf."""
+    H = as_matrix(op)
+    return float(abs(H).sum(axis=1).max())

@@ -9,12 +9,15 @@ group-velocity value of the current are the physical checks.
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from branchedq import (DispersionLaw, FoldedGrid, LineGrid, MultiWave,
                        OperatorMatrix, QuadraticPotential, StencilSymbol,
                        build_dual_wire_hamiltonian, build_folded_hamiltonian,
                        continuity_residual, junction_flux_residual,
                        probability_current, propagate)
+from branchedq.operators import gershgorin_bound
 
 LAW = DispersionLaw(kappa=3.0)
 
@@ -77,6 +80,28 @@ def test_second_order_accuracy_in_dt():
         errs.append(np.linalg.norm(final.data - exact))
     ratio = errs[0] / errs[1]
     assert 3.0 < ratio < 5.0, f"dt-halving error ratio {ratio}"
+
+
+_COEFF = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sym=st.builds(StencilSymbol, _COEFF, _COEFF, _COEFF, _COEFF),
+       n_inner=st.integers(4, 24), n_arm=st.integers(5, 24))
+def test_sparse_crank_nicolson_is_unitary_and_matches_dense(sym, n_inner, n_arm):
+    """splu on the sparse folded operator and dense LU on its dense copy
+    take the same 20 steps."""
+    g = FoldedGrid(LAW, n_inner, n_arm)
+    op = build_folded_hamiltonian(LAW, g, sym)
+    dense = OperatorMatrix(op.matrix.toarray(), op.provenance, g,
+                           symbol=op.symbol)
+    wave = MultiWave.gaussian(g, g.u[g.size // 2], 0.25 * (g.u[-1] - g.u[0]),
+                              boost=0.5)
+    dt = 0.4 / gershgorin_bound(op)
+    final, rep = propagate(op, wave, dt, 20)
+    ref, _ = propagate(dense, wave, dt, 20)
+    assert rep.norm_drift < 1e-12
+    assert np.max(np.abs(final.data - ref.data)) < 1e-12
 
 
 def test_stability_budget_guard():

@@ -148,7 +148,7 @@ def test_biharmonic_sine_eigenvalue():
 
 def test_kinetic_diagonal_on_folded_grid():
     g = FoldedGrid(LAW, 4, 5)
-    H = build_folded_hamiltonian(LAW, g).matrix
+    H = build_folded_hamiltonian(LAW, g).matrix.toarray()
     assert np.allclose(H, np.diag(np.diag(H)))
     diag = np.real(np.diag(H))
     assert diag[0] == pytest.approx(6.0)          # p=-2 on branch 1, v=-2
@@ -164,12 +164,12 @@ def test_folded_assembly_equals_unfolded(V):
     """Ghost matching plus junction averaging reproduces the plain line."""
     g = FoldedGrid(LAW, 16, 12)
     op = build_folded_hamiltonian(LAW, g, V)
-    kinetic = build_folded_hamiltonian(LAW, g).matrix
+    kinetic = build_folded_hamiltonian(LAW, g).matrix.toarray()
     ghost = ghost_rule_stencil(g, op.symbol) + kinetic
-    B = build_unfolded_hamiltonian(LAW, g, V).matrix
+    B = build_unfolded_hamiltonian(LAW, g, V).matrix.toarray()
     scale = np.max(np.abs(B))
     assert np.max(np.abs(ghost - B)) < 1e-13 * scale
-    assert np.array_equal(op.matrix, B)
+    assert np.array_equal(op.matrix.toarray(), B)
 
 
 _COEFF = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
@@ -212,8 +212,8 @@ def test_dual_wire_matches_folded_for_polynomial_wells():
     picture with the roles of p and x exchanged."""
     g = FoldedGrid(LAW, 12, 10)
     sym = StencilSymbol.from_quadratic_potential(1.3)
-    A = build_dual_wire_hamiltonian(sym, LAW, g).matrix
-    B = build_folded_hamiltonian(LAW, g, QuadraticPotential(1.3)).matrix
+    A = build_dual_wire_hamiltonian(sym, LAW, g).matrix.toarray()
+    B = build_folded_hamiltonian(LAW, g, QuadraticPotential(1.3)).matrix.toarray()
     assert np.array_equal(A, B)
 
 

@@ -8,11 +8,14 @@ largest probe-commutator residual is exactly 1.
 import numpy as np
 import pytest
 
+import branchedq.spectra
 from branchedq import (ConvergenceError, LineGrid, NonHermitianError,
-                       OperatorBasis, StencilSymbol,
-                       build_dual_wire_hamiltonian, newton_refine,
-                       solve_eigensystem, stationarity_residual,
-                       subspace_overlap, variance_minimize)
+                       OperatorBasis, OperatorMatrix, StencilSymbol,
+                       build_dual_wire_hamiltonian, graph_hamiltonian,
+                       newton_refine, solve_eigensystem, star_graph,
+                       stationarity_residual, subspace_overlap,
+                       variance_minimize)
+from branchedq.operators import gershgorin_bound
 from branchedq.spectra import stationarity_gap, variance_pair_residual
 
 TWO = np.diag([0.0, 1.0])
@@ -27,15 +30,33 @@ def test_two_level_eigensystem():
     assert overlap == pytest.approx(1.0, abs=1e-14)
 
 
+def _spectral_tol(op):
+    return 64.0 * np.finfo(float).eps * gershgorin_bound(op)
+
+
 def test_dirichlet_laplacian_closed_form():
-    """Discrete -d^2 spectrum is 2(1 - cos(m pi/(n+1)))/h^2 exactly."""
+    """Discrete -d^2 spectrum is 2(1 - cos(m pi/(n+1)))/h^2 exactly.
+
+    The solver path follows storage and the share of the spectrum asked
+    for: sparse with 20 k <= n takes shift-invert, everything else eigh,
+    and both agree with the dense values within 64 eps ||H||_inf.
+    """
     n = 40
     g = LineGrid(0.0, np.pi, n)
     op = build_dual_wire_hamiltonian(StencilSymbol(0, 0, 1.0, 0), None, g)
     res = solve_eigensystem(op)
+    assert res.solver == "eigh"
     m = np.arange(1, n + 1)
     exact = (2.0 - 2.0 * np.cos(m * np.pi / (n + 1))) / g.h**2
     assert np.max(np.abs(res.eigenvalues - exact)) < 1e-11 * exact[-1]
+
+    dense = OperatorMatrix(op.matrix.toarray(), op.provenance, g)
+    for operator, k, solver in ((op, 2, "shift-invert"), (op, 3, "eigh"),
+                                (dense, 2, "eigh")):
+        part = solve_eigensystem(operator, k=k)
+        assert part.solver == solver
+        assert np.max(np.abs(part.eigenvalues - res.eigenvalues[:k])) <= \
+            _spectral_tol(op)
 
 
 def test_lowest_k_subset():
@@ -44,6 +65,39 @@ def test_lowest_k_subset():
     assert len(res) == 3
     assert np.allclose(res.eigenvalues, [0.0, 1.0, 2.0])
     assert res.eigenvectors.shape == (10, 3)
+
+
+def test_shift_invert_keeps_degenerate_pairs():
+    """The star graph's sin modes come in exactly degenerate pairs; a
+    symmetric Lanczos start would see only one state of each pair."""
+    op = graph_hamiltonian(star_graph(3, 1.0), 300)
+    res = solve_eigensystem(op, k=6)
+    assert res.solver == "shift-invert"
+    dense = np.linalg.eigvalsh(op.matrix.toarray())[:6]
+    assert np.max(np.abs(res.eigenvalues - dense)) <= _spectral_tol(op)
+    assert abs(res.eigenvalues[1] - res.eigenvalues[2]) <= _spectral_tol(op)
+    assert abs(res.eigenvalues[4] - res.eigenvalues[5]) <= _spectral_tol(op)
+    assert np.max(res.residuals) <= _spectral_tol(op)
+
+
+def test_uncertified_shift_invert_falls_back_to_dense(monkeypatch):
+    """ARPACK values that skip a state fail the banded count check."""
+    op = graph_hamiltonian(star_graph(3, 1.0), 300)
+    real_eigsh = branchedq.spectra.eigsh
+
+    def skipping_eigsh(A, k, **kwargs):
+        w, v = real_eigsh(A, k=k + 2, **kwargs)
+        order = np.argsort(w)
+        # Drop the first degenerate pair and let the next pair in: k
+        # genuine eigenvalues, two of the lowest k missing.
+        keep = np.delete(order, [1, 2])[:k]
+        return w[keep], v[:, keep]
+
+    monkeypatch.setattr(branchedq.spectra, "eigsh", skipping_eigsh)
+    res = solve_eigensystem(op, k=6)
+    assert res.solver == "eigh-fallback"
+    dense = np.linalg.eigvalsh(op.matrix.toarray())[:6]
+    assert np.max(np.abs(res.eigenvalues - dense)) <= _spectral_tol(op)
 
 
 def test_non_hermitian_rejected():
