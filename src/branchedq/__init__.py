@@ -35,9 +35,9 @@ from .operators import (OperatorMatrix, StencilSymbol,
 from .potentials import (GaussianPotential, LorentzianPotential,
                          PotentialSpec, QuadraticPotential, QuarticPotential,
                          SampledPotential, SechSquaredPotential, has_kernel)
-from .spectra import (EigenResult, OperatorBasis, newton_refine,
-                      solve_eigensystem, stationarity_residual,
-                      subspace_overlap, variance_minimize)
+from .spectra import (EigenResult, newton_refine, solve_eigensystem,
+                      stationarity_residual, subspace_overlap,
+                      variance_minimize)
 
 __version__ = "0.1.0"
 
@@ -48,7 +48,7 @@ __all__ = [
     "FoldedGrid", "GRAPH_LIBRARY", "GaussianPotential", "GraphLayout",
     "HalfLine", "IntegrationStalledError", "LineGrid",
     "LorentzianPotential", "MetricGraph", "MultiWave", "NonHermitianError",
-    "OperatorBasis", "OperatorMatrix", "PeriodicGrid", "PotentialSpec",
+    "OperatorMatrix", "PeriodicGrid", "PotentialSpec",
     "QuadraticPotential", "QuarticPotential", "SampledPotential",
     "SechSquaredPotential", "StencilSymbol", "Trajectory",
     "UnbranchedDispersionError", "VertexCondition", "box_graph",

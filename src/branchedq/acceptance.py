@@ -24,8 +24,8 @@ from .operators import (StencilSymbol, build_convolution_hamiltonian,
                         fourier_conjugate_hamiltonian, gershgorin_bound,
                         hermiticity_defect)
 from .potentials import GaussianPotential, QuadraticPotential, QuarticPotential
-from .spectra import (OperatorBasis, newton_refine, solve_eigensystem,
-                      stationarity_residual, variance_minimize)
+from .spectra import (newton_refine, solve_eigensystem, stationarity_residual,
+                      variance_minimize)
 
 SEED = 20260814
 EPS = np.finfo(float).eps
@@ -284,7 +284,6 @@ def criterion_eigen_characterizations():
     fg = FoldedGrid(law, 40, 60)
     op = build_folded_hamiltonian(law, fg, QuadraticPotential(1.0))
     res = solve_eigensystem(op, k=4)
-    basis = OperatorBasis(fg.size)
     rng = np.random.default_rng(SEED)
 
     worst_e = 0.0
@@ -297,18 +296,15 @@ def criterion_eigen_characterizations():
         # enough that the refiners do real work.
         psi0 = exact + 0.05 * noise / np.linalg.norm(noise)
         psi0 = psi0 / np.linalg.norm(psi0)
-        e_n, psi_n = newton_refine(op, psi0, basis, tol=1e-10)
-        # The BB descent crawls once the variance is far below the final
-        # 1e-6 energy tolerance; 1e-8 leaves the assertions two decades
-        # of headroom without burning the iteration cap.
-        e_v, psi_v = variance_minimize(op, psi0, tol=1e-8, max_iter=60000)
+        e_n, psi_n = newton_refine(op, psi0, tol=1e-10)
+        e_v, psi_v = variance_minimize(op, psi0, tol=1e-8)
         for e, psi in ((e_n, psi_n), (e_v, psi_v)):
             worst_e = max(worst_e, abs(e - res.eigenvalues[i]))
             worst_overlap = min(worst_overlap, abs(np.vdot(psi, exact)))
 
     worst_res = 0.0
     for i in range(4):
-        r = stationarity_residual(op, res.eigenvectors[:, i], basis)
+        r = stationarity_residual(op, res.eigenvectors[:, i])
         worst_res = max(worst_res, float(np.max(r)))
 
     ok = worst_e < 1e-6 and worst_overlap > 0.999 and worst_res < 1e-9

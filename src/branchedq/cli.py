@@ -114,7 +114,7 @@ CONFIG_SCHEMA = {
                 "x": _NUM,
                 "xdot": _NUM,
                 "t_end": _NUM,
-                "tol": _NUM,
+                "tol": {"type": "number", "exclusiveMinimum": 0},
                 "policy": {"enum": ["halt", "continue", "random-branch"]},
                 "max_events": {"type": "integer", "minimum": 1},
                 "samples": {"type": "integer", "minimum": 2},
@@ -305,13 +305,16 @@ def _mode_evolve(config, out):
     op = _hamiltonian_from(config, law, grid, potential)
     ev = config.get("evolution", {})
     packet = ev.get("packet", {})
-    wave = MultiWave.gaussian(grid, float(packet.get("center", 0.0)),
-                              float(packet.get("width", 1.0)),
-                              float(packet.get("boost", 0.0)))
-    final, rep = propagate(op, wave, float(ev.get("dt", 1e-3)),
-                           int(ev.get("steps", 100)),
-                           snapshot_every=ev.get("snapshot_every"),
-                           stability_budget=ev.get("stability_budget", 0.5))
+    try:
+        wave = MultiWave.gaussian(grid, float(packet.get("center", 0.0)),
+                                  float(packet.get("width", 1.0)),
+                                  float(packet.get("boost", 0.0)))
+        final, rep = propagate(op, wave, float(ev.get("dt", 1e-3)),
+                               int(ev.get("steps", 100)),
+                               snapshot_every=ev.get("snapshot_every"),
+                               stability_budget=ev.get("stability_budget", 0.5))
+    except ValueError as exc:
+        raise ConfigError(f"evolution: {exc}") from None
     nsteps = rep.times.size
     flux = rep.flux_residuals if rep.flux_residuals is not None \
         else np.full((nsteps, 2), np.nan)

@@ -60,7 +60,11 @@ class MultiWave:
         u = _grid_axis(grid)
         data = np.exp(-((u - center) ** 2) / (4.0 * width**2) + 1j * boost * u)
         wave = cls(grid, data)
-        wave.data /= wave.norm()
+        norm = wave.norm()
+        if not 0.0 < norm < np.inf:
+            raise ValueError(f"packet norm on the grid is {norm:.3g}; "
+                             "move the center onto the grid or widen it")
+        wave.data /= norm
         return wave
 
     def norm(self):

@@ -8,13 +8,17 @@ bisection so that no eigenvalue can go missing.  The other two realize the
 eigenstate characterizations
 
     <psi|[H, O_i]|psi> = 0  for a complete probe family O_i,
-    var(H) = <H^2> - <H>^2  minimized over normalized psi,
+    var(H) = ||(H - <H>) psi||^2  minimized over normalized psi,
 
 which make sense for operators that are not polynomial in momentum and so
 do not reduce to a boundary-value problem.  On the grid the probe family
 is all site projectors plus the symmetrized and antisymmetrized
 nearest-neighbor hops; that family is rich enough that vanishing
-stationarity residual pins an eigenstate of the discrete problem.
+stationarity residual pins an eigenstate of the discrete problem, and its
+expectations are closed-form products of neighboring entries of psi and
+H psi.  Newton refinement solves one bordered system by sparse LU per
+step; variance minimization is a three-term Rayleigh-Ritz recurrence on
+(H - <H>)^2.  Neither decomposes the spectrum.
 """
 
 from dataclasses import dataclass, field
@@ -23,7 +27,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 from scipy.sparse.csgraph import reverse_cuthill_mckee
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh, splu
 
 from .errors import ConvergenceError, NonHermitianError
 from .operators import as_matrix, gershgorin_bound, hermiticity_defect
@@ -111,11 +115,18 @@ def _shift_invert(H, k):
     sigma = exact[0] - max(1.0, exact[k] - exact[0])
     v0 = np.random.default_rng(_START_SEED).standard_normal(H.shape[0])
     try:
-        w, v = eigsh(H, k=k, sigma=sigma, which="LM", v0=v0.astype(H.dtype))
+        _, v = eigsh(H, k=k, sigma=sigma, which="LM", v0=v0.astype(H.dtype))
     except ArpackNoConvergence:
         return None
-    order = np.argsort(w)
-    w, v = w[order], v[:, order]
+    # Complex Hermitian input runs through ARPACK's non-Hermitian Arnoldi,
+    # whose vectors are orthogonal only to ~1e-9.  Rayleigh-Ritz on their
+    # span, against their own Gram matrix, returns orthonormal columns and
+    # sorted values.  einsum keeps these thin products off the threaded
+    # BLAS, whose spinning workers would slow the next bisection.
+    vc = v.conj()
+    w, C = scipy.linalg.eigh(np.einsum("ik,il->kl", vc, H @ v),
+                             np.einsum("ik,il->kl", vc, v))
+    v = np.einsum("ik,kl->il", v, C)
     tol = _CERTIFY_MULTIPLE * np.finfo(float).eps * gershgorin_bound(H)
     if not np.max(np.abs(w - exact[:k])) <= tol:
         return None
@@ -145,54 +156,6 @@ def solve_eigensystem(op, k=None):
     return EigenResult(w, v.astype(complex), res, prov, solver)
 
 
-class OperatorBasis:
-    """Site projectors plus symmetrized nearest-neighbor hop probes.
-
-    For an n-site grid the family is P_i = |i><i| (n of them),
-    X_i = |i><i+1| + |i+1><i| and Y_i = -i|i><i+1| + i|i+1><i|
-    (n-1 each), all Hermitian.  Probes are applied matrix-free.
-    """
-
-    def __init__(self, n):
-        if n < 2:
-            raise ValueError("need at least two sites")
-        self.n = int(n)
-        self.labels = [("P", i) for i in range(n)]
-        self.labels += [("X", i) for i in range(n - 1)]
-        self.labels += [("Y", i) for i in range(n - 1)]
-
-    def __len__(self):
-        return len(self.labels)
-
-    def apply(self, label, psi):
-        kind, i = label
-        out = np.zeros_like(psi)
-        if kind == "P":
-            out[i] = psi[i]
-        elif kind == "X":
-            out[i] = psi[i + 1]
-            out[i + 1] = psi[i]
-        elif kind == "Y":
-            out[i] = -1j * psi[i + 1]
-            out[i + 1] = 1j * psi[i]
-        else:
-            raise ValueError(f"unknown probe kind {kind!r}")
-        return out
-
-    def matrix(self, label):
-        n = self.n
-        M = np.zeros((n, n), dtype=complex)
-        kind, i = label
-        if kind == "P":
-            M[i, i] = 1.0
-        elif kind == "X":
-            M[i, i + 1] = M[i + 1, i] = 1.0
-        elif kind == "Y":
-            M[i, i + 1] = -1j
-            M[i + 1, i] = 1j
-        return M
-
-
 def _require_normalized(psi):
     psi = np.asarray(psi, dtype=complex)
     nrm = np.linalg.norm(psi)
@@ -201,19 +164,29 @@ def _require_normalized(psi):
     return psi
 
 
-def stationarity_residual(op, psi, basis):
-    """|<psi|[H, O_i]|psi>| for every probe in the basis.
+def _unit_start(psi0):
+    psi = np.asarray(psi0, dtype=complex)
+    nrm = np.linalg.norm(psi)
+    if nrm == 0.0:
+        raise ValueError("psi0 must be nonzero")
+    return psi / nrm
 
-    With chi = H psi the commutator expectation is 2i Im <chi|O psi>, so
-    each entry costs one sparse probe application.
+
+def stationarity_residual(op, psi):
+    """|<psi|[H, O_i]|psi>| over the probe family, in P, X, Y order.
+
+    The 3n - 2 Hermitian probes are the site projectors P_i = |i><i| and
+    the hops X_i = |i><i+1| + |i+1><i|, Y_i = -i|i><i+1| + i|i+1><i|.
+    With chi = H psi each expectation is 2i Im <chi|O_i psi>, a product
+    of neighboring entries of chi and psi.
     """
     H = as_matrix(op)
     psi = _require_normalized(psi)
     chi = H @ psi
-    out = np.empty(len(basis))
-    for j, label in enumerate(basis.labels):
-        out[j] = 2.0 * abs(np.imag(np.vdot(chi, basis.apply(label, psi))))
-    return out
+    a = np.conj(chi[:-1]) * psi[1:]
+    b = np.conj(chi[1:]) * psi[:-1]
+    return 2.0 * np.abs(np.concatenate(
+        [np.imag(np.conj(chi) * psi), np.imag(a + b), np.real(b - a)]))
 
 
 def stationarity_gap(op, psi):
@@ -225,68 +198,51 @@ def stationarity_gap(op, psi):
     return float(np.linalg.norm(chi - mean * psi))
 
 
-def newton_refine(op, psi0, basis, tol=1e-10, max_iter=25):
+def newton_refine(op, psi0, tol=1e-10, max_iter=25):
     """Newton iteration for an eigenpair near psi0.
 
-    Solves the bordered system (H - E) psi = 0, <psi|psi> = 1 with the
-    phase pinned by Im <psi0|psi> = 0 (one Gauss-Newton least-squares
-    step per iteration over real and imaginary parts), and stops when the
-    stationarity residual over the probe basis drops below tol.  Returns
-    (E, psi) with E = <psi|H|psi> at convergence.
+    Each step solves the complex bordered system
+
+        [[H - E, -psi], [psi^H, 0]] [dpsi; dE] = [(E - H) psi; 0]
+
+    by sparse LU, then renormalizes psi and resets E to the Rayleigh
+    quotient; it stops when the stationarity residual drops below tol.
+    The update psi + dpsi = dE (H - E)^-1 psi makes this Rayleigh quotient
+    iteration.  Returns (E, psi) with E = <psi|H|psi> and the phase of psi
+    chosen so that <psi0|psi> is real and positive.
 
     The iteration homes in on whatever stationary pair is nearest; a
     start orthogonal to the intended target converges elsewhere or not at
     all, in which case divergence is signalled with diagnostics.
     """
-    H = as_matrix(op)
+    H = scipy.sparse.csr_array(as_matrix(op))
     n = H.shape[0]
-    dense = H.toarray() if scipy.sparse.issparse(H) else H
-    psi = np.asarray(psi0, dtype=complex)
-    nrm = np.linalg.norm(psi)
-    if nrm == 0.0:
-        raise ValueError("psi0 must be nonzero")
-    psi = psi / nrm
-    ref = psi.copy()
+    psi = ref = _unit_start(psi0)
     E = float(np.real(np.vdot(psi, H @ psi)))
+    one = scipy.sparse.eye_array(n, format="csr")
 
     history = []
-    for it in range(max_iter):
-        resid = float(np.max(stationarity_residual(op, psi, basis)))
+    for it in range(max_iter + 1):
+        resid = float(np.max(stationarity_residual(op, psi)))
         history.append(resid)
         if resid < tol:
-            return E, psi
-        A = dense - E * np.eye(n)
-        # Realified unknowns z = (Re psi, Im psi, E); rows: Re/Im of
-        # (H-E)psi, the normalization defect, and the phase anchor.
-        J = np.zeros((2 * n + 2, 2 * n + 1))
-        J[:n, :n] = A.real
-        J[:n, n:2 * n] = -A.imag
-        J[n:2 * n, :n] = A.imag
-        J[n:2 * n, n:2 * n] = A.real
-        J[:n, 2 * n] = -psi.real
-        J[n:2 * n, 2 * n] = -psi.imag
-        J[2 * n, :n] = psi.real
-        J[2 * n, n:2 * n] = psi.imag
-        J[2 * n + 1, :n] = -ref.imag
-        J[2 * n + 1, n:2 * n] = ref.real
-        r = A @ psi
-        F = np.concatenate([r.real, r.imag,
-                            [0.5 * (np.vdot(psi, psi).real - 1.0)],
-                            [np.imag(np.vdot(ref, psi))]])
+            overlap = np.vdot(ref, psi)
+            return E, psi * (abs(overlap) / overlap)
+        if it == max_iter:
+            break
+        K = scipy.sparse.block_array(
+            [[H - E * one, -psi[:, None]], [psi.conj()[None, :], None]],
+            format="csc")
         try:
-            step, *_ = np.linalg.lstsq(J, -F, rcond=None)
-        except np.linalg.LinAlgError as exc:
+            step = splu(K).solve(np.append(E * psi - H @ psi, 0.0))
+        except RuntimeError as exc:
             raise ConvergenceError(
-                "Newton step failed: singular least-squares system",
+                "Newton step failed: singular bordered system",
                 diagnostics={"iterations": it, "residuals": history}) from exc
-        psi = psi + step[:n] + 1j * step[n:2 * n]
-        E = E + step[2 * n]
+        psi = psi + step[:n]
         psi = psi / np.linalg.norm(psi)
         E = float(np.real(np.vdot(psi, H @ psi)))
 
-    resid = float(np.max(stationarity_residual(op, psi, basis)))
-    if resid < tol:
-        return E, psi
     raise ConvergenceError(
         f"no convergence in {max_iter} Newton iterations "
         f"(last stationarity residual {resid:.3e} > tol {tol:.3e})",
@@ -295,66 +251,47 @@ def newton_refine(op, psi0, basis, tol=1e-10, max_iter=25):
 
 
 def variance_minimize(op, psi0, tol=1e-10, max_iter=20000):
-    """Minimize <H^2> - <H>^2 over normalized states from psi0.
+    """Minimize var(H) = ||(H - <H>) psi||^2 over normalized states.
 
-    Projected gradient descent over the real and imaginary parts with an
-    explicit renormalization each step; Barzilai-Borwein step seeding
-    with Armijo backtracking keeps the variance non-increasing.  Stops
-    when the variance falls below tol and returns (<H>, psi); stagnation
-    above tol raises with the last iterate in the diagnostics.
+    A three-term Rayleigh-Ritz recurrence on the variance (LOBPCG on the
+    folded operator (H - e)^2): each step orthonormalizes psi, the
+    variance gradient (H - e) r with r = H psi - e psi, and the previous
+    iterate into Q, and moves to the combination Q c that minimizes
+    ||(H - e) Q c||, the lowest right singular vector of (H - e) Q.  The
+    subspace holds psi, so the variance never rises.  Stops when the
+    variance falls below tol and returns (<H>, psi); a variance that stops
+    strictly decreasing above tol raises with the last iterate in the
+    diagnostics.
     """
     H = as_matrix(op)
-    psi = np.asarray(psi0, dtype=complex)
-    nrm = np.linalg.norm(psi)
-    if nrm == 0.0:
-        raise ValueError("psi0 must be nonzero")
-    psi = psi / nrm
-
-    def energy_variance_grad(v):
-        hv = H @ v
-        e = np.real(np.vdot(v, hv))
-        h2 = np.real(np.vdot(hv, hv))
-        var = h2 - e * e
-        # Riemannian gradient of the variance on the unit sphere.
-        g = 2.0 * (H @ hv - h2 * v) - 4.0 * e * (hv - e * v)
-        g -= np.real(np.vdot(v, g)) * v
-        return e, var, g
-
-    e, var, g = energy_variance_grad(psi)
-    step = 1.0 / max(np.linalg.norm(g), 1e-12)
-    prev_psi = None
-    prev_g = None
-    for it in range(max_iter):
+    psi = _unit_start(psi0)
+    prev = None
+    last = np.inf
+    for it in range(max_iter + 1):
+        hpsi = H @ psi
+        e = float(np.real(np.vdot(psi, hpsi)))
+        r = hpsi - e * psi
+        var = float(np.real(np.vdot(r, r)))
         if var < tol:
-            return float(e), psi
-        if prev_psi is not None:
-            dpsi = psi - prev_psi
-            dg = g - prev_g
-            denom = np.real(np.vdot(dpsi, dg))
-            if denom > 0.0:
-                step = float(np.real(np.vdot(dpsi, dpsi)) / denom)
-        accepted = False
-        for _ in range(40):
-            trial = psi - step * g
-            trial = trial / np.linalg.norm(trial)
-            e_t, var_t, g_t = energy_variance_grad(trial)
-            if var_t <= var - 1e-4 * step * np.real(np.vdot(g, g)):
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted or var - var_t <= 1e-18 * max(var, 1.0):
+            return e, psi
+        if not var < last:
             raise ConvergenceError(
                 f"variance minimization stagnated at {var:.3e} > tol {tol:.3e}",
                 diagnostics={"iterations": it, "variance": var,
-                             "energy": float(e), "state": psi})
-        prev_psi, prev_g = psi, g
-        psi, e, var, g = trial, e_t, var_t, g_t
-        step = max(step, 1e-14)
+                             "energy": e, "state": psi})
+        if it == max_iter:
+            break
+        directions = [psi, H @ r - e * r] + ([] if prev is None else [prev])
+        Q, _ = np.linalg.qr(np.column_stack(directions))
+        _, _, vh = np.linalg.svd(H @ Q - e * Q, full_matrices=False)
+        prev, last = psi, var
+        psi = Q @ vh[-1].conj()
+        psi = psi / np.linalg.norm(psi)
 
     raise ConvergenceError(
         f"variance minimization hit the iteration cap at variance {var:.3e}",
         diagnostics={"iterations": max_iter, "variance": var,
-                     "energy": float(e), "state": psi})
+                     "energy": e, "state": psi})
 
 
 def variance_pair_residual(op, probe, psi):

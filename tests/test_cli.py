@@ -247,7 +247,15 @@ _SMALL_FOLDED = {
     (dict(_SMALL_FOLDED, mode="evolve",
           evolution={"dt": 1e-3, "steps": 2, "packet": {"width": 0}}),
      "width"),
-], ids=["sweep-value", "packet-width"])
+    (dict(_SMALL_FOLDED, mode="evolve",
+          evolution={"dt": 1e-3, "steps": 2, "packet": {"center": 1000}}),
+     "packet norm"),
+    (dict(_SMALL_FOLDED, mode="evolve", evolution={"dt": 10.0, "steps": 2}),
+     "budget"),
+    (_classical_config(classical={"tol": 0}), "classical.tol"),
+    (_classical_config(classical={"tol": -1}), "classical.tol"),
+], ids=["sweep-value", "packet-width", "packet-center", "dt-budget",
+        "classical-tol-zero", "classical-tol-negative"])
 def test_bad_values_exit_two(tmp_path, payload, where):
     cfg = _write_config(tmp_path / "bad.json", payload)
     result = _invoke(["run", "--config", cfg, "--out", str(tmp_path / "out")])

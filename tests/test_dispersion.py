@@ -8,6 +8,8 @@ checked symbolically against the Legendre transform.
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from branchedq import (BranchedDomain, DispersionLaw, UnbranchedDispersionError,
                        velocity_sweep)
@@ -129,6 +131,33 @@ def test_unfold_fold_round_trip():
     q, branch = dom.fold(u)
     back = np.array([dom.unfold(qi, bi) for qi, bi in zip(q, branch)])
     assert np.max(np.abs(back - u)) < 1e-12
+
+
+_KAPPA = st.floats(-5.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kappa=_KAPPA, u=st.floats(-50.0, 50.0, allow_nan=False))
+def test_unfold_inverts_fold(kappa, u):
+    dom = DispersionLaw(kappa=kappa).domain()
+    width = dom.p_plus - dom.p_minus
+    assert dom.unfold(*dom.fold(u)) == pytest.approx(
+        u, abs=1e-13 * max(1.0, abs(u), width))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kappa=st.floats(0.05, 10.0), ratio=st.floats(-3.0, 3.0))
+def test_invert_momentum_trichotomy(kappa, ratio):
+    """Three roots inside the junction window, one outside."""
+    law = DispersionLaw(kappa=kappa)
+    p = ratio * law.p_plus
+    assume(abs(abs(p) - law.p_plus) > 1e-9)
+    roots = law.invert_momentum(p)
+    inside = abs(p) < law.p_plus
+    assert [b for b, _ in roots] == ([1, 2, 3] if inside else
+                                     [3 if p > 0 else 1])
+    for _, v in roots:
+        assert abs(v**3 - kappa * v - p) <= 1e-10
 
 
 def test_fold_branch_boundaries():

@@ -7,11 +7,15 @@ largest probe-commutator residual is exactly 1.
 
 import numpy as np
 import pytest
+import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import branchedq.spectra
-from branchedq import (ConvergenceError, LineGrid, NonHermitianError,
-                       OperatorBasis, OperatorMatrix, StencilSymbol,
-                       build_dual_wire_hamiltonian, graph_hamiltonian,
+from branchedq import (ConvergenceError, DispersionLaw, FoldedGrid, LineGrid,
+                       NonHermitianError, OperatorMatrix, QuarticPotential,
+                       StencilSymbol, build_dual_wire_hamiltonian,
+                       build_folded_hamiltonian, graph_hamiltonian,
                        newton_refine, solve_eigensystem, star_graph,
                        stationarity_residual, subspace_overlap,
                        variance_minimize)
@@ -100,37 +104,75 @@ def test_uncertified_shift_invert_falls_back_to_dense(monkeypatch):
     assert np.max(np.abs(res.eigenvalues - dense)) <= _spectral_tol(op)
 
 
+def test_shift_invert_columns_are_orthonormal():
+    """Complex Hermitian input reaches ARPACK's non-Hermitian Arnoldi;
+    the columns handed back must still be orthonormal (C3's quartic
+    folded operator, N = 2000)."""
+    law = DispersionLaw(kappa=3.0)
+    fg = FoldedGrid(law, 501, 750)
+    op = build_folded_hamiltonian(law, fg, QuarticPotential(0.4, 0.3, 0.2))
+    res = solve_eigensystem(op, k=10)
+    assert res.solver == "shift-invert"
+    V = res.eigenvectors
+    assert np.max(np.abs(V.conj().T @ V - np.eye(10))) <= 1e-13
+
+
 def test_non_hermitian_rejected():
     with pytest.raises(NonHermitianError):
         solve_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_probe_family_size_and_consistency():
-    basis = OperatorBasis(7)
-    assert len(basis) == 3 * 7 - 2
-    rng = np.random.default_rng(20260814)
-    psi = rng.normal(size=7) + 1j * rng.normal(size=7)
-    for label in basis.labels:
-        applied = basis.apply(label, psi)
-        assert np.allclose(applied, basis.matrix(label) @ psi, atol=1e-14)
-        M = basis.matrix(label)
-        assert np.allclose(M, M.conj().T), "probes must be Hermitian"
+def probe_family(n):
+    """Reference probes as explicit dense Hermitian matrices.
+
+    Site projectors P_i = |i><i|, then the hops X_i = |i><i+1| + |i+1><i|,
+    then Y_i = -i|i><i+1| + i|i+1><i|: 3n - 2 probes in all.
+    """
+    probes = []
+    for i in range(n):
+        P = np.zeros((n, n), dtype=complex)
+        P[i, i] = 1.0
+        probes.append(P)
+    for hop in (1.0, -1j):
+        for i in range(n - 1):
+            O = np.zeros((n, n), dtype=complex)
+            O[i, i + 1] = hop
+            O[i + 1, i] = np.conj(hop)
+            probes.append(O)
+    return probes
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+       sparse=st.booleans())
+def test_stationarity_residual_matches_probe_commutators(n, seed, sparse):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    H = 0.5 * (A + A.conj().T)
+    if sparse:
+        mask = rng.random((n, n)) < 0.4
+        H = np.where(mask | mask.T, H, 0.0)
+    psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    psi /= np.linalg.norm(psi)
+    res = stationarity_residual(scipy.sparse.csr_array(H) if sparse else H, psi)
+    assert res.shape == (3 * n - 2,)
+    oracle = [abs(np.vdot(psi, (H @ O - O @ H) @ psi)) for O in probe_family(n)]
+    assert np.max(np.abs(res - oracle)) <= 1e-13 * max(np.linalg.norm(H, 2),
+                                                       1e-300)
 
 
 def test_stationarity_residual_frozen_values():
-    basis = OperatorBasis(2)
     ground = np.array([1.0, 0.0])
-    assert np.max(stationarity_residual(TWO, ground, basis)) < 1e-14
+    assert np.max(stationarity_residual(TWO, ground)) < 1e-14
     # equal superposition: the Y hop probe sees commutator expectation i
-    res = stationarity_residual(TWO, PLUS, basis)
+    res = stationarity_residual(TWO, PLUS)
     assert np.max(res) == pytest.approx(1.0, abs=1e-12)
     assert stationarity_gap(TWO, PLUS) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_stationarity_requires_normalized_state():
-    basis = OperatorBasis(2)
     with pytest.raises(ValueError):
-        stationarity_residual(TWO, np.array([2.0, 0.0]), basis)
+        stationarity_residual(TWO, np.array([2.0, 0.0]))
 
 
 def test_variance_pair_identity():
@@ -153,22 +195,31 @@ def test_newton_refine_recovers_eigenpair():
     A = rng.normal(size=(12, 12))
     H = 0.5 * (A + A.T)
     ref = solve_eigensystem(H)
-    basis = OperatorBasis(12)
     for idx in (0, 4):
         psi0 = _noisy_start(ref.eigenvectors[:, idx], 0.05, 100 + idx)
-        E, psi = newton_refine(H, psi0, basis, tol=1e-10)
+        E, psi = newton_refine(H, psi0, tol=1e-10)
         assert abs(E - ref.eigenvalues[idx]) < 1e-8
         assert abs(np.vdot(ref.eigenvectors[:, idx], psi)) > 0.999
+        # the phase is anchored to the start: <psi0|psi> real and positive
+        anchor = np.vdot(psi0, psi)
+        assert abs(anchor.imag) <= 1e-14 and anchor.real > 0.0
 
 
 def test_newton_refine_signals_divergence():
     rng = np.random.default_rng(6)
     A = rng.normal(size=(8, 8))
     H = 0.5 * (A + A.T)
-    basis = OperatorBasis(8)
     psi0 = _noisy_start(np.ones(8), 1.0, 7)
     with pytest.raises(ConvergenceError):
-        newton_refine(H, psi0, basis, tol=1e-12, max_iter=1)
+        newton_refine(H, psi0, tol=1e-12, max_iter=1)
+
+
+def test_newton_refine_reports_singular_step():
+    """From the equal superposition of diag(-1, 1) the Schur complement
+    psi^H (H - E)^-1 psi vanishes, so the bordered system is singular."""
+    with pytest.raises(ConvergenceError, match="singular") as info:
+        newton_refine(np.diag([-1.0, 1.0]), PLUS)
+    assert info.value.diagnostics["iterations"] == 0
 
 
 def test_variance_minimize_recovers_eigenpair():
@@ -195,6 +246,20 @@ def test_variance_minimize_from_rough_start():
     var = np.real(np.vdot(hpsi, hpsi)) - np.real(np.vdot(psi, hpsi)) ** 2
     assert var < 1e-9
     assert np.min(np.abs(np.linalg.eigvalsh(H) - E)) < 1e-4
+
+
+def test_variance_minimize_reports_stagnation():
+    """Below the roundoff floor the variance stops decreasing; the error
+    carries the last iterate."""
+    rng = np.random.default_rng(10)
+    A = rng.normal(size=(10, 10))
+    H = 0.5 * (A + A.T)
+    psi0 = _noisy_start(np.ones(10), 0.3, 11)
+    with pytest.raises(ConvergenceError, match="stagnated") as info:
+        variance_minimize(H, psi0, tol=0.0)
+    diag = info.value.diagnostics
+    assert diag["variance"] < 1e-20
+    assert np.linalg.norm(diag["state"]) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_subspace_overlap_is_rotation_invariant():
