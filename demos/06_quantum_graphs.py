@@ -18,7 +18,7 @@ from branchedq.graphs import GRAPH_LIBRARY
 
 print("condition counting (conditions must equal disposable constants):")
 for name in ("compton", "box"):
-    g = GRAPH_LIBRARY[name].builder()
+    g = GRAPH_LIBRARY[name]()
     node, inf, total, const = count_conditions(g)
     print(f"  {name:8s}: {node} node + {inf} infinity = {total} conditions, "
           f"{const} constants")

@@ -19,10 +19,11 @@ import click
 import jsonschema
 import numpy as np
 
-from .acceptance import run_acceptance
+from .acceptance import CRITERIA, run_acceptance
 from .classical import ClassicalState, integrate_hamilton
 from .dispersion import DispersionLaw, velocity_sweep
-from .errors import BranchedQError, ConfigError
+from .errors import (BranchedQError, ConfigError, DegeneracyError,
+                     FluxBalanceError)
 from .evolution import MultiWave, probability_current, propagate
 from .graphs import (GRAPH_LIBRARY, count_conditions, graph_hamiltonian,
                      load_graph, star_graph)
@@ -46,7 +47,8 @@ CONFIG_SCHEMA = {
                           "kernel", "verify"]},
         "seed": {"type": "integer", "minimum": 0},
         "out": {"type": "string"},
-        "criteria": {"type": "array", "items": {"type": "string"}},
+        "criteria": {"type": "array",
+                     "items": {"enum": [cid for cid, _, _ in CRITERIA]}},
         "dispersion": {
             "type": "object",
             "additionalProperties": False,
@@ -351,14 +353,20 @@ def _mode_evolve(config, out):
 
 def _graph_from(config):
     gcfg = config.get("graph", {})
-    if "file" in gcfg:
-        return load_graph(gcfg["file"]), gcfg
     name = gcfg.get("name")
-    if name == "star":
-        return star_graph(int(gcfg.get("edges", 3)),
-                          float(gcfg.get("length", 1.0))), gcfg
-    if name in GRAPH_LIBRARY:
-        return GRAPH_LIBRARY[name].builder(float(gcfg.get("length", 1.0))), gcfg
+    try:
+        if "file" in gcfg:
+            return load_graph(gcfg["file"]), gcfg
+        if name == "star":
+            return star_graph(int(gcfg.get("edges", 3)),
+                              float(gcfg.get("length", 1.0))), gcfg
+        if name in GRAPH_LIBRARY:
+            return GRAPH_LIBRARY[name](float(gcfg.get("length", 1.0))), gcfg
+    except jsonschema.ValidationError as exc:
+        where = getattr(exc, "json_path", "$")
+        raise ConfigError(f"graph file: {where}: {exc.message}") from None
+    except (OSError, ValueError, FluxBalanceError) as exc:
+        raise ConfigError(f"graph: {exc}") from None
     raise ConfigError("graph: needs a file or a known name "
                       f"(star, {', '.join(sorted(GRAPH_LIBRARY))})")
 
@@ -374,8 +382,11 @@ def _mode_graph(config, out):
     })
     files = ["counting.json"]
     if "resolution" in gcfg:
-        op = graph_hamiltonian(graph, int(gcfg["resolution"]),
-                               truncation=gcfg.get("truncation"))
+        try:
+            op = graph_hamiltonian(graph, int(gcfg["resolution"]),
+                                   truncation=gcfg.get("truncation"))
+        except ValueError as exc:
+            raise ConfigError(f"graph: {exc}") from None
         k = int(gcfg.get("k", 6))
         res = solve_eigensystem(op, k=min(k, op.matrix.shape[0]))
         _write_csv(out / "eigenvalues.csv",
@@ -390,16 +401,22 @@ def _mode_classical(config, out):
     law = _law_from(config)
     potential = _potential_from(config)
     c = config.get("classical", {})
-    state = ClassicalState(float(c.get("x", 0.0)), float(c.get("xdot", 2.0)))
     t_end = float(c.get("t_end", 10.0))
     samples = c.get("samples")
-    t_eval = np.linspace(state.t, t_end, int(samples)) if samples else None
-    traj = integrate_hamilton(state, t_end, law, potential,
-                              tol=float(c.get("tol", 1e-12)),
-                              policy=c.get("policy", "halt"),
-                              seed=config.get("seed"),
-                              max_events=int(c.get("max_events", 32)),
-                              t_eval=t_eval)
+    # A general-quartic law or a start on the cusp is rejected before the
+    # first step; a stall during integration stays a numerical failure.
+    try:
+        state = ClassicalState(float(c.get("x", 0.0)),
+                               float(c.get("xdot", 2.0)))
+        t_eval = np.linspace(state.t, t_end, int(samples)) if samples else None
+        traj = integrate_hamilton(state, t_end, law, potential,
+                                  tol=float(c.get("tol", 1e-12)),
+                                  policy=c.get("policy", "halt"),
+                                  seed=config.get("seed"),
+                                  max_events=int(c.get("max_events", 32)),
+                                  t_eval=t_eval)
+    except (ValueError, DegeneracyError) as exc:
+        raise ConfigError(f"classical: {exc}") from None
     _write_csv(out / "trajectory.csv",
                ("t", "x", "xdot", "p", "E", "branch", "event"),
                zip(traj.t, traj.x, traj.xdot, traj.momentum, traj.energy,
@@ -420,8 +437,11 @@ def _mode_kernel(config, out):
                           "transform (gaussian, lorentzian, sech2, sampled)")
     grid = _grid_from(config, law)
     mode = config.get("kernel", {}).get("mode", "hermitian")
-    op = build_convolution_potential(
-        potential, grid, mode=mode, domain=law if mode == "naive" else None)
+    try:
+        op = build_convolution_potential(
+            potential, grid, mode=mode, domain=law if mode == "naive" else None)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"kernel: {exc}") from None
     offsets = grid.h * np.arange(-(grid.size - 1), grid.size)
     samples = np.atleast_1d(potential.kernel(offsets))
     _write_csv(out / "kernel.csv", ("offset", "re", "im"),

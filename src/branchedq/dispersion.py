@@ -37,6 +37,9 @@ BRANCHES = (1, 2, 3)
 # Root index k such that 2*v_c*cos((theta - 2*pi*k)/3) lands on the branch.
 _TRIG_ROOT_INDEX = {3: 0, 2: 1, 1: 2}
 
+# Momenta this close to a junction, relative to max(1, q_+), count as on it.
+_SNAP_RTOL = 1e-12
+
 
 def _polished_single_root(p, kappa):
     """Real root of v**3 - kappa*v = p in a one-real-root regime.
@@ -84,10 +87,6 @@ class DispersionLaw:
     coefficients: tuple = None
 
     @property
-    def mode(self):
-        return "cubic-momentum" if self.coefficients is None else "general-quartic"
-
-    @property
     def branched(self):
         return self.coefficients is None and self.kappa > 0.0
 
@@ -133,11 +132,6 @@ class DispersionLaw:
                         self.cusp_energy)
 
     # -- velocity-side maps ---------------------------------------------------
-
-    def lagrangian(self, v):
-        self._require_cubic()
-        v = np.asarray(v, dtype=float)
-        return v**4 / 4.0 - 0.5 * self.kappa * v**2
 
     def momentum(self, v):
         """Canonical momentum p(xdot) = xdot**3 - kappa*xdot."""
@@ -235,18 +229,17 @@ class DispersionLaw:
         """Kinetic energy as a function of momentum on a given branch."""
         return self.energy(self.branch_velocity(p, branch))
 
-    def invert_momentum(self, p, snap_tol=None):
+    def invert_momentum(self, p):
         """All (branch, velocity) pairs with momentum p, sorted by branch.
 
-        Momenta within ``snap_tol`` of a junction are snapped onto it and the
-        double root is reported exactly: +-v_c on the two branches that meet
-        there plus the far simple root -+2 v_c on the remaining branch, from
-        the factorization (v -+ v_c)**2 (v +- 2 v_c).
+        Momenta within 1e-12 max(1, q_+) of a junction are snapped onto it
+        and the double root is reported exactly: +-v_c on the two branches
+        that meet there plus the far simple root -+2 v_c on the remaining
+        branch, from the factorization (v -+ v_c)**2 (v +- 2 v_c).
         """
         self._require_cubic()
         p = float(p)
-        if snap_tol is None:
-            snap_tol = 1e-12 * max(1.0, self.p_plus)
+        snap_tol = _SNAP_RTOL * max(1.0, self.p_plus)
         if not self.kappa > 0.0:
             v = float(_polished_single_root(p, self.kappa))
             return [(int(self.branch_of_velocity(v)), v)]

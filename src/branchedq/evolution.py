@@ -75,9 +75,6 @@ class MultiWave:
         num = np.real(np.vdot(self.data, H @ self.data))
         return float(num / np.vdot(self.data, self.data).real)
 
-    def copy(self):
-        return MultiWave(self.grid, self.data.copy(), self.time)
-
 
 @dataclass
 class EvolutionReport:
@@ -88,7 +85,6 @@ class EvolutionReport:
     energies: np.ndarray
     flux_residuals: np.ndarray = field(repr=False, default=None)
     snapshots: list = field(repr=False, default_factory=list)
-    wave: MultiWave = None
 
     @property
     def norm_drift(self):
@@ -166,7 +162,7 @@ def propagate(op, wave, dt, steps, snapshot_every=None, stability_budget=0.5):
         snap(k, psi)
 
     final = MultiWave(grid, psi, times[-1])
-    return final, EvolutionReport(times, norms, energies, flux, snapshots, final)
+    return final, EvolutionReport(times, norms, energies, flux, snapshots)
 
 
 # -- currents -----------------------------------------------------------------
@@ -250,7 +246,7 @@ def junction_flux_residual(psi, grid, symbol):
     return out
 
 
-def continuity_residual(op, psi_before, psi_after, dt, grid=None):
+def continuity_residual(op, psi_before, psi_after, dt):
     """Nodal defect of the discrete continuity law for one CN step.
 
     (rho_after - rho_before)/dt + d/du j(psi_mid) evaluated with central
@@ -260,8 +256,7 @@ def continuity_residual(op, psi_before, psi_after, dt, grid=None):
     """
     if not isinstance(op, OperatorMatrix) or op.symbol is None:
         raise ValueError("continuity needs an operator with a stencil symbol")
-    g = grid if grid is not None else op.grid
-    h = g.h
+    h = op.grid.h
     before = np.asarray(psi_before, dtype=complex)
     after = np.asarray(psi_after, dtype=complex)
     mid = 0.5 * (before + after)

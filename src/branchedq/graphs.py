@@ -183,8 +183,6 @@ class _Chain:
 
     kind: str
     index: int
-    va: object
-    vb: object
     n: int
     h: float
     alpha: float
@@ -193,13 +191,31 @@ class _Chain:
     factors: np.ndarray = field(repr=False)
 
 
+def _cmul(x, y):
+    """Complex product by the textbook formula, one rounding per operation.
+
+    numpy's vectorized complex multiply may fuse multiply-adds, which
+    leaves conj(f) * f with a roundoff imaginary part; this form keeps it
+    exactly real and rounds like a scalar complex product.
+    """
+    out = np.empty(np.broadcast(x, y).shape, dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def _element_ends(n):
+    """Local end nodes (i, i + 1) of a chain's n P1 elements, shape (n, 2)."""
+    return np.arange(n)[:, None] + np.arange(2)
+
+
 class GraphLayout:
     """Mesh bookkeeping for a discretized graph.
 
     Interior nodes of every line come first, then one slot per
     non-Dirichlet vertex.  Physical edge values are the mass-scaled
     entries of an eigenvector times the endpoint kappa factors;
-    edge_values() performs that extraction.
+    chain_values() performs that extraction.
     """
 
     def __init__(self, graph, resolution, truncation=None):
@@ -209,58 +225,51 @@ class GraphLayout:
             raise ValueError("graphs with half-lines need a truncation length")
         if graph.free_lines:
             raise ValueError("free lines have no vertices to mesh against")
+        if not graph.edges and not graph.half_lines:
+            raise ValueError("graph has no edges or half-lines to mesh")
         self.graph = graph
-        self.resolution = int(resolution)
-        self.truncation = truncation
         # Norms of mass-scaled vectors are plain sums; no grid spacing.
         self.h = 1.0
+        self._kappa = {
+            v: dict(zip([(k, i) for k, i, _ in graph.incidence(v)],
+                        graph.vertex_kappa(v)))
+            for v in graph.vertices}
 
-        self.vertex_slot = {}
-        self._kappa = {}
-        for v in graph.vertices:
-            self._kappa[v] = dict(zip(
-                [(k, i) for k, i, _ in graph.incidence(v)],
-                graph.vertex_kappa(v)))
-
-        self.chains = []
-        cursor = 0
+        n = int(resolution)
         lines = [("edge", i, e.u, e.v, e.length, e.alpha, e.beta)
                  for i, e in enumerate(graph.edges)]
         lines += [("half", j, hl.vertex, None, truncation, hl.alpha, hl.beta)
                   for j, hl in enumerate(graph.half_lines)]
-        interiors = []
-        for kind, idx, va, vb, length, alpha, beta in lines:
-            n = self.resolution
-            interiors.append((kind, idx, va, vb, n, length / n, alpha, beta,
-                              cursor))
-            cursor += n - 1
+        cursor = len(lines) * (n - 1)
+        self.vertex_slot = {}
         for v in graph.vertices:
             if graph.conditions[v].kind != "dirichlet" and graph.degree(v) > 0:
                 self.vertex_slot[v] = cursor
                 cursor += 1
         self.size = cursor
 
-        for kind, idx, va, vb, n, h, alpha, beta, start in interiors:
+        self.chains = []
+        for j, (kind, idx, va, vb, length, alpha, beta) in enumerate(lines):
             slots = np.empty(n + 1, dtype=int)
             factors = np.ones(n + 1, dtype=complex)
-            slots[1:n] = start + np.arange(n - 1)
+            slots[1:n] = j * (n - 1) + np.arange(n - 1)
             for local, v in ((0, va), (n, vb)):
-                if v is None or self.graph.conditions[v].kind == "dirichlet":
-                    slots[local] = -1
-                    factors[local] = 0.0
-                else:
+                if v is not None and v in self.vertex_slot:
                     slots[local] = self.vertex_slot[v]
                     factors[local] = self._kappa[v][(kind, idx)]
-            self.chains.append(_Chain(kind, idx, va, vb, n, h, alpha, beta,
+                else:
+                    slots[local] = -1
+                    factors[local] = 0.0
+            self.chains.append(_Chain(kind, idx, n, length / n, alpha, beta,
                                       slots, factors))
 
+        # Lumped mass: each element adds h/2 |factor|^2 at both ends.
         self.mass = np.zeros(self.size)
         for c in self.chains:
             w = np.abs(c.factors) ** 2 * (c.h / 2.0)
-            for i in range(c.n):
-                for local in (i, i + 1):
-                    if c.slots[local] >= 0:
-                        self.mass[c.slots[local]] += w[local]
+            ends = _element_ends(c.n).ravel()
+            ends = ends[c.slots[ends] >= 0]
+            np.add.at(self.mass, c.slots[ends], w[ends])
 
     def chain_values(self, w, chain):
         """Physical wave values along a chain, local coordinate ascending."""
@@ -271,29 +280,16 @@ class GraphLayout:
         vals[live] = chain.factors[live] * scaled[chain.slots[live]]
         return vals
 
-    def vertex_value(self, w, v):
-        if v not in self.vertex_slot:
-            return 0.0 + 0.0j
-        w = np.asarray(w, dtype=complex)
-        slot = self.vertex_slot[v]
-        return w[slot] / np.sqrt(self.mass[slot])
 
-
-def graph_hamiltonian(graph, resolution, conditions=None, truncation=None):
+def graph_hamiltonian(graph, resolution, truncation=None):
     """Hermitian graph Hamiltonian by constrained P1 elements, lumped mass,
     stored as a sparse CSR array.
 
     resolution is the interval count per line; half-lines are cut to
-    `truncation` with Dirichlet caps.  An optional conditions mapping
-    overrides the graph's stored vertex conditions.  The drift balance
-    sum beta |kappa|^2 = 0 is validated per vertex and violations are
-    rejected with the computed imbalance.
+    `truncation` with Dirichlet caps.  The drift balance
+    sum beta |kappa|^2 = 0 is validated per vertex (by MetricGraph) and
+    violations are rejected with the computed imbalance.
     """
-    if conditions is not None:
-        merged = dict(graph.conditions)
-        merged.update(conditions)
-        graph = MetricGraph(graph.vertices, graph.edges, graph.half_lines,
-                            graph.free_lines, merged)
     layout = GraphLayout(graph, resolution, truncation)
     complex_needed = any(c.beta != 0.0 for c in layout.chains) or any(
         complex(k).imag != 0.0
@@ -303,35 +299,31 @@ def graph_hamiltonian(graph, resolution, conditions=None, truncation=None):
     dtype = complex if complex_needed else float
     rows, cols, vals = [], [], []
     for c in layout.chains:
+        # Element i, then row end a, then column end b: the order a loop
+        # over elements adds the 2 x 2 element matrices in.
+        ends = _element_ends(c.n)
+        a = np.repeat(ends, 2, axis=1).ravel()
+        b = np.tile(ends, 2).ravel()
+        live = (c.slots[a] >= 0) & (c.slots[b] >= 0)
+        a, b = a[live], b[live]
+        pair = _cmul(np.conj(c.factors[a]), c.factors[b])
         stiff = c.alpha / c.h
-        drift = -0.5j * c.beta
-        for i in range(c.n):
-            pair = (i, i + 1)
-            for r in pair:
-                sr = c.slots[r]
-                if sr < 0:
-                    continue
-                fr = np.conj(c.factors[r])
-                for col in pair:
-                    sc = c.slots[col]
-                    if sc < 0:
-                        continue
-                    fc = c.factors[col]
-                    k = stiff if r == col else -stiff
-                    term = fr * fc * k
-                    if c.beta != 0.0 and r != col:
-                        term = term + fr * fc * (drift if col > r else -drift)
-                    rows.append(sr)
-                    cols.append(sc)
-                    vals.append(term if dtype is complex else term.real)
-    # Duplicates accumulate in loop order (np.add.at is unbuffered), so
+        term = _cmul(pair, np.where(a == b, stiff, -stiff).astype(complex))
+        if c.beta != 0.0:
+            drift = -0.5j * c.beta
+            off = a != b
+            term[off] += _cmul(pair[off],
+                               np.where(b[off] > a[off], drift, -drift))
+        rows.append(c.slots[a])
+        cols.append(c.slots[b])
+        vals.append(term if dtype is complex else term.real)
+    # Duplicates accumulate in element order (np.add.at is unbuffered), so
     # every entry is the same floating-point sum a dense += would form.
     n = layout.size
-    keys, slot = np.unique(np.asarray(rows, dtype=np.intp) * n
-                           + np.asarray(cols, dtype=np.intp),
+    keys, slot = np.unique(np.concatenate(rows) * n + np.concatenate(cols),
                            return_inverse=True)
     data = np.zeros(keys.size, dtype=dtype)
-    np.add.at(data, slot, np.asarray(vals, dtype=dtype))
+    np.add.at(data, slot, np.concatenate(vals))
     row, col = np.divmod(keys, n)
     root = np.sqrt(layout.mass)
     data /= root[row]
@@ -374,47 +366,20 @@ def node_flux(psi, vertex, graph):
 
 # -- analytic oracle and library ----------------------------------------------
 
-def _bisect_roots(fn, k_lo, k_hi, samples):
-    ks = np.linspace(k_lo, k_hi, samples)
-    vals = fn(ks)
-    roots = []
-    for a, b, fa, fb in zip(ks[:-1], ks[1:], vals[:-1], vals[1:]):
-        if fa == 0.0:
-            roots.append(a)
-            continue
-        if fa * fb < 0.0:
-            lo, hi, flo = a, b, fa
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                fm = fn(mid)
-                if flo * fm <= 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            roots.append(0.5 * (lo + hi))
-    return roots
-
-
 def star_secular_spectrum(edge_count, length, k_max):
-    """Wavenumbers of the equilateral Dirichlet-tip Kirchhoff star.
+    """Wavenumbers of the equilateral Dirichlet-tip Kirchhoff star, up to k_max.
 
-    cos(k l) = 0 gives simple symmetric modes; sin(k l) = 0 (k > 0) gives
-    modes of multiplicity edge_count - 1.  Returned sorted with repeats.
+    The secular equation factors into cos(k l) sin(k l)^(edge_count - 1)
+    = 0: the simple symmetric modes (m + 1/2) pi / l and the modes
+    m pi / l (m >= 1) of multiplicity edge_count - 1.  Returned sorted
+    with repeats.
     """
     if edge_count < 2:
         raise ValueError("a star needs at least two edges")
-    samples = max(64, int(40 * k_max * length / np.pi))
-    eps = 1e-9 / max(length, 1.0)
-    out = []
-    for k in _bisect_roots(lambda k: np.cos(k * length), eps, k_max, samples):
-        out.append((k, 1))
-    for k in _bisect_roots(lambda k: np.sin(k * length), eps, k_max, samples):
-        out.append((k, edge_count - 1))
-    out.sort()
-    ks = []
-    for k, mult in out:
-        ks.extend([k] * mult)
-    return ks
+    m = np.arange(int(k_max * length / np.pi) + 1)
+    ks = np.concatenate([(m + 0.5) * np.pi / length,
+                         np.repeat(m[1:] * np.pi / length, edge_count - 1)])
+    return np.sort(ks[ks <= k_max])
 
 
 def star_graph(edge_count, length, alpha=1.0, beta=0.0):
@@ -441,24 +406,16 @@ def box_graph(edge_length=1.0):
     return MetricGraph(ids, edges, [HalfLine(i) for i in ids])
 
 
-@dataclass(frozen=True)
-class GraphLibraryEntry:
-    name: str
-    builder: object
-    summary: str
-
-
-GRAPH_LIBRARY = {
-    "compton": GraphLibraryEntry(
-        "compton", compton_graph,
-        "two degree-3 vertices, one internal edge, four half-lines"),
-    "box": GraphLibraryEntry(
-        "box", box_graph,
-        "four degree-3 vertices on a cycle, one half-line each"),
-}
+GRAPH_LIBRARY = {"compton": compton_graph, "box": box_graph}
 
 
 # -- file format ---------------------------------------------------------------
+
+# A kappa entry is a real number or a [re, im] pair.
+_KAPPA_ITEM = {"oneOf": [
+    {"type": "number"},
+    {"type": "array", "items": {"type": "number"},
+     "minItems": 2, "maxItems": 2}]}
 
 GRAPH_SCHEMA = {
     "type": "object",
@@ -475,7 +432,8 @@ GRAPH_SCHEMA = {
                               "properties": {
                                   "type": {"enum": ["kirchhoff", "weighted",
                                                     "dirichlet"]},
-                                  "kappa": {"type": "array"}}},
+                                  "kappa": {"type": "array",
+                                            "items": _KAPPA_ITEM}}},
             }}},
         "edges": {"type": "array", "items": {
             "type": "object",
@@ -497,13 +455,8 @@ GRAPH_SCHEMA = {
 
 
 def _kappa_from_json(values):
-    out = []
-    for v in values:
-        if isinstance(v, (list, tuple)):
-            out.append(complex(v[0], v[1]))
-        else:
-            out.append(complex(v))
-    return tuple(out)
+    return tuple(complex(*v) if isinstance(v, list) else complex(v)
+                 for v in values)
 
 
 def graph_from_mapping(doc):

@@ -34,7 +34,7 @@ from scipy.linalg import toeplitz, circulant
 
 from .dispersion import BranchedDomain, DispersionLaw
 from .grids import FoldedGrid, LineGrid, PeriodicGrid
-from .potentials import KernelSpec, QuadraticPotential, QuarticPotential, has_kernel
+from .potentials import QuadraticPotential, QuarticPotential, has_kernel
 
 
 @dataclass(frozen=True)
@@ -95,12 +95,7 @@ class OperatorMatrix:
     matrix: object
     provenance: str
     grid: object
-    kernel: KernelSpec = None
     symbol: StencilSymbol = None
-
-    @property
-    def shape(self):
-        return self.matrix.shape
 
 
 def as_matrix(op):
@@ -327,20 +322,19 @@ def build_convolution_potential(V, grid, mode="hermitian", domain=None):
     if isinstance(grid, LineGrid):
         offsets = grid.h * np.arange(-(grid.size - 1), grid.size)
         samples = V.kernel(offsets)
-        spec = KernelSpec(offsets, samples, mode)
         pos = samples[grid.size - 1:]
         neg = samples[grid.size - 1::-1]
         K1 = toeplitz(pos, neg)
         scale = grid.h / (2.0 * np.pi)
         if mode == "hermitian":
             M = scale * K1
-            return OperatorMatrix(M, "convolution-hermitian", grid, kernel=spec)
+            return OperatorMatrix(M, "convolution-hermitian", grid)
         dom = domain.domain() if isinstance(domain, DispersionLaw) else domain
         if not isinstance(dom, BranchedDomain):
             raise ValueError("naive mode needs the branched domain for its windows")
         w1, w2, w3 = _heaviside_windows(grid.x, dom.p_minus, dom.p_plus)
         M = scale * (K1 * w1 + np.conj(K1) * w2 + K1 * w3)
-        return OperatorMatrix(M, "convolution-naive", grid, kernel=spec)
+        return OperatorMatrix(M, "convolution-naive", grid)
 
     if isinstance(grid, PeriodicGrid):
         if mode != "hermitian":
@@ -353,9 +347,8 @@ def build_convolution_potential(V, grid, mode="hermitian", domain=None):
             # The half-period offset is shared between +n/2 and -n/2;
             # its Hermitian part is the consistent sample.
             samples[n // 2] = samples[n // 2].real
-        spec = KernelSpec(grid.h * wrap, samples, mode)
         M = (grid.h / (2.0 * np.pi)) * circulant(samples)
-        return OperatorMatrix(M, "convolution-hermitian", grid, kernel=spec)
+        return OperatorMatrix(M, "convolution-hermitian", grid)
 
     raise TypeError("build_convolution_potential needs a LineGrid or PeriodicGrid")
 
@@ -379,7 +372,7 @@ def build_convolution_hamiltonian(law, V, grid, mode="hermitian"):
                                       domain=law.domain() if law.branched else None)
     H = pot.matrix.copy()
     H[np.diag_indices_from(H)] += _unfolded_energy(law, grid.x)
-    return OperatorMatrix(H, pot.provenance, grid, kernel=pot.kernel)
+    return OperatorMatrix(H, pot.provenance, grid)
 
 
 def fourier_conjugate_hamiltonian(law, V, grid):

@@ -159,24 +159,6 @@ class SampledPotential:
         return out if out.size > 1 else out[0]
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """Kernel samples K(xi - xi') on a uniform grid of offsets.
-
-    mode "hermitian" uses the single kernel K1 everywhere; mode "naive"
-    keeps the per-interval kernels (K2 = conj(K1) on the reversed middle
-    interval) and is generally not Hermitian for asymmetric potentials.
-    """
-
-    offsets: np.ndarray = field(repr=False)
-    samples: np.ndarray = field(repr=False)
-    mode: str = "hermitian"
-
-    def __post_init__(self):
-        if self.mode not in ("hermitian", "naive"):
-            raise ValueError(f"unknown kernel mode {self.mode!r}")
-
-
 _NAMED_FORMS = {
     "quadratic": QuadraticPotential,
     "quartic": QuarticPotential,

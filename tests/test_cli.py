@@ -254,10 +254,53 @@ _SMALL_FOLDED = {
      "budget"),
     (_classical_config(classical={"tol": 0}), "classical.tol"),
     (_classical_config(classical={"tol": -1}), "classical.tol"),
+    (_classical_config(dispersion={"coefficients": [1.0, 0.0, 0.0, 0.0]}),
+     "cubic-momentum"),
+    (_classical_config(classical={"xdot": 1.0}), "degeneracy surface"),
+    ({"version": 1, "mode": "verify", "criteria": ["C99"]}, "criteria"),
+    ({"version": 1, "mode": "graph",
+      "graph": {"name": "compton", "resolution": 20}}, "truncation"),
+    (dict(_SMALL_FOLDED, mode="kernel",
+          potential={"form": "gaussian", "amplitude": 1.0, "width": 1.0}),
+     "LineGrid"),
 ], ids=["sweep-value", "packet-width", "packet-center", "dt-budget",
-        "classical-tol-zero", "classical-tol-negative"])
+        "classical-tol-zero", "classical-tol-negative", "classical-quartic-law",
+        "classical-on-cusp", "unknown-criterion", "graph-no-truncation",
+        "kernel-folded-grid"])
 def test_bad_values_exit_two(tmp_path, payload, where):
     cfg = _write_config(tmp_path / "bad.json", payload)
+    result = _invoke(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert "config error" in result.output
+    assert where in result.output
+
+
+_STAR = [{"id": "c"}, {"id": "t", "condition": {"type": "dirichlet"}}]
+
+
+@pytest.mark.parametrize("text,where", [
+    (None, "No such file"),
+    ('{"version": 1, "vertices": "oops"}', "$.vertices"),
+    ('{"version": 1, "vertices": [', "Expecting value"),
+    (json.dumps({"version": 1, "vertices": [{"id": "a"}],
+                 "edges": [{"u": "a", "v": "b", "length": 1.0}]}), "dangling"),
+    (json.dumps({"version": 1, "vertices": [
+        {"id": "c", "condition": {"type": "weighted", "kappa": [[1, "x"]]}},
+        {"id": "t"}], "edges": [{"u": "c", "v": "t", "length": 1.0}]}),
+     "kappa"),
+    (json.dumps({"version": 1, "vertices": _STAR, "edges": [
+        {"u": "c", "v": "t", "length": 1.0, "beta": 0.5}],
+        "half_lines": [{"vertex": "c"}]}), "drift balance"),
+    (json.dumps({"version": 1, "vertices": _STAR}), "no edges"),
+], ids=["missing", "schema", "truncated", "dangling", "kappa-type",
+        "drift-imbalance", "no-lines"])
+def test_bad_graph_file_exits_two(tmp_path, text, where):
+    graph = tmp_path / "graph.json"
+    if text is not None:
+        graph.write_text(text)
+    cfg = _write_config(tmp_path / "g.json", {
+        "version": 1, "mode": "graph",
+        "graph": {"file": str(graph), "resolution": 10, "truncation": 2.0}})
     result = _invoke(["run", "--config", cfg, "--out", str(tmp_path / "out")])
     assert result.exit_code == 2
     assert "config error" in result.output

@@ -8,6 +8,8 @@ interval (transparency), so their eigenvalues agree to roundoff.
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from branchedq import (Edge, FluxBalanceError, GraphLayout, HalfLine,
                        MetricGraph, VertexCondition, box_graph, compton_graph,
@@ -15,6 +17,150 @@ from branchedq import (Edge, FluxBalanceError, GraphLayout, HalfLine,
                        load_graph, node_flux, solve_eigensystem, star_graph,
                        star_secular_spectrum)
 from branchedq.graphs import graph_from_mapping, graph_to_mapping
+
+
+def per_entry_graph_assembly(graph, resolution, truncation=None):
+    """Reference P1 assembly, one element end and one matrix entry at a time.
+
+    Lines are meshed in order (edges, then half-lines) with their interior
+    nodes first, then one slot per non-Dirichlet vertex of positive degree.
+    Element i of a line adds h/2 |f|^2 to the lumped mass at both ends and,
+    for each row end r and column end c, (conj(f_r) f_c) (+-alpha/h) plus,
+    off the diagonal, (conj(f_r) f_c) (-+i beta/2) to the stiffness.
+    Returns the dense mass-scaled matrix and the mass.
+    """
+    n = resolution
+    lines = [(e.u, e.v, e.length, e.alpha, e.beta, ("edge", i))
+             for i, e in enumerate(graph.edges)]
+    lines += [(hl.vertex, None, truncation, hl.alpha, hl.beta, ("half", j))
+              for j, hl in enumerate(graph.half_lines)]
+    size = len(lines) * (n - 1)
+    vslot = {}
+    for v in graph.vertices:
+        if graph.conditions[v].kind != "dirichlet" and graph.degree(v) > 0:
+            vslot[v] = size
+            size += 1
+    kappa = {v: dict(zip([(k, i) for k, i, _ in graph.incidence(v)],
+                         graph.vertex_kappa(v))) for v in graph.vertices}
+    cplx = any(line[4] != 0.0 for line in lines) or any(
+        complex(k).imag != 0.0 for kv in kappa.values() for k in kv.values())
+    H = np.zeros((size, size), dtype=complex if cplx else float)
+    mass = np.zeros(size)
+    for j, (va, vb, length, alpha, beta, key) in enumerate(lines):
+        h = length / n
+        slots = [None] + [j * (n - 1) + m for m in range(n - 1)] + [None]
+        f = np.ones(n + 1, dtype=complex)
+        for local, v in ((0, va), (n, vb)):
+            if v is not None and v in vslot:
+                slots[local], f[local] = vslot[v], kappa[v][key]
+            else:
+                f[local] = 0.0
+        w = np.abs(f) ** 2 * (h / 2.0)
+        stiff, drift = alpha / h, -0.5j * beta
+        for i in range(n):
+            for r in (i, i + 1):
+                if slots[r] is None:
+                    continue
+                mass[slots[r]] += w[r]
+                for c in (i, i + 1):
+                    if slots[c] is None:
+                        continue
+                    term = np.conj(f[r]) * f[c] * (stiff if r == c else -stiff)
+                    if beta != 0.0 and r != c:
+                        term = term + np.conj(f[r]) * f[c] * (
+                            drift if c > r else -drift)
+                    H[slots[r], slots[c]] += term if cplx else term.real
+    root = np.sqrt(mass)
+    return H / root[:, None] / root[None, :], mass
+
+
+@st.composite
+def metric_graphs(draw):
+    """Random graphs with Dirichlet, Kirchhoff and weighted vertices,
+    half-lines, optional complex kappa and balanced drift."""
+    nv = draw(st.integers(2, 5))
+    pairs = draw(st.lists(st.tuples(st.integers(0, nv - 1),
+                                    st.integers(0, nv - 1))
+                          .filter(lambda e: e[0] != e[1]),
+                          min_size=1, max_size=6))
+    anchors = draw(st.lists(st.integers(0, nv - 1), max_size=4))
+    kinds = draw(st.lists(st.sampled_from(["kirchhoff", "weighted",
+                                           "dirichlet"]),
+                          min_size=nv, max_size=nv))
+    complex_kappa, with_drift = draw(st.booleans()), draw(st.booleans())
+    if with_drift:
+        # Two half-lines at one vertex can carry opposite drift there.
+        anchors += [draw(st.integers(0, nv - 1))] * 2
+    size, signs = st.floats(0.5, 2.0), st.sampled_from([-1.0, 1.0])
+    edges = [Edge(u, v, draw(size), draw(size)) for u, v in pairs]
+    half = [HalfLine(v, draw(size)) for v in anchors]
+    draft = MetricGraph(range(nv), edges, half)
+
+    conditions, weight = {}, {}
+    for v in range(nv):
+        inc = draft.incidence(v)
+        kind = kinds[v] if inc or kinds[v] != "weighted" else "kirchhoff"
+        kap = [1.0] * len(inc)
+        if kind == "weighted":
+            kap = [draw(size) * (np.exp(1j * draw(st.floats(-3.0, 3.0)))
+                                 if complex_kappa else draw(signs))
+                   for _ in inc]
+        conditions[v] = VertexCondition(kind, kap if kind == "weighted"
+                                        else None)
+        weight.update({(v, k, i): abs(kp) ** 2
+                       for (k, i, _), kp in zip(inc, kap)})
+
+    # A line with one non-Dirichlet end balances at that vertex only, so
+    # each vertex's last such line takes the beta that zeroes its sum.
+    beta = {}
+    private = {}
+    lines = [("edge", i, (e.u, e.v)) for i, e in enumerate(edges)]
+    lines += [("half", j, (h.vertex,)) for j, h in enumerate(half)]
+    for kind, i, ends in lines:
+        live = [v for v in ends if conditions[v].kind != "dirichlet"]
+        if len(live) == 1:
+            private.setdefault(live[0], []).append((kind, i))
+        beta[kind, i] = (draw(st.floats(0.1, 2.0)) * draw(signs)
+                         if with_drift and len(live) < 2 else 0.0)
+    for v, own in private.items():
+        *rest, (kind, i) = own
+        total = sum(beta[line] * weight[(v,) + line] for line in rest)
+        beta[kind, i] = -total / weight[v, kind, i]
+    edges = [Edge(e.u, e.v, e.length, e.alpha, beta["edge", i])
+             for i, e in enumerate(edges)]
+    half = [HalfLine(h.vertex, h.alpha, beta["half", j])
+            for j, h in enumerate(half)]
+    graph = MetricGraph(range(nv), edges, half, conditions=conditions)
+    truncation = draw(size) if half else None
+    return graph, draw(st.integers(5, 12)), truncation
+
+
+@settings(max_examples=80, deadline=None)
+@given(metric_graphs())
+def test_graph_assembly_matches_per_entry_oracle(case):
+    graph, resolution, truncation = case
+    op = graph_hamiltonian(graph, resolution, truncation=truncation)
+    H, mass = per_entry_graph_assembly(graph, resolution, truncation)
+    assert op.matrix.dtype == H.dtype
+    assert np.array_equal(op.matrix.toarray(), H)
+    assert np.array_equal(op.grid.mass, mass)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 7), st.floats(0.1, 3.0), st.floats(0.0, 40.0))
+def test_star_secular_roots_and_multiplicities(edge_count, length, k_max):
+    quarter = 2.0 * k_max * length / np.pi
+    # k_max within roundoff of a root makes its inclusion a coin toss.
+    assume(abs(quarter - round(quarter)) > 1e-9)
+    ks = star_secular_spectrum(edge_count, length, k_max)
+    assert np.all(np.diff(ks) >= 0.0) and np.all((ks > 0.0) & (ks <= k_max))
+    roots, mult = np.unique(ks, return_counts=True)
+    # Distinct roots are the multiples j pi / (2 l) up to k_max.
+    j = np.arange(1, int(quarter) + 1)
+    np.testing.assert_allclose(roots, j * np.pi / (2.0 * length), rtol=1e-14)
+    kl = roots * length
+    assert np.all(np.abs(np.cos(kl) * np.sin(kl)) < 1e-13 * np.maximum(kl, 1.0))
+    assert np.array_equal(mult, np.where(j % 2 == 1, 1, edge_count - 1))
 
 
 def _interval(length=np.pi):
