@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import ClassicalState, integrate_euler_lagrange, integrate_hamilton
-from .dispersion import DispersionLaw
+from .dispersion import _SNAP_RTOL, DispersionLaw, _cusp, branch_velocities
 from .evolution import MultiWave, continuity_residual, propagate
 from .graphs import (Edge, HalfLine, MetricGraph, VertexCondition, box_graph,
                      compton_graph, count_conditions, graph_hamiltonian,
@@ -48,23 +48,15 @@ def criterion_trichotomy():
     rng = np.random.default_rng(SEED)
     kappas = 10.0 ** rng.uniform(-0.7, 0.7, 10000)
     fracs = rng.uniform(-3.0, 3.0, 10000)
-    worst = 0.0
-    bad_counts = 0
-    for kappa, frac in zip(kappas, fracs):
-        law = DispersionLaw(kappa=float(kappa))
-        p = float(frac * law.p_plus)
-        roots = law.invert_momentum(p)
-        snap = 1e-12 * max(1.0, law.p_plus)
-        if min(abs(p - law.p_plus), abs(p - law.p_minus)) <= snap:
-            expected = 3
-        elif abs(p) < law.p_plus:
-            expected = 3
-        else:
-            expected = 1
-        if len(roots) != expected:
-            bad_counts += 1
-        for _, v in roots:
-            worst = max(worst, abs(v**3 - kappa * v - p))
+    _, p_plus = _cusp(kappas)
+    p = fracs * p_plus
+    roots = branch_velocities(p, kappas)
+    expected = np.where(np.abs(p) - p_plus <= _SNAP_RTOL * np.maximum(1.0, p_plus),
+                        3, 1)
+    bad_counts = int(np.count_nonzero(
+        np.count_nonzero(~np.isnan(roots), axis=1) != expected))
+    kp = kappas[:, None]
+    worst = float(np.nanmax(np.abs(roots**3 - kp * roots - p[:, None])))
     ok = bad_counts == 0 and worst <= 1e-10
     return ok, (f"10000 draws, {bad_counts} wrong root counts, "
                 f"max cubic residual {worst:.2e} (tol 1e-10)")
@@ -195,12 +187,15 @@ def criterion_unitarity_flux():
     quartic_symbol = StencilSymbol.from_quartic_potential(0.3, 0.5, 0.2).scaled(0.01)
     # Packets start deep in an arm with a gentle boost: cusp-crossing
     # dynamics are out of scope, so the flux bound is checked while the
-    # junction amplitude stays at discretization-noise level.
+    # junction amplitude stays at discretization-noise level.  The quartic
+    # h-order is pre-asymptotic on its coarse pair (about 1.55), so a third
+    # level gates the finest pair in a tighter band.
     runs = [
-        ("quadratic", QuadraticPotential(1.0), (40, 140), (80, 279), -10.0, 0.5),
-        ("quartic", quartic_symbol, (8, 36), (16, 71), -10.0, 0.5),
+        ("quadratic", QuadraticPotential(1.0), (40, 140), (80, 279), None,
+         -10.0, 0.5),
+        ("quartic", quartic_symbol, (8, 36), (16, 71), (32, 143), -10.0, 0.5),
     ]
-    for name, V, coarse, fine, center, boost in runs:
+    for name, V, coarse, fine, finest, center, boost in runs:
         fg = FoldedGrid(law, *coarse)
         op = build_folded_hamiltonian(law, fg, V)
         wave = MultiWave.gaussian(fg, center, 1.0, boost=boost)
@@ -221,6 +216,15 @@ def criterion_unitarity_flux():
         ok = ok and 1.5 <= slope <= 2.5 and 0.7 <= dt_ratio <= 1.4
         details.append(f"{name} continuity h-order {slope:.2f}, "
                        f"dt-halving ratio {dt_ratio:.2f}")
+        if finest is not None:
+            fgx = FoldedGrid(law, *finest)
+            r_h4 = _continuity_peak(build_folded_hamiltonian(law, fgx, V),
+                                    MultiWave.gaussian(fgx, center, 1.0,
+                                                       boost=boost), 1e-3, 10)
+            fine_slope = float(np.log2(r_h2 / r_h4))
+            ok = ok and 1.8 <= fine_slope <= 2.2
+            details.append(f"{name} finest-pair h-order {fine_slope:.2f} "
+                           "(band [1.8, 2.2])")
     return ok, "; ".join(details)
 
 

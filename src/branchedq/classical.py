@@ -28,7 +28,6 @@ junction cubic, the unique other velocity carrying the same momentum.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .dispersion import DispersionLaw
 from .errors import DegeneracyError, IntegrationStalledError
@@ -170,6 +169,10 @@ def _assemble(law, potential, ts, xs, vs, flags, events, status):
 
 def _run_segments(rhs, state0, end_time, law, potential, tol, policy, seed,
                   max_events, t_eval):
+    # Imported here: scipy.integrate is most of the package's import time,
+    # and only the classical integrators need it.
+    from scipy.integrate import solve_ivp
+
     if policy not in _POLICIES:
         raise ValueError(f"unknown degeneracy policy {policy!r}")
     if potential is not None and not hasattr(potential, "gradient"):

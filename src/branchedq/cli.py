@@ -8,7 +8,6 @@ digits.  Exit codes: 0 success, 2 config error, 3 numerical failure.
 """
 
 import copy
-import csv
 import hashlib
 import json
 import sys
@@ -153,17 +152,12 @@ CONFIG_SCHEMA = {
 }
 
 
-def _fmt(value):
-    return "%.17g" % value
-
-
-def _write_csv(path, header, rows):
+def _write_columns(path, header, fmt, *columns):
+    """Write aligned columns as CSV, one `fmt % row` line per row."""
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(c) if isinstance(c, (float, np.floating))
-                             else c for c in row])
+        fh.write(",".join(header) + "\n")
+        fh.writelines(fmt % row for row in rows)
 
 
 def _write_json(path, payload):
@@ -287,15 +281,16 @@ def _mode_spectrum(config, out):
     k = int(config.get("solver", {}).get("k", 10))
     res = solve_eigensystem(op, k=min(k, grid.size))
     files = ["eigenvalues.csv"]
-    _write_csv(out / "eigenvalues.csv", ("index", "energy", "residual"),
-               [(i, float(e), float(r)) for i, (e, r) in
-                enumerate(zip(res.eigenvalues, res.residuals))])
+    _write_columns(out / "eigenvalues.csv", ("index", "energy", "residual"),
+                   "%d,%.17g,%.17g\n", np.arange(res.eigenvalues.size),
+                   res.eigenvalues, res.residuals)
     coord, branch = _grid_columns(grid)
     for i in range(len(res.eigenvalues)):
         vec = res.eigenvectors[:, i]
         name = f"state_{i:03d}.csv"
-        _write_csv(out / name, ("coordinate", "branch", "re", "im"),
-                   zip(coord, branch, vec.real, vec.imag))
+        _write_columns(out / name, ("coordinate", "branch", "re", "im"),
+                       "%.17g,%d,%.17g,%.17g\n", coord, branch, vec.real,
+                       vec.imag)
         files.append(name)
     return files, True
 
@@ -320,27 +315,28 @@ def _mode_evolve(config, out):
     nsteps = rep.times.size
     flux = rep.flux_residuals if rep.flux_residuals is not None \
         else np.full((nsteps, 2), np.nan)
-    _write_csv(out / "report.csv",
-               ("time", "norm", "energy", "flux_plus", "flux_minus"),
-               zip(rep.times, rep.norms, rep.energies, flux[:, 0], flux[:, 1]))
+    _write_columns(out / "report.csv",
+                   ("time", "norm", "energy", "flux_plus", "flux_minus"),
+                   "%.17g,%.17g,%.17g,%.17g,%.17g\n", rep.times, rep.norms,
+                   rep.energies, flux[:, 0], flux[:, 1])
     files = ["report.csv"]
 
     coord, branch = _grid_columns(grid)
     snaps = rep.snapshots or [final]
-    rows = []
-    for snap in snaps:
-        data = snap.data
-        if op.symbol is not None:
-            current = probability_current(data, grid.h, op.symbol)
-        else:
-            current = np.full(grid.size, np.nan)
-        rho = np.abs(data) ** 2
-        for i in range(grid.size):
-            rows.append((snap.time, coord[i], branch[i], data[i].real,
-                         data[i].imag, rho[i], current[i]))
-    _write_csv(out / "snapshots.csv",
-               ("time", "coordinate", "branch", "re", "im", "rho", "current"),
-               rows)
+    data = np.concatenate([snap.data for snap in snaps])
+    if op.symbol is not None:
+        current = np.concatenate([probability_current(snap.data, grid.h,
+                                                      op.symbol)
+                                  for snap in snaps])
+    else:
+        current = np.full(data.size, np.nan)
+    _write_columns(out / "snapshots.csv",
+                   ("time", "coordinate", "branch", "re", "im", "rho",
+                    "current"),
+                   "%.17g,%.17g,%d,%.17g,%.17g,%.17g,%.17g\n",
+                   np.repeat([snap.time for snap in snaps], grid.size),
+                   np.tile(coord, len(snaps)), np.tile(branch, len(snaps)),
+                   data.real, data.imag, np.abs(data) ** 2, current)
     files.append("snapshots.csv")
     _write_json(out / "summary.json", {
         "norm_drift": rep.norm_drift,
@@ -389,10 +385,10 @@ def _mode_graph(config, out):
             raise ConfigError(f"graph: {exc}") from None
         k = int(gcfg.get("k", 6))
         res = solve_eigensystem(op, k=min(k, op.matrix.shape[0]))
-        _write_csv(out / "eigenvalues.csv",
-                   ("index", "energy", "wavenumber"),
-                   [(i, float(e), float(np.sqrt(max(e, 0.0))))
-                    for i, e in enumerate(res.eigenvalues)])
+        w = res.eigenvalues
+        _write_columns(out / "eigenvalues.csv",
+                       ("index", "energy", "wavenumber"), "%d,%.17g,%.17g\n",
+                       np.arange(w.size), w, np.sqrt(np.where(w < 0.0, 0.0, w)))
         files.append("eigenvalues.csv")
     return files, True
 
@@ -417,10 +413,11 @@ def _mode_classical(config, out):
                                   t_eval=t_eval)
     except (ValueError, DegeneracyError) as exc:
         raise ConfigError(f"classical: {exc}") from None
-    _write_csv(out / "trajectory.csv",
-               ("t", "x", "xdot", "p", "E", "branch", "event"),
-               zip(traj.t, traj.x, traj.xdot, traj.momentum, traj.energy,
-                   traj.branch, traj.event_flag))
+    _write_columns(out / "trajectory.csv",
+                   ("t", "x", "xdot", "p", "E", "branch", "event"),
+                   "%.17g,%.17g,%.17g,%.17g,%.17g,%d,%d\n", traj.t, traj.x,
+                   traj.xdot, traj.momentum, traj.energy, traj.branch,
+                   traj.event_flag)
     _write_json(out / "summary.json", {
         "status": traj.status,
         "events": len(traj.events),
@@ -444,8 +441,8 @@ def _mode_kernel(config, out):
         raise ConfigError(f"kernel: {exc}") from None
     offsets = grid.h * np.arange(-(grid.size - 1), grid.size)
     samples = np.atleast_1d(potential.kernel(offsets))
-    _write_csv(out / "kernel.csv", ("offset", "re", "im"),
-               zip(offsets, samples.real, samples.imag))
+    _write_columns(out / "kernel.csv", ("offset", "re", "im"),
+                   "%.17g,%.17g,%.17g\n", offsets, samples.real, samples.imag)
     _write_json(out / "summary.json", {
         "mode": mode,
         "hermiticity_defect": hermiticity_defect(op),
@@ -529,8 +526,9 @@ def emit_dispersion_curve(kappa, samples, v_min=-3.0, v_max=3.0,
     """Write the (xdot, p, E, branch) sweep tracing the momentum-energy curve."""
     law = DispersionLaw(kappa=float(kappa))
     data = velocity_sweep(law, float(v_min), float(v_max), int(samples))
-    _write_csv(Path(path), ("xdot", "p", "E", "branch"),
-               zip(data["xdot"], data["p"], data["E"], data["branch"]))
+    _write_columns(Path(path), ("xdot", "p", "E", "branch"),
+                   "%.17g,%.17g,%.17g,%d\n", data["xdot"], data["p"],
+                   data["E"], data["branch"])
     return Path(path)
 
 

@@ -21,9 +21,12 @@ kinetic symbol E(p) = c4 p**4 + c3 p**3 + c2 p**2 + c1 p (``coefficients``
 mode); that form has no branch structure and is what the ordinary-line
 oracle problems use.
 
-This module provides the dispersion law, exact branchwise inversion of the
-momentum cubic, and the fold/unfold maps between the three-sheeted momentum
-domain and a single real line with interior junction points.
+Every momentum inversion is a view over one batched kernel,
+`branch_velocities`: the trigonometric three-root form (Nickalls, Math.
+Gazette 77 (1993) 354) inside the window |p| <= q_+, a polished Cardano
+root outside it, and one snap rule at the junctions.  The module also
+provides the fold/unfold maps between the three-sheeted momentum domain
+and a single real line with interior junction points.
 """
 
 from dataclasses import dataclass
@@ -34,11 +37,21 @@ from .errors import UnbranchedDispersionError
 
 BRANCHES = (1, 2, 3)
 
-# Root index k such that 2*v_c*cos((theta - 2*pi*k)/3) lands on the branch.
-_TRIG_ROOT_INDEX = {3: 0, 2: 1, 1: 2}
-
 # Momenta this close to a junction, relative to max(1, q_+), count as on it.
 _SNAP_RTOL = 1e-12
+
+# Column b-1 of the kernel takes root k = 3 - b of 2 v_c cos((theta - 2 pi k)/3).
+_TRIG_SHIFTS = 2.0 * np.pi * np.array([2.0, 1.0, 0.0])
+
+
+def _cusp(kappa):
+    """(v_c, q_+) = (sqrt(kappa/3), 2 (kappa/3)**1.5), both 0 where kappa <= 0.
+
+    A scalar kappa stays a numpy scalar, whose ** is the libm pow; an
+    array's ** may differ from it in the last bit.
+    """
+    third = np.maximum(kappa, 0.0) / 3.0
+    return np.sqrt(third), 2.0 * third**1.5
 
 
 def _polished_single_root(p, kappa):
@@ -57,6 +70,35 @@ def _polished_single_root(p, kappa):
         safe = np.abs(fp) > 1e-300
         v = v - np.where(safe, f / np.where(safe, fp, 1.0), 0.0)
     return v
+
+
+def branch_velocities(p, kappa):
+    """Roots of v**3 - kappa*v = p per branch, shape broadcast(p, kappa) + (3,).
+
+    Column b-1 holds the branch-b root; NaN marks a branch that does not
+    carry p.  Within _SNAP_RTOL max(1, q_+) of +-q_+, on either side, the
+    two branches meeting there take their roots at the junction itself
+    (theta = 0 or pi: the double root -+v_c to 5 eps v_c, immune to the
+    last bit of q_+).  The simple root is always the root of p.
+    """
+    vc, qp = _cusp(kappa)
+    p = np.asarray(p, dtype=float)
+    branched = np.asarray(kappa) > 0.0
+    gap = np.abs(p) - qp
+    near = branched & (np.abs(gap) <= _SNAP_RTOL * np.maximum(1.0, qp))
+    inside = branched & (gap <= 0.0)
+    # Inside entries are discarded; p = 0 keeps their Newton steps finite.
+    single = _polished_single_root(np.where(inside, 0.0, p), kappa)
+    # The column of the root with the sign of p holds the root of p itself.
+    lead = np.where(inside, p, single)
+    own = np.where(lead < 0.0, 0, np.where(lead > 0.0, 2, 1))[..., None] == np.arange(3)
+    theta = np.arccos(np.clip(p / np.where(inside | near, qp, 1.0), -1.0, 1.0))
+    # Near a junction the two branches that meet there are taken on it.
+    theta = np.where(near[..., None] & ~own, np.arccos(np.sign(p))[..., None],
+                     theta[..., None])
+    trig = 2.0 * np.asarray(vc)[..., None] * np.cos((theta - _TRIG_SHIFTS) / 3.0)
+    return np.where(own & ~inside[..., None], single[..., None],
+                    np.where((inside | near)[..., None], trig, np.nan))
 
 
 @dataclass(frozen=True)
@@ -101,14 +143,12 @@ class DispersionLaw:
     @property
     def v_cusp(self):
         """Cusp velocity sqrt(kappa/3); 0 when the law is unbranched."""
-        return np.sqrt(max(self.kappa, 0.0) / 3.0) if self.coefficients is None else 0.0
+        return _cusp(self.kappa)[0] if self.coefficients is None else 0.0
 
     @property
     def p_plus(self):
         """Junction momentum q_+ = p(-v_c) = 2 (kappa/3)**1.5 (0 if unbranched)."""
-        if self.coefficients is not None or self.kappa <= 0.0:
-            return 0.0
-        return 2.0 * (self.kappa / 3.0) ** 1.5
+        return _cusp(self.kappa)[1] if self.coefficients is None else 0.0
 
     @property
     def p_minus(self):
@@ -179,51 +219,18 @@ class DispersionLaw:
     def branch_velocity(self, p, branch):
         """Velocity xdot on a given branch as a function of momentum.
 
-        Inside the overlap window |p| <= q_+ all three roots of the momentum
-        cubic are real and the trigonometric root formula assigns them to
-        branches exactly (no sorting step, so branch identity is stable
-        through the junctions, where two roots collide).  Outside the window
-        only the outer branch of matching sign exists.
+        Column branch-1 of `branch_velocities`: up to the snap band,
+        branch 2 exists only on [q_-, q_+], branch 1 on p <= q_+ and
+        branch 3 on p >= q_-.
         """
         self._require_cubic()
         if branch not in BRANCHES:
             raise ValueError(f"branch must be one of {BRANCHES}, got {branch}")
-        p = np.asarray(p, dtype=float)
-        scalar = p.ndim == 0
-        p = np.atleast_1d(p)
-
-        if not self.kappa > 0.0:
-            v = _polished_single_root(p, self.kappa)
-            labels = self.branch_of_velocity(v)
-            if np.any(labels != branch):
-                raise ValueError(
-                    f"off-branch momentum: branch {branch} does not carry all "
-                    "requested momenta for this unbranched law"
-                )
-            return v[0] if scalar else v
-
-        out = np.empty_like(p)
-        inside = np.abs(p) <= self.p_plus
-        if inside.any():
-            theta = np.arccos(np.clip(p[inside] / self.p_plus, -1.0, 1.0))
-            k = _TRIG_ROOT_INDEX[branch]
-            out[inside] = 2.0 * self.v_cusp * np.cos((theta - 2.0 * np.pi * k) / 3.0)
-
-        outside = ~inside
-        if outside.any():
-            po = p[outside]
-            if branch == 2:
-                raise ValueError(
-                    "off-branch momentum: branch 2 exists only on [q_-, q_+], "
-                    f"got |p| up to {np.abs(po).max():.6g} > {self.p_plus:.6g}"
-                )
-            if branch == 1 and (po > 0).any():
-                raise ValueError("off-branch momentum: branch 1 requires p <= q_+")
-            if branch == 3 and (po < 0).any():
-                raise ValueError("off-branch momentum: branch 3 requires p >= q_-")
-            out[outside] = _polished_single_root(po, self.kappa)
-
-        return out[0] if scalar else out
+        v = np.take(branch_velocities(p, self.kappa), branch - 1, axis=-1)
+        if np.isnan(v).any():
+            raise ValueError(f"off-branch momentum: branch {branch} does not "
+                             "carry all requested momenta")
+        return v
 
     def branch_energy(self, p, branch):
         """Kinetic energy as a function of momentum on a given branch."""
@@ -232,27 +239,12 @@ class DispersionLaw:
     def invert_momentum(self, p):
         """All (branch, velocity) pairs with momentum p, sorted by branch.
 
-        Momenta within 1e-12 max(1, q_+) of a junction are snapped onto it
-        and the double root is reported exactly: +-v_c on the two branches
-        that meet there plus the far simple root -+2 v_c on the remaining
-        branch, from the factorization (v -+ v_c)**2 (v +- 2 v_c).
+        The non-NaN entries of one row of `branch_velocities`, so a momentum
+        within _SNAP_RTOL max(1, q_+) of a junction has three roots.
         """
         self._require_cubic()
-        p = float(p)
-        snap_tol = _SNAP_RTOL * max(1.0, self.p_plus)
-        if not self.kappa > 0.0:
-            v = float(_polished_single_root(p, self.kappa))
-            return [(int(self.branch_of_velocity(v)), v)]
-        vc = self.v_cusp
-        if abs(p - self.p_plus) <= snap_tol:
-            return [(1, -vc), (2, -vc), (3, 2.0 * vc)]
-        if abs(p - self.p_minus) <= snap_tol:
-            return [(1, -2.0 * vc), (2, vc), (3, vc)]
-        if p > self.p_plus:
-            return [(3, float(self.branch_velocity(p, 3)))]
-        if p < self.p_minus:
-            return [(1, float(self.branch_velocity(p, 1)))]
-        return [(b, float(self.branch_velocity(p, b))) for b in BRANCHES]
+        row = branch_velocities(float(p), self.kappa)
+        return [(b, float(v)) for b, v in zip(BRANCHES, row) if not np.isnan(v)]
 
     def domain(self):
         """Folded momentum domain with this law's junction points."""

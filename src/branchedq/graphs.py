@@ -17,6 +17,7 @@ end supplies one decay condition, and each line owns two disposable
 constants, so conditions and constants balance on Kirchhoff networks.
 """
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -459,10 +460,20 @@ def _kappa_from_json(values):
                  for v in values)
 
 
+@functools.cache
+def _graph_validator():
+    # Built once, on first use: jsonschema.validate would re-check the
+    # constant schema itself on every load.
+    import jsonschema
+    return jsonschema.validators.validator_for(GRAPH_SCHEMA)(GRAPH_SCHEMA)
+
+
 def graph_from_mapping(doc):
     """Build a MetricGraph from the versioned mapping format."""
     import jsonschema
-    jsonschema.validate(doc, GRAPH_SCHEMA)
+    error = jsonschema.exceptions.best_match(_graph_validator().iter_errors(doc))
+    if error is not None:
+        raise error
     vertices = []
     conditions = {}
     for entry in doc["vertices"]:

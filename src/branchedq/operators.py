@@ -73,10 +73,6 @@ class StencilSymbol:
         return StencilSymbol(factor * self.c4, factor * self.c3,
                              factor * self.c2, factor * self.c1)
 
-    def plane_wave_energy(self, k):
-        k = np.asarray(k, dtype=float)
-        return ((self.c4 * k + self.c3) * k + self.c2) * k * k + self.c1 * k
-
     def is_zero(self):
         return self.c4 == self.c3 == self.c2 == self.c1 == 0.0
 

@@ -189,15 +189,6 @@ def stationarity_residual(op, psi):
         [np.imag(np.conj(chi) * psi), np.imag(a + b), np.real(b - a)]))
 
 
-def stationarity_gap(op, psi):
-    """||H psi - <H> psi||, the quantity the probe family triangulates."""
-    H = as_matrix(op)
-    psi = _require_normalized(psi)
-    chi = H @ psi
-    mean = np.real(np.vdot(psi, chi))
-    return float(np.linalg.norm(chi - mean * psi))
-
-
 def newton_refine(op, psi0, tol=1e-10, max_iter=25):
     """Newton iteration for an eigenpair near psi0.
 
@@ -292,25 +283,6 @@ def variance_minimize(op, psi0, tol=1e-10, max_iter=20000):
         f"variance minimization hit the iteration cap at variance {var:.3e}",
         diagnostics={"iterations": max_iter, "variance": var,
                      "energy": e, "state": psi})
-
-
-def variance_pair_residual(op, probe, psi):
-    """Residual of the paired variance identity for one probe.
-
-    <H^2><O O*> + <H O O* H> - <H><{H, O O*}> vanishes in eigenstates;
-    nonzero values witness superpositions.
-    """
-    H = as_matrix(op)
-    O = np.asarray(probe, dtype=complex)
-    psi = _require_normalized(psi)
-    OOd = O @ O.conj().T
-    hpsi = H @ psi
-    h2 = np.real(np.vdot(hpsi, hpsi))
-    e = np.real(np.vdot(psi, hpsi))
-    oo = np.real(np.vdot(psi, OOd @ psi))
-    hooh = np.real(np.vdot(hpsi, OOd @ hpsi))
-    anti = np.real(np.vdot(hpsi, OOd @ psi) + np.vdot(psi, OOd @ hpsi))
-    return float(h2 * oo + hooh - e * anti)
 
 
 def subspace_overlap(u, v):

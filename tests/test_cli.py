@@ -6,15 +6,22 @@ failures, 3 for numerical ones, byte-identical reruns for fixed seeds, and
 manifest hashes that actually match the files on disk.
 """
 
+import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from branchedq.cli import CONFIG_SCHEMA, emit_dispersion_curve, main
+import branchedq
+from branchedq.cli import (CONFIG_SCHEMA, _write_columns,
+                          emit_dispersion_curve, main)
 
 
 def _write_config(path, payload):
@@ -420,3 +427,45 @@ def test_emit_dispersion_curve_direct(tmp_path):
     assert len(lines) == 8
     first = [float(v) for v in lines[1].split(",")]
     assert first[0] == -1.5
+
+
+def _csv_writer_oracle(path, header, rows):
+    """The csv.writer-based artifact writer that _write_columns replaced."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(["%.17g" % c if isinstance(c, (float, np.floating))
+                             else c for c in row])
+
+
+def test_write_columns_matches_csv_writer(tmp_path):
+    rng = np.random.default_rng(3)
+    special = [np.nan, -0.0, 0.0, np.inf, -np.inf, 1e-300, -5e-324, 1.0 / 3.0,
+               1e300, 2.0**53 + 1]
+    x = np.concatenate([special, rng.standard_normal(40) * 1e8])
+    n = x.size
+    ints = rng.integers(-3, 4, n)
+    cplx = x * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+    header = ("x", "branch", "re", "im")
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    # numpy scalars per cell on the oracle side, whole columns on the new one
+    _csv_writer_oracle(old, header, zip(x, ints, cplx.real, cplx.imag))
+    _write_columns(new, header, "%.17g,%d,%.17g,%.17g\n", x, ints, cplx.real,
+                   cplx.imag)
+    assert new.read_bytes() == old.read_bytes()
+    # python floats and ints, as the eigenvalue tables used to pass them
+    _csv_writer_oracle(old, ("index", "energy"),
+                       [(i, float(e)) for i, e in enumerate(x)])
+    _write_columns(new, ("index", "energy"), "%d,%.17g\n", np.arange(n), x)
+    assert new.read_bytes() == old.read_bytes()
+
+
+def test_import_cli_skips_scipy_integrate():
+    code = ("import sys, branchedq.cli; "
+            "print('scipy.integrate' in sys.modules)")
+    src = str(Path(branchedq.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ,
+                                                     "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

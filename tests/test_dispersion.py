@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from branchedq import (BranchedDomain, DispersionLaw, UnbranchedDispersionError,
                        velocity_sweep)
+from branchedq.dispersion import (_SNAP_RTOL, BRANCHES, _polished_single_root,
+                                  branch_velocities)
 
 LAW = DispersionLaw(kappa=3.0)
 
@@ -201,3 +203,106 @@ def test_branched_only_helpers_raise_on_flat_laws():
     assert dom.p_minus == 0.0 and dom.p_plus == 0.0
     q, b = dom.fold(1.5)
     assert dom.unfold(q, b) == pytest.approx(1.5)
+
+
+def _per_branch_velocity(kappa, p, branch):
+    """The per-branch inversion the batched kernel replaced, NaN where it raised."""
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    if not kappa > 0.0:
+        v = _polished_single_root(p, kappa)
+        label = np.where(v < 0.0, 1, np.where(v > 0.0, 3, 2))
+        return np.where(label == branch, v, np.nan)
+    v_cusp = np.sqrt(max(kappa, 0.0) / 3.0)
+    p_plus = 2.0 * (kappa / 3.0) ** 1.5
+    out = np.full(p.shape, np.nan)
+    inside = np.abs(p) <= p_plus
+    theta = np.arccos(np.clip(p[inside] / p_plus, -1.0, 1.0))
+    k = {3: 0, 2: 1, 1: 2}[branch]
+    out[inside] = 2.0 * v_cusp * np.cos((theta - 2.0 * np.pi * k) / 3.0)
+    carried = {1: p < 0.0, 2: np.zeros(p.shape, bool), 3: p > 0.0}[branch]
+    outer = ~inside & carried
+    out[outer] = _polished_single_root(p[outer], kappa)
+    return out
+
+
+# kappa <= 0, kappa = 0 and branched laws; subnormal kappa, whose q_+
+# underflows, is left out.
+_KAPPA_ANY = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-5.0, -1e-3),
+                       st.floats(1e-3, 10.0))
+# Offsets from a junction in units of the snap tolerance, on it, inside
+# the band or beyond it, but clear of the band edge, so that a last-bit
+# change in q_+ cannot move a draw across it.
+_SNAP_UNITS = st.one_of(st.just(0.0), st.floats(0.01, 0.5), st.floats(-0.5, -0.01),
+                        st.floats(2.0, 10.0), st.floats(-10.0, -2.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kappa=_KAPPA_ANY,
+       ratios=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6),
+       offsets=st.lists(st.tuples(st.booleans(), _SNAP_UNITS), max_size=8))
+def test_kernel_matches_per_branch_inversion(kappa, ratios, offsets):
+    """Bit for bit where the old inversion answered; junction pairs to 5 eps v_c.
+
+    The branch-1 root at theta = 0 is 2 v_c cos(-4 pi/3), whose computed
+    cosine is -(1 + 4 eps)/2, so the pair sits up to 4 eps v_c plus one
+    rounding from the exact double root.
+    """
+    law = DispersionLaw(kappa=kappa)
+    qp, vc = law.p_plus, law.v_cusp
+    tol = _SNAP_RTOL * max(1.0, qp)
+    junction = [(1.0 if up else -1.0) * qp + m * tol for up, m in offsets]
+    p = np.array([r * max(qp, 1.0) for r in ratios] + junction + [qp, -qp])
+    got = branch_velocities(p, kappa)
+    assert got.shape == (p.size, 3)
+    snapped = (kappa > 0.0) & (np.abs(np.abs(p) - qp) <= tol) & (p != 0.0)
+    for b in BRANCHES:
+        ref = _per_branch_velocity(kappa, p, b)
+        own = {1: p < 0.0, 2: np.zeros(p.size, bool), 3: p > 0.0}[b]
+        plain = ~snapped | own
+        assert np.array_equal(got[plain, b - 1], ref[plain], equal_nan=True)
+    pair = np.where(p[:, None] > 0.0, [-vc, -vc, np.nan], [np.nan, vc, vc])
+    mask = snapped[:, None] & ~np.isnan(pair)
+    assert np.all(np.abs(got[mask] - pair[mask]) <= 5.0 * np.finfo(float).eps * vc)
+    counts = np.count_nonzero(~np.isnan(got), axis=1)
+    assert np.all(counts[snapped] == 3)
+
+
+def test_scalar_kappa_roots_are_bitwise_stable():
+    """A scalar kappa keeps q_+ on the libm pow, as the per-branch code did.
+
+    numpy's array ** differs from it in the last bit for about 5 % of
+    kappa, which would move every root inside the window.
+    """
+    rng = np.random.default_rng(11)
+    for kappa in 10.0 ** rng.uniform(-2.0, 1.0, 400):
+        kappa = float(kappa)
+        p = rng.uniform(-1.0, 1.0, 4) * 2.0 * (kappa / 3.0) ** 1.5
+        got = branch_velocities(p, kappa)
+        for b in BRANCHES:
+            assert np.array_equal(got[:, b - 1], _per_branch_velocity(kappa, p, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(draws=st.lists(st.tuples(_KAPPA_ANY, st.floats(-3.0, 3.0), _SNAP_UNITS,
+                                st.booleans()), min_size=1, max_size=50))
+def test_batched_kappa_matches_scalar_calls(draws):
+    """One call over an array of kappa agrees with one call per kappa.
+
+    Array ** may differ from the scalar libm pow in the last bit of q_+;
+    the snap keeps the ill-conditioned junction pair from seeing it.
+    """
+    kappas, momenta = [], []
+    for kappa, ratio, units, on_junction in draws:
+        law = DispersionLaw(kappa=kappa)
+        qp = law.p_plus
+        if on_junction and qp > 0.0:
+            p = (1.0 if ratio > 0 else -1.0) * qp + units * _SNAP_RTOL * max(1.0, qp)
+        else:
+            p = ratio * max(qp, 1.0)
+        kappas.append(kappa)
+        momenta.append(p)
+    batch = branch_velocities(np.array(momenta), np.array(kappas))
+    single = np.array([branch_velocities(p, k) for p, k in zip(momenta, kappas)])
+    assert np.array_equal(np.isnan(batch), np.isnan(single))
+    scale = np.maximum(1.0, np.sqrt(np.maximum(kappas, 0.0) / 3.0))[:, None]
+    assert np.nanmax(np.abs(batch - single) / scale, initial=0.0) <= 1e-9
