@@ -7,60 +7,60 @@ the classical side (branch geometry, cusped flows) and four quantum
 realizations that agree where they overlap: folded single-wire stencils,
 dual-wire junction operators, convolution kernels for decaying potentials,
 and self-adjoint extensions on metric graphs.
+
+The public names load their submodule on first access (PEP 562), so
+``import branchedq`` alone imports no numpy: the command line front end
+can still choose the BLAS thread count before numpy loads.
 """
 
-from .classical import (ClassicalState, Trajectory, energy, hamilton_rhs,
-                        integrate_euler_lagrange, integrate_hamilton,
-                        poisson_bracket)
-from .dispersion import BranchedDomain, CuspData, DispersionLaw, velocity_sweep
-from .errors import (BranchedQError, ConfigError, ConvergenceError,
-                     DegeneracyError, FluxBalanceError,
-                     IntegrationStalledError, NonHermitianError,
-                     UnbranchedDispersionError)
-from .evolution import (EvolutionReport, MultiWave, continuity_residual,
-                        junction_flux_residual, probability_current,
-                        propagate)
-from .graphs import (GRAPH_LIBRARY, Edge, GraphLayout, HalfLine, MetricGraph,
-                     VertexCondition, box_graph, compton_graph,
-                     count_conditions, dump_graph, graph_hamiltonian,
-                     load_graph, node_flux, star_graph,
-                     star_secular_spectrum)
-from .grids import FoldedGrid, LineGrid, PeriodicGrid
-from .operators import (OperatorMatrix, StencilSymbol,
-                        build_convolution_hamiltonian,
-                        build_convolution_potential,
-                        build_dual_wire_hamiltonian, build_folded_hamiltonian,
-                        build_unfolded_hamiltonian,
-                        fourier_conjugate_hamiltonian, hermiticity_defect)
-from .potentials import (GaussianPotential, LorentzianPotential,
-                         PotentialSpec, QuadraticPotential, QuarticPotential,
-                         SampledPotential, SechSquaredPotential, has_kernel)
-from .spectra import (EigenResult, newton_refine, solve_eigensystem,
-                      stationarity_residual, subspace_overlap,
-                      variance_minimize)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BranchedDomain", "BranchedQError", "ClassicalState", "ConfigError",
-    "ConvergenceError", "CuspData", "DegeneracyError", "DispersionLaw",
-    "Edge", "EigenResult", "EvolutionReport", "FluxBalanceError",
-    "FoldedGrid", "GRAPH_LIBRARY", "GaussianPotential", "GraphLayout",
-    "HalfLine", "IntegrationStalledError", "LineGrid",
-    "LorentzianPotential", "MetricGraph", "MultiWave", "NonHermitianError",
-    "OperatorMatrix", "PeriodicGrid", "PotentialSpec",
-    "QuadraticPotential", "QuarticPotential", "SampledPotential",
-    "SechSquaredPotential", "StencilSymbol", "Trajectory",
-    "UnbranchedDispersionError", "VertexCondition", "box_graph",
-    "build_convolution_hamiltonian", "build_convolution_potential",
-    "build_dual_wire_hamiltonian", "build_folded_hamiltonian",
-    "build_unfolded_hamiltonian", "compton_graph", "continuity_residual",
-    "count_conditions", "dump_graph", "energy",
-    "fourier_conjugate_hamiltonian", "graph_hamiltonian", "hamilton_rhs",
-    "has_kernel", "hermiticity_defect", "integrate_euler_lagrange",
-    "integrate_hamilton", "junction_flux_residual", "load_graph",
-    "newton_refine", "node_flux", "poisson_bracket", "probability_current",
-    "propagate", "solve_eigensystem", "star_graph", "star_secular_spectrum",
-    "stationarity_residual", "subspace_overlap", "variance_minimize",
-    "velocity_sweep",
-]
+# Public name -> submodule that defines it.
+_EXPORTS = {name: module for module, names in {
+    "classical": ("ClassicalState", "Trajectory", "energy", "hamilton_rhs",
+                  "integrate_euler_lagrange", "integrate_hamilton",
+                  "poisson_bracket"),
+    "dispersion": ("BranchedDomain", "CuspData", "DispersionLaw",
+                   "velocity_sweep"),
+    "errors": ("BranchedQError", "ConfigError", "ConvergenceError",
+               "DegeneracyError", "FluxBalanceError",
+               "IntegrationStalledError", "NonHermitianError",
+               "UnbranchedDispersionError"),
+    "evolution": ("EvolutionReport", "MultiWave", "continuity_residual",
+                  "junction_flux_residual", "probability_current",
+                  "propagate"),
+    "graphs": ("GRAPH_LIBRARY", "Edge", "GraphLayout", "HalfLine",
+               "MetricGraph", "VertexCondition", "box_graph",
+               "compton_graph", "count_conditions", "dump_graph",
+               "graph_hamiltonian", "load_graph", "node_flux", "star_graph",
+               "star_secular_spectrum"),
+    "grids": ("FoldedGrid", "LineGrid", "PeriodicGrid"),
+    "operators": ("OperatorMatrix", "StencilSymbol",
+                  "build_convolution_hamiltonian",
+                  "build_convolution_potential",
+                  "build_dual_wire_hamiltonian", "build_folded_hamiltonian",
+                  "build_unfolded_hamiltonian",
+                  "fourier_conjugate_hamiltonian", "hermiticity_defect"),
+    "potentials": ("GaussianPotential", "LorentzianPotential",
+                   "PotentialSpec", "QuadraticPotential", "QuarticPotential",
+                   "SampledPotential", "SechSquaredPotential", "has_kernel"),
+    "spectra": ("EigenResult", "newton_refine", "solve_eigensystem",
+                "stationarity_residual", "subspace_overlap",
+                "variance_minimize"),
+}.items() for name in names}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+

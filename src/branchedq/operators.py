@@ -32,7 +32,7 @@ import numpy as np
 import scipy.sparse
 from scipy.linalg import toeplitz, circulant
 
-from .dispersion import BranchedDomain, DispersionLaw
+from .dispersion import BranchedDomain, DispersionLaw, branch_velocities
 from .grids import FoldedGrid, LineGrid, PeriodicGrid
 from .potentials import QuadraticPotential, QuarticPotential, has_kernel
 
@@ -165,14 +165,15 @@ def _assemble_line(n, h, symbol, accuracy, diag, odd_factor=1.0):
 
 
 def _branchwise_energy(law, p, branch):
-    p = np.asarray(p, dtype=float)
+    """Kinetic energy of each momentum on its own branch, one kernel call."""
     branch = np.asarray(branch)
-    out = np.empty(p.shape, dtype=float)
-    for b in (1, 2, 3):
-        mask = branch == b
-        if np.any(mask):
-            out[mask] = law.branch_energy(p[mask], b)
-    return out
+    v = np.take_along_axis(branch_velocities(p, law.kappa),
+                           branch[..., None] - 1, axis=-1)[..., 0]
+    off = np.isnan(v)
+    if off.any():
+        raise ValueError(f"off-branch momentum: branch {branch[off][0]} "
+                         "does not carry all requested momenta")
+    return law.energy(v)
 
 
 def _unfolded_energy(law, u):

@@ -6,12 +6,16 @@ failures, 3 for numerical ones, byte-identical reruns for fixed seeds, and
 manifest hashes that actually match the files on disk.
 """
 
+import concurrent.futures
 import csv
 import hashlib
 import json
+import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import jsonschema
@@ -20,6 +24,7 @@ import pytest
 from click.testing import CliRunner
 
 import branchedq
+from branchedq import cli
 from branchedq.cli import (CONFIG_SCHEMA, _write_columns,
                           emit_dispersion_curve, main)
 
@@ -122,6 +127,16 @@ def test_spectrum_mode_outputs(tmp_path):
     assert energies == sorted(energies)
     residuals = [float(row.split(",")[2]) for row in lines[1:]]
     assert max(residuals) < 1e-10
+    # The timing sidecar stays out of the hashed manifest.
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert set(diag) == {"assemble_s", "solve_s", "write_s", "n", "nnz",
+                         "solver", "max_residual"}
+    assert diag["n"] == 2 * 24 + 16 - 1
+    assert 0 < diag["nnz"] <= 5 * diag["n"]
+    assert diag["solver"] in ("eigh", "shift-invert", "eigh-fallback")
+    assert diag["max_residual"] == max(residuals)
+    assert "diagnostics.json" not in json.loads(
+        (out / "manifest.json").read_text())["outputs"]
     for i in range(3):
         state = (out / f"state_{i:03d}.csv").read_text().splitlines()
         assert state[0] == "coordinate,branch,re,im"
@@ -363,7 +378,22 @@ def test_verify_single_criterion(tmp_path):
     assert json.loads((out / "summary.json").read_text()) == {"C6": True}
 
 
-def test_sweep_fans_out(tmp_path):
+@pytest.fixture
+def forked(monkeypatch):
+    """Let a sweep fork one worker per point, whatever the host's CPU count."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no fork start method on this platform")
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+
+
+def _tree(root):
+    """Every file under root, but the timing sidecars, by relative path."""
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*"))
+            if p.is_file() and p.name != "diagnostics.json"}
+
+
+def test_sweep_fans_out(tmp_path, forked):
     cfg = _write_config(
         tmp_path / "sweep.json",
         _classical_config(
@@ -372,14 +402,111 @@ def test_sweep_fans_out(tmp_path):
         ),
     )
     out = tmp_path / "out"
-    result = _invoke(["run", "--config", cfg, "--out", str(out), "--jobs", "2"])
-    assert result.exit_code == 0
+    trees = []
+    for jobs in ("1", "2"):
+        shutil.rmtree(out, ignore_errors=True)
+        result = _invoke(["run", "--config", cfg, "--out", str(out),
+                          "--jobs", jobs])
+        assert result.exit_code == 0
+        trees.append(_tree(out))
+    assert trees[0] == trees[1]
     for i, xdot in enumerate([1.5, 2.0]):
         sub = out / f"sweep-{i:03d}"
         resolved = json.loads((sub / "config.resolved.json").read_text())
         assert resolved["classical"]["xdot"] == xdot
         assert "sweep" not in resolved
         assert (sub / "manifest.json").exists()
+
+
+def test_spectrum_sweep_workers_match_serial_run(tmp_path, forked):
+    cfg = _write_config(tmp_path / "s.json", dict(
+        _SMALL_FOLDED, mode="spectrum", solver={"k": 25},
+        potential={"form": "quartic", "alpha": 0.4, "beta": 0.3, "gamma": 0.2},
+        sweep={"parameter": "dispersion.kappa", "values": [1.0, 2.0, 3.5]}))
+    out = tmp_path / "out"
+    trees = []
+    for jobs in ("1", "2"):
+        shutil.rmtree(out, ignore_errors=True)
+        assert _invoke(["run", "--config", cfg, "--out", str(out),
+                        "--jobs", jobs]).exit_code == 0
+        trees.append(_tree(out))
+        assert len(list(out.glob("sweep-*/diagnostics.json"))) == 3
+    assert trees[0] == trees[1]
+
+
+_NON_HERMITIAN = {
+    "version": 1, "mode": "spectrum", "dispersion": {"kappa": 3.0},
+    "potential": {"form": "gaussian", "amplitude": 2.0, "width": 1.0,
+                  "center": 1.5},
+    "grid": {"kind": "line", "x_min": -12.0, "x_max": 12.0, "n": 160},
+    "solver": {"k": 3, "assembly": "convolution"},
+}
+
+
+@pytest.mark.parametrize("payload,code,message", [
+    (dict(_SMALL_FOLDED, mode="evolve",
+          evolution={"dt": 1e-3, "steps": 2},
+          sweep={"parameter": "evolution.packet.center",
+                 "values": [0.0, 1000]}),
+     2, "config error: evolution: "),
+    (dict(_NON_HERMITIAN, sweep={"parameter": "solver.kernel_mode",
+                                 "values": ["hermitian", "naive"]}),
+     3, "numerical failure: "),
+], ids=["config-error", "numerical-failure"])
+def test_worker_failure_matches_serial_run(tmp_path, forked, payload, code,
+                                           message):
+    cfg = _write_config(tmp_path / "bad.json", payload)
+    lines = []
+    for jobs in ("1", "2"):
+        result = _invoke(["run", "--config", cfg, "--out",
+                          str(tmp_path / f"out{jobs}"), "--jobs", jobs])
+        assert result.exit_code == code
+        lines.append(result.stderr)
+    assert lines[0] == lines[1]
+    assert lines[0].startswith(message) and lines[0].count("\n") == 1
+
+
+def test_jobs_are_capped_by_sweep_points(tmp_path, forked, monkeypatch):
+    sizes = []
+
+    class Spy(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            super().__init__(max_workers, **kwargs)
+            sizes.append(max_workers)
+
+        def shutdown(self, *args, **kwargs):
+            sizes.append(len(self._processes or ()))
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    cfg = _write_config(tmp_path / "sweep.json", _classical_config(
+        classical={"t_end": 1.0, "samples": 5},
+        sweep={"parameter": "classical.xdot", "values": [1.5, 2.0]}))
+    result = _invoke(["run", "--config", cfg, "--out", str(tmp_path / "out"),
+                      "--jobs", "64"])
+    assert result.exit_code == 0
+    assert sizes[0] == 2 and 1 <= sizes[1] <= 2
+
+
+def test_dead_worker_exits_three(tmp_path, forked, monkeypatch):
+    # Replaced in the parent, so the forked workers run it too; like a
+    # tracer's wrapper it is a closure the pool could not pickle.
+    monkeypatch.setattr(cli, "_run_single", lambda config, out: os._exit(1))
+    cfg = _write_config(tmp_path / "sweep.json", _classical_config(
+        sweep={"parameter": "classical.xdot", "values": [1.5, 2.0]}))
+    result = _invoke(["run", "--config", cfg, "--out", str(tmp_path / "out"),
+                      "--jobs", "2"])
+    assert result.exit_code == 3
+    assert result.stderr.startswith("numerical failure: sweep worker died")
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_bad_jobs_exit_two(tmp_path, jobs):
+    cfg = _write_config(tmp_path / "c.json", _classical_config())
+    result = _invoke(["run", "--config", cfg, "--jobs", jobs])
+    assert result.exit_code == 2
+    assert "Invalid value for '--jobs'" in result.output
 
 
 def test_dispersion_command_csv(tmp_path):
@@ -459,6 +586,36 @@ def test_write_columns_matches_csv_writer(tmp_path):
                        [(i, float(e)) for i, e in enumerate(x)])
     _write_columns(new, ("index", "energy"), "%d,%.17g\n", np.arange(n), x)
     assert new.read_bytes() == old.read_bytes()
+
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset,expected", [
+    ({}, {"OPENBLAS_NUM_THREADS": "1"}),
+    ({"OPENBLAS_NUM_THREADS": "3"}, {"OPENBLAS_NUM_THREADS": "3"}),
+    ({"OMP_NUM_THREADS": "3"}, {"OMP_NUM_THREADS": "3"}),
+], ids=["default", "openblas-preset", "omp-preset"])
+def test_cli_defaults_blas_to_one_thread(preset, expected):
+    code = ("import json, os, sys\n"
+            "import branchedq\n"
+            "lazy = 'numpy' not in sys.modules\n"
+            "import branchedq.cli\n"
+            f"env = {{k: os.environ[k] for k in {_BLAS_VARS!r} "
+            "if k in os.environ}\n"
+            "names = {}\n"
+            "exec('from branchedq import *', names)\n"
+            "print(json.dumps([lazy, env, "
+            "sorted(set(branchedq.__all__) - set(names))]))\n")
+    src = str(Path(branchedq.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**env, **preset, "PYTHONPATH": src})
+    lazy, blas, unbound = json.loads(out.stdout)
+    assert lazy, "import branchedq loaded numpy"
+    assert blas == expected
+    assert unbound == []
 
 
 def test_import_cli_skips_scipy_integrate():

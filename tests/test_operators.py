@@ -19,6 +19,7 @@ from branchedq import (DispersionLaw, FoldedGrid, GaussianPotential, LineGrid,
                        build_convolution_potential, build_dual_wire_hamiltonian,
                        build_folded_hamiltonian, build_unfolded_hamiltonian,
                        fourier_conjugate_hamiltonian, hermiticity_defect)
+from branchedq.operators import _branchwise_energy
 
 LAW = DispersionLaw(kappa=3.0)
 
@@ -162,6 +163,21 @@ def test_kinetic_diagonal_on_folded_grid():
     assert diag[6] == pytest.approx(0.0)          # p=0 on branch 2, v=0
     assert diag[8] == pytest.approx(-0.75)        # junction, v=+1
     assert diag[12] == pytest.approx(6.0)         # p=2 on branch 3, v=2
+
+
+@pytest.mark.parametrize("kappa", [0.3, 3.0, 7.5])
+def test_branchwise_energy_matches_per_branch_calls(kappa):
+    """One kernel call gives each branch's `branch_energy` bit for bit."""
+    law = DispersionLaw(kappa=kappa)
+    g = FoldedGrid(law, 60, 90)
+    expected = np.empty(g.size)
+    for b in (1, 2, 3):
+        mask = g.branch == b
+        expected[mask] = law.branch_energy(g.p[mask], b)
+    assert np.array_equal(_branchwise_energy(law, g.p, g.branch), expected)
+    with pytest.raises(ValueError, match="off-branch momentum: branch 1"):
+        _branchwise_energy(law, [0.0, 2.0 * law.p_plus, -2.0 * law.p_plus],
+                           [2, 1, 3])
 
 
 @pytest.mark.parametrize("V", [QuadraticPotential(1.3),
