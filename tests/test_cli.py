@@ -39,6 +39,16 @@ def _invoke(args):
     return runner.invoke(main, args, catch_exceptions=False)
 
 
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _env_without_blas():
+    """This environment without the BLAS thread variables."""
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    env["PYTHONPATH"] = str(Path(branchedq.__file__).resolve().parents[1])
+    return env
+
+
 def _classical_config(**overrides):
     cfg = {
         "version": 1,
@@ -379,11 +389,23 @@ def test_verify_single_criterion(tmp_path):
 
 
 @pytest.fixture
-def forked(monkeypatch):
-    """Let a sweep fork one worker per point, whatever the host's CPU count."""
+def many_cpus(monkeypatch):
+    """Let a sweep fork one worker per point, whatever the host's CPU count.
+
+    Where the platform has no fork the sweep runs serially, and the tests
+    using this fixture must hold there too.
+    """
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
+    # The test process loads numpy before the CLI, so the environment did
+    # not size its BLAS pools; fork anyway.
+    monkeypatch.setattr(cli, "_BLAS_THREADS_SET", True)
+
+
+@pytest.fixture
+def forked(many_cpus):
+    """As many_cpus, for tests that need a real worker pool."""
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("no fork start method on this platform")
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
 
 
 def _tree(root):
@@ -393,7 +415,7 @@ def _tree(root):
             if p.is_file() and p.name != "diagnostics.json"}
 
 
-def test_sweep_fans_out(tmp_path, forked):
+def test_sweep_fans_out(tmp_path, many_cpus):
     cfg = _write_config(
         tmp_path / "sweep.json",
         _classical_config(
@@ -418,7 +440,7 @@ def test_sweep_fans_out(tmp_path, forked):
         assert (sub / "manifest.json").exists()
 
 
-def test_spectrum_sweep_workers_match_serial_run(tmp_path, forked):
+def test_spectrum_sweep_workers_match_serial_run(tmp_path, many_cpus):
     cfg = _write_config(tmp_path / "s.json", dict(
         _SMALL_FOLDED, mode="spectrum", solver={"k": 25},
         potential={"form": "quartic", "alpha": 0.4, "beta": 0.3, "gamma": 0.2},
@@ -453,8 +475,8 @@ _NON_HERMITIAN = {
                                  "values": ["hermitian", "naive"]}),
      3, "numerical failure: "),
 ], ids=["config-error", "numerical-failure"])
-def test_worker_failure_matches_serial_run(tmp_path, forked, payload, code,
-                                           message):
+def test_worker_failure_matches_serial_run(tmp_path, many_cpus, payload,
+                                           code, message):
     cfg = _write_config(tmp_path / "bad.json", payload)
     lines = []
     for jobs in ("1", "2"):
@@ -499,6 +521,38 @@ def test_dead_worker_exits_three(tmp_path, forked, monkeypatch):
     assert result.exit_code == 3
     assert result.stderr.startswith("numerical failure: sweep worker died")
     assert "Traceback" not in result.output
+
+
+def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    assert cli._usable_cpus() == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._usable_cpus() == 64
+
+
+def test_sweep_without_sized_blas_pools_runs_serially(tmp_path):
+    # numpy loaded first with no BLAS thread variable: the CLI leaves the
+    # environment alone and must not fork workers with default pools.
+    cfg = _write_config(tmp_path / "sweep.json", _classical_config(
+        classical={"t_end": 1.0, "samples": 5},
+        sweep={"parameter": "classical.xdot", "values": [1.5, 2.0]}))
+    code = ("import json, os, sys\n"
+            "import numpy\n"
+            "import branchedq.cli as cli\n"
+            "def refuse(*args):\n"
+            "    raise AssertionError('forked without sized BLAS pools')\n"
+            "cli._run_forked = refuse\n"
+            "cli._usable_cpus = lambda: 64\n"
+            "ok = cli.run_config(cli.load_config(sys.argv[1]), sys.argv[2], 2)\n"
+            f"env = [k for k in {_BLAS_VARS!r} if k in os.environ]\n"
+            "print(json.dumps([ok, env, cli._BLAS_THREADS_SET]))\n")
+    out = subprocess.run(
+        [sys.executable, "-c", code, cfg, str(tmp_path / "out")],
+        capture_output=True, text=True, check=True, env=_env_without_blas())
+    assert json.loads(out.stdout) == [True, [], False]
+    assert (tmp_path / "out" / "sweep-001" / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -588,7 +642,6 @@ def test_write_columns_matches_csv_writer(tmp_path):
     assert new.read_bytes() == old.read_bytes()
 
 
-_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @pytest.mark.parametrize("preset,expected", [
@@ -607,11 +660,9 @@ def test_cli_defaults_blas_to_one_thread(preset, expected):
             "exec('from branchedq import *', names)\n"
             "print(json.dumps([lazy, env, "
             "sorted(set(branchedq.__all__) - set(names))]))\n")
-    src = str(Path(branchedq.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
-                         env={**env, **preset, "PYTHONPATH": src})
+                         env={**_env_without_blas(), **preset})
     lazy, blas, unbound = json.loads(out.stdout)
     assert lazy, "import branchedq loaded numpy"
     assert blas == expected
