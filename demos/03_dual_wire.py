@@ -16,7 +16,7 @@ from branchedq import (DispersionLaw, FoldedGrid, LineGrid, QuadraticPotential,
                        build_folded_hamiltonian, solve_eigensystem)
 
 grid = LineGrid(-10.0, 10.0, 2000)
-osc = build_dual_wire_hamiltonian(StencilSymbol.from_kinetic(0, 0, 0.5, 0),
+osc = build_dual_wire_hamiltonian(StencilSymbol(0, 0, 0.5, 0),
                                   QuadraticPotential(1.0), grid, accuracy=4)
 levels = solve_eigensystem(osc, k=5).eigenvalues
 print("oscillator wire, p^2/2 + x^2/2:")
@@ -25,7 +25,7 @@ for n, e in enumerate(levels):
     print(f" {n}   {e:.8f}   {e - n - 0.5:+.2e}")
 
 box = LineGrid(0.0, np.pi, 2000)
-quartic = build_dual_wire_hamiltonian(StencilSymbol.from_kinetic(1, 0, 0, 0),
+quartic = build_dual_wire_hamiltonian(StencilSymbol(1, 0, 0, 0),
                                       None, box)
 levels4 = solve_eigensystem(quartic, k=5).eigenvalues
 print()

@@ -84,7 +84,7 @@ def criterion_hermiticity():
         ("folded quartic", build_folded_hamiltonian(
             law, grid, QuarticPotential(0.4, 0.3, 0.2))),
         ("dual wire", build_dual_wire_hamiltonian(
-            StencilSymbol.from_kinetic(0.2, 0.1, 0.5, 0.3), law, grid)),
+            StencilSymbol(0.2, 0.1, 0.5, 0.3), law, grid)),
         ("hermitian convolution", build_convolution_hamiltonian(
             law, asym, line, mode="hermitian")),
         ("kirchhoff graph", graph_hamiltonian(star_graph(3, 1.0), 266)),
@@ -147,14 +147,14 @@ def criterion_fold_unfold():
 
 def criterion_known_spectra():
     grid = LineGrid(-10.0, 10.0, 4000)
-    op = build_dual_wire_hamiltonian(StencilSymbol.from_kinetic(0, 0, 0.5, 0),
+    op = build_dual_wire_hamiltonian(StencilSymbol(0, 0, 0.5, 0),
                                      QuadraticPotential(1.0), grid, accuracy=4)
     w = solve_eigensystem(op, k=5).eigenvalues
     target = np.arange(5) + 0.5
     oscil = float(np.max(np.abs(w - target)))
 
     box = LineGrid(0.0, np.pi, 2000)
-    op4 = build_dual_wire_hamiltonian(StencilSymbol.from_kinetic(1, 0, 0, 0),
+    op4 = build_dual_wire_hamiltonian(StencilSymbol(1, 0, 0, 0),
                                       None, box)
     res4 = solve_eigensystem(op4, k=5)
     quartic = np.arange(1, 6) ** 4

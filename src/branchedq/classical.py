@@ -112,7 +112,6 @@ def poisson_bracket(F, G, state, law, eps=1e-6):
     F and G are callables of (x, xdot).  Degenerate states are rejected.
     """
     law = _as_law(law)
-    law._require_cubic()
     x, v = state.x, state.xdot
     hess = 3.0 * v * v - law.kappa
     if abs(hess) <= DEGENERACY_TOL:
@@ -133,7 +132,6 @@ def hamilton_rhs(state, law, force, tol=DEGENERACY_TOL):
     agreement with xdot is a checked identity rather than a substitution.
     """
     law = _as_law(law)
-    law._require_cubic()
     grad = _force_of(force)
     v = state.xdot
     kappa = law.kappa
@@ -155,7 +153,6 @@ def energy(state, law, potential=None):
 
 
 def _assemble(law, potential, ts, xs, vs, flags, events, status):
-    law._require_cubic()
     t = np.asarray(ts, dtype=float)
     x = np.asarray(xs, dtype=float)
     v = np.asarray(vs, dtype=float)
@@ -292,7 +289,6 @@ def integrate_hamilton(state0, end_time, law, potential=None, *, tol=1e-12,
     halting and jumping to the far junction root).
     """
     law = _as_law(law)
-    law._require_cubic()
     grad = _force_of(potential)
     kappa = law.kappa
 
@@ -315,7 +311,6 @@ def integrate_euler_lagrange(state0, end_time, law, potential=None, *,
     xdot itself, with no bracket in sight.
     """
     law = _as_law(law)
-    law._require_cubic()
     grad = _force_of(potential)
     kappa = law.kappa
 

@@ -30,6 +30,7 @@ in-process sweep took 6.2 s on two such workers; serially it takes 2.0 to
 import copy
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -81,11 +82,7 @@ CONFIG_SCHEMA = {
         "dispersion": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {
-                "kappa": _NUM,
-                "coefficients": {"type": "array", "items": _NUM,
-                                 "minItems": 4, "maxItems": 4},
-            },
+            "properties": {"kappa": _NUM},
         },
         "potential": {
             "type": "object",
@@ -98,8 +95,7 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "kind": {"enum": ["folded", "folded-p", "folded-x",
-                                  "line", "periodic"]},
+                "kind": {"enum": ["folded", "line", "periodic"]},
                 "n_inner": {"type": "integer", "minimum": 2},
                 "n_arm": {"type": "integer", "minimum": 3},
                 "x_min": _NUM,
@@ -206,16 +202,28 @@ def validate_config(doc, source="config"):
         raise ConfigError(f"{source}: {where}: {error.message}")
 
 
+def _finite_number(text, parse=float):
+    """Parse a JSON number, refusing NaN, Infinity and float overflow."""
+    if not math.isfinite(float(text)):
+        raise ValueError(f"number {text[:24]} is NaN, infinite or beyond "
+                         "the float range")
+    return parse(text)
+
+
 def load_config(path):
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=_finite_number,
+                         parse_constant=_finite_number,
+                         parse_int=lambda t: _finite_number(t, int))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno} "
                           f"column {exc.colno}: {exc.msg}") from None
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     validate_config(doc, source=str(path))
     return doc
 
@@ -223,11 +231,11 @@ def load_config(path):
 # -- problem construction -----------------------------------------------------
 
 def _law_from(config):
-    d = config.get("dispersion", {})
-    if "coefficients" in d:
-        return DispersionLaw(coefficients=tuple(float(c)
-                                                for c in d["coefficients"]))
-    return DispersionLaw(kappa=float(d.get("kappa", 3.0)))
+    try:
+        return DispersionLaw(
+            kappa=float(config.get("dispersion", {}).get("kappa", 3.0)))
+    except ValueError as exc:
+        raise ConfigError(f"dispersion: {exc}") from None
 
 
 def _potential_from(config):
@@ -244,10 +252,9 @@ def _grid_from(config, law):
     g = config.get("grid", {})
     kind = g.get("kind", "folded")
     try:
-        if kind in ("folded", "folded-p", "folded-x"):
+        if kind == "folded":
             return FoldedGrid(law, int(g.get("n_inner", 40)),
-                              int(g.get("n_arm", 60)),
-                              kind="folded-p" if kind == "folded" else kind)
+                              int(g.get("n_arm", 60)))
         if kind == "line":
             return LineGrid(float(g["x_min"]), float(g["x_max"]), int(g["n"]))
         if kind == "periodic":
@@ -273,14 +280,11 @@ def _hamiltonian_from(config, law, grid, potential):
             return build_unfolded_hamiltonian(law, grid, potential,
                                               accuracy=accuracy)
         if assembly == "dual-wire":
-            coeffs = solver.get("kinetic") or config.get(
-                "dispersion", {}).get("coefficients")
-            if coeffs is None:
-                raise ConfigError("dual-wire assembly needs solver.kinetic "
-                                  "or dispersion.coefficients")
+            if "kinetic" not in solver:
+                raise ConfigError("dual-wire assembly needs solver.kinetic")
             wire = potential if potential is not None else law
             return build_dual_wire_hamiltonian(
-                StencilSymbol.from_kinetic(*coeffs), wire, grid,
+                StencilSymbol(*solver["kinetic"]), wire, grid,
                 accuracy=accuracy)
         if assembly == "convolution":
             return build_convolution_hamiltonian(
@@ -443,8 +447,8 @@ def _mode_classical(config, out):
     c = config.get("classical", {})
     t_end = float(c.get("t_end", 10.0))
     samples = c.get("samples")
-    # A general-quartic law or a start on the cusp is rejected before the
-    # first step; a stall during integration stays a numerical failure.
+    # A start on the cusp is rejected before the first step; a stall
+    # during integration stays a numerical failure.
     try:
         state = ClassicalState(float(c.get("x", 0.0)),
                                float(c.get("xdot", 2.0)))
@@ -698,7 +702,10 @@ _mode_command("verify", "Run the acceptance suite.")
 @click.option("--out", default="dispersion.csv", show_default=True)
 def dispersion(kappa, samples, v_min, v_max, out):
     """Emit the swallowtail (xdot, p, E, branch) curve as CSV."""
-    emit_dispersion_curve(kappa, samples, v_min, v_max, out)
+    try:
+        emit_dispersion_curve(kappa, samples, v_min, v_max, out)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="--kappa") from None
     click.echo(f"wrote {out}")
 
 

@@ -16,10 +16,10 @@ multivalued function of p whose global minimum -kappa**2/12 sits at the
 junctions.  For kappa <= 0 the momentum map is monotone and everything
 degrades gracefully to a single branch.
 
-A dispersion law can instead be given directly as a single-valued quartic
-kinetic symbol E(p) = c4 p**4 + c3 p**3 + c2 p**2 + c1 p (``coefficients``
-mode); that form has no branch structure and is what the ordinary-line
-oracle problems use.
+kappa is the law's only parameter.  A single-valued polynomial kinetic
+energy E(p) is not a dispersion law here: it is the dual problem, a
+position-space wire with a polynomial kinetic stencil, assembled by
+`operators.build_dual_wire_hamiltonian`.
 
 Every momentum inversion is a view over one batched kernel,
 `branch_velocities`: the trigonometric three-root form (Nickalls, Math.
@@ -29,6 +29,7 @@ provides the fold/unfold maps between the three-sheeted momentum domain
 and a single real line with interior junction points.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,41 +115,38 @@ class CuspData:
 
 @dataclass(frozen=True)
 class DispersionLaw:
-    """Kinetic structure of the classical system.
+    """Kinetic structure of the quartic Lagrangian; branched for kappa > 0.
 
-    Two modes:
-
-    * cubic-momentum (default): the quartic Lagrangian above, parameterized
-      by ``kappa``; branched for kappa > 0.
-    * general-quartic: ``coefficients = (c4, c3, c2, c1)`` gives the kinetic
-      symbol E(p) = c4 p**4 + c3 p**3 + c2 p**2 + c1 p directly, single
-      valued in p.
+    kappa must be finite with a finite cube (|kappa| below about 5.6e102),
+    since the momentum inversion evaluates kappa**3.
     """
 
     kappa: float = 3.0
-    coefficients: tuple = None
+
+    def __post_init__(self):
+        try:
+            finite = math.isfinite(float(self.kappa) ** 3)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"kappa must be finite with a finite cube, "
+                             f"got {self.kappa}")
 
     @property
     def branched(self):
-        return self.coefficients is None and self.kappa > 0.0
-
-    def _require_cubic(self):
-        if self.coefficients is not None:
-            raise ValueError(
-                "operation requires cubic-momentum mode, not a general-quartic symbol"
-            )
+        return self.kappa > 0.0
 
     # -- cusp data -----------------------------------------------------------
 
     @property
     def v_cusp(self):
         """Cusp velocity sqrt(kappa/3); 0 when the law is unbranched."""
-        return _cusp(self.kappa)[0] if self.coefficients is None else 0.0
+        return _cusp(self.kappa)[0]
 
     @property
     def p_plus(self):
         """Junction momentum q_+ = p(-v_c) = 2 (kappa/3)**1.5 (0 if unbranched)."""
-        return _cusp(self.kappa)[1] if self.coefficients is None else 0.0
+        return _cusp(self.kappa)[1]
 
     @property
     def p_minus(self):
@@ -158,11 +156,9 @@ class DispersionLaw:
     @property
     def cusp_energy(self):
         """Kinetic energy at the cusps, E(+-v_c) = -kappa**2/12."""
-        self._require_cubic()
         return -self.kappa**2 / 12.0
 
     def cusp_points(self):
-        self._require_cubic()
         if not self.kappa > 0.0:
             raise UnbranchedDispersionError(
                 f"unbranched dispersion: kappa = {self.kappa} <= 0 has a "
@@ -175,25 +171,21 @@ class DispersionLaw:
 
     def momentum(self, v):
         """Canonical momentum p(xdot) = xdot**3 - kappa*xdot."""
-        self._require_cubic()
         v = np.asarray(v, dtype=float)
         return v**3 - self.kappa * v
 
     def energy(self, v):
         """Kinetic energy E(xdot) = (3/4) xdot**4 - (kappa/2) xdot**2."""
-        self._require_cubic()
         v = np.asarray(v, dtype=float)
         return 0.75 * v**4 - 0.5 * self.kappa * v**2
 
     def hessian(self, v):
         """Velocity Hessian of the Lagrangian, 3*xdot**2 - kappa."""
-        self._require_cubic()
         v = np.asarray(v, dtype=float)
         return 3.0 * v * v - self.kappa
 
     def branch_of_velocity(self, v):
         """Branch label for a velocity; cusps are assigned to branch 2."""
-        self._require_cubic()
         v = np.asarray(v, dtype=float)
         vc = self.v_cusp
         return np.where(v < -vc, 1, np.where(v > vc, 3, 2))
@@ -201,15 +193,11 @@ class DispersionLaw:
     # -- momentum-side maps ---------------------------------------------------
 
     def energy_of_momentum(self, p):
-        """Single-valued kinetic energy E(p).
+        """Single-valued kinetic energy E(p) of an unbranched (kappa <= 0) law.
 
-        Defined for the general-quartic mode and for unbranched (kappa <= 0)
-        cubic laws; branched laws are multivalued in p, use branch_energy.
+        Branched laws are multivalued in p; use branch_energy.
         """
         p = np.asarray(p, dtype=float)
-        if self.coefficients is not None:
-            c4, c3, c2, c1 = self.coefficients
-            return ((c4 * p + c3) * p + c2) * p * p + c1 * p
         if self.kappa > 0.0:
             raise ValueError(
                 "energy is multivalued in p for a branched law; use branch_energy"
@@ -223,7 +211,6 @@ class DispersionLaw:
         branch 2 exists only on [q_-, q_+], branch 1 on p <= q_+ and
         branch 3 on p >= q_-.
         """
-        self._require_cubic()
         if branch not in BRANCHES:
             raise ValueError(f"branch must be one of {BRANCHES}, got {branch}")
         v = np.take(branch_velocities(p, self.kappa), branch - 1, axis=-1)
@@ -242,7 +229,6 @@ class DispersionLaw:
         The non-NaN entries of one row of `branch_velocities`, so a momentum
         within _SNAP_RTOL max(1, q_+) of a junction has three roots.
         """
-        self._require_cubic()
         row = branch_velocities(float(p), self.kappa)
         return [(b, float(v)) for b, v in zip(BRANCHES, row) if not np.isnan(v)]
 

@@ -8,8 +8,7 @@ class BranchedQError(Exception):
 class UnbranchedDispersionError(BranchedQError):
     """Cusp data was requested from a dispersion with no branching.
 
-    Raised for kappa <= 0 (monotone momentum map, single branch) and for
-    general-quartic kinetic symbols, which are single-valued in momentum.
+    Raised for kappa <= 0: the momentum map is monotone, with one branch.
     """
 
 

@@ -1,5 +1,9 @@
 """Uniform grids for the line, the folded branched domain, and the ring.
 
+The three grids (FoldedGrid, LineGrid, PeriodicGrid) carry nodes only:
+whether the nodes sample momentum (the branched Hamiltonian) or position
+(its dual wire) is up to the operator assembled on them.
+
 The folded grid is the workhorse: it lays the three branches out on the
 unfolded line with both junctions exactly on grid nodes and keeps one
 shared unknown per junction (value matching is then automatic).  Arm
@@ -27,7 +31,6 @@ class LineGrid:
     x_min: float
     x_max: float
     n: int
-    kind: str = "line"
 
     def __post_init__(self):
         if not self.x_max > self.x_min:
@@ -55,7 +58,6 @@ class PeriodicGrid:
     x_min: float
     x_max: float
     n: int
-    kind: str = "periodic"
 
     def __post_init__(self):
         if not self.x_max > self.x_min:
@@ -93,16 +95,13 @@ class FoldedGrid:
     n_arm : int
         Nodes on each outer arm counting its junction node; the Dirichlet
         boundary sits one step past the last arm node.
-    kind : str
-        "folded-p" for the momentum representation (default) or "folded-x"
-        for the dual position-space wire.
 
     Unknown layout (N = 2*n_arm + n_inner - 1 total): branch-1 arm nodes
     come first ending in the p=q_+ junction, then the branch-2 interior in
     unfolded order, then the p=q_- junction, then the branch-3 arm.
     """
 
-    def __init__(self, law, n_inner, n_arm, kind="folded-p"):
+    def __init__(self, law, n_inner, n_arm):
         domain = law.domain() if isinstance(law, DispersionLaw) else law
         if not isinstance(domain, BranchedDomain):
             raise TypeError("law must be a DispersionLaw or BranchedDomain")
@@ -112,13 +111,10 @@ class FoldedGrid:
             raise ValueError("n_inner must be at least 2")
         if n_arm < 3:
             raise ValueError("n_arm must be at least 3")
-        if kind not in ("folded-p", "folded-x"):
-            raise ValueError(f"unknown folded grid kind {kind!r}")
 
         self.domain = domain
         self.n_inner = int(n_inner)
         self.n_arm = int(n_arm)
-        self.kind = kind
         self.h = (domain.p_plus - domain.p_minus) / n_inner
         self.size = 2 * self.n_arm + self.n_inner - 1
 
@@ -143,5 +139,5 @@ class FoldedGrid:
         self.p = p
 
     def __repr__(self):
-        return (f"FoldedGrid(kind={self.kind!r}, n_inner={self.n_inner}, "
-                f"n_arm={self.n_arm}, h={self.h:.6g}, size={self.size})")
+        return (f"FoldedGrid(n_inner={self.n_inner}, n_arm={self.n_arm}, "
+                f"h={self.h:.6g}, size={self.size})")

@@ -60,15 +60,6 @@ class StencilSymbol:
         """
         return cls(1.0, -alpha, beta, -gamma)
 
-    @classmethod
-    def from_kinetic(cls, c4=0.0, c3=0.0, c2=0.0, c1=0.0):
-        """Kinetic polynomial c4 p^4 + c3 p^3 + c2 p^2 + c1 p in position space."""
-        return cls(c4, c3, c2, c1)
-
-    def flipped(self):
-        """Odd-coefficient sign flip for the orientation-reversed branch."""
-        return StencilSymbol(self.c4, -self.c3, self.c2, -self.c1)
-
     def scaled(self, factor):
         return StencilSymbol(factor * self.c4, factor * self.c3,
                              factor * self.c2, factor * self.c1)
@@ -231,34 +222,28 @@ def build_folded_hamiltonian(law, grid, V=None, accuracy=2, flip_reversed_branch
 
 
 def build_unfolded_hamiltonian(law, grid, V=None, accuracy=2):
-    """Same Hamiltonian assembled plainly on the unfolded line.
-
-    Accepts the FoldedGrid (for node-by-node comparison against the
-    folded assembly) or a LineGrid over the unfolded coordinate; for an
-    unbranched law the coordinate is the momentum itself.
+    """Same Hamiltonian assembled plainly on a LineGrid over the unfolded
+    coordinate; for an unbranched law the coordinate is the momentum itself.
     """
+    if not isinstance(grid, LineGrid):
+        raise TypeError("build_unfolded_hamiltonian needs a LineGrid; "
+                        "a FoldedGrid takes build_folded_hamiltonian")
     symbol = _symbol_of_potential(V)
-    if isinstance(grid, FoldedGrid):
-        diag = _branchwise_energy(law, grid.p, grid.branch)
-    elif isinstance(grid, LineGrid):
-        diag = _unfolded_energy(law, grid.x)
-    else:
-        raise TypeError("build_unfolded_hamiltonian needs a FoldedGrid or LineGrid")
-    H = _assemble_line(grid.size, grid.h, symbol, accuracy, diag)
+    H = _assemble_line(grid.size, grid.h, symbol, accuracy,
+                       _unfolded_energy(law, grid.x))
     return OperatorMatrix(H, "unfolded", grid, symbol=symbol)
 
 
 def build_dual_wire_hamiltonian(kinetic, W, grid, accuracy=2):
     """Position-space wire: polynomial kinetic stencil, multiplicative W.
 
-    kinetic is a StencilSymbol or (c4, c3, c2, c1) coefficients of the
-    momentum polynomial.  On a FoldedGrid, W is branch-resolved: a
-    DispersionLaw (its energy curve read as a multivalued potential), a
-    {branch: callable} mapping, or a nodal array; the two values meeting
-    at each junction must agree.  On a LineGrid, W is a callable, array,
-    or None.
+    kinetic is the StencilSymbol of the momentum polynomial
+    c4 p^4 + c3 p^3 + c2 p^2 + c1 p.  On a FoldedGrid, W is
+    branch-resolved: a DispersionLaw (its energy curve read as a
+    multivalued potential), a {branch: callable} mapping, or a nodal
+    array; the two values meeting at each junction must agree.  On a
+    LineGrid, W is a callable, array, or None.
     """
-    symbol = kinetic if isinstance(kinetic, StencilSymbol) else StencilSymbol.from_kinetic(*kinetic)
     if isinstance(grid, FoldedGrid):
         diag = _dual_wire_diag(W, grid)
     elif isinstance(grid, LineGrid):
@@ -272,8 +257,8 @@ def build_dual_wire_hamiltonian(kinetic, W, grid, accuracy=2):
                 raise ValueError("W array must have one value per grid node")
     else:
         raise TypeError("build_dual_wire_hamiltonian needs a FoldedGrid or LineGrid")
-    H = _assemble_line(grid.size, grid.h, symbol, accuracy, diag)
-    return OperatorMatrix(H, "dual-wire", grid, symbol=symbol)
+    H = _assemble_line(grid.size, grid.h, kinetic, accuracy, diag)
+    return OperatorMatrix(H, "dual-wire", grid, symbol=kinetic)
 
 
 def _dual_wire_diag(W, grid):

@@ -46,12 +46,21 @@ class QuarticPotential:
 
 
 @dataclass(frozen=True)
-class GaussianPotential:
-    """V(x) = amplitude * exp(-(x - center)**2 / (2 width**2))."""
+class _Well:
+    """Parameters shared by the decaying wells; width must be positive."""
 
     amplitude: float = 1.0
     width: float = 1.0
     center: float = 0.0
+
+    def __post_init__(self):
+        if not self.width > 0.0:
+            raise ValueError(f"well width must be positive, got {self.width}")
+
+
+@dataclass(frozen=True)
+class GaussianPotential(_Well):
+    """V(x) = amplitude * exp(-(x - center)**2 / (2 width**2))."""
 
     def __call__(self, x):
         z = (np.asarray(x, dtype=float) - self.center) / self.width
@@ -68,12 +77,8 @@ class GaussianPotential:
 
 
 @dataclass(frozen=True)
-class LorentzianPotential:
+class LorentzianPotential(_Well):
     """V(x) = amplitude * width**2 / ((x - center)**2 + width**2)."""
-
-    amplitude: float = 1.0
-    width: float = 1.0
-    center: float = 0.0
 
     def __call__(self, x):
         d = np.asarray(x, dtype=float) - self.center
@@ -92,12 +97,8 @@ class LorentzianPotential:
 
 
 @dataclass(frozen=True)
-class SechSquaredPotential:
+class SechSquaredPotential(_Well):
     """V(x) = amplitude * sech((x - center)/width)**2."""
-
-    amplitude: float = 1.0
-    width: float = 1.0
-    center: float = 0.0
 
     def __call__(self, x):
         z = (np.asarray(x, dtype=float) - self.center) / self.width

@@ -56,7 +56,6 @@ class EigenResult:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray = field(repr=False)
     residuals: np.ndarray = field(repr=False)
-    provenance: str = ""
     solver: str = "eigh"
 
     def __len__(self):
@@ -152,8 +151,7 @@ def solve_eigensystem(op, k=None):
         solver = "shift-invert" if found is not None else "eigh-fallback"
     w, v = found if found is not None else _dense_eigh(H, k)
     res = np.linalg.norm(H @ v - v * w, axis=0)
-    prov = op.provenance if hasattr(op, "provenance") else ""
-    return EigenResult(w, v.astype(complex), res, prov, solver)
+    return EigenResult(w, v.astype(complex), res, solver)
 
 
 def _require_normalized(psi):

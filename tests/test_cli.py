@@ -27,6 +27,11 @@ import branchedq
 from branchedq import cli
 from branchedq.cli import (CONFIG_SCHEMA, _write_columns,
                           emit_dispersion_curve, main)
+from branchedq.operators import (StencilSymbol, build_convolution_hamiltonian,
+                                 build_dual_wire_hamiltonian,
+                                 build_unfolded_hamiltonian,
+                                 fourier_conjugate_hamiltonian)
+from branchedq.spectra import solve_eigensystem
 
 
 def _write_config(path, payload):
@@ -207,6 +212,64 @@ def test_graph_mode_counting_and_spectrum(tmp_path):
     assert len(lines) == 6
 
 
+_WELL = {"form": "gaussian", "amplitude": -2.0, "width": 1.0, "center": 0.5}
+_RING = {"kind": "periodic", "x_min": -12.0, "x_max": 12.0, "n": 96}
+
+
+def _library_spectrum(assembly, law, grid, potential, solver):
+    if assembly == "unfolded":
+        op = build_unfolded_hamiltonian(law, grid, potential)
+    elif assembly == "dual-wire":
+        wire = potential if potential is not None else law
+        op = build_dual_wire_hamiltonian(StencilSymbol(*solver["kinetic"]),
+                                         wire, grid,
+                                         accuracy=solver.get("accuracy", 2))
+    elif assembly == "convolution":
+        op = build_convolution_hamiltonian(law, potential, grid)
+    else:
+        op = fourier_conjugate_hamiltonian(law, potential, grid)
+    return solve_eigensystem(op, k=solver["k"]).eigenvalues
+
+
+@pytest.mark.parametrize("grid,potential,solver", [
+    ({"kind": "line", "x_min": -8.0, "x_max": 8.0, "n": 120},
+     {"form": "quadratic", "alpha": 1.0},
+     {"k": 4, "assembly": "unfolded"}),
+    ({"kind": "line", "x_min": -10.0, "x_max": 10.0, "n": 800},
+     {"form": "quadratic", "alpha": 1.0},
+     {"k": 5, "assembly": "dual-wire", "kinetic": [0, 0, 0.5, 0],
+      "accuracy": 4}),
+    ({"kind": "folded", "n_inner": 16, "n_arm": 24}, None,
+     {"k": 4, "assembly": "dual-wire", "kinetic": [0, 0, 0.5, 0]}),
+    (_RING, _WELL, {"k": 4, "assembly": "convolution"}),
+    (_RING, _WELL, {"k": 4, "assembly": "fourier"}),
+], ids=["unfolded-line", "dual-wire-line", "dual-wire-folded",
+        "convolution-ring", "fourier-ring"])
+def test_spectrum_assemblies_match_library(tmp_path, grid, potential, solver):
+    config = {"version": 1, "mode": "evolve", "dispersion": {"kappa": 3.0},
+              "grid": grid, "solver": solver}
+    if potential is not None:
+        config["potential"] = potential
+    cfg = _write_config(tmp_path / "s.json", config)
+    out = tmp_path / "out"
+    # run --mode overrides the config's mode.
+    result = _invoke(["run", "--config", cfg, "--mode", "spectrum",
+                      "--out", str(out)])
+    assert result.exit_code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["mode"] == "spectrum"
+    rows = (out / "eigenvalues.csv").read_text().splitlines()[1:]
+    energies = np.array([float(row.split(",")[1]) for row in rows])
+    law = cli._law_from(config)
+    expected = _library_spectrum(
+        solver["assembly"], law, cli._grid_from(config, law),
+        cli._potential_from(config), solver)
+    np.testing.assert_allclose(energies, expected, rtol=1e-12, atol=1e-12)
+    if solver["assembly"] == "dual-wire" and grid["kind"] == "line":
+        # p^2/2 + x^2/2: the oscillator ladder n + 1/2.
+        np.testing.assert_allclose(energies, np.arange(5) + 0.5, atol=1e-5)
+
+
 def test_kernel_mode_hermitian(tmp_path):
     cfg = _write_config(
         tmp_path / "k.json",
@@ -271,6 +334,11 @@ _SMALL_FOLDED = {
     "grid": {"kind": "folded", "n_inner": 8, "n_arm": 10},
 }
 
+_LINE_KERNEL = {
+    "version": 1, "mode": "kernel",
+    "grid": {"kind": "line", "x_min": -5.0, "x_max": 5.0, "n": 50},
+}
+
 
 @pytest.mark.parametrize("payload,where", [
     (dict(_SMALL_FOLDED, mode="spectrum",
@@ -287,7 +355,7 @@ _SMALL_FOLDED = {
     (_classical_config(classical={"tol": 0}), "classical.tol"),
     (_classical_config(classical={"tol": -1}), "classical.tol"),
     (_classical_config(dispersion={"coefficients": [1.0, 0.0, 0.0, 0.0]}),
-     "cubic-momentum"),
+     "coefficients"),
     (_classical_config(classical={"xdot": 1.0}), "degeneracy surface"),
     ({"version": 1, "mode": "verify", "criteria": ["C99"]}, "criteria"),
     ({"version": 1, "mode": "graph",
@@ -295,15 +363,40 @@ _SMALL_FOLDED = {
     (dict(_SMALL_FOLDED, mode="kernel",
           potential={"form": "gaussian", "amplitude": 1.0, "width": 1.0}),
      "LineGrid"),
+    (dict(_SMALL_FOLDED, mode="spectrum", dispersion={"kappa": float("nan")}),
+     "number NaN is NaN"),
+    (dict(_SMALL_FOLDED, mode="evolve",
+          evolution={"dt": float("nan"), "steps": 2}),
+     "number NaN is NaN"),
+    (dict(_SMALL_FOLDED, mode="spectrum", dispersion={"kappa": 1e200}),
+     "finite cube"),
+    (dict(_SMALL_FOLDED, mode="spectrum", dispersion={"kappa": 10**400}),
+     "beyond the float range"),
+    (_classical_config(potential={"form": "gaussian", "width": 0}),
+     "width must be positive"),
+    (dict(_LINE_KERNEL, potential={"form": "lorentzian", "width": 0}),
+     "width must be positive"),
+    (dict(_LINE_KERNEL, potential={"form": "sech2", "width": 0}),
+     "width must be positive"),
+    (dict(_SMALL_FOLDED, mode="spectrum",
+          grid={"kind": "folded-x", "n_inner": 8, "n_arm": 10}),
+     "grid.kind"),
+    (dict(_SMALL_FOLDED, mode="spectrum", solver={"assembly": "unfolded"}),
+     "needs a LineGrid"),
 ], ids=["sweep-value", "packet-width", "packet-center", "dt-budget",
         "classical-tol-zero", "classical-tol-negative", "classical-quartic-law",
         "classical-on-cusp", "unknown-criterion", "graph-no-truncation",
-        "kernel-folded-grid"])
+        "kernel-folded-grid", "kappa-nan", "dt-nan", "kappa-cube-overflow",
+        "kappa-past-float-range",
+        "classical-gaussian-zero-width", "kernel-lorentzian-zero-width",
+        "kernel-sech2-zero-width", "folded-x-grid", "unfolded-on-folded-grid"])
 def test_bad_values_exit_two(tmp_path, payload, where):
     cfg = _write_config(tmp_path / "bad.json", payload)
     result = _invoke(["run", "--config", cfg, "--out", str(tmp_path / "out")])
     assert result.exit_code == 2
-    assert "config error" in result.output
+    # One message line, no traceback.
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ")
     assert where in result.output
 
 
@@ -599,6 +692,15 @@ def test_dispersion_command_allows_flat_law(tmp_path):
     assert result.exit_code == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 6
+
+
+@pytest.mark.parametrize("kappa", ["nan", "1e200"])
+def test_dispersion_command_rejects_bad_kappa(tmp_path, kappa):
+    out = tmp_path / "bad.csv"
+    result = _invoke(["dispersion", "--kappa", kappa, "--out", str(out)])
+    assert result.exit_code == 2
+    assert "finite cube" in result.output
+    assert not out.exists()
 
 
 def test_emit_dispersion_curve_direct(tmp_path):

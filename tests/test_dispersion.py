@@ -194,6 +194,14 @@ def test_unbranched_laws_are_graceful():
         LAW.energy_of_momentum(1.0)
 
 
+@pytest.mark.parametrize("kappa", [np.nan, np.inf, -np.inf, 1e200, -1e103])
+def test_law_rejects_kappa_without_a_finite_cube(kappa):
+    with pytest.raises(ValueError, match="finite cube"):
+        DispersionLaw(kappa=kappa)
+    # The largest accepted kappa still inverts.
+    assert len(DispersionLaw(kappa=5e102).invert_momentum(0.0)) == 3
+
+
 def test_branched_only_helpers_raise_on_flat_laws():
     flat = DispersionLaw(kappa=-1.0)
     with pytest.raises(UnbranchedDispersionError):

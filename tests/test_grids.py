@@ -59,8 +59,6 @@ def test_folded_grid_validation():
         FoldedGrid(LAW, 1, 5)
     with pytest.raises(ValueError):
         FoldedGrid(LAW, 4, 2)
-    with pytest.raises(ValueError):
-        FoldedGrid(LAW, 4, 5, kind="diagonal")
     flat = DispersionLaw(kappa=-2.0)
     with pytest.raises(Exception):
         FoldedGrid(flat, 4, 5)

@@ -113,6 +113,14 @@ def test_sampled_interpolation_vanishes_outside_table():
     assert pot(0.0) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("form", [GaussianPotential, LorentzianPotential,
+                                  SechSquaredPotential])
+@pytest.mark.parametrize("width", [0.0, -1.0, np.nan])
+def test_wells_reject_non_positive_width(form, width):
+    with pytest.raises(ValueError, match="width must be positive"):
+        form(amplitude=1.0, width=width)
+
+
 def test_spec_round_trip():
     spec = PotentialSpec.from_mapping(
         {"form": "gaussian", "amplitude": 2.0, "width": 1.0, "center": 1.5})
