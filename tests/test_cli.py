@@ -27,6 +27,8 @@ import branchedq
 from branchedq import cli
 from branchedq.cli import (CONFIG_SCHEMA, _write_columns,
                           emit_dispersion_curve, main)
+from branchedq.evolution import MultiWave, probability_current, propagate
+from branchedq.grids import FoldedGrid
 from branchedq.operators import (StencilSymbol, build_convolution_hamiltonian,
                                  build_dual_wire_hamiltonian,
                                  build_unfolded_hamiltonian,
@@ -187,6 +189,15 @@ def test_evolve_mode_outputs(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["final_time"] == 0.006
     assert summary["norm_drift"] < 1e-12
+    # The timing sidecar stays out of the hashed manifest.
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert set(diag) == {"assemble_s", "propagate_s", "write_s", "n", "nnz",
+                         "steps", "solver"}
+    assert diag["n"] == 2 * 20 + 12 - 1
+    assert 0 < diag["nnz"] <= 5 * diag["n"]
+    assert (diag["steps"], diag["solver"]) == (6, "splu")
+    assert "diagnostics.json" not in json.loads(
+        (out / "manifest.json").read_text())["outputs"]
 
 
 def test_graph_mode_counting_and_spectrum(tmp_path):
@@ -722,7 +733,7 @@ def _csv_writer_oracle(path, header, rows):
                              else c for c in row])
 
 
-def test_write_columns_matches_csv_writer(tmp_path):
+def test_write_columns_matches_csv_writer(tmp_path, monkeypatch):
     rng = np.random.default_rng(3)
     special = [np.nan, -0.0, 0.0, np.inf, -np.inf, 1e-300, -5e-324, 1.0 / 3.0,
                1e300, 2.0**53 + 1]
@@ -732,18 +743,105 @@ def test_write_columns_matches_csv_writer(tmp_path):
     cplx = x * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
     header = ("x", "branch", "re", "im")
     old, new = tmp_path / "old.csv", tmp_path / "new.csv"
-    # numpy scalars per cell on the oracle side, whole columns on the new one
-    _csv_writer_oracle(old, header, zip(x, ints, cplx.real, cplx.imag))
-    _write_columns(new, header, "%.17g,%d,%.17g,%.17g\n", x, ints, cplx.real,
-                   cplx.imag)
-    assert new.read_bytes() == old.read_bytes()
-    # python floats and ints, as the eigenvalue tables used to pass them
-    _csv_writer_oracle(old, ("index", "energy"),
-                       [(i, float(e)) for i, e in enumerate(x)])
-    _write_columns(new, ("index", "energy"), "%d,%.17g\n", np.arange(n), x)
-    assert new.read_bytes() == old.read_bytes()
+    # every case rendered whole, and in parts of 7 rows
+    for rows_per_call in (cli._ROWS_PER_CALL, 7):
+        monkeypatch.setattr(cli, "_ROWS_PER_CALL", rows_per_call)
+        # numpy scalars per cell on the oracle side, whole columns on the
+        # new one
+        _csv_writer_oracle(old, header, zip(x, ints, cplx.real, cplx.imag))
+        _write_columns(new, header, "%.17g,%d,%.17g,%.17g\n",
+                       [("", (x, ints, cplx.real, cplx.imag))])
+        assert new.read_bytes() == old.read_bytes()
+        # python floats and ints, as the eigenvalue tables used to pass them
+        _csv_writer_oracle(old, ("index", "energy"),
+                           [(i, float(e)) for i, e in enumerate(x)])
+        _write_columns(new, ("index", "energy"), "%d,%.17g\n",
+                       [("", (np.arange(n), x))])
+        assert new.read_bytes() == old.read_bytes()
+        # an empty lead with an int column no float holds exactly
+        big = np.array([2**53 + 1, -(2**62), 0, 7] * (n // 4)
+                       + [1] * (n % 4))
+        _csv_writer_oracle(old, ("energy", "count"), zip(x, big))
+        _write_columns(new, ("energy", "count"), "%.17g,%d\n", [("", (x, big))])
+        assert new.read_bytes() == old.read_bytes()
+
+        # a templated lead: special values in the shared coordinate column
+        # and in the open columns
+        re, im = np.roll(x, 3), x[::-1].copy()
+        lead = cli._lead_text("%.17g,%d,", x, ints)
+        _csv_writer_oracle(old, header, zip(x, ints, re, im))
+        _write_columns(new, header, "%.17g,%.17g\n", [("", (re, im))], lead)
+        assert new.read_bytes() == old.read_bytes()
+        # several blocks under one lead, each opened by its own prefix
+        times = [0.0, np.nan, 1e-300]
+        blocks = [(np.roll(re, k), np.roll(im, -k)) for k in range(3)]
+        _csv_writer_oracle(old, ("time",) + header,
+                           [(t, *row) for t, (a, b) in zip(times, blocks)
+                            for row in zip(x, ints, a, b)])
+        _write_columns(new, ("time",) + header, "%.17g,%.17g\n",
+                       iter([("%.17g," % t, cols)
+                             for t, cols in zip(times, blocks)]), lead)
+        assert new.read_bytes() == old.read_bytes()
+        # a literal % in lead and prefix text is escaped, not a slot
+        _csv_writer_oracle(old, ("tag", "share", "re"),
+                           [("p%", f"{i}%", v)
+                            for i, v in zip(ints.tolist(), re)])
+        _write_columns(new, ("tag", "share", "re"), "%.17g\n",
+                       [("p%,", (re,))], cli._lead_text("%d%%,", ints))
+        assert new.read_bytes() == old.read_bytes()
 
 
+def _expected_snapshots(config):
+    """snapshots.csv rows recomputed from the library, for the oracle."""
+    law = cli._law_from(config)
+    grid = cli._grid_from(config, law)
+    op = cli._hamiltonian_from(config, law, grid, cli._potential_from(config))
+    ev = config["evolution"]
+    packet = ev["packet"]
+    wave = MultiWave.gaussian(grid, packet["center"], packet["width"],
+                              packet["boost"])
+    _, rep = propagate(op, wave, ev["dt"], ev["steps"],
+                       snapshot_every=ev["snapshot_every"],
+                       stability_budget=ev.get("stability_budget", 0.5))
+    if isinstance(grid, FoldedGrid):
+        coord, branch = grid.u, grid.branch
+    else:
+        coord, branch = grid.x, np.zeros(grid.size, dtype=int)
+    rows = []
+    for snap in rep.snapshots:
+        current = (probability_current(snap.data, grid.h, op.symbol)
+                   if op.symbol is not None else np.full(grid.size, np.nan))
+        rows += zip([snap.time] * grid.size, coord, branch, snap.data.real,
+                    snap.data.imag, np.abs(snap.data) ** 2, current)
+    return len(rep.snapshots), rows
+
+
+@pytest.mark.parametrize("grid,potential,solver,budget", [
+    ({"kind": "folded", "n_inner": 12, "n_arm": 20},
+     {"form": "quadratic", "alpha": 0.5}, {}, 0.5),
+    ({"kind": "line", "x_min": -12.0, "x_max": 12.0, "n": 96}, _WELL,
+     {"assembly": "convolution"}, None),
+], ids=["folded", "line-convolution"])
+def test_snapshots_csv_matches_csv_writer(tmp_path, grid, potential, solver,
+                                          budget):
+    config = {"version": 1, "mode": "evolve", "dispersion": {"kappa": 3.0},
+              "potential": potential, "grid": grid, "solver": solver,
+              "evolution": {"dt": 1e-3, "steps": 6, "snapshot_every": 3,
+                            "stability_budget": budget,
+                            "packet": {"center": -4.0, "width": 1.0,
+                                       "boost": 0.5}}}
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "e.json", config)
+    assert _invoke(["evolve", "--config", cfg, "--out", str(out)]).exit_code == 0
+    count, rows = _expected_snapshots(config)
+    assert count == 3
+    if grid["kind"] == "line":  # branch 0 and no current off a stencil
+        assert all(r[2] == 0 and np.isnan(r[6]) for r in rows)
+    _csv_writer_oracle(tmp_path / "oracle.csv",
+                       ("time", "coordinate", "branch", "re", "im", "rho",
+                        "current"), rows)
+    assert (out / "snapshots.csv").read_bytes() == \
+        (tmp_path / "oracle.csv").read_bytes()
 
 
 @pytest.mark.parametrize("preset,expected", [

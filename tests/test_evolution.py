@@ -124,6 +124,27 @@ def test_snapshot_schedule():
     assert rep.flux_residuals is None  # not a folded grid
 
 
+@pytest.mark.parametrize("storage", ["sparse", "dense"])
+def test_every_step_snapshots_equal_chained_single_steps(storage):
+    """One factorization for all steps gives the chained steps' bits."""
+    if storage == "sparse":
+        g = FoldedGrid(LAW, 8, 36)
+        op = build_folded_hamiltonian(LAW, g, QuadraticPotential(1.0))
+        wave = MultiWave.gaussian(g, -10.0, 1.0, boost=0.5)
+    else:
+        op, g = _line_operator(n=16, seed=4, scale=0.1)
+        wave = MultiWave(g, np.exp(-np.linspace(-2, 2, g.size) ** 2) + 0j)
+    _, rep = propagate(op, wave, 1e-3, 6, snapshot_every=1,
+                       stability_budget=None)
+    chained = [wave]
+    for _ in range(6):
+        nxt, _ = propagate(op, chained[-1], 1e-3, 1, stability_budget=None)
+        chained.append(nxt)
+    assert len(rep.snapshots) == len(chained)
+    for snap, step in zip(rep.snapshots, chained):
+        assert np.array_equal(snap.data, step.data)
+
+
 def test_plane_wave_current_is_the_group_velocity():
     sym = StencilSymbol(0.8, -0.3, 1.1, 0.4)
     h = 0.02
