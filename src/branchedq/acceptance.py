@@ -2,8 +2,9 @@
 
 Every check returns (passed, detail) where detail carries the measured
 numbers, so failures are diagnosable from the one-line report.  The
-registry keeps them in a fixed order; `run_acceptance` never raises, it
-converts crashes into failed results.
+registry keeps them in a fixed order.  Each criterion seeds any RNG it
+uses, so they are independent and may run in any process; `run_criterion`
+converts a crash into a failed result.
 """
 
 import time
@@ -391,18 +392,32 @@ CRITERIA = [
 ]
 
 
-def run_acceptance(ids=None):
-    """Run the registered criteria (all, or a subset of ids) in order."""
-    wanted = set(ids) if ids else None
-    results = []
-    for cid, title, fn in CRITERIA:
-        if wanted and cid not in wanted:
-            continue
-        start = time.perf_counter()
-        try:
-            passed, detail = fn()
-        except Exception as exc:
-            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(CriterionResult(cid, title, passed, detail,
-                                       time.perf_counter() - start))
-    return results
+def run_criterion(cid):
+    """Run one registered criterion; a crash becomes a failed result.
+
+    `elapsed` is timed in whichever process runs the criterion, so a worker
+    process reports the criterion's own time.
+    """
+    title, fn = {c: (t, f) for c, t, f in CRITERIA}[cid]
+    start = time.perf_counter()
+    try:
+        passed, detail = fn()
+    except Exception as exc:
+        passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+    return CriterionResult(cid, title, passed, detail,
+                           time.perf_counter() - start)
+
+
+def run_acceptance(ids=None, map_fn=map):
+    """Run the registered criteria (all, or a subset of ids) in registry order.
+
+    `map_fn(run_criterion, ids)` runs them and must yield the results in
+    the order of `ids`; a process pool's `map` spreads them over workers.
+    Raises ValueError naming every id that is not registered.
+    """
+    registered = [cid for cid, _, _ in CRITERIA]
+    unknown = [cid for cid in ids or () if cid not in registered]
+    if unknown:
+        raise ValueError(f"unknown criteria: {', '.join(unknown)}")
+    selected = [cid for cid in registered if not ids or cid in ids]
+    return list(map_fn(run_criterion, selected))

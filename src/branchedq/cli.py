@@ -6,16 +6,20 @@ with a manifest of sha256 content hashes, so identical (config, seed)
 pairs are byte-checkable.  All floating point output uses 17 significant
 digits.  Exit codes: 0 success, 2 config error, 3 numerical failure.
 
-Sweep points run in ``--jobs`` worker processes started with ``fork``.
-Most of a point's time goes into formatting its CSV files, Python work that
-holds the interpreter lock, so worker threads ran a sweep no faster than
-one thread did.  Forked workers inherit the loaded modules and pay no
-second import.  Each file is rendered from a row template: the coordinate
-and branch columns are formatted once per run, and one ``%`` fills a
-file's open ``%.17g`` slots.  On a 2-core VM, formatting the 239 state
-files of a 239-row point takes 39 ms in memory (95 ms with one ``%`` per
-row), and writing them to tmpfs 66 ms (118 ms).  What is left is the cost
-of the ``%.17g`` conversions themselves.
+Sweep points, and the criteria of a ``verify`` run, run in ``--jobs``
+worker processes started with ``fork``; ``--jobs`` defaults to the CPUs
+the process may run on, and ``--jobs 1`` runs everything in this process.
+The artifacts are the same bytes either way, apart from the run times
+that ``acceptance.txt`` prints and the ``diagnostics.json`` sidecars.
+Most of a sweep point's time goes into formatting its CSV files, Python
+work that holds the interpreter lock, so worker threads ran a sweep no
+faster than one thread did.  Forked workers inherit the loaded modules and
+pay no second import.  Each file is rendered from a row template: the
+coordinate and branch columns are formatted once per run, and one ``%``
+fills a file's open ``%.17g`` slots.  On a 2-core VM, formatting the 239
+state files of a 239-row point takes 39 ms in memory (95 ms with one ``%``
+per row), and writing them to tmpfs 66 ms (118 ms).  What is left is the
+cost of the ``%.17g`` conversions themselves.
 
 The CLI defaults OpenBLAS to one thread unless ``OPENBLAS_NUM_THREADS``,
 ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set.  numpy and scipy each
@@ -27,10 +31,10 @@ It also makes the output bytes independent of the core count: with the
 default pools, 2 of 8 points of a 239-row sweep came out with some
 eigenvectors sign-flipped and eigenvalues moved by up to 3e-9.
 A program that loaded numpy before this module, with none of those variables
-set, keeps its default pools and its environment; its sweeps run serially,
-since every forked worker would bring its own spinning pools (one traced
-in-process sweep took 6.2 s on two such workers; serially it takes 2.0 to
-2.3 s).
+set, keeps its default pools and its environment; its sweep points and
+criteria run serially, since every forked worker would bring its own
+spinning pools (one traced in-process sweep took 6.2 s on two such
+workers; serially it takes 2.0 to 2.3 s).
 """
 
 import copy
@@ -555,14 +559,25 @@ def _mode_kernel(config, out):
     return ["kernel.csv", "summary.json"], True
 
 
-def _mode_verify(config, out):
-    results = run_acceptance(config.get("criteria"))
+def _mode_verify(config, out, jobs=1):
+    start = time.perf_counter()
+    results = run_acceptance(config.get("criteria"),
+                             lambda fn, ids: _map(fn, ids, jobs, "verify"))
+    run_s = time.perf_counter() - start
     lines = [r.line() for r in results]
     for line in lines:
         click.echo(line)
     (out / "acceptance.txt").write_text("\n".join(lines) + "\n")
     _write_json(out / "summary.json",
                 {r.cid: bool(r.passed) for r in results})
+    # A sidecar outside the manifest, as in spectrum mode.  In-process
+    # spans cannot see a criterion run in a worker process; its time, taken
+    # there, comes back with its result.
+    _write_json(out / "diagnostics.json", {
+        "run_s": run_s,
+        "workers": _workers(jobs, len(results)),
+        "elapsed_s": {r.cid: r.elapsed for r in results},
+    })
     return ["acceptance.txt", "summary.json"], all(r.passed for r in results)
 
 
@@ -600,37 +615,65 @@ def _finish(config, out_dir, files):
     _write_json(out_dir / "manifest.json", manifest)
 
 
-def _run_single(config, out_dir):
+def _run_single(config, out_dir, jobs=1):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    files, ok = _MODES[config["mode"]](config, out_dir)
+    mode = config["mode"]
+    # Of the modes, only verify spreads its work over worker processes.
+    files, ok = (_mode_verify(config, out_dir, jobs) if mode == "verify"
+                 else _MODES[mode](config, out_dir))
     _finish(config, out_dir, files)
     return ok
 
 
 def _run_task(task):
-    """One sweep point in a worker process.
+    """One sweep point, in a worker process or in this one.
 
     The pool pickles this function by name; it looks `_run_single` up at
     call time, so a wrapper installed on the module attribute (a tracer)
-    still runs, and need not itself be picklable.
+    still runs, and need not itself be picklable.  The point runs with
+    jobs=1: a sweep's points run their own criteria one after another, so
+    a run starts at most one pool.
     """
     return _run_single(*task)
 
 
-def _run_forked(tasks, workers):
-    """Run the tasks in forked worker processes; None where fork is missing."""
+def _workers(jobs, count):
+    """Processes to run `count` independent items in; 1 means this one.
+
+    min(jobs, count, usable CPUs), but 1 when the BLAS pools were not sized
+    from the environment (see the module docstring) or the platform has no
+    fork.  `multiprocessing` is imported only when a pool may start.
+    """
+    workers = min(int(jobs), count, _usable_cpus())
+    if workers < 2 or not _BLAS_THREADS_SET:
+        return 1
     import multiprocessing
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
+    return workers if "fork" in multiprocessing.get_all_start_methods() else 1
+
+
+def _map(fn, items, jobs, what):
+    """[fn(item) for item in items], in `_workers(jobs, len(items))` processes.
+
+    `what` names the items in the error raised when a worker dies.
+    """
+    workers = _workers(jobs, len(items))
+    if workers == 1:
+        return [fn(item) for item in items]
+    return _run_forked(fn, items, workers, what)
+
+
+def _run_forked(fn, items, workers, what):
+    """fn over items, in order, in forked worker processes."""
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
     context = multiprocessing.get_context("fork")
     try:
         with ProcessPoolExecutor(workers, mp_context=context) as pool:
-            return list(pool.map(_run_task, tasks))
+            return list(pool.map(fn, items))
     except BrokenProcessPool as exc:
-        raise BranchedQError(f"sweep worker died: {exc}") from None
+        raise BranchedQError(f"{what} worker died: {exc}") from None
 
 
 def _usable_cpus():
@@ -644,14 +687,16 @@ def _usable_cpus():
 def run_config(config, out_dir, jobs=1):
     """Execute a validated config; returns False when verification failed.
 
-    Sweep points run in min(jobs, points, usable CPUs) forked worker
-    processes, or one after another in this process when the BLAS pools
-    were not sized from the environment (see the module docstring).
+    Sweep points, or the criteria of a `verify` run, run in min(jobs,
+    items, usable CPUs) forked worker processes, or one after another in
+    this process when the BLAS pools were not sized from the environment
+    (see the module docstring).  Each sweep point runs its own criteria
+    one after another.
     """
     out_dir = Path(out_dir)
     sweep = config.get("sweep")
     if not sweep:
-        return _run_single(config, out_dir)
+        return _run_single(config, out_dir, jobs)
     tasks = []
     for i, value in enumerate(sweep["values"]):
         sub = copy.deepcopy(config)
@@ -659,12 +704,7 @@ def run_config(config, out_dir, jobs=1):
         _set_dotted(sub, sweep["parameter"], value)
         validate_config(sub, source=f"sweep value {i}")
         tasks.append((sub, out_dir / f"sweep-{i:03d}"))
-    workers = min(int(jobs), len(tasks), _usable_cpus())
-    fork = workers > 1 and _BLAS_THREADS_SET
-    outcomes = _run_forked(tasks, workers) if fork else None
-    if outcomes is None:
-        outcomes = [_run_task(task) for task in tasks]
-    return all(outcomes)
+    return all(_map(_run_task, tasks, jobs, "sweep"))
 
 
 def emit_dispersion_curve(kappa, samples, v_min=-3.0, v_max=3.0,
@@ -700,7 +740,8 @@ def _execute(config_path, mode, jobs, seed, out):
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
     try:
-        ok = run_config(config, out_dir, jobs)
+        ok = run_config(config, out_dir,
+                        _usable_cpus() if jobs is None else jobs)
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
@@ -714,8 +755,10 @@ def _common(fn):
     fn = click.option("--out", default=None, help="Output directory.")(fn)
     fn = click.option("--seed", default=None, type=int,
                       help="Override the config seed.")(fn)
-    fn = click.option("--jobs", default=1, type=click.IntRange(min=1),
-                      help="Worker processes for sweeps.")(fn)
+    fn = click.option("--jobs", default=None, type=click.IntRange(min=1),
+                      help="Worker processes for sweep points and verify "
+                           "criteria (default: the usable CPUs); the "
+                           "results do not depend on it.")(fn)
     fn = click.option("--config", "config_path", default=None,
                       type=click.Path(), help="JSON experiment config.")(fn)
     return fn

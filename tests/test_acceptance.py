@@ -17,3 +17,25 @@ def test_criterion(cid):
     result = run_acceptance([cid])[0]
     print(result.line())
     assert result.passed, result.line()
+
+
+def test_criteria_run_in_registry_order():
+    calls = []
+
+    def spy_map(fn, ids):
+        calls.append(list(ids))
+        return map(fn, ids)
+
+    results = run_acceptance(["C6", "C1", "C6"], map_fn=spy_map)
+    assert calls == [["C1", "C6"]]
+    assert [(r.cid, r.passed) for r in results] == [("C1", True), ("C6", True)]
+
+
+@pytest.mark.parametrize("ids,named", [
+    (["C11"], "C11"),
+    (["c1"], "c1"),
+    (["C1", "C11", "c1"], "C11, c1"),
+])
+def test_unknown_criteria_raise(ids, named):
+    with pytest.raises(ValueError, match=f"^unknown criteria: {named}$"):
+        run_acceptance(ids)

@@ -12,6 +12,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -24,7 +25,7 @@ import pytest
 from click.testing import CliRunner
 
 import branchedq
-from branchedq import cli
+from branchedq import acceptance, cli
 from branchedq.cli import (CONFIG_SCHEMA, _write_columns,
                           emit_dispersion_curve, main)
 from branchedq.evolution import MultiWave, probability_current, propagate
@@ -490,11 +491,20 @@ def test_verify_single_criterion(tmp_path):
     assert "C6 PASS" in result.output
     assert "C6 PASS" in (out / "acceptance.txt").read_text()
     assert json.loads((out / "summary.json").read_text()) == {"C6": True}
+    diagnostics = json.loads((out / "diagnostics.json").read_text())
+    assert set(diagnostics) == {"run_s", "workers", "elapsed_s"}
+    assert diagnostics["workers"] == 1
+    assert set(diagnostics["elapsed_s"]) == {"C6"}
+    assert diagnostics["elapsed_s"]["C6"] <= diagnostics["run_s"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["outputs"]) == {"acceptance.txt", "summary.json",
+                                        "config.resolved.json"}
 
 
 @pytest.fixture
 def many_cpus(monkeypatch):
-    """Let a sweep fork one worker per point, whatever the host's CPU count.
+    """Let a run fork one worker per sweep point or criterion, whatever the
+    host's CPU count.
 
     Where the platform has no fork the sweep runs serially, and the tests
     using this fixture must hold there too.
@@ -625,6 +635,95 @@ def test_dead_worker_exits_three(tmp_path, forked, monkeypatch):
     assert result.exit_code == 3
     assert result.stderr.startswith("numerical failure: sweep worker died")
     assert "Traceback" not in result.output
+
+
+def _verify(tmp_path, criteria, *args):
+    """Run verify on the criteria; (result, acceptance lines untimed, out)."""
+    cfg = _write_config(tmp_path / "v.json", {"version": 1, "mode": "verify",
+                                              "criteria": criteria})
+    out = tmp_path / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    result = _invoke(["verify", "--config", cfg, "--out", str(out), *args])
+    lines = [re.sub(r" \(\d+\.\ds\) ", " ", line) for line
+             in (out / "acceptance.txt").read_text().splitlines()]
+    return result, lines, out
+
+
+def test_verify_workers_match_serial_run(tmp_path, many_cpus):
+    runs = []
+    for args in (["--jobs", "1"], ["--jobs", "2"], []):
+        result, lines, out = _verify(tmp_path, ["C10", "C1", "C6"], *args)
+        assert result.exit_code == 0
+        workers = json.loads((out / "diagnostics.json").read_text())["workers"]
+        runs.append(((out / "summary.json").read_bytes(), lines, workers))
+    assert runs[0][:2] == runs[1][:2] == runs[2][:2]
+    assert [line.split()[0] for line in runs[0][1]] == ["C1", "C6", "C10"]
+    forks = "fork" in multiprocessing.get_all_start_methods()
+    # --jobs defaults to the usable CPUs: one worker per criterion here.
+    assert [w for *_, w in runs] == ([1, 2, 3] if forks else [1, 1, 1])
+
+
+def _broken_c6(monkeypatch, fn):
+    """Put fn in place of C6; forked workers inherit the patched registry."""
+    monkeypatch.setattr(acceptance, "CRITERIA", [
+        (cid, title, fn if cid == "C6" else check)
+        for cid, title, check in acceptance.CRITERIA])
+
+
+def _raise():
+    raise RuntimeError("boom")
+
+
+@pytest.mark.parametrize("check,detail", [
+    (_raise, "raised RuntimeError: boom"),
+    (lambda: (False, "forced failure"), "forced failure"),
+], ids=["raises", "fails"])
+def test_failed_criterion_matches_serial_run(tmp_path, many_cpus, monkeypatch,
+                                             check, detail):
+    _broken_c6(monkeypatch, check)
+    runs = []
+    for jobs in ("1", "2"):
+        result, lines, out = _verify(tmp_path, ["C1", "C6"], "--jobs", jobs)
+        assert result.exit_code == 3
+        runs.append((lines, json.loads((out / "summary.json").read_text())))
+    assert runs[0] == runs[1]
+    assert runs[0][0][1] == f"C6 FAIL graph condition counting: {detail}"
+    assert runs[0][1] == {"C1": True, "C6": False}
+
+
+def test_dead_verify_worker_exits_three(tmp_path, forked, monkeypatch):
+    _broken_c6(monkeypatch, lambda: os._exit(1))
+    cfg = _write_config(tmp_path / "v.json", {"version": 1, "mode": "verify",
+                                              "criteria": ["C1", "C6"]})
+    result = _invoke(["verify", "--config", cfg, "--out",
+                      str(tmp_path / "out"), "--jobs", "2"])
+    assert result.exit_code == 3
+    assert result.stderr.startswith("numerical failure: verify worker died")
+    assert "Traceback" not in result.output
+
+
+def test_verify_sweep_starts_one_pool(tmp_path, forked, monkeypatch):
+    log = tmp_path / "pools.log"
+
+    class Spy(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            # Logged to a file, so that a pool a worker starts counts too.
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    # Two criteria per point: one alone would never start a pool.
+    cfg = _write_config(tmp_path / "v.json", {
+        "version": 1, "mode": "verify", "criteria": ["C1", "C6"],
+        "sweep": {"parameter": "seed", "values": [1, 2]}})
+    result = _invoke(["run", "--config", cfg, "--out", str(tmp_path / "out"),
+                      "--jobs", "2"])
+    assert result.exit_code == 0
+    assert log.read_text().split() == [str(os.getpid())]
+    for i in range(2):
+        summary = tmp_path / "out" / f"sweep-{i:03d}" / "summary.json"
+        assert json.loads(summary.read_text()) == {"C1": True, "C6": True}
 
 
 def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
@@ -870,10 +969,11 @@ def test_cli_defaults_blas_to_one_thread(preset, expected):
 
 
 def test_import_cli_skips_scipy_integrate():
-    code = ("import sys, branchedq.cli; "
-            "print('scipy.integrate' in sys.modules)")
+    # multiprocessing is imported only when a worker pool may start.
+    code = ("import sys, branchedq.cli; print([m in sys.modules for m in "
+            "('scipy.integrate', 'multiprocessing')])")
     src = str(Path(branchedq.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ,
                                                      "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[False, False]"
