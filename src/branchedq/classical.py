@@ -175,6 +175,14 @@ def _run_segments(rhs, state0, end_time, law, potential, tol, policy, seed,
     if potential is not None and not hasattr(potential, "gradient"):
         raise TypeError(
             "integrators need a potential object with __call__ and .gradient")
+    if t_eval is not None and end_time == state0.t:
+        raise ValueError("t_end must differ from the start time when "
+                         "samples are requested")
+    with np.errstate(over="ignore", invalid="ignore"):
+        e0 = energy(state0, law, potential)
+    if not np.isfinite(e0):
+        raise ValueError(f"initial energy is not finite at x = {state0.x:g}, "
+                         f"xdot = {state0.xdot:g}")
     vc = law.v_cusp
     # kappa < 0 has no degeneracy surface at all; arming |xdot| = 0 events
     # there would falsely halt ordinary turning points.

@@ -72,9 +72,10 @@ from .grids import FoldedGrid, LineGrid, PeriodicGrid
 from .operators import (StencilSymbol, build_convolution_hamiltonian,
                         build_convolution_potential, build_dual_wire_hamiltonian,
                         build_folded_hamiltonian, build_unfolded_hamiltonian,
-                        fourier_conjugate_hamiltonian, hermiticity_defect)
+                        fourier_conjugate_hamiltonian, gershgorin_bound,
+                        hermiticity_defect)
 from .potentials import PotentialSpec, has_kernel
-from .spectra import solve_eigensystem
+from .spectra import _CERTIFY_MULTIPLE, solve_eigensystem
 
 _NUM = {"type": "number"}
 
@@ -329,6 +330,9 @@ def _hamiltonian_from(config, law, grid, potential):
         if assembly == "dual-wire":
             if "kinetic" not in solver:
                 raise ConfigError("dual-wire assembly needs solver.kinetic")
+            if potential is None and isinstance(grid, LineGrid):
+                raise ConfigError("potential: the dual-wire assembly on a "
+                                  "line grid needs one")
             wire = potential if potential is not None else law
             return build_dual_wire_hamiltonian(
                 StencilSymbol(*solver["kinetic"]), wire, grid,
@@ -377,6 +381,8 @@ def _mode_spectrum(config, out):
                        "%.17g,%.17g\n", [("", (vec.real, vec.imag))], lead)
         files.append(name)
     H = op.matrix
+    max_residual = float(res.residuals.max())
+    eps_norm = float(np.finfo(float).eps * gershgorin_bound(H))
     # A sidecar outside the manifest: timings differ between reruns.
     _write_json(out / "diagnostics.json", {
         "assemble_s": assembled - start,
@@ -385,7 +391,9 @@ def _mode_spectrum(config, out):
         "n": H.shape[0],
         "nnz": int(getattr(H, "nnz", H.size)),  # stored entries
         "solver": res.solver,
-        "max_residual": float(res.residuals.max()),
+        "max_residual": max_residual,
+        "eps_norm": eps_norm,  # eigenvalues are defined only to about this
+        "residual_margin": max_residual / (_CERTIFY_MULTIPLE * eps_norm),
     })
     return files, True
 

@@ -37,6 +37,9 @@ class LineGrid:
             raise ValueError("x_max must exceed x_min")
         if self.n < 5:
             raise ValueError("need at least 5 interior nodes")
+        if not 0.0 < self.h < np.inf:
+            raise ValueError(f"grid step {self.h:g} must be finite and "
+                             "nonzero")
 
     @property
     def h(self):
@@ -64,6 +67,9 @@ class PeriodicGrid:
             raise ValueError("x_max must exceed x_min")
         if self.n < 4:
             raise ValueError("need at least 4 nodes")
+        if not 0.0 < self.h < np.inf:
+            raise ValueError(f"grid step {self.h:g} must be finite and "
+                             "nonzero")
 
     @property
     def period(self):

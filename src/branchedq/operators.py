@@ -110,6 +110,13 @@ def _stencil_weights(symbol, h, accuracy):
         d1, d2 = _D1_4, _D2_4
     else:
         raise ValueError("accuracy must be 2 or 4")
+    order = 4 if symbol.c4 != 0.0 else 3 if symbol.c3 != 0.0 else 2
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        powers = np.float64(h) ** np.arange(1, order + 1)
+        finite = np.isfinite(powers) & np.isfinite(1.0 / powers)
+    if not finite.all():
+        raise ValueError(f"grid step h = {h:g}: h**1 .. h**{order} and "
+                         "their inverses must be finite and nonzero")
     even = {}
     odd = {}
     for off, w in d2.items():
@@ -134,6 +141,9 @@ def _assemble_line(n, h, symbol, accuracy, diag, odd_factor=1.0):
     odd_factor (a scalar or one value per row) scales the odd-order
     weights of each row.
     """
+    if not np.all(np.isfinite(diag)):
+        raise ValueError("the potential or kinetic energy is not finite at "
+                         "every grid node")
     diagonals = {0: np.zeros(n, dtype=complex)}
     if symbol is not None and not symbol.is_zero():
         even, odd = _stencil_weights(symbol, h, accuracy)

@@ -148,11 +148,17 @@ def test_spectrum_mode_outputs(tmp_path):
     # The timing sidecar stays out of the hashed manifest.
     diag = json.loads((out / "diagnostics.json").read_text())
     assert set(diag) == {"assemble_s", "solve_s", "write_s", "n", "nnz",
-                         "solver", "max_residual"}
+                         "solver", "max_residual", "eps_norm",
+                         "residual_margin"}
     assert diag["n"] == 2 * 24 + 16 - 1
     assert 0 < diag["nnz"] <= 5 * diag["n"]
-    assert diag["solver"] in ("eigh", "shift-invert", "eigh-fallback")
+    # 20 k <= n: the lowest 3 come from certified shift-invert.
+    assert diag["solver"] == "shift-invert"
     assert diag["max_residual"] == max(residuals)
+    assert diag["eps_norm"] > 0
+    assert diag["residual_margin"] == pytest.approx(
+        diag["max_residual"] / (64 * diag["eps_norm"]), rel=1e-12)
+    assert diag["residual_margin"] < 1
     assert "diagnostics.json" not in json.loads(
         (out / "manifest.json").read_text())["outputs"]
     for i in range(3):
@@ -395,13 +401,44 @@ _LINE_KERNEL = {
      "grid.kind"),
     (dict(_SMALL_FOLDED, mode="spectrum", solver={"assembly": "unfolded"}),
      "needs a LineGrid"),
+    ({"version": 1, "mode": "classical",
+      "classical": {"t_end": 0.0, "samples": 2}}, "classical: t_end"),
+    ({"version": 1, "mode": "classical", "classical": {"xdot": 1e300}},
+     "classical: initial energy"),
+    # xdot**3 is finite here, but the energy's xdot**4 is not.
+    ({"version": 1, "mode": "classical", "classical": {"xdot": 1e80}},
+     "classical: initial energy"),
+    (dict(_LINE_KERNEL, mode="spectrum",
+          grid={"kind": "line", "x_min": 0, "x_max": 1e-300, "n": 100},
+          potential={"form": "quadratic", "alpha": 1.0}), "grid step"),
+    (dict(_LINE_KERNEL, mode="spectrum",
+          grid={"kind": "line", "x_min": -1e308, "x_max": 1e308, "n": 100},
+          potential={"form": "quadratic", "alpha": 1.0}), "grid step inf"),
+    (dict(_LINE_KERNEL, mode="evolve",
+          grid={"kind": "line", "x_min": 0, "x_max": 1e300, "n": 100},
+          potential={"form": "gaussian", "amplitude": -2.0, "width": 1.0},
+          solver={"assembly": "dual-wire",
+                  "kinetic": [1e-300, 100, 0.5, 1e300]}), "grid step"),
+    (dict(_LINE_KERNEL, mode="spectrum",
+          solver={"assembly": "dual-wire", "kinetic": [0, 0, 1, 0]}),
+     "potential: the dual-wire assembly"),
+    # h**2 is finite, but the potential 0.5 x**2 overflows at the far end.
+    (dict(_LINE_KERNEL, mode="spectrum",
+          grid={"kind": "line", "x_min": 0, "x_max": 1e155, "n": 100},
+          potential={"form": "quadratic", "alpha": 1.0},
+          solver={"assembly": "dual-wire", "kinetic": [0, 0, 1, 0], "k": 2}),
+     "not finite at every grid node"),
 ], ids=["sweep-value", "packet-width", "packet-center", "dt-budget",
         "classical-tol-zero", "classical-tol-negative", "classical-quartic-law",
         "classical-on-cusp", "unknown-criterion", "graph-no-truncation",
         "kernel-folded-grid", "kappa-nan", "dt-nan", "kappa-cube-overflow",
         "kappa-past-float-range",
         "classical-gaussian-zero-width", "kernel-lorentzian-zero-width",
-        "kernel-sech2-zero-width", "folded-x-grid", "unfolded-on-folded-grid"])
+        "kernel-sech2-zero-width", "folded-x-grid", "unfolded-on-folded-grid",
+        "classical-no-time-to-sample", "classical-xdot-overflow",
+        "classical-energy-overflow", "line-step-underflow",
+        "line-step-overflow", "dual-wire-step-overflow",
+        "dual-wire-no-potential", "dual-wire-potential-overflow"])
 def test_bad_values_exit_two(tmp_path, payload, where):
     cfg = _write_config(tmp_path / "bad.json", payload)
     result = _invoke(["run", "--config", cfg, "--out", str(tmp_path / "out")])

@@ -5,6 +5,8 @@ the equal superposition has variance 1/4, stationarity gap 1/2, and its
 largest probe-commutator residual is exactly 1.
 """
 
+import logging
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -135,9 +137,101 @@ def test_shift_invert_columns_are_orthonormal():
     assert np.max(np.abs(V.conj().T @ V - np.eye(10))) <= 1e-13
 
 
+def _small_operators():
+    law = DispersionLaw(kappa=3.0)
+    return {
+        "folded-quartic": build_folded_hamiltonian(
+            law, FoldedGrid(law, 21, 30), QuarticPotential(0.4, 0.3, 0.2)),
+        "star": graph_hamiltonian(star_graph(3, 1.0), 20),
+        "clamped-box": build_dual_wire_hamiltonian(
+            StencilSymbol(1, 0, 0, 0), None, LineGrid(0.0, np.pi, 60)),
+    }
+
+
+@pytest.mark.parametrize("name", ["folded-quartic", "star", "clamped-box"])
+def test_inertia_count_matches_eigvalsh(name):
+    """Negative LDL^H pivots count the eigenvalues below each shift placed
+    between two distinct eigenvalues, and below and above the spectrum
+    (the folded quartic is complex Hermitian)."""
+    H = branchedq.spectra._checked_hermitian(_small_operators()[name])
+    w = np.linalg.eigvalsh(H.toarray())
+    distinct = np.diff(w) > 1e-6 * np.max(np.abs(w))
+    shifts = np.concatenate([[w[0] - 1.0], 0.5 * (w[1:] + w[:-1])[distinct],
+                             [w[-1] + 1.0]])
+    P, _ = branchedq.spectra._rcm_band(H)
+    floor = np.finfo(float).eps * gershgorin_bound(H)
+    counts = [branchedq.spectra._negative_pivots(P, s, floor) for s in shifts]
+    assert counts == [int(np.count_nonzero(w < s)) for s in shifts]
+
+
+def test_pivot_guard_trips_on_an_eigenvalue():
+    """The Dirichlet Laplacian tridiag(-1, 2, -1) on 101 nodes (h = 1) has
+    the eigenvalue 2 exactly; at that shift the first LDL^H pivot is zero,
+    so no count comes back."""
+    g = LineGrid(0.0, 102.0, 101)
+    op = build_dual_wire_hamiltonian(StencilSymbol(0, 0, 1.0, 0), None, g)
+    H = branchedq.spectra._checked_hermitian(op)
+    assert np.min(np.abs(np.linalg.eigvalsh(H.toarray()) - 2.0)) <= 1e-15
+    P, _ = branchedq.spectra._rcm_band(H)
+    floor = np.finfo(float).eps * gershgorin_bound(H)
+    assert branchedq.spectra._negative_pivots(P, 2.0, floor) is None
+    assert branchedq.spectra._negative_pivots(P, 2.1, floor) == 52
+    # Every nonzero pivot within the floor trips the guard too.
+    assert branchedq.spectra._negative_pivots(P, 2.1, np.inf) is None
+    # On 100 nodes 2 is no eigenvalue, but the first pivot is still zero:
+    # SuperLU swaps rows, and the pivots are no longer those of LDL^H.
+    even = branchedq.spectra._checked_hermitian(build_dual_wire_hamiltonian(
+        StencilSymbol(0, 0, 1.0, 0), None, LineGrid(0.0, 101.0, 100)))
+    P, _ = branchedq.spectra._rcm_band(even)
+    assert branchedq.spectra._negative_pivots(P, 2.0, floor) is None
+
+
+def test_degenerate_pair_split_at_k_falls_back(caplog):
+    """k = 5 on the star cuts its degenerate 4-5 pair: a sixth eigenvalue
+    lies below theta_max + tol, so the count refuses the certificate."""
+    op = graph_hamiltonian(star_graph(3, 1.0), 300)
+    with caplog.at_level(logging.INFO, logger="branchedq"):
+        res = solve_eigensystem(op, k=5)
+    assert res.solver == "eigh-fallback"
+    assert "6 eigenvalues below" in caplog.text and "expected 5" in caplog.text
+    dense = np.linalg.eigvalsh(op.matrix.toarray())
+    assert dense[5] - dense[4] <= _spectral_tol(op)
+    assert np.max(np.abs(res.eigenvalues - dense[:5])) <= _spectral_tol(op)
+
+
+def test_large_residuals_fall_back(monkeypatch, caplog):
+    """Ritz pairs from a perturbed ARPACK basis miss the residual bound."""
+    op = graph_hamiltonian(star_graph(3, 1.0), 300)
+    real_eigsh = branchedq.spectra.eigsh
+
+    def noisy_eigsh(A, k, **kwargs):
+        w, v = real_eigsh(A, k=k, **kwargs)
+        noise = np.random.default_rng(3).standard_normal(v.shape)
+        return w, v + 1e-3 * noise
+
+    monkeypatch.setattr(branchedq.spectra, "eigsh", noisy_eigsh)
+    with caplog.at_level(logging.INFO, logger="branchedq"):
+        res = solve_eigensystem(op, k=6)
+    assert res.solver == "eigh-fallback"
+    assert "residual margin" in caplog.text
+    dense = np.linalg.eigvalsh(op.matrix.toarray())[:6]
+    assert np.max(np.abs(res.eigenvalues - dense)) <= _spectral_tol(op)
+
+
 def test_non_hermitian_rejected():
     with pytest.raises(NonHermitianError):
         solve_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_entries_rejected(bad):
+    """An infinite diagonal would make the Cholesky bracket of the lowest
+    eigenvalue start at -inf and never narrow."""
+    H = scipy.sparse.diags_array([np.arange(200.0)], offsets=[0],
+                                 format="csr")
+    H[7, 7] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_eigensystem(H, k=3)
 
 
 def probe_family(n):
