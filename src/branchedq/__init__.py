@@ -44,8 +44,9 @@ _EXPORTS = {name: module for module, names in {
                   "build_unfolded_hamiltonian",
                   "fourier_conjugate_hamiltonian", "hermiticity_defect"),
     "potentials": ("GaussianPotential", "LorentzianPotential",
-                   "PotentialSpec", "QuadraticPotential", "QuarticPotential",
-                   "SampledPotential", "SechSquaredPotential", "has_kernel"),
+                   "QuadraticPotential", "QuarticPotential",
+                   "SampledPotential", "SechSquaredPotential", "has_kernel",
+                   "potential_from_mapping"),
     "spectra": ("EigenResult", "newton_refine", "solve_eigensystem",
                 "stationarity_residual", "subspace_overlap",
                 "variance_minimize"),

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dispersion import DispersionLaw
 from .errors import DegeneracyError, IntegrationStalledError
 
 DEGENERACY_TOL = 1e-9
@@ -90,12 +89,6 @@ class Trajectory:
         return float(np.max(np.abs(self.energy - self.energy[0])))
 
 
-def _as_law(law):
-    if isinstance(law, DispersionLaw):
-        return law
-    return DispersionLaw(kappa=float(law))
-
-
 def _force_of(potential):
     if potential is None:
         return lambda x: 0.0
@@ -111,7 +104,6 @@ def poisson_bracket(F, G, state, law, eps=1e-6):
 
     F and G are callables of (x, xdot).  Degenerate states are rejected.
     """
-    law = _as_law(law)
     x, v = state.x, state.xdot
     hess = 3.0 * v * v - law.kappa
     if abs(hess) <= DEGENERACY_TOL:
@@ -131,7 +123,6 @@ def hamilton_rhs(state, law, force, tol=DEGENERACY_TOL):
     dx/dt is evaluated through the bracket expression, unsimplified, so its
     agreement with xdot is a checked identity rather than a substitution.
     """
-    law = _as_law(law)
     grad = _force_of(force)
     v = state.xdot
     kappa = law.kappa
@@ -145,7 +136,6 @@ def hamilton_rhs(state, law, force, tol=DEGENERACY_TOL):
 
 def energy(state, law, potential=None):
     """H(x, xdot) = (3/4) xdot^4 - (kappa/2) xdot^2 + V(x)."""
-    law = _as_law(law)
     value = float(law.energy(state.xdot))
     if potential is not None:
         value += float(potential(state.x))
@@ -180,9 +170,13 @@ def _run_segments(rhs, state0, end_time, law, potential, tol, policy, seed,
                          "samples are requested")
     with np.errstate(over="ignore", invalid="ignore"):
         e0 = energy(state0, law, potential)
+        f0 = _force_of(potential)(state0.x)
     if not np.isfinite(e0):
         raise ValueError(f"initial energy is not finite at x = {state0.x:g}, "
                          f"xdot = {state0.xdot:g}")
+    if not np.isfinite(f0):
+        raise ValueError(f"initial force V'(x) is not finite at "
+                         f"x = {state0.x:g}")
     vc = law.v_cusp
     # kappa < 0 has no degeneracy surface at all; arming |xdot| = 0 events
     # there would falsely halt ordinary turning points.
@@ -269,20 +263,13 @@ def _run_segments(rhs, state0, end_time, law, potential, tol, policy, seed,
         push(t_ev, x_ev, v_ev, flag=1)
         events.append(ClassicalState(x_ev, v_ev, t_ev))
 
-        if policy == "halt" or len(events) >= max_events:
+        # Only halt and random-branch arm terminal events, so only they get
+        # here; the coin is drawn only under random-branch.
+        if policy == "halt" or len(events) >= max_events or rng.random() < 0.5:
             status = "halted"
             break
-        if policy == "random-branch":
-            if rng.random() < 0.5:
-                status = "halted"
-                break
-            t_cur, x_cur = t_ev, x_ev
-            v_cur = -2.0 * np.copysign(vc, v_ev)
-            continue
-        # policy == "continue" with a terminal-event hit cannot happen
-        # (events are non-terminal then), but keep the loop well-founded.
-        status = "halted"
-        break
+        t_cur, x_cur = t_ev, x_ev
+        v_cur = -2.0 * np.copysign(vc, v_ev)
 
     return _assemble(law, potential, ts, xs, vs, flags, events, status)
 
@@ -296,7 +283,6 @@ def integrate_hamilton(state0, end_time, law, potential=None, *, tol=1e-12,
     is halt, continue, or random-branch (seeded coin per event between
     halting and jumping to the far junction root).
     """
-    law = _as_law(law)
     grad = _force_of(potential)
     kappa = law.kappa
 
@@ -318,7 +304,6 @@ def integrate_euler_lagrange(state0, end_time, law, potential=None, *,
     hand side comes straight from the Euler-Lagrange equation: dx/dt is
     xdot itself, with no bracket in sight.
     """
-    law = _as_law(law)
     grad = _force_of(potential)
     kappa = law.kappa
 

@@ -74,7 +74,7 @@ from .operators import (StencilSymbol, build_convolution_hamiltonian,
                         build_folded_hamiltonian, build_unfolded_hamiltonian,
                         fourier_conjugate_hamiltonian, gershgorin_bound,
                         hermiticity_defect)
-from .potentials import PotentialSpec, has_kernel
+from .potentials import has_kernel, potential_from_mapping
 from .spectra import _CERTIFY_MULTIPLE, solve_eigensystem
 
 _NUM = {"type": "number"}
@@ -123,7 +123,6 @@ CONFIG_SCHEMA = {
                 "accuracy": {"enum": [2, 4]},
                 "assembly": {"enum": ["folded", "unfolded", "dual-wire",
                                       "convolution", "fourier"]},
-                "kernel_mode": {"enum": ["hermitian", "naive"]},
                 "kinetic": {"type": "array", "items": _NUM,
                             "minItems": 4, "maxItems": 4},
             },
@@ -169,7 +168,6 @@ CONFIG_SCHEMA = {
                 "length": {"type": "number", "exclusiveMinimum": 0},
                 "resolution": {"type": "integer", "minimum": 5},
                 "truncation": {"type": "number", "exclusiveMinimum": 0},
-                "k": {"type": "integer", "minimum": 1},
             },
         },
         "kernel": {
@@ -291,8 +289,8 @@ def _potential_from(config):
     if spec is None:
         return None
     try:
-        return PotentialSpec.from_mapping(spec).build()
-    except (KeyError, ValueError, TypeError) as exc:
+        return potential_from_mapping(spec)
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"potential: {exc}") from None
 
 
@@ -333,14 +331,18 @@ def _hamiltonian_from(config, law, grid, potential):
             if potential is None and isinstance(grid, LineGrid):
                 raise ConfigError("potential: the dual-wire assembly on a "
                                   "line grid needs one")
+            if potential is not None and isinstance(grid, FoldedGrid):
+                raise ConfigError("potential: the dual-wire assembly on a "
+                                  "folded grid takes its W from kappa, not "
+                                  "from a potential")
             wire = potential if potential is not None else law
             return build_dual_wire_hamiltonian(
                 StencilSymbol(*solver["kinetic"]), wire, grid,
                 accuracy=accuracy)
         if assembly == "convolution":
             return build_convolution_hamiltonian(
-                law, potential, grid, mode=solver.get("kernel_mode",
-                                                      "hermitian"))
+                law, potential, grid,
+                mode=config.get("kernel", {}).get("mode", "hermitian"))
         if assembly == "fourier":
             return fourier_conjugate_hamiltonian(law, potential, grid)
     except ConfigError:
@@ -498,7 +500,7 @@ def _mode_graph(config, out):
                                    truncation=gcfg.get("truncation"))
         except ValueError as exc:
             raise ConfigError(f"graph: {exc}") from None
-        k = int(gcfg.get("k", 6))
+        k = int(config.get("solver", {}).get("k", 6))
         res = solve_eigensystem(op, k=min(k, op.matrix.shape[0]))
         w = res.eigenvalues
         _write_columns(out / "eigenvalues.csv",

@@ -204,24 +204,24 @@ class DispersionLaw:
             )
         return self.energy(_polished_single_root(p, self.kappa))
 
-    def branch_velocity(self, p, branch):
-        """Velocity xdot on a given branch as a function of momentum.
+    def branch_energy(self, p, branch):
+        """Kinetic energy of momentum p on a branch, one kernel call.
 
-        Column branch-1 of `branch_velocities`: up to the snap band,
-        branch 2 exists only on [q_-, q_+], branch 1 on p <= q_+ and
+        `branch` is one label or one label per momentum.  Up to the snap
+        band, branch 2 exists only on [q_-, q_+], branch 1 on p <= q_+ and
         branch 3 on p >= q_-.
         """
-        if branch not in BRANCHES:
+        p, branch = np.broadcast_arrays(np.asarray(p, dtype=float),
+                                        np.asarray(branch))
+        if not np.isin(branch, BRANCHES).all():
             raise ValueError(f"branch must be one of {BRANCHES}, got {branch}")
-        v = np.take(branch_velocities(p, self.kappa), branch - 1, axis=-1)
-        if np.isnan(v).any():
-            raise ValueError(f"off-branch momentum: branch {branch} does not "
-                             "carry all requested momenta")
-        return v
-
-    def branch_energy(self, p, branch):
-        """Kinetic energy as a function of momentum on a given branch."""
-        return self.energy(self.branch_velocity(p, branch))
+        v = np.take_along_axis(branch_velocities(p, self.kappa),
+                               branch[..., None] - 1, axis=-1)[..., 0]
+        off = np.isnan(v)
+        if off.any():
+            raise ValueError(f"off-branch momentum: branch {branch[off][0]} "
+                             "does not carry all requested momenta")
+        return self.energy(v)
 
     def invert_momentum(self, p):
         """All (branch, velocity) pairs with momentum p, sorted by branch.

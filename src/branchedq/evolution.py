@@ -55,10 +55,16 @@ class MultiWave:
     @classmethod
     def gaussian(cls, grid, center, width, boost=0.0):
         """Normalized Gaussian packet exp(-(u-c)^2/(4 w^2) + i k u)."""
-        if not width > 0.0:
-            raise ValueError("packet width must be positive")
+        with np.errstate(over="ignore"):
+            square = np.float64(width) ** 2
+        if not (width > 0.0 and np.isfinite(square)):
+            raise ValueError(f"packet width must be positive with a finite "
+                             f"square, got {width:g}")
         u = _grid_axis(grid)
-        data = np.exp(-((u - center) ** 2) / (4.0 * width**2) + 1j * boost * u)
+        # A packet far off the grid is reported once, by the norm check.
+        with np.errstate(over="ignore", invalid="ignore"):
+            data = np.exp(-((u - center) ** 2) / (4.0 * square)
+                          + 1j * boost * u)
         wave = cls(grid, data)
         norm = wave.norm()
         if not 0.0 < norm < np.inf:

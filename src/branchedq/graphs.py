@@ -330,7 +330,7 @@ def graph_hamiltonian(graph, resolution, truncation=None):
     data /= root[row]
     data /= root[col]
     A = scipy.sparse.csr_array((data, (row, col)), shape=(n, n))
-    return OperatorMatrix(A, "graph", layout)
+    return OperatorMatrix(A, layout)
 
 
 _FLUX_EDGE = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0

@@ -32,7 +32,7 @@ import numpy as np
 import scipy.sparse
 from scipy.linalg import toeplitz, circulant
 
-from .dispersion import BranchedDomain, DispersionLaw, branch_velocities
+from .dispersion import BranchedDomain, DispersionLaw
 from .grids import FoldedGrid, LineGrid, PeriodicGrid
 from .potentials import QuadraticPotential, QuarticPotential, has_kernel
 
@@ -70,7 +70,7 @@ class StencilSymbol:
 
 @dataclass
 class OperatorMatrix:
-    """Discretized Hamiltonian with its provenance and grid.
+    """Discretized Hamiltonian with its grid and, if any, its stencil symbol.
 
     The stencil builders (folded, unfolded, dual wire) and the graph
     assembly store `matrix` as a scipy.sparse CSR array: they have at most
@@ -80,7 +80,6 @@ class OperatorMatrix:
     """
 
     matrix: object
-    provenance: str
     grid: object
     symbol: StencilSymbol = None
 
@@ -165,24 +164,11 @@ def _assemble_line(n, h, symbol, accuracy, diag, odd_factor=1.0):
                                     format="csr", dtype=complex)
 
 
-def _branchwise_energy(law, p, branch):
-    """Kinetic energy of each momentum on its own branch, one kernel call."""
-    branch = np.asarray(branch)
-    v = np.take_along_axis(branch_velocities(p, law.kappa),
-                           branch[..., None] - 1, axis=-1)[..., 0]
-    off = np.isnan(v)
-    if off.any():
-        raise ValueError(f"off-branch momentum: branch {branch[off][0]} "
-                         "does not carry all requested momenta")
-    return law.energy(v)
-
-
 def _unfolded_energy(law, u):
     """Kinetic energy as a function of the unfolded coordinate."""
     if not law.branched:
         return law.energy_of_momentum(u)
-    p, branch = law.domain().fold(u)
-    return _branchwise_energy(law, p, branch)
+    return law.branch_energy(*law.domain().fold(u))
 
 
 def _symbol_of_potential(V):
@@ -227,8 +213,8 @@ def build_folded_hamiltonian(law, grid, V=None, accuracy=2, flip_reversed_branch
     symbol = _symbol_of_potential(V)
     odd_factor = 1.0 if flip_reversed_branch else _unflipped_odd_factor(grid)
     H = _assemble_line(grid.size, grid.h, symbol, accuracy,
-                       _branchwise_energy(law, grid.p, grid.branch), odd_factor)
-    return OperatorMatrix(H, "folded", grid, symbol=symbol)
+                       law.branch_energy(grid.p, grid.branch), odd_factor)
+    return OperatorMatrix(H, grid, symbol=symbol)
 
 
 def build_unfolded_hamiltonian(law, grid, V=None, accuracy=2):
@@ -241,7 +227,7 @@ def build_unfolded_hamiltonian(law, grid, V=None, accuracy=2):
     symbol = _symbol_of_potential(V)
     H = _assemble_line(grid.size, grid.h, symbol, accuracy,
                        _unfolded_energy(law, grid.x))
-    return OperatorMatrix(H, "unfolded", grid, symbol=symbol)
+    return OperatorMatrix(H, grid, symbol=symbol)
 
 
 def build_dual_wire_hamiltonian(kinetic, W, grid, accuracy=2):
@@ -250,9 +236,9 @@ def build_dual_wire_hamiltonian(kinetic, W, grid, accuracy=2):
     kinetic is the StencilSymbol of the momentum polynomial
     c4 p^4 + c3 p^3 + c2 p^2 + c1 p.  On a FoldedGrid, W is
     branch-resolved: a DispersionLaw (its energy curve read as a
-    multivalued potential), a {branch: callable} mapping, or a nodal
-    array; the two values meeting at each junction must agree.  On a
-    LineGrid, W is a callable, array, or None.
+    multivalued potential) or a {branch: callable} mapping; the two values
+    meeting at each junction must agree.  On a LineGrid, W is a callable,
+    array, or None.
     """
     if isinstance(grid, FoldedGrid):
         diag = _dual_wire_diag(W, grid)
@@ -260,7 +246,10 @@ def build_dual_wire_hamiltonian(kinetic, W, grid, accuracy=2):
         if W is None:
             diag = np.zeros(grid.size)
         elif callable(W):
-            diag = np.asarray(W(grid.x), dtype=float)
+            # An overflow here is reported once, by _assemble_line's
+            # finiteness check.
+            with np.errstate(over="ignore", invalid="ignore"):
+                diag = np.asarray(W(grid.x), dtype=float)
         else:
             diag = np.asarray(W, dtype=float)
             if diag.shape != (grid.size,):
@@ -268,29 +257,27 @@ def build_dual_wire_hamiltonian(kinetic, W, grid, accuracy=2):
     else:
         raise TypeError("build_dual_wire_hamiltonian needs a FoldedGrid or LineGrid")
     H = _assemble_line(grid.size, grid.h, kinetic, accuracy, diag)
-    return OperatorMatrix(H, "dual-wire", grid, symbol=kinetic)
+    return OperatorMatrix(H, grid, symbol=kinetic)
 
 
 def _dual_wire_diag(W, grid):
     if isinstance(W, DispersionLaw):
-        return _branchwise_energy(W, grid.p, grid.branch)
-    if isinstance(W, dict):
-        diag = np.empty(grid.size)
-        for b in (1, 2, 3):
-            mask = grid.branch == b
-            diag[mask] = np.asarray(W[b](grid.p[mask]), dtype=float)
-        jp, jm = grid.junction_plus, grid.junction_minus
-        pp, pm = grid.domain.p_plus, grid.domain.p_minus
-        scale = max(np.max(np.abs(diag)), 1.0)
-        if abs(W[1](pp) - W[2](pp)) > 1e-10 * scale or \
-           abs(W[2](pm) - W[3](pm)) > 1e-10 * scale:
-            raise ValueError("branch potentials disagree at a junction")
-        diag[jp] = W[2](pp)
-        diag[jm] = W[2](pm)
-        return diag
-    diag = np.asarray(W, dtype=float)
-    if diag.shape != (grid.size,):
-        raise ValueError("W array must have one value per grid node")
+        return W.branch_energy(grid.p, grid.branch)
+    if not isinstance(W, dict):
+        raise TypeError("on a FoldedGrid, W is a DispersionLaw or a "
+                        "{branch: callable} mapping")
+    diag = np.empty(grid.size)
+    for b in (1, 2, 3):
+        mask = grid.branch == b
+        diag[mask] = np.asarray(W[b](grid.p[mask]), dtype=float)
+    jp, jm = grid.junction_plus, grid.junction_minus
+    pp, pm = grid.domain.p_plus, grid.domain.p_minus
+    scale = max(np.max(np.abs(diag)), 1.0)
+    if abs(W[1](pp) - W[2](pp)) > 1e-10 * scale or \
+       abs(W[2](pm) - W[3](pm)) > 1e-10 * scale:
+        raise ValueError("branch potentials disagree at a junction")
+    diag[jp] = W[2](pp)
+    diag[jm] = W[2](pm)
     return diag
 
 
@@ -320,13 +307,13 @@ def build_convolution_potential(V, grid, mode="hermitian", domain=None):
         scale = grid.h / (2.0 * np.pi)
         if mode == "hermitian":
             M = scale * K1
-            return OperatorMatrix(M, "convolution-hermitian", grid)
+            return OperatorMatrix(M, grid)
         dom = domain.domain() if isinstance(domain, DispersionLaw) else domain
         if not isinstance(dom, BranchedDomain):
             raise ValueError("naive mode needs the branched domain for its windows")
         w1, w2, w3 = _heaviside_windows(grid.x, dom.p_minus, dom.p_plus)
         M = scale * (K1 * w1 + np.conj(K1) * w2 + K1 * w3)
-        return OperatorMatrix(M, "convolution-naive", grid)
+        return OperatorMatrix(M, grid)
 
     if isinstance(grid, PeriodicGrid):
         if mode != "hermitian":
@@ -340,7 +327,7 @@ def build_convolution_potential(V, grid, mode="hermitian", domain=None):
             # its Hermitian part is the consistent sample.
             samples[n // 2] = samples[n // 2].real
         M = (grid.h / (2.0 * np.pi)) * circulant(samples)
-        return OperatorMatrix(M, "convolution-hermitian", grid)
+        return OperatorMatrix(M, grid)
 
     raise TypeError("build_convolution_potential needs a LineGrid or PeriodicGrid")
 
@@ -364,7 +351,7 @@ def build_convolution_hamiltonian(law, V, grid, mode="hermitian"):
                                       domain=law.domain() if law.branched else None)
     H = pot.matrix.copy()
     H[np.diag_indices_from(H)] += _unfolded_energy(law, grid.x)
-    return OperatorMatrix(H, pot.provenance, grid)
+    return OperatorMatrix(H, grid)
 
 
 def fourier_conjugate_hamiltonian(law, V, grid):
@@ -383,7 +370,7 @@ def fourier_conjugate_hamiltonian(law, V, grid):
     E = _unfolded_energy(law, grid.x)
     H = (F * E) @ F.conj().T
     H[np.diag_indices_from(H)] += V(-xk)
-    return OperatorMatrix(H, "fourier-conjugate", grid)
+    return OperatorMatrix(H, grid)
 
 
 def hermiticity_defect(op):

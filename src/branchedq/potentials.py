@@ -160,46 +160,28 @@ class SampledPotential:
         return out if out.size > 1 else out[0]
 
 
-_NAMED_FORMS = {
+_FORMS = {
     "quadratic": QuadraticPotential,
     "quartic": QuarticPotential,
     "gaussian": GaussianPotential,
     "lorentzian": LorentzianPotential,
     "sech2": SechSquaredPotential,
+    "sampled": SampledPotential,
 }
 
 
-class PotentialSpec:
-    """Declarative potential description: a form name plus parameters.
+def potential_from_mapping(mapping):
+    """The potential a mapping describes: a 'form' key plus parameters.
 
     Forms: quadratic(alpha), quartic(alpha, beta, gamma),
     gaussian/lorentzian/sech2(amplitude, width, center),
-    sampled(x, values).  build() returns the concrete potential.
+    sampled(x, values).
     """
-
-    def __init__(self, form, **params):
-        if form not in _NAMED_FORMS and form != "sampled":
-            raise ValueError(f"unknown potential form {form!r}")
-        self.form = form
-        self.params = dict(params)
-
-    @classmethod
-    def from_mapping(cls, mapping):
-        d = dict(mapping)
-        form = d.pop("form", None)
-        if form is None:
-            raise ValueError("potential spec needs a 'form' key")
-        return cls(form, **d)
-
-    def build(self):
-        if self.form == "sampled":
-            return SampledPotential(np.asarray(self.params["x"], dtype=float),
-                                    np.asarray(self.params["values"], dtype=float))
-        return _NAMED_FORMS[self.form](**self.params)
-
-    def __repr__(self):
-        inner = ", ".join(f"{k}={v!r}" for k, v in self.params.items())
-        return f"PotentialSpec({self.form!r}, {inner})"
+    params = dict(mapping)
+    form = params.pop("form", None)
+    if form not in _FORMS:
+        raise ValueError(f"unknown potential form {form!r}")
+    return _FORMS[form](**params)
 
 
 def has_kernel(potential):

@@ -29,6 +29,7 @@ from branchedq import acceptance, cli
 from branchedq.cli import (CONFIG_SCHEMA, _write_columns,
                           emit_dispersion_curve, main)
 from branchedq.evolution import MultiWave, probability_current, propagate
+from branchedq.graphs import dump_graph, load_graph, star_secular_spectrum
 from branchedq.grids import FoldedGrid
 from branchedq.operators import (StencilSymbol, build_convolution_hamiltonian,
                                  build_dual_wire_hamiltonian,
@@ -213,7 +214,8 @@ def test_graph_mode_counting_and_spectrum(tmp_path):
         {
             "version": 1,
             "mode": "graph",
-            "graph": {"name": "compton", "resolution": 40, "truncation": 6.0, "k": 5},
+            "graph": {"name": "compton", "resolution": 40, "truncation": 6.0},
+            "solver": {"k": 5},
         },
     )
     out = tmp_path / "out"
@@ -228,6 +230,70 @@ def test_graph_mode_counting_and_spectrum(tmp_path):
     lines = (out / "eigenvalues.csv").read_text().splitlines()
     assert lines[0] == "index,energy,wavenumber"
     assert len(lines) == 6
+
+
+def _eigenvalue_rows(out):
+    """(energy, wavenumber) columns of a graph run's eigenvalues.csv."""
+    rows = (out / "eigenvalues.csv").read_text().splitlines()[1:]
+    return np.array([[float(v) for v in row.split(",")[1:]] for row in rows])
+
+
+def test_graph_mode_named_star(tmp_path):
+    """name "star" builds the star from `edges` and `length`."""
+    cfg = _write_config(tmp_path / "g.json", {
+        "version": 1, "mode": "graph",
+        "graph": {"name": "star", "edges": 4, "length": 2.0,
+                  "resolution": 80},
+        "solver": {"k": 4}})
+    out = tmp_path / "out"
+    assert _invoke(["graph", "--config", cfg, "--out", str(out)]).exit_code == 0
+    assert json.loads((out / "counting.json").read_text()) == {
+        "node_conditions": 8, "infinity_conditions": 0,
+        "total_conditions": 8, "disposable_constants": 8}
+    # pi/4, then pi/2 three times: the star's secular roots at length 2.
+    np.testing.assert_allclose(_eigenvalue_rows(out)[:, 1],
+                               star_secular_spectrum(4, 2.0, 2.0), rtol=1e-3)
+
+
+def test_graph_file_with_complex_weights_round_trips(tmp_path):
+    """Complex kappa pairs are read from a graph file and written back.
+
+    The phase of each kappa can be gauged into its edge, so the spectrum
+    is that of the graph with |kappa| in its place.
+    """
+    def doc(kappa):
+        return {"version": 1, "vertices": [
+            {"id": "c", "condition": {"type": "weighted", "kappa": kappa}},
+            {"id": "a", "condition": {"type": "dirichlet"}},
+            {"id": "b", "condition": {"type": "dirichlet"}}, {"id": "d"}],
+            "edges": [{"u": "c", "v": "a", "length": 1.0},
+                      {"u": "c", "v": "b", "length": 1.5},
+                      {"u": "c", "v": "d", "length": 0.7}]}
+
+    def run(graph, name):
+        cfg = _write_config(tmp_path / f"run-{name}.json", {
+            "version": 1, "mode": "graph",
+            "graph": {"file": str(graph), "resolution": 25},
+            "solver": {"k": 4}})
+        out = tmp_path / name
+        assert _invoke(["graph", "--config", cfg, "--out", str(out)]).exit_code == 0
+        return out
+
+    first = tmp_path / "weighted.json"
+    first.write_text(json.dumps(doc([[0.6, 0.8], 2.0, [0.0, -1.0]])))
+    again = tmp_path / "again.json"
+    dump_graph(load_graph(first), again)
+    written = json.loads(again.read_text())["vertices"][0]["condition"]
+    assert written == {"type": "weighted",
+                       "kappa": [[0.6, 0.8], [2.0, 0.0], [0.0, -1.0]]}
+    a, b = run(first, "first"), run(again, "again")
+    for name in ("counting.json", "eigenvalues.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+    gauge = tmp_path / "gauge.json"
+    gauge.write_text(json.dumps(doc([1.0, 2.0, 1.0])))
+    np.testing.assert_allclose(_eigenvalue_rows(a),
+                               _eigenvalue_rows(run(gauge, "gauge")),
+                               rtol=1e-10)
 
 
 _WELL = {"form": "gaussian", "amplitude": -2.0, "width": 1.0, "center": 0.5}
@@ -288,7 +354,7 @@ def test_spectrum_assemblies_match_library(tmp_path, grid, potential, solver):
         np.testing.assert_allclose(energies, np.arange(5) + 0.5, atol=1e-5)
 
 
-def test_kernel_mode_hermitian(tmp_path):
+def test_kernel_hermitian_outputs(tmp_path):
     cfg = _write_config(
         tmp_path / "k.json",
         {
@@ -318,7 +384,7 @@ def test_kernel_mode_hermitian(tmp_path):
     np.testing.assert_allclose(offsets, -offsets[::-1], atol=1e-12)
 
 
-def test_kernel_mode_rejects_polynomial_potential(tmp_path):
+def test_kernel_rejects_polynomial_potential(tmp_path):
     cfg = _write_config(
         tmp_path / "k.json",
         {
@@ -331,6 +397,47 @@ def test_kernel_mode_rejects_polynomial_potential(tmp_path):
     result = _invoke(["kernel", "--config", cfg, "--out", str(tmp_path / "out")])
     assert result.exit_code == 2
     assert "config error" in result.output
+
+
+# exp(-x**2) tabulated on [-5, 5]; its transform is sqrt(pi) exp(-q**2/4).
+_TABLE_X = np.linspace(-5.0, 5.0, 81)
+_SAMPLED = {"form": "sampled", "x": _TABLE_X.tolist(),
+            "values": np.exp(-_TABLE_X**2).tolist()}
+
+
+def test_kernel_tabulates_a_sampled_potential(tmp_path):
+    cfg = _write_config(tmp_path / "k.json", {
+        "version": 1, "mode": "kernel", "potential": _SAMPLED,
+        "grid": {"kind": "line", "x_min": -4.0, "x_max": 4.0, "n": 40}})
+    out = tmp_path / "out"
+    assert _invoke(["kernel", "--config", cfg, "--out", str(out)]).exit_code == 0
+    rows = np.array([[float(v) for v in row.split(",")] for row
+                     in (out / "kernel.csv").read_text().splitlines()[1:]])
+    q = rows[:, 0]
+    np.testing.assert_allclose(rows[:, 1] + 1j * rows[:, 2],
+                               np.sqrt(np.pi) * np.exp(-q**2 / 4.0),
+                               rtol=0.0, atol=1e-9)
+    assert json.loads((out / "summary.json").read_text())[
+        "hermiticity_defect"] < 1e-14
+
+
+def test_classical_mode_takes_a_sampled_potential(tmp_path):
+    """A tabulated bump steers the orbit as the analytic one does."""
+    finals = []
+    for potential in (_SAMPLED, {"form": "gaussian", "amplitude": 1.0,
+                                 "width": 0.5 ** 0.5}):
+        cfg = _write_config(tmp_path / "c.json", {
+            "version": 1, "mode": "classical", "potential": potential,
+            "classical": {"x": -3.0, "xdot": 1.5, "t_end": 4.0,
+                          "samples": 9}})
+        out = tmp_path / potential["form"]
+        assert _invoke(["classical", "--config", cfg,
+                        "--out", str(out)]).exit_code == 0
+        rows = (out / "trajectory.csv").read_text().splitlines()
+        finals.append([float(v) for v in rows[-1].split(",")[:3]])
+    (t_s, x_s, v_s), (t_a, x_a, v_a) = finals
+    assert t_s == t_a == 4.0
+    assert abs(x_s - x_a) < 1e-2 and abs(v_s - v_a) < 1e-2
 
 
 def test_schema_violation_exits_two(tmp_path):
@@ -356,6 +463,9 @@ _LINE_KERNEL = {
     "version": 1, "mode": "kernel",
     "grid": {"kind": "line", "x_min": -5.0, "x_max": 5.0, "n": 50},
 }
+
+_NEEDLE = {"form": "gaussian", "amplitude": 0.5, "width": 1e-300,
+           "center": 1.0}
 
 
 @pytest.mark.parametrize("payload,where", [
@@ -428,6 +538,31 @@ _LINE_KERNEL = {
           potential={"form": "quadratic", "alpha": 1.0},
           solver={"assembly": "dual-wire", "kinetic": [0, 0, 1, 0], "k": 2}),
      "not finite at every grid node"),
+    # (u - center)**2 overflows: one message, no numpy warning before it.
+    (dict(_SMALL_FOLDED, mode="evolve",
+          evolution={"steps": 2, "packet": {"center": 1e300}}),
+     "packet norm"),
+    # 4.0 * width**2 overflowed a Python float.
+    (dict(_SMALL_FOLDED, mode="evolve",
+          evolution={"steps": 2, "packet": {"width": 1e300}}),
+     "evolution: packet width"),
+    # V(3) = 0, but V'(3) is NaN: solve_ivp ran on without end, or, with
+    # a loose tol, sampled its dense output past the last step.
+    (_classical_config(potential=_NEEDLE, classical={"x": 3.0, "xdot": 2.0}),
+     "classical: initial force"),
+    (_classical_config(potential=_NEEDLE, dispersion={"kappa": 1e8},
+                       classical={"x": 3.0, "xdot": 1.0, "t_end": 0.5,
+                                  "tol": 1e300}),
+     "classical: initial force"),
+    (dict(_SMALL_FOLDED, mode="spectrum",
+          solver={"k": 3, "assembly": "dual-wire",
+                  "kinetic": [0, 0, 0.5, 0]}),
+     "potential: the dual-wire assembly on a folded grid takes its W from "
+     "kappa"),
+    # Graph mode reads solver.k; the graph section has no k of its own.
+    ({"version": 1, "mode": "graph",
+      "graph": {"name": "box", "resolution": 10, "truncation": 2.0, "k": 3}},
+     "'k' was unexpected"),
 ], ids=["sweep-value", "packet-width", "packet-center", "dt-budget",
         "classical-tol-zero", "classical-tol-negative", "classical-quartic-law",
         "classical-on-cusp", "unknown-criterion", "graph-no-truncation",
@@ -438,7 +573,12 @@ _LINE_KERNEL = {
         "classical-no-time-to-sample", "classical-xdot-overflow",
         "classical-energy-overflow", "line-step-underflow",
         "line-step-overflow", "dual-wire-step-overflow",
-        "dual-wire-no-potential", "dual-wire-potential-overflow"])
+        "dual-wire-no-potential", "dual-wire-potential-overflow",
+        "packet-center-overflow", "packet-width-overflow",
+        "classical-force-nan", "classical-force-nan-loose-tol",
+        "dual-wire-folded-potential", "graph-k-moved"])
+# A numpy warning printed before the message breaks the one-line rule.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_values_exit_two(tmp_path, payload, where):
     cfg = _write_config(tmp_path / "bad.json", payload)
     result = _invoke(["run", "--config", cfg, "--out", str(tmp_path / "out")])
@@ -510,7 +650,8 @@ def test_numerical_failure_exits_three(tmp_path):
                 "center": 1.5,
             },
             "grid": {"kind": "line", "x_min": -12.0, "x_max": 12.0, "n": 160},
-            "solver": {"k": 3, "assembly": "convolution", "kernel_mode": "naive"},
+            "solver": {"k": 3, "assembly": "convolution"},
+            "kernel": {"mode": "naive"},
         },
     )
     result = _invoke(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")])
@@ -622,7 +763,7 @@ _NON_HERMITIAN = {
           sweep={"parameter": "evolution.packet.center",
                  "values": [0.0, 1000]}),
      2, "config error: evolution: "),
-    (dict(_NON_HERMITIAN, sweep={"parameter": "solver.kernel_mode",
+    (dict(_NON_HERMITIAN, sweep={"parameter": "kernel.mode",
                                  "values": ["hermitian", "naive"]}),
      3, "numerical failure: "),
 ], ids=["config-error", "numerical-failure"])

@@ -213,7 +213,7 @@ def test_branched_only_helpers_raise_on_flat_laws():
     assert dom.unfold(q, b) == pytest.approx(1.5)
 
 
-def _per_branch_velocity(kappa, p, branch):
+def _per_branch_root(kappa, p, branch):
     """The per-branch inversion the batched kernel replaced, NaN where it raised."""
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if not kappa > 0.0:
@@ -264,7 +264,7 @@ def test_kernel_matches_per_branch_inversion(kappa, ratios, offsets):
     assert got.shape == (p.size, 3)
     snapped = (kappa > 0.0) & (np.abs(np.abs(p) - qp) <= tol) & (p != 0.0)
     for b in BRANCHES:
-        ref = _per_branch_velocity(kappa, p, b)
+        ref = _per_branch_root(kappa, p, b)
         own = {1: p < 0.0, 2: np.zeros(p.size, bool), 3: p > 0.0}[b]
         plain = ~snapped | own
         assert np.array_equal(got[plain, b - 1], ref[plain], equal_nan=True)
@@ -287,7 +287,7 @@ def test_scalar_kappa_roots_are_bitwise_stable():
         p = rng.uniform(-1.0, 1.0, 4) * 2.0 * (kappa / 3.0) ** 1.5
         got = branch_velocities(p, kappa)
         for b in BRANCHES:
-            assert np.array_equal(got[:, b - 1], _per_branch_velocity(kappa, p, b))
+            assert np.array_equal(got[:, b - 1], _per_branch_root(kappa, p, b))
 
 
 @settings(max_examples=200, deadline=None)

@@ -27,7 +27,7 @@ def _line_operator(n=24, seed=0, scale=1.0):
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     H = scale * 0.5 * (A + A.conj().T)
-    return OperatorMatrix(H, "test", g), g
+    return OperatorMatrix(H, g), g
 
 
 def test_gaussian_packet_is_normalized():
@@ -93,8 +93,7 @@ def test_sparse_crank_nicolson_is_unitary_and_matches_dense(sym, n_inner, n_arm)
     take the same 20 steps."""
     g = FoldedGrid(LAW, n_inner, n_arm)
     op = build_folded_hamiltonian(LAW, g, sym)
-    dense = OperatorMatrix(op.matrix.toarray(), op.provenance, g,
-                           symbol=op.symbol)
+    dense = OperatorMatrix(op.matrix.toarray(), g, symbol=op.symbol)
     wave = MultiWave.gaussian(g, g.u[g.size // 2], 0.25 * (g.u[-1] - g.u[0]),
                               boost=0.5)
     dt = 0.4 / gershgorin_bound(op)

@@ -19,7 +19,6 @@ from branchedq import (DispersionLaw, FoldedGrid, GaussianPotential, LineGrid,
                        build_convolution_potential, build_dual_wire_hamiltonian,
                        build_folded_hamiltonian, build_unfolded_hamiltonian,
                        fourier_conjugate_hamiltonian, hermiticity_defect)
-from branchedq.operators import _branchwise_energy
 
 LAW = DispersionLaw(kappa=3.0)
 
@@ -171,18 +170,23 @@ def test_kinetic_diagonal_on_folded_grid():
 
 
 @pytest.mark.parametrize("kappa", [0.3, 3.0, 7.5])
-def test_branchwise_energy_matches_per_branch_calls(kappa):
-    """One kernel call gives each branch's `branch_energy` bit for bit."""
+def test_branch_energy_per_node_matches_per_branch_calls(kappa):
+    """A per-node branch array gives each branch's scalar-label call bit
+    for bit."""
     law = DispersionLaw(kappa=kappa)
     g = FoldedGrid(law, 60, 90)
     expected = np.empty(g.size)
     for b in (1, 2, 3):
         mask = g.branch == b
         expected[mask] = law.branch_energy(g.p[mask], b)
-    assert np.array_equal(_branchwise_energy(law, g.p, g.branch), expected)
+    assert np.array_equal(law.branch_energy(g.p, g.branch), expected)
     with pytest.raises(ValueError, match="off-branch momentum: branch 1"):
-        _branchwise_energy(law, [0.0, 2.0 * law.p_plus, -2.0 * law.p_plus],
-                           [2, 1, 3])
+        law.branch_energy([0.0, 2.0 * law.p_plus, -2.0 * law.p_plus],
+                          [2, 1, 3])
+    with pytest.raises(ValueError, match="off-branch momentum: branch 2"):
+        law.branch_energy(2.0 * law.p_plus, 2)
+    with pytest.raises(ValueError, match="branch must be one of"):
+        law.branch_energy(g.p, 0)
 
 
 @pytest.mark.parametrize("V", [QuadraticPotential(1.3),
@@ -258,6 +262,10 @@ def test_dual_wire_branch_dict_junction_check():
     bad[3] = lambda p: np.asarray(p) * 0.0 + 2.0
     with pytest.raises(ValueError):
         build_dual_wire_hamiltonian(StencilSymbol(0, 0, 1.0, 0), bad, g)
+    # A folded W is branch-resolved: a nodal array or a potential is not.
+    for W in (np.zeros(g.size), QuadraticPotential(1.0)):
+        with pytest.raises(TypeError, match="DispersionLaw or a"):
+            build_dual_wire_hamiltonian(StencilSymbol(0, 0, 1.0, 0), W, g)
 
 
 def test_dual_wire_array_shape_check():

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from branchedq import (GaussianPotential, LorentzianPotential, PotentialSpec,
+from branchedq import (GaussianPotential, LorentzianPotential,
                        QuadraticPotential, QuarticPotential, SampledPotential,
-                       SechSquaredPotential, has_kernel)
+                       SechSquaredPotential, has_kernel,
+                       potential_from_mapping)
 
 
 def _quadrature_kernel(potential, q, half_width, n=400001):
@@ -122,18 +123,20 @@ def test_wells_reject_non_positive_width(form, width):
 
 
 def test_spec_round_trip():
-    spec = PotentialSpec.from_mapping(
+    pot = potential_from_mapping(
         {"form": "gaussian", "amplitude": 2.0, "width": 1.0, "center": 1.5})
-    pot = spec.build()
     assert isinstance(pot, GaussianPotential)
     assert pot.amplitude == 2.0 and pot.center == 1.5
+    table = potential_from_mapping(
+        {"form": "sampled", "x": [0, 1, 2, 3], "values": [0, 1, 1, 0]})
+    assert isinstance(table, SampledPotential) and table.dx == 1.0
 
 
 def test_spec_rejects_unknown_forms():
     with pytest.raises(ValueError):
-        PotentialSpec("cubic")
+        potential_from_mapping({"form": "cubic"})
     with pytest.raises(ValueError):
-        PotentialSpec.from_mapping({"amplitude": 1.0})
+        potential_from_mapping({"amplitude": 1.0})
 
 
 def test_kernel_availability():

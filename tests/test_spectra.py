@@ -74,7 +74,7 @@ def test_dirichlet_laplacian_closed_form():
     exact = (2.0 - 2.0 * np.cos(m * np.pi / (n + 1))) / g.h**2
     assert np.max(np.abs(res.eigenvalues - exact)) < 1e-11 * exact[-1]
 
-    dense = OperatorMatrix(op.matrix.toarray(), op.provenance, g)
+    dense = OperatorMatrix(op.matrix.toarray(), g)
     for operator, k, solver in ((op, 2, "shift-invert"), (op, 3, "eigh"),
                                 (dense, 2, "eigh")):
         part = solve_eigensystem(operator, k=k)
