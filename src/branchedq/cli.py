@@ -56,7 +56,6 @@ if "numpy" not in sys.modules and not set(_BLAS_THREAD_VARS) & set(os.environ):
 _BLAS_THREADS_SET = bool(set(_BLAS_THREAD_VARS) & set(os.environ))
 
 import click
-import jsonschema
 import numpy as np
 import scipy.sparse
 
@@ -75,6 +74,7 @@ from .operators import (StencilSymbol, build_convolution_hamiltonian,
                         fourier_conjugate_hamiltonian, gershgorin_bound,
                         hermiticity_defect)
 from .potentials import has_kernel, potential_from_mapping
+from .schema import SchemaViolation, check, check_schema
 from .spectra import _CERTIFY_MULTIPLE, solve_eigensystem
 
 _NUM = {"type": "number"}
@@ -186,6 +186,24 @@ CONFIG_SCHEMA = {
         },
     },
 }
+check_schema(CONFIG_SCHEMA)
+
+# The sections each mode reads, and for `solver` the keys (None: every key).
+# Every mode reads version, mode, seed, out and sweep; `kernel` is read by
+# kernel mode and by the convolution assembly.  A setting that the mode
+# would ignore exits 2.
+_MODE_READS = {
+    "spectrum": {"dispersion": None, "potential": None, "grid": None,
+                 "solver": None},
+    "evolve": {"dispersion": None, "potential": None, "grid": None,
+               "solver": {"accuracy", "assembly", "kinetic"}, "evolution": None},
+    "graph": {"graph": None, "solver": {"k"}},
+    "classical": {"dispersion": None, "potential": None, "classical": None},
+    "kernel": {"dispersion": None, "potential": None, "grid": None,
+               "kernel": None},
+    "verify": {"criteria": None},
+}
+_EVERY_MODE_READS = {"version", "mode", "seed", "out", "sweep"}
 
 
 def _lead_text(fmt, *columns):
@@ -236,16 +254,11 @@ def _write_json(path, payload):
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-# Built once: jsonschema.validate would re-check the constant schema itself
-# (about 25 ms) on every call, and a sweep validates every sub-config.
-_CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
-
-
 def validate_config(doc, source="config"):
-    error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(doc))
-    if error is not None:
-        where = getattr(error, "json_path", "$")
-        raise ConfigError(f"{source}: {where}: {error.message}")
+    try:
+        check(doc, CONFIG_SCHEMA)
+    except SchemaViolation as exc:
+        raise ConfigError(f"{source}: {exc}") from None
 
 
 def _finite_number(text, parse=float):
@@ -254,6 +267,26 @@ def _finite_number(text, parse=float):
         raise ValueError(f"number {text[:24]} is NaN, infinite or beyond "
                          "the float range")
     return parse(text)
+
+
+def _check_reads(config, source=""):
+    """Raise ConfigError for a section or solver key the mode would ignore."""
+    mode = config["mode"]
+    reads = dict(_MODE_READS[mode])
+    if config.get("solver", {}).get("assembly") == "convolution":
+        reads["kernel"] = None
+    for section in config:
+        if section in _EVERY_MODE_READS:
+            continue
+        if section not in reads:
+            what = ("only kernel mode and the convolution assembly read it"
+                    if section == "kernel" else f"{mode} mode does not read it")
+            raise ConfigError(f"{source}{section}: {what}")
+        keys = reads[section]
+        unread = [] if keys is None else sorted(set(config[section]) - keys)
+        if unread:
+            raise ConfigError(f"{source}{section}: {mode} mode does not read "
+                              f"{', '.join(unread)}")
 
 
 def load_config(path):
@@ -475,9 +508,8 @@ def _graph_from(config):
                               float(gcfg.get("length", 1.0))), gcfg
         if name in GRAPH_LIBRARY:
             return GRAPH_LIBRARY[name](float(gcfg.get("length", 1.0))), gcfg
-    except jsonschema.ValidationError as exc:
-        where = getattr(exc, "json_path", "$")
-        raise ConfigError(f"graph file: {where}: {exc.message}") from None
+    except SchemaViolation as exc:
+        raise ConfigError(f"graph file: {exc}") from None
     except (OSError, ValueError, FluxBalanceError) as exc:
         raise ConfigError(f"graph: {exc}") from None
     raise ConfigError("graph: needs a file or a known name "
@@ -706,6 +738,7 @@ def run_config(config, out_dir, jobs=1):
     out_dir = Path(out_dir)
     sweep = config.get("sweep")
     if not sweep:
+        _check_reads(config)
         return _run_single(config, out_dir, jobs)
     tasks = []
     for i, value in enumerate(sweep["values"]):
@@ -713,6 +746,7 @@ def run_config(config, out_dir, jobs=1):
         del sub["sweep"]
         _set_dotted(sub, sweep["parameter"], value)
         validate_config(sub, source=f"sweep value {i}")
+        _check_reads(sub, source=f"sweep value {i}: ")
         tasks.append((sub, out_dir / f"sweep-{i:03d}"))
     return all(_map(_run_task, tasks, jobs, "sweep"))
 

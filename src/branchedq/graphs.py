@@ -17,7 +17,6 @@ end supplies one decay condition, and each line owns two disposable
 constants, so conditions and constants balance on Kirchhoff networks.
 """
 
-import functools
 import json
 from dataclasses import dataclass, field
 
@@ -26,6 +25,7 @@ import scipy.sparse
 
 from .errors import FluxBalanceError
 from .operators import OperatorMatrix
+from .schema import check, check_schema
 
 
 @dataclass(frozen=True)
@@ -453,6 +453,7 @@ GRAPH_SCHEMA = {
         "free_lines": {"type": "integer", "minimum": 0},
     },
 }
+check_schema(GRAPH_SCHEMA)
 
 
 def _kappa_from_json(values):
@@ -460,20 +461,13 @@ def _kappa_from_json(values):
                  for v in values)
 
 
-@functools.cache
-def _graph_validator():
-    # Built once, on first use: jsonschema.validate would re-check the
-    # constant schema itself on every load.
-    import jsonschema
-    return jsonschema.validators.validator_for(GRAPH_SCHEMA)(GRAPH_SCHEMA)
-
-
 def graph_from_mapping(doc):
-    """Build a MetricGraph from the versioned mapping format."""
-    import jsonschema
-    error = jsonschema.exceptions.best_match(_graph_validator().iter_errors(doc))
-    if error is not None:
-        raise error
+    """Build a MetricGraph from the versioned mapping format.
+
+    A document that breaks GRAPH_SCHEMA raises schema.SchemaViolation, a
+    ValueError whose text is '$.path: message'.
+    """
+    check(doc, GRAPH_SCHEMA)
     vertices = []
     conditions = {}
     for entry in doc["vertices"]:

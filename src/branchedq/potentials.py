@@ -150,8 +150,11 @@ class SampledPotential:
         return np.interp(x, self.x, self.values, left=0.0, right=0.0)
 
     def gradient(self, x):
-        g = np.gradient(self.values, self.dx)
-        return np.interp(x, self.x, g, left=0.0, right=0.0)
+        """The derivative of `__call__`: the slope of the segment that holds
+        x (the one to its right at a node), and 0 outside the table."""
+        slopes = np.diff(self.values) / np.diff(self.x)
+        return np.concatenate(([0.0], slopes, [0.0]))[
+            np.searchsorted(self.x, x, side="right")]
 
     def kernel(self, q):
         q = np.atleast_1d(np.asarray(q, dtype=float))

@@ -29,7 +29,8 @@ from branchedq import acceptance, cli
 from branchedq.cli import (CONFIG_SCHEMA, _write_columns,
                           emit_dispersion_curve, main)
 from branchedq.evolution import MultiWave, probability_current, propagate
-from branchedq.graphs import dump_graph, load_graph, star_secular_spectrum
+from branchedq.graphs import (dump_graph, load_graph, star_graph,
+                              star_secular_spectrum)
 from branchedq.grids import FoldedGrid
 from branchedq.operators import (StencilSymbol, build_convolution_hamiltonian,
                                  build_dual_wire_hamiltonian,
@@ -563,6 +564,24 @@ _NEEDLE = {"form": "gaussian", "amplitude": 0.5, "width": 1e-300,
     ({"version": 1, "mode": "graph",
       "graph": {"name": "box", "resolution": 10, "truncation": 2.0, "k": 3}},
      "'k' was unexpected"),
+    # Settings that the mode never reads.
+    ({"version": 1, "mode": "graph",
+      "graph": {"name": "box", "resolution": 10, "truncation": 2.0},
+      "solver": {"k": 3, "assembly": "fourier", "accuracy": 4,
+                 "kinetic": [1, 2, 3, 4]}},
+     "solver: graph mode does not read accuracy, assembly, kinetic"),
+    (dict(_LINE_KERNEL, mode="spectrum", grid=_RING, potential=_WELL,
+          solver={"k": 4, "assembly": "fourier"}, kernel={"mode": "naive"}),
+     "kernel: only kernel mode and the convolution assembly read it"),
+    (dict(_SMALL_FOLDED, mode="evolve", solver={"k": 3},
+          evolution={"steps": 2}),
+     "solver: evolve mode does not read k"),
+    (_classical_config(grid={"kind": "folded", "n_inner": 8, "n_arm": 10}),
+     "grid: classical mode does not read it"),
+    ({"version": 1, "mode": "graph",
+      "graph": {"name": "box", "resolution": 10, "truncation": 2.0},
+      "sweep": {"parameter": "dispersion.kappa", "values": [2.0]}},
+     "sweep value 0: dispersion: graph mode does not read it"),
 ], ids=["sweep-value", "packet-width", "packet-center", "dt-budget",
         "classical-tol-zero", "classical-tol-negative", "classical-quartic-law",
         "classical-on-cusp", "unknown-criterion", "graph-no-truncation",
@@ -576,7 +595,9 @@ _NEEDLE = {"form": "gaussian", "amplitude": 0.5, "width": 1e-300,
         "dual-wire-no-potential", "dual-wire-potential-overflow",
         "packet-center-overflow", "packet-width-overflow",
         "classical-force-nan", "classical-force-nan-loose-tol",
-        "dual-wire-folded-potential", "graph-k-moved"])
+        "dual-wire-folded-potential", "graph-k-moved",
+        "graph-reads-only-solver-k", "fourier-kernel-mode", "evolve-solver-k",
+        "classical-grid", "sweep-unread-section"])
 # A numpy warning printed before the message breaks the one-line rule.
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_values_exit_two(tmp_path, payload, where):
@@ -594,7 +615,8 @@ _STAR = [{"id": "c"}, {"id": "t", "condition": {"type": "dirichlet"}}]
 
 @pytest.mark.parametrize("text,where", [
     (None, "No such file"),
-    ('{"version": 1, "vertices": "oops"}', "$.vertices"),
+    ('{"version": 1, "vertices": "oops"}',
+     "config error: graph file: $.vertices: 'oops' is not of type 'array'"),
     ('{"version": 1, "vertices": [', "Expecting value"),
     (json.dumps({"version": 1, "vertices": [{"id": "a"}],
                  "edges": [{"u": "a", "v": "b", "length": 1.0}]}), "dangling"),
@@ -619,6 +641,17 @@ def test_bad_graph_file_exits_two(tmp_path, text, where):
     assert result.exit_code == 2
     assert "config error" in result.output
     assert where in result.output
+
+
+def test_mode_override_checks_what_the_new_mode_reads(tmp_path):
+    cfg = _write_config(tmp_path / "s.json", dict(_SMALL_FOLDED, mode="spectrum"))
+    result = _invoke(["run", "--config", cfg, "--mode", "graph",
+                      "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert result.output == ("config error: dispersion: graph mode does not "
+                             "read it\n")
+    assert not (tmp_path / "out").exists()
+    assert set(cli._MODE_READS) == set(cli._MODES)
 
 
 def test_malformed_json_exits_two(tmp_path):
@@ -1144,6 +1177,24 @@ def test_cli_defaults_blas_to_one_thread(preset, expected):
     assert lazy, "import branchedq loaded numpy"
     assert blas == expected
     assert unbound == []
+
+
+def test_start_up_loads_no_jsonschema(tmp_path):
+    """Configs and graph files are checked without importing jsonschema."""
+    cfg = _write_config(tmp_path / "c.json", {"version": 1, "mode": "verify"})
+    graph = tmp_path / "g.json"
+    dump_graph(star_graph(3, 1.0), graph)
+    code = ("import sys\n"
+            "import branchedq.cli as cli\n"
+            "from branchedq import graphs\n"
+            "cli.load_config(sys.argv[1])\n"
+            "graphs.load_graph(sys.argv[2])\n"
+            "print('jsonschema' in sys.modules)\n")
+    src = str(Path(branchedq.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code, cfg, str(graph)],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_import_cli_skips_scipy_integrate():

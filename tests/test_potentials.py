@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from branchedq import (GaussianPotential, LorentzianPotential,
-                       QuadraticPotential, QuarticPotential, SampledPotential,
-                       SechSquaredPotential, has_kernel,
+from branchedq import (ClassicalState, DispersionLaw, GaussianPotential,
+                       LorentzianPotential, QuadraticPotential,
+                       QuarticPotential, SampledPotential,
+                       SechSquaredPotential, has_kernel, integrate_hamilton,
                        potential_from_mapping)
 
 
@@ -35,12 +36,19 @@ def test_quartic_frozen_point():
     assert pot.gradient(2.0) == pytest.approx(55.0)
 
 
+# exp(-x**2) on 81 nodes of [-5, 5]: the potential is its piecewise-linear
+# interpolant, so the force is the slope of the segment that holds x.
+_TABLE_X = np.linspace(-5.0, 5.0, 81)
+_TABLE = SampledPotential(_TABLE_X, np.exp(-_TABLE_X**2))
+
+
 @pytest.mark.parametrize("pot", [
     QuadraticPotential(1.7),
     QuarticPotential(0.4, -1.1, 0.9),
     GaussianPotential(2.0, 1.3, -0.7),
     LorentzianPotential(1.5, 0.8, 0.3),
     SechSquaredPotential(0.9, 1.1, 0.2),
+    _TABLE,
 ])
 def test_gradients_match_central_differences(pot):
     rng = np.random.default_rng(20260814)
@@ -48,6 +56,23 @@ def test_gradients_match_central_differences(pot):
     eps = 1e-6
     fd = (pot(x + eps) - pot(x - eps)) / (2.0 * eps)
     assert np.max(np.abs(fd - pot.gradient(x))) < 5e-8
+
+
+def test_sampled_gradient_is_zero_outside_the_table():
+    assert np.all(_TABLE.gradient([-7.0, -5.0 - 1e-9, 5.0 + 1e-9, 7.0]) == 0.0)
+    # At a node, the slope of the segment to its right.
+    slopes = np.diff(_TABLE.values) / np.diff(_TABLE_X)
+    assert np.array_equal(_TABLE.gradient(_TABLE_X[:-1]), slopes)
+
+
+def test_sampled_potential_conserves_the_classical_energy():
+    """The force is the derivative of the potential the energy reads, so
+    the flow conserves that energy to the integrator's tolerance (the
+    interpolated table derivative used before drifted by 7.7e-3 here)."""
+    traj = integrate_hamilton(ClassicalState(-3.0, 1.5), 4.0,
+                              DispersionLaw(kappa=3.0), _TABLE, tol=1e-12)
+    assert traj.status == "completed"
+    assert traj.energy_drift() < 1e-7
 
 
 def test_gaussian_kernel_against_quadrature():
