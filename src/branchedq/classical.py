@@ -92,11 +92,10 @@ class Trajectory:
 def _force_of(potential):
     if potential is None:
         return lambda x: 0.0
-    if hasattr(potential, "gradient"):
-        return potential.gradient
-    if callable(potential):
-        return potential
-    raise TypeError("potential must expose .gradient or be a V' callable")
+    if not hasattr(potential, "gradient"):
+        raise TypeError("potential must be None or an object with __call__ "
+                        "and .gradient")
+    return potential.gradient
 
 
 def poisson_bracket(F, G, state, law, eps=1e-6):
@@ -117,13 +116,13 @@ def poisson_bracket(F, G, state, law, eps=1e-6):
     return (Fx * Gv - Fv * Gx) / hess
 
 
-def hamilton_rhs(state, law, force, tol=DEGENERACY_TOL):
-    """(dx/dt, dxdot/dt) from the bracket; `force` is V' or a potential.
+def hamilton_rhs(state, law, potential, tol=DEGENERACY_TOL):
+    """(dx/dt, dxdot/dt) from the bracket; V' is `potential.gradient`.
 
     dx/dt is evaluated through the bracket expression, unsimplified, so its
     agreement with xdot is a checked identity rather than a substitution.
     """
-    grad = _force_of(force)
+    grad = _force_of(potential)
     v = state.xdot
     kappa = law.kappa
     hess = 3.0 * v * v - kappa
@@ -162,9 +161,6 @@ def _run_segments(rhs, state0, end_time, law, potential, tol, policy, seed,
 
     if policy not in _POLICIES:
         raise ValueError(f"unknown degeneracy policy {policy!r}")
-    if potential is not None and not hasattr(potential, "gradient"):
-        raise TypeError(
-            "integrators need a potential object with __call__ and .gradient")
     if t_eval is not None and end_time == state0.t:
         raise ValueError("t_end must differ from the start time when "
                          "samples are requested")

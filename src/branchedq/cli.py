@@ -191,7 +191,9 @@ check_schema(CONFIG_SCHEMA)
 # The sections each mode reads, and for `solver` the keys (None: every key).
 # Every mode reads version, mode, seed, out and sweep; `kernel` is read by
 # kernel mode and by the convolution assembly.  A setting that the mode
-# would ignore exits 2.
+# would ignore exits 2.  So does a key that the grid kind, the solver
+# assembly or the graph source would ignore: `_SETTING_READS` lists the keys
+# that only some of them read, by the one that reads them.
 _MODE_READS = {
     "spectrum": {"dispersion": None, "potential": None, "grid": None,
                  "solver": None},
@@ -204,6 +206,19 @@ _MODE_READS = {
     "verify": {"criteria": None},
 }
 _EVERY_MODE_READS = {"version", "mode", "seed", "out", "sweep"}
+_LINE_KEYS = {"x_min", "x_max", "n"}
+_SETTING_READS = {
+    "grid": {"folded": {"n_inner", "n_arm"}, "line": _LINE_KEYS,
+             "periodic": _LINE_KEYS},
+    "solver": {"folded": {"accuracy"}, "unfolded": {"accuracy"},
+               "dual-wire": {"accuracy", "kinetic"}, "convolution": set(),
+               "fourier": set()},
+    # `truncation` with a file is read when the file has half-lines.
+    "graph": {"file": {"file", "truncation"},
+              "star": {"name", "edges", "length"},
+              "compton": {"name", "length", "truncation"},
+              "box": {"name", "length", "truncation"}},
+}
 
 
 def _lead_text(fmt, *columns):
@@ -270,7 +285,8 @@ def _finite_number(text, parse=float):
 
 
 def _check_reads(config, source=""):
-    """Raise ConfigError for a section or solver key the mode would ignore."""
+    """Raise ConfigError for a section or key that the mode, the grid
+    kind, the solver assembly or the graph source would ignore."""
     mode = config["mode"]
     reads = dict(_MODE_READS[mode])
     if config.get("solver", {}).get("assembly") == "convolution":
@@ -287,6 +303,23 @@ def _check_reads(config, source=""):
         if unread:
             raise ConfigError(f"{source}{section}: {mode} mode does not read "
                               f"{', '.join(unread)}")
+    kind = config.get("grid", {}).get("kind", "folded")
+    assembly = config.get("solver", {}).get(
+        "assembly", "folded" if kind == "folded" else "unfolded")
+    graph = config.get("graph", {})
+    name = "file" if "file" in graph else graph.get("name")
+    for section, setting, label in (
+            ("grid", kind, f"a {kind} grid"),
+            ("solver", assembly, f"the {assembly} assembly"),
+            ("graph", name, "a graph file" if name == "file"
+             else f"the {name} graph")):
+        by_setting = _SETTING_READS[section]
+        if section in config and setting in by_setting:
+            some = set().union(*by_setting.values())
+            unread = sorted(set(config[section]) & some - by_setting[setting])
+            if unread:
+                raise ConfigError(f"{source}{section}: {label} does not read "
+                                  f"{', '.join(unread)}")
 
 
 def load_config(path):
@@ -585,8 +618,7 @@ def _mode_kernel(config, out):
     grid = _grid_from(config, law)
     mode = config.get("kernel", {}).get("mode", "hermitian")
     try:
-        op = build_convolution_potential(
-            potential, grid, mode=mode, domain=law if mode == "naive" else None)
+        op = build_convolution_potential(potential, grid, mode=mode, domain=law)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"kernel: {exc}") from None
     offsets = grid.h * np.arange(-(grid.size - 1), grid.size)
@@ -838,11 +870,18 @@ _mode_command("kernel", "Tabulate a convolution kernel.")
 _mode_command("verify", "Run the acceptance suite.")
 
 
+def _finite(ctx, param, value):
+    if not math.isfinite(value):
+        raise click.BadParameter(f"{value} is not a finite number")
+    return value
+
+
 @main.command()
 @click.option("--kappa", default=3.0, show_default=True)
-@click.option("--samples", default=601, show_default=True)
-@click.option("--v-min", default=-3.0, show_default=True)
-@click.option("--v-max", default=3.0, show_default=True)
+@click.option("--samples", default=601, show_default=True,
+              type=click.IntRange(min=1))
+@click.option("--v-min", default=-3.0, show_default=True, callback=_finite)
+@click.option("--v-max", default=3.0, show_default=True, callback=_finite)
 @click.option("--out", default="dispersion.csv", show_default=True)
 def dispersion(kappa, samples, v_min, v_max, out):
     """Emit the swallowtail (xdot, p, E, branch) curve as CSV."""

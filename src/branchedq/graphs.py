@@ -83,9 +83,11 @@ class MetricGraph:
         vset = set(self.vertices)
         if len(vset) != len(self.vertices):
             raise ValueError("duplicate vertex ids")
-        self.edges = [e if isinstance(e, Edge) else Edge(*e) for e in edges]
-        self.half_lines = [h if isinstance(h, HalfLine) else HalfLine(*h)
-                           for h in half_lines]
+        self.edges = list(edges)
+        self.half_lines = list(half_lines)
+        if not (all(isinstance(e, Edge) for e in self.edges)
+                and all(isinstance(h, HalfLine) for h in self.half_lines)):
+            raise TypeError("edges must be Edge and half_lines HalfLine objects")
         self.free_lines = int(free_lines)
         for e in self.edges:
             if e.u not in vset or e.v not in vset:
@@ -336,17 +338,17 @@ def graph_hamiltonian(graph, resolution, truncation=None):
 _FLUX_EDGE = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
 
 
-def node_flux(psi, vertex, graph):
+def node_flux(psi, vertex, op):
     """Weighted inward flux sum_mu alpha_mu conj(kappa_mu) psi_mu' at a vertex.
 
-    `graph` is the discretized layout (or the OperatorMatrix holding it);
-    psi is a vector in the Hamiltonian's coordinates.  Derivatives use
-    the 5-point one-sided stencil along each incident line, oriented into
-    the node.  Near zero on eigenstates of non-Dirichlet vertices.
+    `op` is the OperatorMatrix from graph_hamiltonian; psi is a vector in
+    its coordinates.  Derivatives use the 5-point one-sided stencil along
+    each incident line, oriented into the node.  Near zero on eigenstates
+    of non-Dirichlet vertices.
     """
-    layout = graph.grid if isinstance(graph, OperatorMatrix) else graph
+    layout = op.grid if isinstance(op, OperatorMatrix) else None
     if not isinstance(layout, GraphLayout):
-        raise TypeError("node_flux needs the discretized graph layout")
+        raise TypeError("node_flux needs the OperatorMatrix of a graph")
     g = layout.graph
     flux = 0.0 + 0.0j
     for (kind, idx, end) in g.incidence(vertex):
@@ -413,10 +415,8 @@ GRAPH_LIBRARY = {"compton": compton_graph, "box": box_graph}
 # -- file format ---------------------------------------------------------------
 
 # A kappa entry is a real number or a [re, im] pair.
-_KAPPA_ITEM = {"oneOf": [
-    {"type": "number"},
-    {"type": "array", "items": {"type": "number"},
-     "minItems": 2, "maxItems": 2}]}
+_KAPPA_ITEM = {"type": ["number", "array"], "items": {"type": "number"},
+               "minItems": 2, "maxItems": 2}
 
 GRAPH_SCHEMA = {
     "type": "object",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import BranchedDomain, DispersionLaw
+from .dispersion import DispersionLaw
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ class FoldedGrid:
 
     Parameters
     ----------
-    law : DispersionLaw or BranchedDomain
+    law : DispersionLaw
         Supplies the junction momenta q_-, q_+ (law must be branched).
     n_inner : int
         Number of grid intervals between the junctions; the spacing is
@@ -108,9 +108,9 @@ class FoldedGrid:
     """
 
     def __init__(self, law, n_inner, n_arm):
-        domain = law.domain() if isinstance(law, DispersionLaw) else law
-        if not isinstance(domain, BranchedDomain):
-            raise TypeError("law must be a DispersionLaw or BranchedDomain")
+        if not isinstance(law, DispersionLaw):
+            raise TypeError("law must be a DispersionLaw")
+        domain = law.domain()
         if not domain.p_plus > domain.p_minus:
             raise ValueError("folded grids require a branched law (kappa > 0)")
         if n_inner < 2:

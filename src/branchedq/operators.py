@@ -32,7 +32,7 @@ import numpy as np
 import scipy.sparse
 from scipy.linalg import toeplitz, circulant
 
-from .dispersion import BranchedDomain, DispersionLaw
+from .dispersion import DispersionLaw
 from .grids import FoldedGrid, LineGrid, PeriodicGrid
 from .potentials import QuadraticPotential, QuarticPotential, has_kernel
 
@@ -237,8 +237,8 @@ def build_dual_wire_hamiltonian(kinetic, W, grid, accuracy=2):
     c4 p^4 + c3 p^3 + c2 p^2 + c1 p.  On a FoldedGrid, W is
     branch-resolved: a DispersionLaw (its energy curve read as a
     multivalued potential) or a {branch: callable} mapping; the two values
-    meeting at each junction must agree.  On a LineGrid, W is a callable,
-    array, or None.
+    meeting at each junction must agree.  On a LineGrid, W is a callable
+    or None.
     """
     if isinstance(grid, FoldedGrid):
         diag = _dual_wire_diag(W, grid)
@@ -251,9 +251,7 @@ def build_dual_wire_hamiltonian(kinetic, W, grid, accuracy=2):
             with np.errstate(over="ignore", invalid="ignore"):
                 diag = np.asarray(W(grid.x), dtype=float)
         else:
-            diag = np.asarray(W, dtype=float)
-            if diag.shape != (grid.size,):
-                raise ValueError("W array must have one value per grid node")
+            raise TypeError("on a LineGrid, W is a callable or None")
     else:
         raise TypeError("build_dual_wire_hamiltonian needs a FoldedGrid or LineGrid")
     H = _assemble_line(grid.size, grid.h, kinetic, accuracy, diag)
@@ -289,7 +287,8 @@ def build_convolution_potential(V, grid, mode="hermitian", domain=None):
     on a PeriodicGrid.  naive mode: the three-interval windowed kernel
     sum with the reversed middle interval conjugated (K2 = conj(K1));
     for asymmetric V this is not Hermitian and is kept for testing.  The
-    naive windows split at the junction coordinates of `domain`.
+    naive windows split at the junction momenta of `domain`, a branched
+    DispersionLaw.
     """
     if not has_kernel(V):
         raise ValueError("potential has no integrable transform (a polynomial's "
@@ -308,10 +307,9 @@ def build_convolution_potential(V, grid, mode="hermitian", domain=None):
         if mode == "hermitian":
             M = scale * K1
             return OperatorMatrix(M, grid)
-        dom = domain.domain() if isinstance(domain, DispersionLaw) else domain
-        if not isinstance(dom, BranchedDomain):
+        if not (isinstance(domain, DispersionLaw) and domain.branched):
             raise ValueError("naive mode needs the branched domain for its windows")
-        w1, w2, w3 = _heaviside_windows(grid.x, dom.p_minus, dom.p_plus)
+        w1, w2, w3 = _heaviside_windows(grid.x, domain.p_minus, domain.p_plus)
         M = scale * (K1 * w1 + np.conj(K1) * w2 + K1 * w3)
         return OperatorMatrix(M, grid)
 
@@ -347,8 +345,7 @@ def _heaviside_windows(xi, p_minus, p_plus):
 
 def build_convolution_hamiltonian(law, V, grid, mode="hermitian"):
     """Kinetic diagonal plus the kernel potential on the unfolded grid."""
-    pot = build_convolution_potential(V, grid, mode=mode,
-                                      domain=law.domain() if law.branched else None)
+    pot = build_convolution_potential(V, grid, mode=mode, domain=law)
     H = pot.matrix.copy()
     H[np.diag_indices_from(H)] += _unfolded_energy(law, grid.x)
     return OperatorMatrix(H, grid)

@@ -1,9 +1,9 @@
 """Checks a JSON document against the JSON Schema subset the configs use.
 
-The config and graph-file schemas use twelve JSON Schema (draft 2020-12)
+The config and graph-file schemas use eleven JSON Schema (draft 2020-12)
 keywords: type, const, enum, required, properties, additionalProperties
-(false only), items, minItems, maxItems, minimum, exclusiveMinimum and
-oneOf.  `violation` checks exactly those, with JSON Schema's meaning (a
+(false only), items, minItems, maxItems, minimum and exclusiveMinimum.
+`violation` checks exactly those, with JSON Schema's meaning (a
 bool is not a number, 2.0 is an integer, `const` and `enum` tell true
 from 1).  It reports the error, and the message text, that the Python
 reference validator (version 4.26, a test dependency) picks with its
@@ -37,11 +37,8 @@ class SchemaViolation(ValueError):
 
 
 class _Error(NamedTuple):
-    path: tuple       # relative to the instance that the enclosing oneOf checks
-    keyword: str
+    path: tuple  # relative to the instance that `_errors` checks
     message: str
-    matches_type: bool  # the instance has the type its schema node names
-    context: tuple = ()  # a failed oneOf's errors, one or more per branch
 
 
 def _is_type(instance, types):
@@ -135,24 +132,6 @@ def _exclusive_minimum(value, instance, schema):
         yield f"{instance!r} is less than or equal to the minimum of {value!r}"
 
 
-def _one_of(value, instance, schema):
-    context = []
-    for index, sub in enumerate(value):
-        errors = list(_errors(instance, sub))
-        if not errors:
-            break
-        context.extend(errors)
-    else:
-        yield _Error((), "oneOf", f"{instance!r} is not valid under any of "
-                     "the given schemas", _matches(instance, schema),
-                     tuple(context))
-        return
-    more = [each for each in value[index + 1:] if not any(_errors(instance, each))]
-    if more:
-        yield (f"{instance!r} is valid under each of "
-               + ", ".join(map(repr, more + [sub])))
-
-
 _KEYWORDS = {
     "type": _type,
     "const": _const,
@@ -165,12 +144,7 @@ _KEYWORDS = {
     "maxItems": _max_items,
     "minimum": _minimum,
     "exclusiveMinimum": _exclusive_minimum,
-    "oneOf": _one_of,
 }
-
-
-def _matches(instance, schema):
-    return "type" in schema and _is_type(instance, schema["type"])
 
 
 def _errors(instance, schema):
@@ -182,8 +156,7 @@ def _errors(instance, schema):
     """
     for keyword, value in schema.items():
         for found in _KEYWORDS[keyword](value, instance, schema):
-            yield (found if isinstance(found, _Error) else
-                   _Error((), keyword, found, _matches(instance, schema)))
+            yield found if isinstance(found, _Error) else _Error((), found)
 
 
 def _nested(instance, schema, step):
@@ -193,9 +166,9 @@ def _nested(instance, schema, step):
 
 def _relevance(error):
     # The reference validator's `relevance`: the shallowest error, then the
-    # greatest path, then not oneOf, then one whose instance has the wrong type.
-    return (-len(error.path), error.path, error.keyword != "oneOf",
-            not error.matches_type)
+    # greatest path.  Its further keys tell apart errors that different
+    # schema nodes report at one path, which these keywords never do.
+    return (-len(error.path), error.path)
 
 
 _PLAIN_NAME = re.compile("^[a-zA-Z][a-zA-Z0-9_]*$")
@@ -216,20 +189,10 @@ def _json_path(path):
 def violation(doc, schema):
     """The violation `best_match` reports, as ('$.path', message).
 
-    None when `doc` is valid.  The shallowest error wins; a failed oneOf is
-    replaced by the deepest error under its branches, unless two tie.
+    None when `doc` is valid.  The shallowest error wins.
     """
     best = max(_errors(doc, schema), key=_relevance, default=None)
-    if best is None:
-        return None
-    where = ()
-    while best.context:
-        first, *rest = sorted(best.context, key=_relevance)[:2]
-        if rest and _relevance(first) == _relevance(rest[0]):
-            break
-        where += best.path
-        best = first
-    return _json_path(where + best.path), best.message
+    return None if best is None else (_json_path(best.path), best.message)
 
 
 def check(doc, schema):
@@ -250,7 +213,7 @@ def check_schema(schema):
     unknown = set([types] if isinstance(types, str) else types) - set(_TYPES)
     if unknown:
         raise ValueError(f"schema types {sorted(unknown)} are not checked")
-    subschemas = [*schema.get("properties", {}).values(), *schema.get("oneOf", ())]
+    subschemas = list(schema.get("properties", {}).values())
     if "items" in schema:
         subschemas.append(schema["items"])
     for sub in subschemas:

@@ -40,7 +40,7 @@ def test_bracket_generates_the_velocity():
 
 def test_hamilton_rhs_frozen_point():
     # x=1, xdot=2: Hessian 9, force -x
-    dx, dv = hamilton_rhs(ClassicalState(1.0, 2.0), LAW, WELL.gradient)
+    dx, dv = hamilton_rhs(ClassicalState(1.0, 2.0), LAW, WELL)
     assert dx == pytest.approx(2.0, abs=1e-14)
     assert dv == pytest.approx(-1.0 / 9.0, abs=1e-15)
 
@@ -52,7 +52,7 @@ def test_energy_frozen_point():
 
 def test_degeneracy_raises_at_the_cusp():
     with pytest.raises(DegeneracyError):
-        hamilton_rhs(ClassicalState(0.0, 1.0), LAW, WELL.gradient)
+        hamilton_rhs(ClassicalState(0.0, 1.0), LAW, WELL)
     with pytest.raises(DegeneracyError):
         poisson_bracket(lambda s: s.x, lambda s: s.xdot,
                         ClassicalState(0.0, 1.0), LAW)

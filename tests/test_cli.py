@@ -582,6 +582,38 @@ _NEEDLE = {"form": "gaussian", "amplitude": 0.5, "width": 1e-300,
       "graph": {"name": "box", "resolution": 10, "truncation": 2.0},
       "sweep": {"parameter": "dispersion.kappa", "values": [2.0]}},
      "sweep value 0: dispersion: graph mode does not read it"),
+    # Keys that the grid kind, the solver assembly or the graph source
+    # never reads.
+    (dict(_LINE_KERNEL, mode="spectrum",
+          potential={"form": "quadratic", "alpha": 1.0},
+          grid=dict(_LINE_KERNEL["grid"], n_inner=7)),
+     "grid: a line grid does not read n_inner"),
+    (dict(_SMALL_FOLDED, mode="spectrum",
+          grid=dict(_SMALL_FOLDED["grid"], x_min=-1)),
+     "grid: a folded grid does not read x_min"),
+    (dict(_SMALL_FOLDED, mode="spectrum",
+          solver={"assembly": "folded", "kinetic": [0, 0, 1, 0]}),
+     "solver: the folded assembly does not read kinetic"),
+    (dict(_LINE_KERNEL, mode="spectrum", potential=_WELL,
+          solver={"assembly": "convolution", "accuracy": 4}),
+     "solver: the convolution assembly does not read accuracy"),
+    ({"version": 1, "mode": "graph",
+      "graph": {"name": "box", "edges": 5, "resolution": 10,
+                "truncation": 2.0}},
+     "graph: the box graph does not read edges"),
+    ({"version": 1, "mode": "graph",
+      "graph": {"name": "star", "resolution": 10, "truncation": 2.0}},
+     "graph: the star graph does not read truncation"),
+    ({"version": 1, "mode": "graph",
+      "graph": {"file": "graph.json", "name": "star", "resolution": 10}},
+     "graph: a graph file does not read name"),
+    # The naive windows split at the junctions, which need kappa > 0.
+    (dict(_LINE_KERNEL, potential=_WELL, dispersion={"kappa": -1.0},
+          kernel={"mode": "naive"}),
+     "kernel: naive mode needs the branched domain"),
+    (dict(_LINE_KERNEL, potential=_WELL, dispersion={"kappa": 0.0},
+          kernel={"mode": "naive"}),
+     "kernel: naive mode needs the branched domain"),
 ], ids=["sweep-value", "packet-width", "packet-center", "dt-budget",
         "classical-tol-zero", "classical-tol-negative", "classical-quartic-law",
         "classical-on-cusp", "unknown-criterion", "graph-no-truncation",
@@ -597,7 +629,11 @@ _NEEDLE = {"form": "gaussian", "amplitude": 0.5, "width": 1e-300,
         "classical-force-nan", "classical-force-nan-loose-tol",
         "dual-wire-folded-potential", "graph-k-moved",
         "graph-reads-only-solver-k", "fourier-kernel-mode", "evolve-solver-k",
-        "classical-grid", "sweep-unread-section"])
+        "classical-grid", "sweep-unread-section", "line-grid-n-inner",
+        "folded-grid-x-min", "folded-assembly-kinetic",
+        "convolution-accuracy", "box-graph-edges", "star-graph-truncation",
+        "graph-file-name", "kernel-naive-unbranched",
+        "kernel-naive-unbranched-flat"])
 # A numpy warning printed before the message breaks the one-line rule.
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_values_exit_two(tmp_path, payload, where):
@@ -628,8 +664,13 @@ _STAR = [{"id": "c"}, {"id": "t", "condition": {"type": "dirichlet"}}]
         {"u": "c", "v": "t", "length": 1.0, "beta": 0.5}],
         "half_lines": [{"vertex": "c"}]}), "drift balance"),
     (json.dumps({"version": 1, "vertices": _STAR}), "no edges"),
+    (json.dumps({"version": 1, "vertices": [
+        {"id": "c", "condition": {"type": "weighted", "kappa": ["x"]}},
+        {"id": "t"}], "edges": [{"u": "c", "v": "t", "length": 1.0}]}),
+     "config error: graph file: $.vertices[0].condition.kappa[0]: "
+     "'x' is not of type 'number', 'array'"),
 ], ids=["missing", "schema", "truncated", "dangling", "kappa-type",
-        "drift-imbalance", "no-lines"])
+        "drift-imbalance", "no-lines", "kappa-not-number-or-pair"])
 def test_bad_graph_file_exits_two(tmp_path, text, where):
     graph = tmp_path / "graph.json"
     if text is not None:
@@ -1021,6 +1062,17 @@ def test_dispersion_command_rejects_bad_kappa(tmp_path, kappa):
     result = _invoke(["dispersion", "--kappa", kappa, "--out", str(out)])
     assert result.exit_code == 2
     assert "finite cube" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--v-min", "nan"), ("--v-min", "-inf"), ("--v-max", "inf"),
+    ("--samples", "-1"), ("--samples", "0")])
+def test_dispersion_command_rejects_bad_range(tmp_path, option, value):
+    out = tmp_path / "bad.csv"
+    result = _invoke(["dispersion", option, value, "--out", str(out)])
+    assert result.exit_code == 2
+    assert f"Invalid value for '{option}'" in result.output
     assert not out.exists()
 
 

@@ -268,12 +268,6 @@ def test_dual_wire_branch_dict_junction_check():
             build_dual_wire_hamiltonian(StencilSymbol(0, 0, 1.0, 0), W, g)
 
 
-def test_dual_wire_array_shape_check():
-    g = LineGrid(-1.0, 1.0, 9)
-    with pytest.raises(ValueError):
-        build_dual_wire_hamiltonian(StencilSymbol(0, 0, 1, 0), np.zeros(5), g)
-
-
 def test_accuracy_four_limited_to_low_orders():
     g = LineGrid(-1.0, 1.0, 9)
     with pytest.raises(ValueError):

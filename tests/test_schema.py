@@ -33,8 +33,6 @@ def _near(rnd, schema, odds=None):
 
     if chance(odds):
         return rnd.choice(_BOUNDARY)
-    if "oneOf" in schema:
-        schema = rnd.choice(schema["oneOf"])
     if "const" in schema:
         return schema["const"]
     if "enum" in schema:
@@ -73,24 +71,19 @@ _CASES = {"config": (CONFIG_SCHEMA, _reference(CONFIG_SCHEMA)),
 
 
 def _reference_errors(errors, where=()):
-    """Every error jsonschema found, a failed oneOf's branches included."""
+    """Every error jsonschema found, and any nested under it, which the
+    checked keywords never give."""
     for error in errors:
         yield where + tuple(error.path), error.message
         yield from _reference_errors(error.context, where + tuple(error.path))
-
-
-def _own_errors(errors, where=()):
-    for error in errors:
-        yield where + error.path, error.message
-        yield from _own_errors(error.context, where + error.path)
 
 
 def _agrees(doc, schema, reference):
     """The same errors as jsonschema, in the same order, and the same one
     reported where jsonschema finds exactly one."""
     errors = list(reference.iter_errors(doc))
-    assert list(_own_errors(_errors(doc, schema))) == \
-        list(_reference_errors(errors))
+    # Each error is a (path, message) named tuple.
+    assert list(_errors(doc, schema)) == list(_reference_errors(errors))
     found = violation(doc, schema)
     assert (found is None) == (not errors)
     if len(errors) == 1:
@@ -156,22 +149,16 @@ def test_kappa_entry_reports_the_branch_it_nearly_matched():
     assert isinstance(info.value, ValueError)
 
 
-@pytest.mark.parametrize("doc", [1, 2.0, 1.5, "x", [1]])
-def test_one_of_needs_exactly_one_branch(doc):
-    # An integer matches both branches, so it fails as "x" does.
-    schema = {"oneOf": [{"type": "number"}, {"type": "integer"}]}
-    _agrees(doc, schema, _reference(schema))
-    assert (violation(doc, schema) is None) == (doc == 1.5)
-
-
 @pytest.mark.parametrize("schema", [
     {"type": "string", "pattern": "^a"},
     {"type": "object", "properties": {"a": {"maximum": 3}}},
     {"type": "array", "items": {"anyOf": [{"type": "number"}]}},
+    {"oneOf": [{"type": "number"}, {"type": "array"}]},
     {"oneOf": [{"type": "number"}, {"format": "date"}]},
     {"type": "object", "additionalProperties": {"type": "number"}},
     {"type": "decimal"},
-], ids=["pattern", "nested-maximum", "anyOf-in-items", "format-in-oneOf",
+], ids=["pattern", "nested-maximum", "anyOf-in-items", "oneOf",
+        "format-in-oneOf",
         "additional-schema", "unknown-type"])
 def test_unchecked_keyword_is_refused(schema):
     with pytest.raises(ValueError):
