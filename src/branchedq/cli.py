@@ -303,10 +303,17 @@ def _check_reads(config, source=""):
         if unread:
             raise ConfigError(f"{source}{section}: {mode} mode does not read "
                               f"{', '.join(unread)}")
+    graph = config.get("graph", {})
+    if mode == "graph" and "resolution" not in graph:
+        # Without a resolution no Hamiltonian is assembled or solved.
+        without = "graph mode without a resolution does not read"
+        if "truncation" in graph:
+            raise ConfigError(f"{source}graph: {without} truncation")
+        if "solver" in config:
+            raise ConfigError(f"{source}solver: {without} it")
     kind = config.get("grid", {}).get("kind", "folded")
     assembly = config.get("solver", {}).get(
         "assembly", "folded" if kind == "folded" else "unfolded")
-    graph = config.get("graph", {})
     name = "file" if "file" in graph else graph.get("name")
     for section, setting, label in (
             ("grid", kind, f"a {kind} grid"),
@@ -634,10 +641,16 @@ def _mode_kernel(config, out):
 
 
 def _mode_verify(config, out, jobs=1):
+    dispatch = []
+
+    def map_fn(fn, ids):
+        dispatch.extend(ids)
+        return _map(fn, ids, jobs, "verify")
+
     start = time.perf_counter()
-    results = run_acceptance(config.get("criteria"),
-                             lambda fn, ids: _map(fn, ids, jobs, "verify"))
+    results = run_acceptance(config.get("criteria"), map_fn)
     run_s = time.perf_counter() - start
+    workers = _workers(jobs, len(results))
     lines = [r.line() for r in results]
     for line in lines:
         click.echo(line)
@@ -646,10 +659,18 @@ def _mode_verify(config, out, jobs=1):
                 {r.cid: bool(r.passed) for r in results})
     # A sidecar outside the manifest, as in spectrum mode.  In-process
     # spans cannot see a criterion run in a worker process; its time, taken
-    # there, comes back with its result.
+    # there, comes back with its result.  The peak resident set is that of
+    # the largest process that ran criteria: the workers, all joined by
+    # now, or this process (ru_maxrss is in KiB on Linux).  A process that
+    # reaped larger children before this run reports theirs.
+    import resource
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN if workers > 1
+                               else resource.RUSAGE_SELF)
     _write_json(out / "diagnostics.json", {
         "run_s": run_s,
-        "workers": _workers(jobs, len(results)),
+        "workers": workers,
+        "dispatch": dispatch,
+        "peak_rss_mb": usage.ru_maxrss / 1024.0,
         "elapsed_s": {r.cid: r.elapsed for r in results},
     })
     return ["acceptance.txt", "summary.json"], all(r.passed for r in results)
@@ -870,9 +891,17 @@ _mode_command("kernel", "Tabulate a convolution kernel.")
 _mode_command("verify", "Run the acceptance suite.")
 
 
-def _finite(ctx, param, value):
+def _finite_velocity(ctx, param, value):
+    """A velocity whose kinetic energy 0.75 * v**4 is a finite float
+    (|v| below about 1.16e77): past it the curve's rows would hold inf
+    and NaN."""
     if not math.isfinite(value):
         raise click.BadParameter(f"{value} is not a finite number")
+    try:
+        value**4
+    except OverflowError:
+        raise click.BadParameter(f"{value}: the energy 0.75 * v**4 "
+                                 "overflows") from None
     return value
 
 
@@ -880,8 +909,10 @@ def _finite(ctx, param, value):
 @click.option("--kappa", default=3.0, show_default=True)
 @click.option("--samples", default=601, show_default=True,
               type=click.IntRange(min=1))
-@click.option("--v-min", default=-3.0, show_default=True, callback=_finite)
-@click.option("--v-max", default=3.0, show_default=True, callback=_finite)
+@click.option("--v-min", default=-3.0, show_default=True,
+              callback=_finite_velocity)
+@click.option("--v-max", default=3.0, show_default=True,
+              callback=_finite_velocity)
 @click.option("--out", default="dispersion.csv", show_default=True)
 def dispersion(kappa, samples, v_min, v_max, out):
     """Emit the swallowtail (xdot, p, E, branch) curve as CSV."""

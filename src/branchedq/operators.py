@@ -305,12 +305,17 @@ def build_convolution_potential(V, grid, mode="hermitian", domain=None):
         K1 = toeplitz(pos, neg)
         scale = grid.h / (2.0 * np.pi)
         if mode == "hermitian":
-            M = scale * K1
-            return OperatorMatrix(M, grid)
+            # In place, in the operand order of scale * K1: K1 *= scale
+            # flips the sign of some zeros.
+            np.multiply(scale, K1, out=K1)
+            return OperatorMatrix(K1, grid)
         if not (isinstance(domain, DispersionLaw) and domain.branched):
             raise ValueError("naive mode needs the branched domain for its windows")
-        w1, w2, w3 = _heaviside_windows(grid.x, domain.p_minus, domain.p_plus)
-        M = scale * (K1 * w1 + np.conj(K1) * w2 + K1 * w3)
+        windows = _heaviside_windows(grid.x, domain.p_minus, domain.p_plus)
+        # The sum comes back as a temporary, which numpy scales in place
+        # when it is large, in the operand order it used for the one-line
+        # expression, so the bits (signed zeros too) are unchanged.
+        M = scale * _windowed_sum(K1, *windows)
         return OperatorMatrix(M, grid)
 
     if isinstance(grid, PeriodicGrid):
@@ -330,6 +335,18 @@ def build_convolution_potential(V, grid, mode="hermitian", domain=None):
     raise TypeError("build_convolution_potential needs a LineGrid or PeriodicGrid")
 
 
+def _windowed_sum(K1, w1, w2, w3):
+    """K1 w1 + conj(K1) w2 + K1 w3 (columns scaled), with one scratch
+    matrix beside K1 and the result."""
+    M = K1 * w1
+    term = np.conj(K1)
+    np.multiply(term, w2, out=term)
+    M += term
+    np.multiply(K1, w3, out=term)
+    M += term
+    return M
+
+
 def _heaviside_windows(xi, p_minus, p_plus):
     w1 = (xi < p_minus).astype(float)
     w2 = ((xi > p_minus) & (xi < p_plus)).astype(float)
@@ -345,8 +362,7 @@ def _heaviside_windows(xi, p_minus, p_plus):
 
 def build_convolution_hamiltonian(law, V, grid, mode="hermitian"):
     """Kinetic diagonal plus the kernel potential on the unfolded grid."""
-    pot = build_convolution_potential(V, grid, mode=mode, domain=law)
-    H = pot.matrix.copy()
+    H = build_convolution_potential(V, grid, mode=mode, domain=law).matrix
     H[np.diag_indices_from(H)] += _unfolded_energy(law, grid.x)
     return OperatorMatrix(H, grid)
 
@@ -370,10 +386,21 @@ def fourier_conjugate_hamiltonian(law, V, grid):
     return OperatorMatrix(H, grid)
 
 
+# Rows per slab of a dense defect: the temporaries are a few slabs, not
+# copies of the whole matrix.
+_DEFECT_SLAB_ROWS = 64
+
+
 def hermiticity_defect(op):
     """Largest entrywise deviation |H - H*|; compare to 1e-12 max|H|."""
     H = as_matrix(op)
-    return float(abs(H - H.conj().T).max())
+    if scipy.sparse.issparse(H):
+        return float(abs(H - H.conj().T).max())
+    # np.max, not max(): a NaN in any slab stays the result.
+    return float(np.max([
+        np.abs(H[i:i + _DEFECT_SLAB_ROWS]
+               - H[:, i:i + _DEFECT_SLAB_ROWS].conj().T).max()
+        for i in range(0, H.shape[0], _DEFECT_SLAB_ROWS)]))
 
 
 def gershgorin_bound(op):

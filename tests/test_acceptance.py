@@ -7,7 +7,8 @@ as the acceptance report.  The same checks back the `verify` CLI mode.
 
 import pytest
 
-from branchedq.acceptance import CRITERIA, run_acceptance
+from branchedq import acceptance
+from branchedq.acceptance import CRITERIA, DISPATCH, run_acceptance
 
 CRITERION_IDS = [cid for cid, _, _ in CRITERIA]
 
@@ -27,8 +28,38 @@ def test_criteria_run_in_registry_order():
         return map(fn, ids)
 
     results = run_acceptance(["C6", "C1", "C6"], map_fn=spy_map)
-    assert calls == [["C1", "C6"]]
+    # Handed out in dispatch order, reported in registry order.
+    assert calls == [["C6", "C1"]]
     assert [(r.cid, r.passed) for r in results] == [("C1", True), ("C6", True)]
+
+
+def test_dispatch_is_a_permutation_of_the_registry():
+    assert sorted(DISPATCH) == sorted(CRITERION_IDS)
+    assert len(set(DISPATCH)) == len(DISPATCH)
+
+
+def _boom():
+    raise RuntimeError("boom")
+
+
+def test_first_dispatched_crash_lands_in_its_registry_slot(monkeypatch):
+    # Stub checks: the first one dispatched raises, the rest pass at once.
+    first = DISPATCH[0]
+    monkeypatch.setattr(acceptance, "CRITERIA", [
+        (cid, title, _boom if cid == first else lambda: (True, "stub"))
+        for cid, title, _ in CRITERIA])
+    calls = []
+
+    def spy_map(fn, ids):
+        calls.append(list(ids))
+        return map(fn, ids)
+
+    results = run_acceptance(map_fn=spy_map)
+    assert calls == [list(DISPATCH)]
+    assert [r.cid for r in results] == CRITERION_IDS
+    failed = [(i, r.detail) for i, r in enumerate(results) if not r.passed]
+    assert failed == [(CRITERION_IDS.index(first),
+                       "raised RuntimeError: boom")]
 
 
 @pytest.mark.parametrize("ids,named", [

@@ -607,6 +607,14 @@ _NEEDLE = {"form": "gaussian", "amplitude": 0.5, "width": 1e-300,
     ({"version": 1, "mode": "graph",
       "graph": {"file": "graph.json", "name": "star", "resolution": 10}},
      "graph: a graph file does not read name"),
+    # Without a resolution graph mode assembles nothing to truncate or
+    # solve.
+    ({"version": 1, "mode": "graph",
+      "graph": {"name": "box", "truncation": 2.0}, "solver": {"k": 3}},
+     "graph: graph mode without a resolution does not read truncation"),
+    ({"version": 1, "mode": "graph", "graph": {"name": "box"},
+      "solver": {"k": 3}},
+     "solver: graph mode without a resolution does not read it"),
     # The naive windows split at the junctions, which need kappa > 0.
     (dict(_LINE_KERNEL, potential=_WELL, dispersion={"kappa": -1.0},
           kernel={"mode": "naive"}),
@@ -632,7 +640,8 @@ _NEEDLE = {"form": "gaussian", "amplitude": 0.5, "width": 1e-300,
         "classical-grid", "sweep-unread-section", "line-grid-n-inner",
         "folded-grid-x-min", "folded-assembly-kinetic",
         "convolution-accuracy", "box-graph-edges", "star-graph-truncation",
-        "graph-file-name", "kernel-naive-unbranched",
+        "graph-file-name", "graph-truncation-without-resolution",
+        "graph-solver-without-resolution", "kernel-naive-unbranched",
         "kernel-naive-unbranched-flat"])
 # A numpy warning printed before the message breaks the one-line rule.
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -744,8 +753,11 @@ def test_verify_single_criterion(tmp_path):
     assert "C6 PASS" in (out / "acceptance.txt").read_text()
     assert json.loads((out / "summary.json").read_text()) == {"C6": True}
     diagnostics = json.loads((out / "diagnostics.json").read_text())
-    assert set(diagnostics) == {"run_s", "workers", "elapsed_s"}
+    assert set(diagnostics) == {"run_s", "workers", "dispatch", "peak_rss_mb",
+                                "elapsed_s"}
     assert diagnostics["workers"] == 1
+    assert diagnostics["dispatch"] == ["C6"]
+    assert diagnostics["peak_rss_mb"] > 0
     assert set(diagnostics["elapsed_s"]) == {"C6"}
     assert diagnostics["elapsed_s"]["C6"] <= diagnostics["run_s"]
     manifest = json.loads((out / "manifest.json").read_text())
@@ -906,8 +918,10 @@ def test_verify_workers_match_serial_run(tmp_path, many_cpus):
     for args in (["--jobs", "1"], ["--jobs", "2"], []):
         result, lines, out = _verify(tmp_path, ["C10", "C1", "C6"], *args)
         assert result.exit_code == 0
-        workers = json.loads((out / "diagnostics.json").read_text())["workers"]
-        runs.append(((out / "summary.json").read_bytes(), lines, workers))
+        diagnostics = json.loads((out / "diagnostics.json").read_text())
+        assert diagnostics["dispatch"] == ["C10", "C6", "C1"]
+        runs.append(((out / "summary.json").read_bytes(), lines,
+                     diagnostics["workers"]))
     assert runs[0][:2] == runs[1][:2] == runs[2][:2]
     assert [line.split()[0] for line in runs[0][1]] == ["C1", "C6", "C10"]
     forks = "fork" in multiprocessing.get_all_start_methods()
@@ -1067,13 +1081,27 @@ def test_dispersion_command_rejects_bad_kappa(tmp_path, kappa):
 
 @pytest.mark.parametrize("option,value", [
     ("--v-min", "nan"), ("--v-min", "-inf"), ("--v-max", "inf"),
-    ("--samples", "-1"), ("--samples", "0")])
+    ("--samples", "-1"), ("--samples", "0"),
+    # 0.75 * v**4 overflows: the rows would hold p = inf and E = nan.
+    ("--v-max", "1e200"), ("--v-min", "-1.2e77"), ("--v-max", "1.16e77")])
+# A numpy warning printed before the message breaks the one-line rule.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_dispersion_command_rejects_bad_range(tmp_path, option, value):
     out = tmp_path / "bad.csv"
     result = _invoke(["dispersion", option, value, "--out", str(out)])
     assert result.exit_code == 2
     assert f"Invalid value for '{option}'" in result.output
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_dispersion_command_takes_the_largest_finite_energy(tmp_path):
+    out = tmp_path / "curve.csv"
+    result = _invoke(["dispersion", "--v-min", "-1.15e77", "--v-max",
+                      "1.15e77", "--samples", "3", "--out", str(out)])
+    assert result.exit_code == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert np.isfinite(rows).all() and rows[-1, 0] == 1.15e77
 
 
 def test_emit_dispersion_curve_direct(tmp_path):

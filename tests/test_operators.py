@@ -8,10 +8,13 @@ acts on plane waves as multiplication by the potential in the conjugate
 variable.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import toeplitz
 
 from branchedq import (DispersionLaw, FoldedGrid, GaussianPotential, LineGrid,
                        PeriodicGrid, QuadraticPotential, QuarticPotential,
@@ -19,6 +22,7 @@ from branchedq import (DispersionLaw, FoldedGrid, GaussianPotential, LineGrid,
                        build_convolution_potential, build_dual_wire_hamiltonian,
                        build_folded_hamiltonian, build_unfolded_hamiltonian,
                        fourier_conjugate_hamiltonian, hermiticity_defect)
+from branchedq.operators import _heaviside_windows, _unfolded_energy
 
 LAW = DispersionLaw(kappa=3.0)
 
@@ -351,3 +355,88 @@ def test_ring_convolution_matches_fourier_conjugate_spectrum():
 def test_hermiticity_defect_on_raw_arrays():
     assert hermiticity_defect(np.array([[0.0, 1j], [-1j, 0.0]])) == 0.0
     assert hermiticity_defect(np.array([[0.0, 1j], [1j, 0.0]])) == pytest.approx(2.0)
+
+
+class _RealKernel:
+    """A well whose kernel table is real, with subnormal far entries."""
+
+    def __init__(self, width):
+        self.width = width
+
+    def kernel(self, q):
+        return np.exp(-0.5 * np.square(np.asarray(q, dtype=float) * self.width))
+
+
+_KERNELS = [GaussianPotential(2.0, 1.0, 1.5), GaussianPotential(1.0, 1.0, 0.0),
+            _RealKernel(0.95)]
+
+
+def _unfused(V, grid, mode):
+    """The kernel matrix as one plain expression per mode."""
+    samples = V.kernel(grid.h * np.arange(-(grid.size - 1), grid.size))
+    K1 = toeplitz(samples[grid.size - 1:], samples[grid.size - 1::-1])
+    scale = grid.h / (2.0 * np.pi)
+    if mode == "hermitian":
+        return scale * K1
+    w1, w2, w3 = _heaviside_windows(grid.x, LAW.p_minus, LAW.p_plus)
+    return scale * (K1 * w1 + np.conj(K1) * w2 + K1 * w3)
+
+
+@pytest.mark.parametrize("V", _KERNELS, ids=["complex", "complex-even", "real"])
+@pytest.mark.parametrize("mode", ["hermitian", "naive"])
+@pytest.mark.parametrize("n", [7, 100, 130, 200, 400])
+def test_kernels_assembled_in_place_keep_every_bit(V, mode, n):
+    # tobytes(), not ==: a flipped signed zero must fail.  The sizes sit
+    # on both sides of numpy's in-place threshold for temporaries.
+    g = LineGrid(-20.0, 20.0, n)
+    expected = _unfused(V, g, mode)
+    got = build_convolution_potential(V, g, mode=mode, domain=LAW).matrix
+    assert got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+    H = expected.copy()
+    H[np.diag_indices_from(H)] += _unfolded_energy(LAW, g.x)
+    got = build_convolution_hamiltonian(LAW, V, g, mode=mode).matrix
+    assert got.tobytes() == H.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 7, 63, 65, 130, 200])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_blocked_defect_equals_the_whole_matrix_defect(n, dtype):
+    rng = np.random.default_rng(n)
+    H = rng.standard_normal((n, n)).astype(dtype)
+    if dtype is complex:
+        H += 1j * rng.standard_normal((n, n))
+    H = H + H.conj().T
+    H[n // 2, -1] += 1e-9
+    assert hermiticity_defect(H) == float(abs(H - H.conj().T).max())
+    # A NaN in the last slab only is the result, as in the whole-matrix max.
+    H[-1, -1] = np.nan
+    assert np.isnan(hermiticity_defect(H))
+
+
+def _heap_peak(build):
+    """(result, peak bytes traced while building it)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = build()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_dense_kernel_heap_peaks():
+    # The sizes of C2 and C10.  Ratios are of the result's nbytes: the
+    # plain expressions peaked at 4.02 (naive), 2.00 (hermitian), 2.02
+    # (Hamiltonian) and 2.01 (defect).
+    g = LineGrid(-20.0, 20.0, 800)
+    V = GaussianPotential(2.0, 1.0, 1.5)
+    for mode, bound in (("naive", 3.1), ("hermitian", 1.1)):
+        op, peak = _heap_peak(lambda: build_convolution_potential(
+            V, g, mode=mode, domain=LAW))
+        assert peak <= bound * op.matrix.nbytes, mode
+    H, peak = _heap_peak(lambda: build_convolution_hamiltonian(LAW, V, g))
+    assert peak <= 1.1 * H.matrix.nbytes
+    _, peak = _heap_peak(lambda: hermiticity_defect(H))
+    assert peak <= 0.25 * H.matrix.nbytes
