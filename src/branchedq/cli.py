@@ -1,10 +1,11 @@
 """Command line front end: config-driven runs with reproducible artifacts.
 
 Every run validates its JSON config against a versioned schema, writes the
-mode's CSV/JSON outputs plus a resolved copy of the config, and finishes
-with a manifest of sha256 content hashes, so identical (config, seed)
-pairs are byte-checkable.  All floating point output uses 17 significant
-digits.  Exit codes: 0 success, 2 config error, 3 numerical failure.
+mode's CSV/JSON outputs plus the resolved config (each setting the run reads,
+defaults included; not `out`), and finishes with a manifest of sha256 content
+hashes, so identical (config, seed) pairs are byte-checkable.  All floating
+point output uses 17 significant digits.  Exit codes: 0 success, 2 config
+error, 3 numerical failure.
 
 Sweep points, and the criteria of a ``verify`` run, run in ``--jobs``
 worker processes started with ``fork``; ``--jobs`` defaults to the CPUs
@@ -44,6 +45,7 @@ import math
 import os
 import sys
 import time
+from collections import namedtuple
 from pathlib import Path
 
 # OpenBLAS reads its thread count once, when numpy first loads it, so this
@@ -77,148 +79,211 @@ from .potentials import has_kernel, potential_from_mapping
 from .schema import SchemaViolation, check, check_schema
 from .spectra import _CERTIFY_MULTIPLE, solve_eigensystem
 
-_NUM = {"type": "number"}
+# -- the config table -----------------------------------------------------------
+#
+# Each key is declared once: its schema fragment, its default (None: none; a
+# callable: set by the run's settings) and its readers.  A reader is a mode or
+# an assembly, mapped to the settings it needs: the grid kind, the assembly,
+# the graph source (a file or a name), whether graph.resolution is given.
+# Readers None mark `out` and `sweep`, read before a run and never resolved.
+# A given key that `_resolve` leaves out is never read, and exits 2.
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "required": ["version", "mode"],
-    "additionalProperties": False,
-    "properties": {
-        "version": {"const": 1},
-        "mode": {"enum": ["spectrum", "evolve", "graph", "classical",
-                          "kernel", "verify"]},
-        "seed": {"type": "integer", "minimum": 0},
-        "out": {"type": "string"},
-        "criteria": {"type": "array",
-                     "items": {"enum": [cid for cid, _, _ in CRITERIA]}},
-        "dispersion": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"kappa": _NUM},
-        },
-        "potential": {
-            "type": "object",
-            "required": ["form"],
-            "properties": {"form": {"enum": ["quadratic", "quartic",
-                                             "gaussian", "lorentzian",
-                                             "sech2", "sampled"]}},
-        },
-        "grid": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["folded", "line", "periodic"]},
-                "n_inner": {"type": "integer", "minimum": 2},
-                "n_arm": {"type": "integer", "minimum": 3},
-                "x_min": _NUM,
-                "x_max": _NUM,
-                "n": {"type": "integer", "minimum": 4},
-            },
-        },
-        "solver": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "k": {"type": "integer", "minimum": 1},
-                "accuracy": {"enum": [2, 4]},
-                "assembly": {"enum": ["folded", "unfolded", "dual-wire",
-                                      "convolution", "fourier"]},
-                "kinetic": {"type": "array", "items": _NUM,
-                            "minItems": 4, "maxItems": 4},
-            },
-        },
-        "evolution": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "dt": {"type": "number", "exclusiveMinimum": 0},
-                "steps": {"type": "integer", "minimum": 1},
-                "snapshot_every": {"type": "integer", "minimum": 1},
-                "stability_budget": {"type": ["number", "null"]},
-                "packet": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {"center": _NUM,
-                                   "width": {"type": "number",
-                                             "exclusiveMinimum": 0},
-                                   "boost": _NUM},
-                },
-            },
-        },
-        "classical": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "x": _NUM,
-                "xdot": _NUM,
-                "t_end": _NUM,
-                "tol": {"type": "number", "exclusiveMinimum": 0},
-                "policy": {"enum": ["halt", "continue", "random-branch"]},
-                "max_events": {"type": "integer", "minimum": 1},
-                "samples": {"type": "integer", "minimum": 2},
-            },
-        },
-        "graph": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "name": {"type": "string"},
-                "file": {"type": "string"},
-                "edges": {"type": "integer", "minimum": 2},
-                "length": {"type": "number", "exclusiveMinimum": 0},
-                "resolution": {"type": "integer", "minimum": 5},
-                "truncation": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "kernel": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"mode": {"enum": ["hermitian", "naive"]}},
-        },
-        "sweep": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["parameter", "values"],
-            "properties": {
-                "parameter": {"type": "string"},
-                "values": {"type": "array", "minItems": 1},
-            },
-        },
+_Key = namedtuple("_Key", "schema default reads")
+
+
+def _reads(*readers, **settings):
+    return dict.fromkeys(readers, settings)
+
+
+def _int(minimum):
+    return {"type": "integer", "minimum": minimum}
+
+
+def _enum(*values):
+    return {"enum": list(values)}
+
+
+_MODE_NAMES = ("spectrum", "evolve", "graph", "classical", "kernel", "verify")
+_EVERY = _reads(*_MODE_NAMES)
+_LAW = _reads("spectrum", "evolve", "classical", "kernel")
+_GRID, _ASSEMBLED = ("spectrum", "evolve", "kernel"), ("spectrum", "evolve")
+_FOLDED = _reads(*_GRID, kind=("folded",))
+_LINE = _reads(*_GRID, kind=("line", "periodic"))
+_EVOLVE, _CLASSICAL = _reads("evolve"), _reads("classical")
+_NAMED = ("star", "compton", "box")
+_NUM = {"type": "number"}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+
+_CONFIG = {
+    "version": _Key({"const": 1}, None, _EVERY),
+    "mode": _Key(_enum(*_MODE_NAMES), None, _EVERY),
+    "seed": _Key(_int(0), None, _EVERY),
+    "out": _Key({"type": "string"}, None, None),
+    "criteria": _Key({"type": "array", "items": _enum(
+        *[cid for cid, _, _ in CRITERIA])}, None, _reads("verify")),
+    "dispersion": {"kappa": _Key(_NUM, 3.0, _LAW)},
+    "potential": _Key({"type": "object", "required": ["form"], "properties": {
+        "form": _enum("quadratic", "quartic", "gaussian", "lorentzian",
+                      "sech2", "sampled")}}, None, _LAW),
+    "grid": {
+        "kind": _Key(_enum("folded", "line", "periodic"), "folded",
+                     _reads(*_GRID)),
+        "n_inner": _Key(_int(2), 40, _FOLDED),
+        "n_arm": _Key(_int(3), 60, _FOLDED),
+        "x_min": _Key(_NUM, None, _LINE),
+        "x_max": _Key(_NUM, None, _LINE),
+        "n": _Key(_int(4), None, _LINE),
     },
+    "solver": {
+        "k": _Key(_int(1), lambda run: 6 if run["mode"] == "graph" else 10,
+                  _reads("spectrum") | _reads("graph", resolution=(True,))),
+        "accuracy": _Key(_enum(2, 4), 2, _reads(
+            *_ASSEMBLED, assembly=("folded", "unfolded", "dual-wire"))),
+        "assembly": _Key(
+            _enum("folded", "unfolded", "dual-wire", "convolution", "fourier"),
+            lambda run: "folded" if run["kind"] == "folded" else "unfolded",
+            _reads(*_ASSEMBLED)),
+        "kinetic": _Key({"type": "array", "items": _NUM, "minItems": 4,
+                         "maxItems": 4}, None,
+                        _reads(*_ASSEMBLED, assembly=("dual-wire",))),
+    },
+    "evolution": {
+        "dt": _Key(_POSITIVE, 1e-3, _EVOLVE),
+        "steps": _Key(_int(1), 100, _EVOLVE),
+        "snapshot_every": _Key(_int(1), None, _EVOLVE),
+        "stability_budget": _Key({"type": ["number", "null"]}, 0.5, _EVOLVE),
+        "packet": {"center": _Key(_NUM, 0.0, _EVOLVE),
+                   "width": _Key(_POSITIVE, 1.0, _EVOLVE),
+                   "boost": _Key(_NUM, 0.0, _EVOLVE)},
+    },
+    "classical": {
+        "x": _Key(_NUM, 0.0, _CLASSICAL),
+        "xdot": _Key(_NUM, 2.0, _CLASSICAL),
+        "t_end": _Key(_NUM, 10.0, _CLASSICAL),
+        "tol": _Key(_POSITIVE, 1e-12, _CLASSICAL),
+        "policy": _Key(_enum("halt", "continue", "random-branch"), "halt",
+                       _CLASSICAL),
+        "max_events": _Key(_int(1), 32, _CLASSICAL),
+        "samples": _Key(_int(2), None, _CLASSICAL),
+    },
+    "graph": {
+        "name": _Key({"type": "string"}, None, _reads("graph", source=_NAMED)),
+        "file": _Key({"type": "string"}, None,
+                     _reads("graph", source=("file",))),
+        "edges": _Key(_int(2), 3, _reads("graph", source=("star",))),
+        "length": _Key(_POSITIVE, 1.0, _reads("graph", source=_NAMED)),
+        "resolution": _Key(_int(5), None, _reads("graph")),
+        # A file's, when it has half-lines.
+        "truncation": _Key(_POSITIVE, None, _reads(
+            "graph", resolution=(True,), source=("file", "compton", "box"))),
+    },
+    "kernel": {"mode": _Key(_enum("hermitian", "naive"), "hermitian",
+                            _reads("kernel", "convolution"))},
+    "sweep": _Key({"type": "object", "additionalProperties": False,
+                   "required": ["parameter", "values"], "properties": {
+                       "parameter": {"type": "string"},
+                       "values": {"type": "array", "minItems": 1}}}, None, None),
 }
+
+
+def _schema(table, **extra):
+    return {"type": "object", **extra, "additionalProperties": False,
+            "properties": {name: _schema(spec) if isinstance(spec, dict)
+                           else spec.schema for name, spec in table.items()}}
+
+
+CONFIG_SCHEMA = _schema(_CONFIG, required=["version", "mode"])
 check_schema(CONFIG_SCHEMA)
 
-# The sections each mode reads, and for `solver` the keys (None: every key).
-# Every mode reads version, mode, seed, out and sweep; `kernel` is read by
-# kernel mode and by the convolution assembly.  A setting that the mode
-# would ignore exits 2.  So does a key that the grid kind, the solver
-# assembly or the graph source would ignore: `_SETTING_READS` lists the keys
-# that only some of them read, by the one that reads them.
-_MODE_READS = {
-    "spectrum": {"dispersion": None, "potential": None, "grid": None,
-                 "solver": None},
-    "evolve": {"dispersion": None, "potential": None, "grid": None,
-               "solver": {"accuracy", "assembly", "kinetic"}, "evolution": None},
-    "graph": {"graph": None, "solver": {"k"}},
-    "classical": {"dispersion": None, "potential": None, "classical": None},
-    "kernel": {"dispersion": None, "potential": None, "grid": None,
-               "kernel": None},
-    "verify": {"criteria": None},
-}
-_EVERY_MODE_READS = {"version", "mode", "seed", "out", "sweep"}
-_LINE_KEYS = {"x_min", "x_max", "n"}
-_SETTING_READS = {
-    "grid": {"folded": {"n_inner", "n_arm"}, "line": _LINE_KEYS,
-             "periodic": _LINE_KEYS},
-    "solver": {"folded": {"accuracy"}, "unfolded": {"accuracy"},
-               "dual-wire": {"accuracy", "kinetic"}, "convolution": set(),
-               "fourier": set()},
-    # `truncation` with a file is read when the file has half-lines.
-    "graph": {"file": {"file", "truncation"},
-              "star": {"name", "edges", "length"},
-              "compton": {"name", "length", "truncation"},
-              "box": {"name", "length", "truncation"}},
-}
+# What rules a key out, in the order of report (the mode in config order,
+# then each setting, the section that holds it first), and its label.
+_SETTINGS = {"mode": (None, "{mode} mode"),
+             "resolution": ("graph", "{mode} mode without a resolution"),
+             "kind": ("grid", "a {kind} grid"),
+             "assembly": ("solver", "the {assembly} assembly"),
+             "source": ("graph", "{graph}")}
+_READ = len(_SETTINGS)
+
+
+def _run_settings(config):
+    """The mode and the settings of a run.  A graph source that no graph
+    has is None, which no key refuses."""
+    grid, solver, graph = (config.get(name, {})
+                           for name in ("grid", "solver", "graph"))
+    run = {"mode": config["mode"], "resolution": "resolution" in graph,
+           "kind": grid.get("kind", _CONFIG["grid"]["kind"].default)}
+    run["assembly"] = solver.get("assembly",
+                                 _CONFIG["solver"]["assembly"].default(run))
+    source = "file" if "file" in graph else graph.get("name")
+    run["source"] = source if source in ("file", *_NAMED) else None
+    run["graph"] = "a graph file" if source == "file" else f"the {source} graph"
+    return run
+
+
+def _keys(spec):
+    """A key alone, or every key of a section and of the sections in it."""
+    if not isinstance(spec, dict):
+        return [spec]
+    return [key for sub in spec.values() for key in _keys(sub)]
+
+
+def _rank(spec, run):
+    """_READ when the run reads `spec`, else the rank in _SETTINGS of what
+    rules it out; for a section, the highest of its keys'."""
+    if isinstance(spec, dict):
+        return max(_rank(key, run) for key in _keys(spec))
+    if spec.reads is None:
+        return _READ
+    # Each of the run's readers stops at the first setting it refuses.
+    return max([0] + [min([rank for rank, name in enumerate(_SETTINGS)
+                           if run[name] not in settings.get(name, [run[name]])
+                           and run[name] is not None] + [_READ])
+                      for reader, settings in spec.reads.items()
+                      if reader in (run["mode"], run["assembly"])])
+
+
+def _resolve(config, table=_CONFIG, run=None):
+    """The keys the run reads, each with its given value or its default."""
+    run = run or _run_settings(config)
+    resolved = {}
+    for name, spec in table.items():
+        if isinstance(spec, dict):
+            value = _resolve(config.get(name, {}), spec, run)
+            if value:
+                resolved[name] = value
+        elif spec.reads is None or _rank(spec, run) < _READ:
+            continue
+        elif name in config:
+            resolved[name] = config[name]
+        elif spec.default is not None:
+            resolved[name] = (spec.default(run) if callable(spec.default)
+                              else spec.default)
+    return resolved
+
+
+def _check_reads(config, source=""):
+    """The resolved config; ConfigError for a given key that it leaves out,
+    a setting the run never reads, named with what rules it out."""
+    run = _run_settings(config)
+    for rank, (owner, label) in enumerate(_SETTINGS.values()):
+        for name in sorted(config, key=lambda section: section != owner):
+            spec = _CONFIG[name]
+            keys = config[name] if isinstance(spec, dict) else ()
+            what = ", ".join(sorted(key for key in keys
+                                    if _rank(spec[key], run) == rank))
+            if _rank(spec, run) == rank:  # the run reads nothing of it
+                what = "it"
+            if not what:
+                continue
+            who = label.format(**run) + " does not read"
+            readers = dict.fromkeys(r for key in _keys(spec) for r in key.reads)
+            if what == "it" and rank == 0 and set(readers) - set(_MODE_NAMES):
+                # Read by an assembly too: name each reader.
+                who = "only {} read".format(" and ".join(
+                    f"{r} mode" if r in _MODE_NAMES else f"the {r} assembly"
+                    for r in readers))
+            raise ConfigError(f"{source}{name}: {who} {what}")
+    return _resolve(config, run=run)
 
 
 def _lead_text(fmt, *columns):
@@ -284,51 +349,6 @@ def _finite_number(text, parse=float):
     return parse(text)
 
 
-def _check_reads(config, source=""):
-    """Raise ConfigError for a section or key that the mode, the grid
-    kind, the solver assembly or the graph source would ignore."""
-    mode = config["mode"]
-    reads = dict(_MODE_READS[mode])
-    if config.get("solver", {}).get("assembly") == "convolution":
-        reads["kernel"] = None
-    for section in config:
-        if section in _EVERY_MODE_READS:
-            continue
-        if section not in reads:
-            what = ("only kernel mode and the convolution assembly read it"
-                    if section == "kernel" else f"{mode} mode does not read it")
-            raise ConfigError(f"{source}{section}: {what}")
-        keys = reads[section]
-        unread = [] if keys is None else sorted(set(config[section]) - keys)
-        if unread:
-            raise ConfigError(f"{source}{section}: {mode} mode does not read "
-                              f"{', '.join(unread)}")
-    graph = config.get("graph", {})
-    if mode == "graph" and "resolution" not in graph:
-        # Without a resolution no Hamiltonian is assembled or solved.
-        without = "graph mode without a resolution does not read"
-        if "truncation" in graph:
-            raise ConfigError(f"{source}graph: {without} truncation")
-        if "solver" in config:
-            raise ConfigError(f"{source}solver: {without} it")
-    kind = config.get("grid", {}).get("kind", "folded")
-    assembly = config.get("solver", {}).get(
-        "assembly", "folded" if kind == "folded" else "unfolded")
-    name = "file" if "file" in graph else graph.get("name")
-    for section, setting, label in (
-            ("grid", kind, f"a {kind} grid"),
-            ("solver", assembly, f"the {assembly} assembly"),
-            ("graph", name, "a graph file" if name == "file"
-             else f"the {name} graph")):
-        by_setting = _SETTING_READS[section]
-        if section in config and setting in by_setting:
-            some = set().union(*by_setting.values())
-            unread = sorted(set(config[section]) & some - by_setting[setting])
-            if unread:
-                raise ConfigError(f"{source}{section}: {label} does not read "
-                                  f"{', '.join(unread)}")
-
-
 def load_config(path):
     try:
         text = Path(path).read_text()
@@ -351,53 +371,42 @@ def load_config(path):
 
 def _law_from(config):
     try:
-        return DispersionLaw(
-            kappa=float(config.get("dispersion", {}).get("kappa", 3.0)))
+        return DispersionLaw(kappa=float(config["dispersion"]["kappa"]))
     except ValueError as exc:
         raise ConfigError(f"dispersion: {exc}") from None
 
 
 def _potential_from(config):
-    spec = config.get("potential")
-    if spec is None:
+    if "potential" not in config:
         return None
     try:
-        return potential_from_mapping(spec)
+        return potential_from_mapping(config["potential"])
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"potential: {exc}") from None
 
 
 def _grid_from(config, law):
-    g = config.get("grid", {})
-    kind = g.get("kind", "folded")
+    g = config["grid"]
+    kind = g["kind"]
     try:
         if kind == "folded":
-            return FoldedGrid(law, int(g.get("n_inner", 40)),
-                              int(g.get("n_arm", 60)))
-        if kind == "line":
-            return LineGrid(float(g["x_min"]), float(g["x_max"]), int(g["n"]))
-        if kind == "periodic":
-            return PeriodicGrid(float(g["x_min"]), float(g["x_max"]),
-                                int(g["n"]))
+            return FoldedGrid(law, int(g["n_inner"]), int(g["n_arm"]))
+        grid = LineGrid if kind == "line" else PeriodicGrid
+        return grid(float(g["x_min"]), float(g["x_max"]), int(g["n"]))
     except KeyError as exc:
         raise ConfigError(f"grid: kind {kind!r} needs field {exc}") from None
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"grid: {exc}") from None
-    raise ConfigError(f"grid: unknown kind {kind!r}")
 
 
 def _hamiltonian_from(config, law, grid, potential):
-    solver = config.get("solver", {})
-    default = "folded" if isinstance(grid, FoldedGrid) else "unfolded"
-    assembly = solver.get("assembly", default)
-    accuracy = int(solver.get("accuracy", 2))
+    solver = config["solver"]
+    assembly = solver["assembly"]
     try:
-        if assembly == "folded":
-            return build_folded_hamiltonian(law, grid, potential,
-                                            accuracy=accuracy)
-        if assembly == "unfolded":
-            return build_unfolded_hamiltonian(law, grid, potential,
-                                              accuracy=accuracy)
+        if assembly in ("folded", "unfolded"):
+            build = (build_folded_hamiltonian if assembly == "folded"
+                     else build_unfolded_hamiltonian)
+            return build(law, grid, potential, accuracy=int(solver["accuracy"]))
         if assembly == "dual-wire":
             if "kinetic" not in solver:
                 raise ConfigError("dual-wire assembly needs solver.kinetic")
@@ -411,18 +420,15 @@ def _hamiltonian_from(config, law, grid, potential):
             wire = potential if potential is not None else law
             return build_dual_wire_hamiltonian(
                 StencilSymbol(*solver["kinetic"]), wire, grid,
-                accuracy=accuracy)
+                accuracy=int(solver["accuracy"]))
         if assembly == "convolution":
             return build_convolution_hamiltonian(
-                law, potential, grid,
-                mode=config.get("kernel", {}).get("mode", "hermitian"))
-        if assembly == "fourier":
-            return fourier_conjugate_hamiltonian(law, potential, grid)
+                law, potential, grid, mode=config["kernel"]["mode"])
+        return fourier_conjugate_hamiltonian(law, potential, grid)
     except ConfigError:
         raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"solver: {exc}") from None
-    raise ConfigError(f"solver: unknown assembly {assembly!r}")
 
 
 def _grid_lead(grid):
@@ -441,7 +447,7 @@ def _mode_spectrum(config, out):
     grid = _grid_from(config, law)
     op = _hamiltonian_from(config, law, grid, potential)
     assembled = time.perf_counter()
-    k = int(config.get("solver", {}).get("k", 10))
+    k = int(config["solver"]["k"])
     res = solve_eigensystem(op, k=min(k, grid.size))
     solved = time.perf_counter()
     files = ["eigenvalues.csv"]
@@ -480,16 +486,14 @@ def _mode_evolve(config, out):
     grid = _grid_from(config, law)
     op = _hamiltonian_from(config, law, grid, potential)
     assembled = time.perf_counter()
-    ev = config.get("evolution", {})
-    packet = ev.get("packet", {})
-    steps = int(ev.get("steps", 100))
+    ev = config["evolution"]
+    steps = int(ev["steps"])
     try:
-        wave = MultiWave.gaussian(grid, float(packet.get("center", 0.0)),
-                                  float(packet.get("width", 1.0)),
-                                  float(packet.get("boost", 0.0)))
-        final, rep = propagate(op, wave, float(ev.get("dt", 1e-3)), steps,
+        wave = MultiWave.gaussian(grid, *(float(ev["packet"][key]) for key
+                                          in ("center", "width", "boost")))
+        final, rep = propagate(op, wave, float(ev["dt"]), steps,
                                snapshot_every=ev.get("snapshot_every"),
-                               stability_budget=ev.get("stability_budget", 0.5))
+                               stability_budget=ev["stability_budget"])
     except ValueError as exc:
         raise ConfigError(f"evolution: {exc}") from None
     propagated = time.perf_counter()
@@ -538,16 +542,15 @@ def _mode_evolve(config, out):
 
 
 def _graph_from(config):
-    gcfg = config.get("graph", {})
+    gcfg = config["graph"]
     name = gcfg.get("name")
     try:
         if "file" in gcfg:
-            return load_graph(gcfg["file"]), gcfg
+            return load_graph(gcfg["file"])
         if name == "star":
-            return star_graph(int(gcfg.get("edges", 3)),
-                              float(gcfg.get("length", 1.0))), gcfg
+            return star_graph(int(gcfg["edges"]), float(gcfg["length"]))
         if name in GRAPH_LIBRARY:
-            return GRAPH_LIBRARY[name](float(gcfg.get("length", 1.0))), gcfg
+            return GRAPH_LIBRARY[name](float(gcfg["length"]))
     except SchemaViolation as exc:
         raise ConfigError(f"graph file: {exc}") from None
     except (OSError, ValueError, FluxBalanceError) as exc:
@@ -557,7 +560,7 @@ def _graph_from(config):
 
 
 def _mode_graph(config, out):
-    graph, gcfg = _graph_from(config)
+    graph, gcfg = _graph_from(config), config["graph"]
     node, infinity, total, constants = count_conditions(graph)
     _write_json(out / "counting.json", {
         "node_conditions": node,
@@ -572,7 +575,7 @@ def _mode_graph(config, out):
                                    truncation=gcfg.get("truncation"))
         except ValueError as exc:
             raise ConfigError(f"graph: {exc}") from None
-        k = int(config.get("solver", {}).get("k", 6))
+        k = int(config["solver"]["k"])
         res = solve_eigensystem(op, k=min(k, op.matrix.shape[0]))
         w = res.eigenvalues
         _write_columns(out / "eigenvalues.csv",
@@ -586,20 +589,18 @@ def _mode_graph(config, out):
 def _mode_classical(config, out):
     law = _law_from(config)
     potential = _potential_from(config)
-    c = config.get("classical", {})
-    t_end = float(c.get("t_end", 10.0))
-    samples = c.get("samples")
+    c = config["classical"]
+    t_end = float(c["t_end"])
     # A start on the cusp is rejected before the first step; a stall
     # during integration stays a numerical failure.
     try:
-        state = ClassicalState(float(c.get("x", 0.0)),
-                               float(c.get("xdot", 2.0)))
-        t_eval = np.linspace(state.t, t_end, int(samples)) if samples else None
+        state = ClassicalState(float(c["x"]), float(c["xdot"]))
+        t_eval = (np.linspace(state.t, t_end, int(c["samples"]))
+                  if "samples" in c else None)
         traj = integrate_hamilton(state, t_end, law, potential,
-                                  tol=float(c.get("tol", 1e-12)),
-                                  policy=c.get("policy", "halt"),
+                                  tol=float(c["tol"]), policy=c["policy"],
                                   seed=config.get("seed"),
-                                  max_events=int(c.get("max_events", 32)),
+                                  max_events=int(c["max_events"]),
                                   t_eval=t_eval)
     except (ValueError, DegeneracyError) as exc:
         raise ConfigError(f"classical: {exc}") from None
@@ -623,7 +624,7 @@ def _mode_kernel(config, out):
         raise ConfigError("kernel mode needs a potential with an integrable "
                           "transform (gaussian, lorentzian, sech2, sampled)")
     grid = _grid_from(config, law)
-    mode = config.get("kernel", {}).get("mode", "hermitian")
+    mode = config["kernel"]["mode"]
     try:
         op = build_convolution_potential(potential, grid, mode=mode, domain=law)
     except (ValueError, TypeError) as exc:
@@ -791,16 +792,15 @@ def run_config(config, out_dir, jobs=1):
     out_dir = Path(out_dir)
     sweep = config.get("sweep")
     if not sweep:
-        _check_reads(config)
-        return _run_single(config, out_dir, jobs)
+        return _run_single(_check_reads(config), out_dir, jobs)
     tasks = []
     for i, value in enumerate(sweep["values"]):
         sub = copy.deepcopy(config)
         del sub["sweep"]
         _set_dotted(sub, sweep["parameter"], value)
         validate_config(sub, source=f"sweep value {i}")
-        _check_reads(sub, source=f"sweep value {i}: ")
-        tasks.append((sub, out_dir / f"sweep-{i:03d}"))
+        tasks.append((_check_reads(sub, source=f"sweep value {i}: "),
+                      out_dir / f"sweep-{i:03d}"))
     return all(_map(_run_task, tasks, jobs, "sweep"))
 
 
@@ -829,10 +829,8 @@ def _execute(config_path, mode, jobs, seed, out):
             config["mode"] = mode
         if seed is not None:
             config["seed"] = int(seed)
-        if out:
-            config["out"] = out
         stem = Path(config_path).stem if config_path else config["mode"]
-        out_dir = Path(config.get("out") or f"{stem}-out")
+        out_dir = Path(out or config.get("out") or f"{stem}-out")
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)

@@ -30,6 +30,7 @@ and a single real line with interior junction points.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,10 @@ BRANCHES = (1, 2, 3)
 
 # Momenta this close to a junction, relative to max(1, q_+), count as on it.
 _SNAP_RTOL = 1e-12
+
+# Largest |p| whose square is a finite float: the single root's discriminant
+# p**2/4 - kappa**3/27 overflows past it.
+_P_MAX = math.sqrt(sys.float_info.max)
 
 # Column b-1 of the kernel takes root k = 3 - b of 2 v_c cos((theta - 2 pi k)/3).
 _TRIG_SHIFTS = 2.0 * np.pi * np.array([2.0, 1.0, 0.0])
@@ -63,6 +68,9 @@ def _polished_single_root(p, kappa):
     lose a couple of digits near the junctions.
     """
     p = np.asarray(p, dtype=float)
+    if np.any(np.abs(p) > _P_MAX):
+        raise ValueError(f"momentum |p| = {np.max(np.abs(p)):g} is beyond "
+                         f"{_P_MAX:.4g}, where p**2 overflows")
     disc = np.sqrt(np.maximum(p * p / 4.0 - kappa**3 / 27.0, 0.0))
     v = np.cbrt(p / 2.0 + disc) + np.cbrt(p / 2.0 - disc)
     for _ in range(3):

@@ -212,6 +212,12 @@ def _element_ends(n):
     return np.arange(n)[:, None] + np.arange(2)
 
 
+# Shortest element length.  A P1 element of length h puts its stiffness over
+# its lumped mass, 2 alpha / h**2, into the matrix: at 1e-150 that is 2e300
+# for alpha 1, so a shorter element would overflow the assembly.
+_MIN_ELEMENT = 1e-150
+
+
 class GraphLayout:
     """Mesh bookkeeping for a discretized graph.
 
@@ -243,6 +249,11 @@ class GraphLayout:
                  for i, e in enumerate(graph.edges)]
         lines += [("half", j, hl.vertex, None, truncation, hl.alpha, hl.beta)
                   for j, hl in enumerate(graph.half_lines)]
+        shortest = min(line[4] for line in lines) / n
+        if not shortest >= _MIN_ELEMENT:
+            raise ValueError(f"element length {shortest:g} (line length / "
+                             f"resolution) is below {_MIN_ELEMENT:g}, where "
+                             "the stiffness 2/h**2 overflows")
         cursor = len(lines) * (n - 1)
         self.vertex_slot = {}
         for v in graph.vertices:

@@ -23,11 +23,14 @@ import jsonschema
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import branchedq
 from branchedq import acceptance, cli
 from branchedq.cli import (CONFIG_SCHEMA, _write_columns,
                           emit_dispersion_curve, main)
+from branchedq.errors import ConfigError
 from branchedq.evolution import MultiWave, probability_current, propagate
 from branchedq.graphs import (dump_graph, load_graph, star_graph,
                               star_secular_spectrum)
@@ -91,11 +94,22 @@ def test_classical_rerun_is_byte_identical(tmp_path):
     assert _invoke(["run", "--config", cfg, "--out", str(out_a)]).exit_code == 0
     for name, payload in first.items():
         assert (out_a / name).read_bytes() == payload, f"{name} not reproducible"
-    # Different destination: the resolved config records the out dir, so
-    # only the data artifacts are expected to match byte for byte.
     assert _invoke(["run", "--config", cfg, "--out", str(out_b)]).exit_code == 0
     for name in ("trajectory.csv", "summary.json"):
         assert (out_b / name).read_bytes() == first[name], f"{name} depends on out dir"
+
+
+def test_rerun_into_another_out_dir_gives_the_same_manifest(tmp_path):
+    """The resolved config holds the settings, not where the run wrote."""
+    cfg = _write_config(tmp_path / "c.json", _classical_config(out="ignored"))
+    for out in ("a", "b"):
+        assert _invoke(["run", "--config", cfg, "--out",
+                        str(tmp_path / out)]).exit_code == 0
+    for name in ("manifest.json", "config.resolved.json"):
+        assert (tmp_path / "a" / name).read_bytes() == \
+            (tmp_path / "b" / name).read_bytes(), f"{name} depends on out dir"
+    assert "out" not in json.loads(
+        (tmp_path / "a" / "config.resolved.json").read_text())
 
 
 def test_manifest_hashes_match_files(tmp_path):
@@ -622,6 +636,19 @@ _NEEDLE = {"form": "gaussian", "amplitude": 0.5, "width": 1e-300,
     (dict(_LINE_KERNEL, potential=_WELL, dispersion={"kappa": 0.0},
           kernel={"mode": "naive"}),
      "kernel: naive mode needs the branched domain"),
+    # Elements this short put a stiffness 2/h**2 past the float range.
+    ({"version": 1, "mode": "graph",
+      "graph": {"name": "compton", "length": 1e-300, "truncation": 2.0,
+                "resolution": 8}}, "graph: element length"),
+    ({"version": 1, "mode": "graph",
+      "graph": {"name": "compton", "truncation": 1e-300, "resolution": 8}},
+     "graph: element length"),
+    # The unfolded kinetic term reaches a momentum whose square overflows.
+    (dict(_LINE_KERNEL, mode="spectrum",
+          potential={"form": "quartic", "alpha": 0.4, "beta": 0.3,
+                     "gamma": 0.2},
+          grid={"kind": "line", "x_min": 2, "x_max": 1e300, "n": 40}),
+     "solver: momentum |p|"),
 ], ids=["sweep-value", "packet-width", "packet-center", "dt-budget",
         "classical-tol-zero", "classical-tol-negative", "classical-quartic-law",
         "classical-on-cusp", "unknown-criterion", "graph-no-truncation",
@@ -642,7 +669,8 @@ _NEEDLE = {"form": "gaussian", "amplitude": 0.5, "width": 1e-300,
         "convolution-accuracy", "box-graph-edges", "star-graph-truncation",
         "graph-file-name", "graph-truncation-without-resolution",
         "graph-solver-without-resolution", "kernel-naive-unbranched",
-        "kernel-naive-unbranched-flat"])
+        "kernel-naive-unbranched-flat", "graph-element-underflow",
+        "graph-truncation-underflow", "unfolded-momentum-overflow"])
 # A numpy warning printed before the message breaks the one-line rule.
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_values_exit_two(tmp_path, payload, where):
@@ -701,7 +729,147 @@ def test_mode_override_checks_what_the_new_mode_reads(tmp_path):
     assert result.output == ("config error: dispersion: graph mode does not "
                              "read it\n")
     assert not (tmp_path / "out").exists()
-    assert set(cli._MODE_READS) == set(cli._MODES)
+    assert set(cli._MODE_NAMES) == set(cli._MODES)
+
+
+# Each mode once, with the settings config.resolved.json must record: its
+# defaults, and no `out`.
+_ROUND_TRIPS = {
+    "spectrum-folded": (
+        {"version": 1, "mode": "spectrum",
+         "potential": {"form": "quadratic", "alpha": 1.0}},
+        {"solver.assembly": "folded", "solver.accuracy": 2, "solver.k": 10,
+         "grid.n_inner": 40, "grid.n_arm": 60, "dispersion.kappa": 3.0}),
+    "spectrum-dual-wire-line": (
+        {"version": 1, "mode": "spectrum",
+         "potential": {"form": "quadratic", "alpha": 1.0},
+         "grid": {"kind": "line", "x_min": -8.0, "x_max": 8.0, "n": 120},
+         "solver": {"assembly": "dual-wire", "kinetic": [0, 0, 0.5, 0],
+                    "k": 4}},
+        {"solver.accuracy": 2, "solver.k": 4}),
+    "evolve": (
+        dict(_SMALL_FOLDED, mode="evolve",
+             evolution={"steps": 4, "snapshot_every": 2,
+                        "stability_budget": None}),
+        {"solver.assembly": "folded", "evolution.dt": 1e-3,
+         "evolution.stability_budget": None, "evolution.packet.width": 1.0}),
+    "graph": (
+        {"version": 1, "mode": "graph",
+         "graph": {"name": "compton", "resolution": 20, "truncation": 4.0}},
+        {"graph.length": 1.0, "solver.k": 6}),
+    "classical": (
+        _classical_config(out="elsewhere", classical={"t_end": 2.0}),
+        {"seed": 42, "classical.xdot": 2.0, "classical.policy": "halt",
+         "classical.max_events": 32}),
+    "kernel": (
+        dict(_LINE_KERNEL, potential=_WELL),
+        {"kernel.mode": "hermitian", "dispersion.kappa": 3.0}),
+    "verify": (
+        {"version": 1, "mode": "verify", "criteria": ["C6"]},
+        {"criteria": ["C6"]}),
+}
+
+
+def _untimed(out):
+    """_tree(out) with the run times of acceptance.txt and their hash cut."""
+    files = _tree(out)
+    if "acceptance.txt" in files:
+        files["acceptance.txt"] = re.sub(rb" \(\d+\.\ds\) ", b" ",
+                                         files["acceptance.txt"])
+        manifest = json.loads(files["manifest.json"])
+        del manifest["outputs"]["acceptance.txt"]
+        files["manifest.json"] = manifest
+    return files
+
+
+@pytest.mark.parametrize("config,recorded", _ROUND_TRIPS.values(),
+                         ids=_ROUND_TRIPS)
+def test_resolved_config_reproduces_the_run(tmp_path, config, recorded):
+    """Fed back in, config.resolved.json gives every artifact again, itself
+    included, byte for byte."""
+    first, again = tmp_path / "first", tmp_path / "again"
+    cfg = _write_config(tmp_path / "c.json", config)
+    assert _invoke(["run", "--config", cfg, "--out", str(first),
+                    "--jobs", "1"]).exit_code == 0
+    resolved = first / "config.resolved.json"
+    assert _invoke(["run", "--config", str(resolved), "--out", str(again),
+                    "--jobs", "1"]).exit_code == 0
+    assert _untimed(again) == _untimed(first)
+    doc = json.loads(resolved.read_text())
+    assert "out" not in doc
+    for dotted, value in recorded.items():
+        node = doc
+        for key in dotted.split("."):
+            node = node[key]
+        assert node == value, dotted
+
+
+def _drawn(schema):
+    """Values that a schema fragment of the config table accepts."""
+    if "const" in schema:
+        return st.just(schema["const"])
+    if "enum" in schema:
+        return st.sampled_from(schema["enum"])
+    kind = schema["type"]
+    if kind == "object":
+        required = schema.get("required", ())
+        return st.fixed_dictionaries(
+            {key: _drawn(schema["properties"][key]) for key in required},
+            optional={key: _drawn(sub)
+                      for key, sub in schema["properties"].items()
+                      if key not in required})
+    if kind == "array":
+        return st.lists(_drawn(schema.get("items", {"const": 1})),
+                        min_size=schema.get("minItems", 0),
+                        max_size=schema.get("maxItems", 2))
+    if kind == "integer":
+        return st.integers(schema["minimum"], schema["minimum"] + 2)
+    if kind == "string":  # graph names, and one no graph has
+        return st.sampled_from(["star", "compton", "box", "other"])
+    return st.sampled_from([0.5, 2.0] + ([None] if "null" in kind else []))
+
+
+@st.composite
+def _configs(draw):
+    """A valid config: a mode and up to three other top-level entries."""
+    entries = CONFIG_SCHEMA["properties"]
+    config = {"version": 1, "mode": draw(_drawn(entries["mode"]))}
+    others = sorted(set(entries) - set(config))
+    for name in draw(st.lists(st.sampled_from(others), max_size=3,
+                              unique=True)):
+        config[name] = draw(_drawn(entries[name]))
+    return config
+
+
+def _paths(doc, table=cli._CONFIG, prefix=()):
+    """Every key of a config as a path, down the sections of the table."""
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(table.get(key), dict):
+            yield from _paths(value, table[key], prefix + (key,))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(config=_configs())
+def test_resolve_reads_what_the_check_accepts(config):
+    cli.validate_config(config)
+    resolved = cli._resolve(config)
+    cli.validate_config(resolved)
+    # version, mode, seed, and out and sweep, read before the run.
+    every_mode = {(name,) for name, spec in cli._CONFIG.items()
+                  if not isinstance(spec, dict)
+                  and (spec.reads is None or set(spec.reads) == set(cli._MODES))}
+    unread = set(_paths(config)) - set(_paths(resolved)) - every_mode
+    try:
+        assert cli._check_reads(config) == resolved
+    except ConfigError:
+        assert unread
+    else:
+        assert not unread
+        # Resolving again changes nothing.  A refused config may resolve
+        # further: an unread "assembly": "convolution" in graph mode still
+        # makes the kernel section read, so that the check names the solver.
+        assert cli._resolve(resolved) == resolved
 
 
 def test_malformed_json_exits_two(tmp_path):
@@ -1183,6 +1351,7 @@ def test_write_columns_matches_csv_writer(tmp_path, monkeypatch):
 
 def _expected_snapshots(config):
     """snapshots.csv rows recomputed from the library, for the oracle."""
+    config = cli._resolve(config)
     law = cli._law_from(config)
     grid = cli._grid_from(config, law)
     op = cli._hamiltonian_from(config, law, grid, cli._potential_from(config))
