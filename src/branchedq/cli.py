@@ -38,6 +38,7 @@ spinning pools (one traced in-process sweep took 6.2 s on two such
 workers; serially it takes 2.0 to 2.3 s).
 """
 
+import contextlib
 import copy
 import hashlib
 import json
@@ -82,13 +83,15 @@ from .spectra import _CERTIFY_MULTIPLE, solve_eigensystem
 # -- the config table -----------------------------------------------------------
 #
 # Each key is declared once: its schema fragment, its default (None: none; a
-# callable: set by the run's settings) and its readers.  A reader is a mode or
-# an assembly, mapped to the settings it needs: the grid kind, the assembly,
-# the graph source (a file or a name), whether graph.resolution is given.
-# Readers None mark `out` and `sweep`, read before a run and never resolved.
-# A given key that `_resolve` leaves out is never read, and exits 2.
+# callable: set by the run's settings), its readers and what needs it.  A
+# reader is a mode, mapped to the settings it needs: the grid kind, the
+# assembly, the graph source (a file or a name), whether graph.resolution is
+# given.  Readers None mark `out` and `sweep`, read before a run and never
+# resolved.  A given key that `_resolve` leaves out is never read, and exits
+# 2.  So does a key that the run reads, that has no default and that names in
+# `needs` the setting whose label says what needs it.
 
-_Key = namedtuple("_Key", "schema default reads")
+_Key = namedtuple("_Key", "schema default reads needs", defaults=(None,))
 
 
 def _reads(*readers, **settings):
@@ -110,7 +113,7 @@ _GRID, _ASSEMBLED = ("spectrum", "evolve", "kernel"), ("spectrum", "evolve")
 _FOLDED = _reads(*_GRID, kind=("folded",))
 _LINE = _reads(*_GRID, kind=("line", "periodic"))
 _EVOLVE, _CLASSICAL = _reads("evolve"), _reads("classical")
-_NAMED = ("star", "compton", "box")
+_NAMED = ("star", *GRAPH_LIBRARY)
 _NUM = {"type": "number"}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 
@@ -130,9 +133,9 @@ _CONFIG = {
                      _reads(*_GRID)),
         "n_inner": _Key(_int(2), 40, _FOLDED),
         "n_arm": _Key(_int(3), 60, _FOLDED),
-        "x_min": _Key(_NUM, None, _LINE),
-        "x_max": _Key(_NUM, None, _LINE),
-        "n": _Key(_int(4), None, _LINE),
+        "x_min": _Key(_NUM, None, _LINE, "kind"),
+        "x_max": _Key(_NUM, None, _LINE, "kind"),
+        "n": _Key(_int(4), None, _LINE, "kind"),
     },
     "solver": {
         "k": _Key(_int(1), lambda run: 6 if run["mode"] == "graph" else 10,
@@ -141,11 +144,12 @@ _CONFIG = {
             *_ASSEMBLED, assembly=("folded", "unfolded", "dual-wire"))),
         "assembly": _Key(
             _enum("folded", "unfolded", "dual-wire", "convolution", "fourier"),
-            lambda run: "folded" if run["kind"] == "folded" else "unfolded",
-            _reads(*_ASSEMBLED)),
+            lambda run: {"folded": "folded", "line": "unfolded"}.get(
+                run["kind"]), _reads(*_ASSEMBLED), "kind"),
         "kinetic": _Key({"type": "array", "items": _NUM, "minItems": 4,
                          "maxItems": 4}, None,
-                        _reads(*_ASSEMBLED, assembly=("dual-wire",))),
+                        _reads(*_ASSEMBLED, assembly=("dual-wire",)),
+                        "assembly"),
     },
     "evolution": {
         "dt": _Key(_POSITIVE, 1e-3, _EVOLVE),
@@ -167,7 +171,8 @@ _CONFIG = {
         "samples": _Key(_int(2), None, _CLASSICAL),
     },
     "graph": {
-        "name": _Key({"type": "string"}, None, _reads("graph", source=_NAMED)),
+        "name": _Key(_enum(*_NAMED), None, _reads("graph", source=_NAMED),
+                     "source"),
         "file": _Key({"type": "string"}, None,
                      _reads("graph", source=("file",))),
         "edges": _Key(_int(2), 3, _reads("graph", source=("star",))),
@@ -178,7 +183,8 @@ _CONFIG = {
             "graph", resolution=(True,), source=("file", "compton", "box"))),
     },
     "kernel": {"mode": _Key(_enum("hermitian", "naive"), "hermitian",
-                            _reads("kernel", "convolution"))},
+                            _reads("kernel") | _reads(
+                                *_ASSEMBLED, assembly=("convolution",)))},
     "sweep": _Key({"type": "object", "additionalProperties": False,
                    "required": ["parameter", "values"], "properties": {
                        "parameter": {"type": "string"},
@@ -206,40 +212,35 @@ _READ = len(_SETTINGS)
 
 
 def _run_settings(config):
-    """The mode and the settings of a run.  A graph source that no graph
-    has is None, which no key refuses."""
+    """The mode and the settings of a run.  A setting that the config leaves
+    open (no assembly on a periodic grid, no graph source) is None, which
+    no key refuses."""
     grid, solver, graph = (config.get(name, {})
                            for name in ("grid", "solver", "graph"))
     run = {"mode": config["mode"], "resolution": "resolution" in graph,
            "kind": grid.get("kind", _CONFIG["grid"]["kind"].default)}
     run["assembly"] = solver.get("assembly",
                                  _CONFIG["solver"]["assembly"].default(run))
-    source = "file" if "file" in graph else graph.get("name")
-    run["source"] = source if source in ("file", *_NAMED) else None
-    run["graph"] = "a graph file" if source == "file" else f"the {source} graph"
+    run["source"] = "file" if "file" in graph else graph.get("name")
+    run["graph"] = ("a graph file" if "file" in graph
+                    else f"the {run['source']} graph" if run["source"]
+                    else "graph mode without a file")
     return run
-
-
-def _keys(spec):
-    """A key alone, or every key of a section and of the sections in it."""
-    if not isinstance(spec, dict):
-        return [spec]
-    return [key for sub in spec.values() for key in _keys(sub)]
 
 
 def _rank(spec, run):
     """_READ when the run reads `spec`, else the rank in _SETTINGS of what
     rules it out; for a section, the highest of its keys'."""
     if isinstance(spec, dict):
-        return max(_rank(key, run) for key in _keys(spec))
+        return max(_rank(key, run) for key in spec.values())
     if spec.reads is None:
         return _READ
-    # Each of the run's readers stops at the first setting it refuses.
-    return max([0] + [min([rank for rank, name in enumerate(_SETTINGS)
-                           if run[name] not in settings.get(name, [run[name]])
-                           and run[name] is not None] + [_READ])
-                      for reader, settings in spec.reads.items()
-                      if reader in (run["mode"], run["assembly"])])
+    settings = spec.reads.get(run["mode"])
+    if settings is None:
+        return 0
+    return next((rank for rank, name in enumerate(_SETTINGS)
+                 if run[name] not in settings.get(name, [run[name]])
+                 and run[name] is not None), _READ)
 
 
 def _resolve(config, table=_CONFIG, run=None):
@@ -255,15 +256,18 @@ def _resolve(config, table=_CONFIG, run=None):
             continue
         elif name in config:
             resolved[name] = config[name]
-        elif spec.default is not None:
-            resolved[name] = (spec.default(run) if callable(spec.default)
-                              else spec.default)
+        else:
+            default = (spec.default(run) if callable(spec.default)
+                       else spec.default)
+            if default is not None:
+                resolved[name] = default
     return resolved
 
 
 def _check_reads(config, source=""):
     """The resolved config; ConfigError for a given key that it leaves out,
-    a setting the run never reads, named with what rules it out."""
+    a setting the run never reads, named with what rules it out, and then
+    for a key that the run reads and needs but that has no value."""
     run = _run_settings(config)
     for rank, (owner, label) in enumerate(_SETTINGS.values()):
         for name in sorted(config, key=lambda section: section != owner):
@@ -273,17 +277,17 @@ def _check_reads(config, source=""):
                                     if _rank(spec[key], run) == rank))
             if _rank(spec, run) == rank:  # the run reads nothing of it
                 what = "it"
-            if not what:
-                continue
-            who = label.format(**run) + " does not read"
-            readers = dict.fromkeys(r for key in _keys(spec) for r in key.reads)
-            if what == "it" and rank == 0 and set(readers) - set(_MODE_NAMES):
-                # Read by an assembly too: name each reader.
-                who = "only {} read".format(" and ".join(
-                    f"{r} mode" if r in _MODE_NAMES else f"the {r} assembly"
-                    for r in readers))
-            raise ConfigError(f"{source}{name}: {who} {what}")
-    return _resolve(config, run=run)
+            if what:
+                raise ConfigError(f"{source}{name}: {label.format(**run)} "
+                                  f"does not read {what}")
+    resolved = _resolve(config, run=run)
+    for name, section in _CONFIG.items():
+        for key, spec in section.items() if isinstance(section, dict) else ():
+            if (getattr(spec, "needs", None) and _rank(spec, run) == _READ
+                    and key not in resolved.get(name, {})):
+                label = _SETTINGS[spec.needs][1].format(**run)
+                raise ConfigError(f"{source}{name}: {label} needs {key}")
+    return resolved
 
 
 def _lead_text(fmt, *columns):
@@ -369,66 +373,63 @@ def load_config(path):
 
 # -- problem construction -----------------------------------------------------
 
-def _law_from(config):
+@contextlib.contextmanager
+def _section(name, *errors):
+    """Raise each of `errors` from the block, or from the function that this
+    decorates, as a ConfigError in config section `name`."""
     try:
-        return DispersionLaw(kappa=float(config["dispersion"]["kappa"]))
-    except ValueError as exc:
-        raise ConfigError(f"dispersion: {exc}") from None
+        yield
+    except errors as exc:
+        raise ConfigError(f"{name}: {exc}") from None
 
 
+@_section("dispersion", ValueError)
+def _law_from(config):
+    return DispersionLaw(kappa=float(config["dispersion"]["kappa"]))
+
+
+@_section("potential", ValueError, TypeError)
 def _potential_from(config):
     if "potential" not in config:
         return None
-    try:
-        return potential_from_mapping(config["potential"])
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"potential: {exc}") from None
+    return potential_from_mapping(config["potential"])
 
 
+@_section("grid", ValueError, TypeError)
 def _grid_from(config, law):
     g = config["grid"]
-    kind = g["kind"]
-    try:
-        if kind == "folded":
-            return FoldedGrid(law, int(g["n_inner"]), int(g["n_arm"]))
-        grid = LineGrid if kind == "line" else PeriodicGrid
-        return grid(float(g["x_min"]), float(g["x_max"]), int(g["n"]))
-    except KeyError as exc:
-        raise ConfigError(f"grid: kind {kind!r} needs field {exc}") from None
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"grid: {exc}") from None
+    if g["kind"] == "folded":
+        return FoldedGrid(law, int(g["n_inner"]), int(g["n_arm"]))
+    grid = LineGrid if g["kind"] == "line" else PeriodicGrid
+    return grid(float(g["x_min"]), float(g["x_max"]), int(g["n"]))
 
 
+@_section("solver", ValueError, TypeError)
 def _hamiltonian_from(config, law, grid, potential):
     solver = config["solver"]
     assembly = solver["assembly"]
-    try:
-        if assembly in ("folded", "unfolded"):
-            build = (build_folded_hamiltonian if assembly == "folded"
-                     else build_unfolded_hamiltonian)
-            return build(law, grid, potential, accuracy=int(solver["accuracy"]))
-        if assembly == "dual-wire":
-            if "kinetic" not in solver:
-                raise ConfigError("dual-wire assembly needs solver.kinetic")
-            if potential is None and isinstance(grid, LineGrid):
-                raise ConfigError("potential: the dual-wire assembly on a "
-                                  "line grid needs one")
-            if potential is not None and isinstance(grid, FoldedGrid):
-                raise ConfigError("potential: the dual-wire assembly on a "
-                                  "folded grid takes its W from kappa, not "
-                                  "from a potential")
-            wire = potential if potential is not None else law
-            return build_dual_wire_hamiltonian(
-                StencilSymbol(*solver["kinetic"]), wire, grid,
-                accuracy=int(solver["accuracy"]))
-        if assembly == "convolution":
-            return build_convolution_hamiltonian(
-                law, potential, grid, mode=config["kernel"]["mode"])
-        return fourier_conjugate_hamiltonian(law, potential, grid)
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"solver: {exc}") from None
+    if assembly in ("folded", "unfolded"):
+        build = (build_folded_hamiltonian if assembly == "folded"
+                 else build_unfolded_hamiltonian)
+        return build(law, grid, potential, accuracy=int(solver["accuracy"]))
+    if assembly == "dual-wire":
+        if potential is None and isinstance(grid, LineGrid):
+            raise ConfigError("potential: the dual-wire assembly on a line "
+                              "grid needs one")
+        if potential is not None and isinstance(grid, FoldedGrid):
+            raise ConfigError("potential: the dual-wire assembly on a folded "
+                              "grid takes its W from kappa, not from a "
+                              "potential")
+        wire = potential if potential is not None else law
+        return build_dual_wire_hamiltonian(
+            StencilSymbol(*solver["kinetic"]), wire, grid,
+            accuracy=int(solver["accuracy"]))
+    if assembly == "convolution":
+        return build_convolution_hamiltonian(
+            law, potential, grid, mode=config["kernel"]["mode"])
+    if potential is None:
+        raise ConfigError("potential: the fourier assembly needs one")
+    return fourier_conjugate_hamiltonian(law, potential, grid)
 
 
 def _grid_lead(grid):
@@ -488,14 +489,12 @@ def _mode_evolve(config, out):
     assembled = time.perf_counter()
     ev = config["evolution"]
     steps = int(ev["steps"])
-    try:
+    with _section("evolution", ValueError):
         wave = MultiWave.gaussian(grid, *(float(ev["packet"][key]) for key
                                           in ("center", "width", "boost")))
         final, rep = propagate(op, wave, float(ev["dt"]), steps,
                                snapshot_every=ev.get("snapshot_every"),
                                stability_budget=ev["stability_budget"])
-    except ValueError as exc:
-        raise ConfigError(f"evolution: {exc}") from None
     propagated = time.perf_counter()
     nsteps = rep.times.size
     flux = rep.flux_residuals if rep.flux_residuals is not None \
@@ -541,22 +540,15 @@ def _mode_evolve(config, out):
     return files, True
 
 
+@_section("graph", OSError, ValueError, FluxBalanceError)
+@_section("graph file", SchemaViolation)  # a ValueError: caught first
 def _graph_from(config):
     gcfg = config["graph"]
-    name = gcfg.get("name")
-    try:
-        if "file" in gcfg:
-            return load_graph(gcfg["file"])
-        if name == "star":
-            return star_graph(int(gcfg["edges"]), float(gcfg["length"]))
-        if name in GRAPH_LIBRARY:
-            return GRAPH_LIBRARY[name](float(gcfg["length"]))
-    except SchemaViolation as exc:
-        raise ConfigError(f"graph file: {exc}") from None
-    except (OSError, ValueError, FluxBalanceError) as exc:
-        raise ConfigError(f"graph: {exc}") from None
-    raise ConfigError("graph: needs a file or a known name "
-                      f"(star, {', '.join(sorted(GRAPH_LIBRARY))})")
+    if "file" in gcfg:
+        return load_graph(gcfg["file"])
+    if gcfg["name"] == "star":
+        return star_graph(int(gcfg["edges"]), float(gcfg["length"]))
+    return GRAPH_LIBRARY[gcfg["name"]](float(gcfg["length"]))
 
 
 def _mode_graph(config, out):
@@ -570,11 +562,9 @@ def _mode_graph(config, out):
     })
     files = ["counting.json"]
     if "resolution" in gcfg:
-        try:
+        with _section("graph", ValueError):
             op = graph_hamiltonian(graph, int(gcfg["resolution"]),
                                    truncation=gcfg.get("truncation"))
-        except ValueError as exc:
-            raise ConfigError(f"graph: {exc}") from None
         k = int(config["solver"]["k"])
         res = solve_eigensystem(op, k=min(k, op.matrix.shape[0]))
         w = res.eigenvalues
@@ -593,7 +583,7 @@ def _mode_classical(config, out):
     t_end = float(c["t_end"])
     # A start on the cusp is rejected before the first step; a stall
     # during integration stays a numerical failure.
-    try:
+    with _section("classical", ValueError, DegeneracyError):
         state = ClassicalState(float(c["x"]), float(c["xdot"]))
         t_eval = (np.linspace(state.t, t_end, int(c["samples"]))
                   if "samples" in c else None)
@@ -602,8 +592,6 @@ def _mode_classical(config, out):
                                   seed=config.get("seed"),
                                   max_events=int(c["max_events"]),
                                   t_eval=t_eval)
-    except (ValueError, DegeneracyError) as exc:
-        raise ConfigError(f"classical: {exc}") from None
     _write_columns(out / "trajectory.csv",
                    ("t", "x", "xdot", "p", "E", "branch", "event"),
                    "%.17g,%.17g,%.17g,%.17g,%.17g,%d,%d\n",
@@ -621,14 +609,13 @@ def _mode_kernel(config, out):
     law = _law_from(config)
     potential = _potential_from(config)
     if potential is None or not has_kernel(potential):
-        raise ConfigError("kernel mode needs a potential with an integrable "
-                          "transform (gaussian, lorentzian, sech2, sampled)")
+        raise ConfigError("potential: kernel mode needs one with an "
+                          "integrable transform (gaussian, lorentzian, sech2, "
+                          "sampled)")
     grid = _grid_from(config, law)
     mode = config["kernel"]["mode"]
-    try:
+    with _section("kernel", ValueError, TypeError):
         op = build_convolution_potential(potential, grid, mode=mode, domain=law)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"kernel: {exc}") from None
     offsets = grid.h * np.arange(-(grid.size - 1), grid.size)
     samples = np.atleast_1d(potential.kernel(offsets))
     _write_columns(out / "kernel.csv", ("offset", "re", "im"),

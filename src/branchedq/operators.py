@@ -222,8 +222,8 @@ def build_unfolded_hamiltonian(law, grid, V=None, accuracy=2):
     coordinate; for an unbranched law the coordinate is the momentum itself.
     """
     if not isinstance(grid, LineGrid):
-        raise TypeError("build_unfolded_hamiltonian needs a LineGrid; "
-                        "a FoldedGrid takes build_folded_hamiltonian")
+        raise TypeError("build_unfolded_hamiltonian needs a LineGrid, not a "
+                        f"{type(grid).__name__}")
     symbol = _symbol_of_potential(V)
     H = _assemble_line(grid.size, grid.h, symbol, accuracy,
                        _unfolded_energy(law, grid.x))
@@ -303,20 +303,13 @@ def build_convolution_potential(V, grid, mode="hermitian", domain=None):
         pos = samples[grid.size - 1:]
         neg = samples[grid.size - 1::-1]
         K1 = toeplitz(pos, neg)
-        scale = grid.h / (2.0 * np.pi)
-        if mode == "hermitian":
-            # In place, in the operand order of scale * K1: K1 *= scale
-            # flips the sign of some zeros.
-            np.multiply(scale, K1, out=K1)
-            return OperatorMatrix(K1, grid)
-        if not (isinstance(domain, DispersionLaw) and domain.branched):
-            raise ValueError("naive mode needs the branched domain for its windows")
-        windows = _heaviside_windows(grid.x, domain.p_minus, domain.p_plus)
-        # The sum comes back as a temporary, which numpy scales in place
-        # when it is large, in the operand order it used for the one-line
-        # expression, so the bits (signed zeros too) are unchanged.
-        M = scale * _windowed_sum(K1, *windows)
-        return OperatorMatrix(M, grid)
+        if mode == "naive":
+            if not (isinstance(domain, DispersionLaw) and domain.branched):
+                raise ValueError("naive mode needs the branched domain for "
+                                 "its windows")
+            K1 = _windowed_sum(
+                K1, *_heaviside_windows(grid.x, domain.p_minus, domain.p_plus))
+        return OperatorMatrix(_scaled(grid, K1), grid)
 
     if isinstance(grid, PeriodicGrid):
         if mode != "hermitian":
@@ -329,10 +322,17 @@ def build_convolution_potential(V, grid, mode="hermitian", domain=None):
             # The half-period offset is shared between +n/2 and -n/2;
             # its Hermitian part is the consistent sample.
             samples[n // 2] = samples[n // 2].real
-        M = (grid.h / (2.0 * np.pi)) * circulant(samples)
-        return OperatorMatrix(M, grid)
+        return OperatorMatrix(_scaled(grid, circulant(samples)), grid)
 
     raise TypeError("build_convolution_potential needs a LineGrid or PeriodicGrid")
+
+
+def _scaled(grid, K):
+    """K times the measure h / (2 pi), in place.  The operand order is
+    fixed: numpy runs `scale * K` on a temporary K of 256 KiB or more as
+    K * scale, and the two orders give some underflowing products zeros of
+    opposite sign."""
+    return np.multiply(grid.h / (2.0 * np.pi), K, out=K)
 
 
 def _windowed_sum(K1, w1, w2, w3):
@@ -377,6 +377,8 @@ def fourier_conjugate_hamiltonian(law, V, grid):
     """
     if not isinstance(grid, PeriodicGrid):
         raise TypeError("the Fourier conjugate picture needs a PeriodicGrid")
+    if V is None:
+        raise ValueError("the Fourier conjugate picture needs a potential V")
     n = grid.size
     xk = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.h)
     F = np.exp(-1j * np.outer(xk, grid.x)) / np.sqrt(n)

@@ -586,7 +586,7 @@ _NEEDLE = {"form": "gaussian", "amplitude": 0.5, "width": 1e-300,
      "solver: graph mode does not read accuracy, assembly, kinetic"),
     (dict(_LINE_KERNEL, mode="spectrum", grid=_RING, potential=_WELL,
           solver={"k": 4, "assembly": "fourier"}, kernel={"mode": "naive"}),
-     "kernel: only kernel mode and the convolution assembly read it"),
+     "kernel: the fourier assembly does not read it"),
     (dict(_SMALL_FOLDED, mode="evolve", solver={"k": 3},
           evolution={"steps": 2}),
      "solver: evolve mode does not read k"),
@@ -649,6 +649,24 @@ _NEEDLE = {"form": "gaussian", "amplitude": 0.5, "width": 1e-300,
                      "gamma": 0.2},
           grid={"kind": "line", "x_min": 2, "x_max": 1e300, "n": 40}),
      "solver: momentum |p|"),
+    # Keys that the run reads and needs, with no default.
+    (dict(_LINE_KERNEL, mode="spectrum", potential=_WELL,
+          solver={"assembly": "dual-wire"}),
+     "solver: the dual-wire assembly needs kinetic"),
+    (dict(_LINE_KERNEL, mode="spectrum", grid=_RING,
+          solver={"assembly": "fourier"}),
+     "potential: the fourier assembly needs one"),
+    (dict(_LINE_KERNEL, mode="spectrum", grid=_RING, potential=_WELL),
+     "solver: a periodic grid needs assembly"),
+    (dict(_LINE_KERNEL, mode="spectrum", potential=_WELL,
+          grid={"kind": "line", "x_min": -5.0, "x_max": 5.0}),
+     "grid: a line grid needs n"),
+    (dict(_LINE_KERNEL, potential={"form": "quadratic", "alpha": 1.0}),
+     "potential: kernel mode needs one with an integrable transform"),
+    ({"version": 1, "mode": "graph", "graph": {"name": "ring"}},
+     "$.graph.name: 'ring' is not one of ['star', 'compton', 'box']"),
+    ({"version": 1, "mode": "graph", "graph": {"resolution": 10}},
+     "graph: graph mode without a file needs name"),
 ], ids=["sweep-value", "packet-width", "packet-center", "dt-budget",
         "classical-tol-zero", "classical-tol-negative", "classical-quartic-law",
         "classical-on-cusp", "unknown-criterion", "graph-no-truncation",
@@ -670,7 +688,10 @@ _NEEDLE = {"form": "gaussian", "amplitude": 0.5, "width": 1e-300,
         "graph-file-name", "graph-truncation-without-resolution",
         "graph-solver-without-resolution", "kernel-naive-unbranched",
         "kernel-naive-unbranched-flat", "graph-element-underflow",
-        "graph-truncation-underflow", "unfolded-momentum-overflow"])
+        "graph-truncation-underflow", "unfolded-momentum-overflow",
+        "dual-wire-no-kinetic", "fourier-no-potential",
+        "periodic-no-assembly", "line-grid-no-n", "kernel-quadratic",
+        "graph-unknown-name", "graph-no-source"])
 # A numpy warning printed before the message breaks the one-line rule.
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_values_exit_two(tmp_path, payload, where):
@@ -681,6 +702,25 @@ def test_bad_values_exit_two(tmp_path, payload, where):
     lines = result.output.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error: ")
     assert where in result.output
+    # After the sweep point, it opens with the config file or a config
+    # section (as a schema path for a sweep point's schema error).
+    sections = "|".join(CONFIG_SCHEMA["properties"])
+    assert re.match(rf"config error: (sweep value \d+: )?({re.escape(cfg)}: "
+                    rf"|(\$\.)?({sections})[:.[])", lines[0]), lines[0]
+
+
+def test_sweep_refuses_a_point_before_any_runs(tmp_path):
+    cfg = _write_config(tmp_path / "s.json", dict(
+        _LINE_KERNEL, mode="spectrum", potential=_WELL,
+        sweep={"parameter": "solver.assembly",
+               "values": ["unfolded", "dual-wire"]}))
+    out = tmp_path / "out"
+    result = _invoke(["run", "--config", cfg, "--out", str(out),
+                      "--jobs", "1"])
+    assert result.exit_code == 2
+    assert result.output == ("config error: sweep value 1: solver: the "
+                             "dual-wire assembly needs kinetic\n")
+    assert not (out / "sweep-000" / "manifest.json").exists()
 
 
 _STAR = [{"id": "c"}, {"id": "t", "condition": {"type": "dirichlet"}}]
@@ -824,8 +864,8 @@ def _drawn(schema):
                         max_size=schema.get("maxItems", 2))
     if kind == "integer":
         return st.integers(schema["minimum"], schema["minimum"] + 2)
-    if kind == "string":  # graph names, and one no graph has
-        return st.sampled_from(["star", "compton", "box", "other"])
+    if kind == "string":
+        return st.just("other")
     return st.sampled_from([0.5, 2.0] + ([None] if "null" in kind else []))
 
 
@@ -862,14 +902,19 @@ def test_resolve_reads_what_the_check_accepts(config):
     unread = set(_paths(config)) - set(_paths(resolved)) - every_mode
     try:
         assert cli._check_reads(config) == resolved
-    except ConfigError:
-        assert unread
+    except ConfigError as exc:
+        # Refused for an unread key, or else for a key the run needs and
+        # has no value for.
+        needed = re.fullmatch(r"(\w+): .* needs (\w+)", str(exc))
+        assert bool(unread) != bool(needed), str(exc)
+        if needed:
+            section, key = needed.groups()
+            assert cli._CONFIG[section][key].needs
+            assert key not in resolved.get(section, {})
     else:
         assert not unread
-        # Resolving again changes nothing.  A refused config may resolve
-        # further: an unread "assembly": "convolution" in graph mode still
-        # makes the kernel section read, so that the check names the solver.
-        assert cli._resolve(resolved) == resolved
+    # Resolving again changes nothing.
+    assert cli._resolve(resolved) == resolved
 
 
 def test_malformed_json_exits_two(tmp_path):

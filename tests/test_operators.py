@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import toeplitz
+from scipy.linalg import circulant, toeplitz
 
 from branchedq import (DispersionLaw, FoldedGrid, GaussianPotential, LineGrid,
                        PeriodicGrid, QuadraticPotential, QuarticPotential,
@@ -288,6 +288,19 @@ def test_stencil_assembly_rejects_decaying_wells():
         build_folded_hamiltonian(LAW, g, GaussianPotential())
 
 
+@pytest.mark.parametrize("grid", [FoldedGrid(LAW, 8, 6),
+                                  PeriodicGrid(-2.0, 2.0, 8)])
+def test_unfolded_assembly_names_the_grid_it_got(grid):
+    with pytest.raises(TypeError, match="needs a LineGrid, not a "
+                       f"{type(grid).__name__}$"):
+        build_unfolded_hamiltonian(LAW, grid)
+
+
+def test_fourier_conjugate_refuses_a_missing_potential():
+    with pytest.raises(ValueError, match="needs a potential"):
+        fourier_conjugate_hamiltonian(LAW, None, PeriodicGrid(-2.0, 2.0, 8))
+
+
 def test_convolution_matrix_is_a_kernel_table():
     V = GaussianPotential(2.0, 1.0, 1.5)
     g = LineGrid(-8.0, 8.0, 60)
@@ -372,14 +385,16 @@ _KERNELS = [GaussianPotential(2.0, 1.0, 1.5), GaussianPotential(1.0, 1.0, 0.0),
 
 
 def _unfused(V, grid, mode):
-    """The kernel matrix as one plain expression per mode."""
+    """The kernel matrix as one plain expression per mode, scaled in the
+    operand order scale * K at every size."""
     samples = V.kernel(grid.h * np.arange(-(grid.size - 1), grid.size))
     K1 = toeplitz(samples[grid.size - 1:], samples[grid.size - 1::-1])
-    scale = grid.h / (2.0 * np.pi)
-    if mode == "hermitian":
-        return scale * K1
-    w1, w2, w3 = _heaviside_windows(grid.x, LAW.p_minus, LAW.p_plus)
-    return scale * (K1 * w1 + np.conj(K1) * w2 + K1 * w3)
+    if mode == "naive":
+        w1, w2, w3 = _heaviside_windows(grid.x, LAW.p_minus, LAW.p_plus)
+        K1 = K1 * w1 + np.conj(K1) * w2 + K1 * w3
+    # np.multiply, not `*`: numpy runs `scale * temporary` as
+    # `temporary * scale` from 256 KiB on.
+    return np.multiply(grid.h / (2.0 * np.pi), K1)
 
 
 @pytest.mark.parametrize("V", _KERNELS, ids=["complex", "complex-even", "real"])
@@ -397,6 +412,32 @@ def test_kernels_assembled_in_place_keep_every_bit(V, mode, n):
     H[np.diag_indices_from(H)] += _unfolded_energy(LAW, g.x)
     got = build_convolution_hamiltonian(LAW, V, g, mode=mode).matrix
     assert got.tobytes() == H.tobytes()
+
+
+class _Underflowing:
+    """Kernel samples whose products with h / (2 pi) underflow, with signs
+    for which the operand orders scale * K and K * scale differ."""
+
+    def kernel(self, q):
+        i = np.arange(np.size(q))
+        return (np.where(i % 2, 1, -1) * 5e-324
+                + 1j * np.where(i % 3, 1, -1) * 2.5e-323)
+
+
+@pytest.mark.parametrize("n", [100, 200])
+def test_ring_kernel_scale_keeps_one_operand_order(n):
+    # n = 100 stays below numpy's 256 KiB threshold for temporaries, and
+    # n = 200 crosses it.
+    g = PeriodicGrid(-10.0, 10.0, n)
+    wrap = np.arange(n)
+    wrap[wrap > n // 2] -= n
+    samples = np.asarray(_Underflowing().kernel(g.h * wrap), dtype=complex)
+    samples[n // 2] = samples[n // 2].real
+    C = circulant(samples)
+    expected = np.multiply(g.h / (2.0 * np.pi), C)
+    assert expected.tobytes() != np.multiply(C, g.h / (2.0 * np.pi)).tobytes()
+    got = build_convolution_potential(_Underflowing(), g).matrix
+    assert got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 7, 63, 65, 130, 200])
