@@ -400,14 +400,16 @@ CRITERIA = [
 ]
 
 
-# Longest-processing-time first (Graham, SIAM J. Appl. Math. 17 (1969)
-# 416), from costs measured in a fresh forked worker on a 2-core VM.  C9
-# is the longest (0.80 s, 0.27 s of it importing scipy.integrate), so a
-# pool starts it first instead of running it alone at the end.  C10 and
-# C2 follow: they build the largest heaps (dense 800 x 800 kernels), and
-# starting them beside C9 keeps them out of the worker that has loaded
-# scipy.integrate.  The rest follow longest first.
-DISPATCH = ("C9", "C10", "C2", "C5", "C8", "C3", "C7", "C4", "C6", "C1")
+# Close to longest-processing-time first (Graham, SIAM J. Appl. Math. 17
+# (1969) 416), from costs measured in fresh forked workers on a 2-core VM
+# (median of 16 `verify` runs): C5 0.33 s, C8 0.32, C9 0.16, C10 0.15,
+# C3 0.13, C2 0.07, C7 0.07, and C4, C6 and C1 under 0.05 s each.  C8
+# starts first; C10 and C2, which build the largest heaps (dense 800 x 800
+# kernels), run one after the other beside it, and C5 follows them in
+# their worker.  The sidecar's run_s reads 0.64-0.67 s, against 0.73 s
+# with C9 first.  Strict LPT, C5 and C8 together with C10 third, was no
+# faster and raised the peak resident set from 87.5 to 94 MB.
+DISPATCH = ("C8", "C10", "C2", "C5", "C9", "C3", "C7", "C4", "C6", "C1")
 
 
 def run_criterion(cid):

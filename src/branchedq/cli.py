@@ -587,11 +587,13 @@ def _mode_classical(config, out):
         state = ClassicalState(float(c["x"]), float(c["xdot"]))
         t_eval = (np.linspace(state.t, t_end, int(c["samples"]))
                   if "samples" in c else None)
+        start = time.perf_counter()
         traj = integrate_hamilton(state, t_end, law, potential,
                                   tol=float(c["tol"]), policy=c["policy"],
                                   seed=config.get("seed"),
                                   max_events=int(c["max_events"]),
                                   t_eval=t_eval)
+        integrate_s = time.perf_counter() - start
     _write_columns(out / "trajectory.csv",
                    ("t", "x", "xdot", "p", "E", "branch", "event"),
                    "%.17g,%.17g,%.17g,%.17g,%.17g,%d,%d\n",
@@ -601,6 +603,13 @@ def _mode_classical(config, out):
         "status": traj.status,
         "events": len(traj.events),
         "energy_drift": traj.energy_drift(),
+    })
+    # A sidecar outside the manifest, as in spectrum mode.
+    _write_json(out / "diagnostics.json", {
+        "integrate_s": integrate_s,
+        **traj.stats,
+        "events": len(traj.events),
+        "status": traj.status,
     })
     return ["trajectory.csv", "summary.json"], True
 

@@ -8,7 +8,7 @@ convolution (Wiener-Hopf) assembly consumes.  Sampled tables fall back to
 direct quadrature of the same transform at the exact requested offsets.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -184,6 +184,14 @@ def potential_from_mapping(mapping):
     form = params.pop("form", None)
     if form not in _FORMS:
         raise ValueError(f"unknown potential form {form!r}")
+    names = {f.name: f.default is MISSING for f in fields(_FORMS[form])}
+    unknown = [name for name in params if name not in names]
+    if unknown:
+        raise TypeError(f"the {form} form takes no parameter {unknown[0]!r}")
+    missing = [name for name, required in names.items()
+               if required and name not in params]
+    if missing:
+        raise TypeError(f"the {form} form needs {' and '.join(missing)}")
     return _FORMS[form](**params)
 
 

@@ -14,6 +14,8 @@ from branchedq import (ClassicalState, DegeneracyError, DispersionLaw,
                        QuadraticPotential, Trajectory, energy, hamilton_rhs,
                        integrate_euler_lagrange, integrate_hamilton,
                        poisson_bracket)
+from branchedq import classical
+from branchedq.acceptance import SEED
 
 LAW = DispersionLaw(kappa=3.0)
 WELL = QuadraticPotential(1.0)
@@ -116,6 +118,17 @@ def test_random_branch_is_seed_deterministic():
     assert len(c.events) == 1  # this coin halts immediately
 
 
+def test_a_segment_may_end_before_its_first_sample():
+    """After the jump, the next cusp comes before the next output time: the
+    segment adds only its event row."""
+    traj = integrate_hamilton(ClassicalState(0.0, 2.0), 50.0, LAW, WELL,
+                              policy="random-branch", seed=0,
+                              t_eval=np.linspace(0.0, 50.0, 3))
+    assert len(traj.events) == 2
+    assert traj.t.tolist() == [0.0] + [e.t for e in traj.events]
+    assert traj.event_flag.tolist() == [0, 1, 1]
+
+
 def test_unbranched_law_turns_around_freely():
     """kappa < 0 has no degeneracy surface; xdot = 0 is an ordinary
     turning point and must not be treated as an event."""
@@ -170,3 +183,117 @@ def test_integrator_guards():
     with pytest.raises(TypeError):
         integrate_hamilton(ClassicalState(0.0, 2.0), 1.0, LAW,
                            lambda x: 0.5 * x**2)
+
+
+def test_stall_away_from_a_cusp_keeps_the_partial_orbit():
+    """kappa = 1e-8 puts the cusp at xdot = 5.8e-5; the step size collapses
+    near 1.3 times that, outside the band that counts as cusp arrival."""
+    with pytest.raises(IntegrationStalledError,
+                       match="away from any cusp") as err:
+        integrate_hamilton(ClassicalState(0.0, 2.0), 10.0,
+                           DispersionLaw(kappa=1e-8), QuadraticPotential(1.0))
+    partial = err.value.partial
+    assert isinstance(partial, Trajectory)
+    assert partial.status == "halted" and partial.events == []
+    assert len(partial) > 1 and partial.t[-1] < 10.0
+    assert partial.stats["accepted_steps"] == len(partial) - 1
+
+
+def _oracle(state, t_end, law, potential, t_eval, *, policy="halt",
+            seed=None, tol=1e-12, direct=False):
+    """The same runs through scipy's solve_ivp(method="RK45"): the
+    integrator that the built-in one replaced, kept here as a reference.
+    Forward in time, with both cusp crossings armed as terminal events."""
+    from scipy.integrate import solve_ivp
+
+    kappa, vc = law.kappa, float(law.v_cusp)
+
+    def rhs(t, y):
+        v = y[1]
+        hess = 3.0 * v * v - kappa
+        dx = v if direct else (3.0 * v**3 - kappa * v) / hess
+        return dx, -potential.gradient(y[0]) / hess
+
+    def crossing(level):
+        event = lambda t, y: y[1] - level
+        event.terminal = True
+        return event
+
+    def push(t, x, v, flag=0):  # a row at the time of the last one merges
+        if rows and rows[-1][0] == t:
+            rows[-1] = [t, x, v, max(rows[-1][3], flag)]
+        else:
+            rows.append([t, x, v, flag])
+
+    rng = np.random.default_rng(seed)
+    rows, event_times = [], []
+    t0, y0 = state.t, [state.x, state.xdot]
+    while True:
+        pts = t_eval[(t_eval >= t0) & (t_eval <= t_end)]
+        sol = solve_ivp(rhs, (t0, t_end), y0, rtol=tol, atol=tol,
+                        events=[crossing(vc), crossing(-vc)], t_eval=pts,
+                        dense_output=True)
+        for t, x, v in zip(sol.t, *sol.y):
+            push(t, x, v)
+        if sol.status == 0:
+            return np.array(rows), event_times, "completed"
+        if sol.status == 1:
+            t_ev, y_ev = min((te[0], ye[0]) for te, ye
+                             in zip(sol.t_events, sol.y_events) if len(te))
+        else:  # arrival at the cusp, seen as a stall next to it
+            t_ev = sol.sol.t_max
+            y_ev = sol.sol(t_ev)
+            assert abs(abs(y_ev[1]) - vc) <= 1e-5
+        v_ev = float(np.copysign(vc, y_ev[1]))
+        push(t_ev, y_ev[0], v_ev, flag=1)
+        event_times.append(t_ev)
+        if policy == "halt" or rng.random() < 0.5:
+            return np.array(rows), event_times, "halted"
+        t0, y0 = t_ev, [y_ev[0], -2.0 * v_ev]
+
+
+def _agrees_with_oracle(traj, oracle):
+    rows, event_times, status = oracle
+    assert traj.status == status
+    assert [e.t for e in traj.events] == pytest.approx(event_times,
+                                                       rel=0, abs=1e-10)
+    assert np.array_equal(traj.event_flag, rows[:, 3])
+    for column, expected in zip((traj.t, traj.x, traj.xdot), rows[:, :3].T):
+        np.testing.assert_allclose(column, expected, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("direct", [False, True], ids=["bracket", "direct"])
+def test_c9_orbits_match_scipy_rk45(direct):
+    """C9's 20 cusp-free orbits, sampled as C9 samples them."""
+    integrate = integrate_euler_lagrange if direct else integrate_hamilton
+    rng = np.random.default_rng(SEED)
+    t_eval = np.linspace(0.0, 50.0, 501)
+    for _ in range(20):
+        x0 = float(rng.uniform(-2.0, 2.0))
+        v0 = float(rng.choice([-1.0, 1.0]) * rng.uniform(1.8, 2.3))
+        state = ClassicalState(x0, v0)
+        traj = integrate(state, 50.0, LAW, BUMP, t_eval=t_eval)
+        _agrees_with_oracle(traj, _oracle(state, 50.0, LAW, BUMP, t_eval,
+                                          direct=direct))
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-9])
+@pytest.mark.parametrize("policy,seed", [("halt", None),
+                                         ("random-branch", 0),
+                                         ("random-branch", 2)])
+def test_cusp_orbits_match_scipy_rk45(policy, seed, tol):
+    """The well's halt and random-branch orbits, events included.  At tol
+    1e-12 each cusp is reached as a stall next to it; at 1e-9 the second
+    cusp of seed 0 is crossed by a step, and found on the dense output."""
+    t_eval = np.linspace(0.0, 50.0, 501)
+    state = ClassicalState(0.0, 2.0)
+    traj = integrate_hamilton(state, 50.0, LAW, WELL, tol=tol, policy=policy,
+                              seed=seed, t_eval=t_eval)
+    assert traj.events
+    _agrees_with_oracle(traj, _oracle(state, 50.0, LAW, WELL, t_eval,
+                                      policy=policy, seed=seed, tol=tol))
+
+
+def test_crossing_is_bisected_to_a_few_ulp():
+    root = classical._crossing(lambda t: t * t, 1.0, 2.0, 2.0)
+    assert abs(root - np.sqrt(2.0)) <= 4 * np.finfo(float).eps * root

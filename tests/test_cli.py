@@ -138,6 +138,21 @@ def test_classical_trajectory_columns(tmp_path):
     # only small when no events fired.
     if summary["events"] == 0:
         assert summary["energy_drift"] < 1e-6
+    # The integrator's sidecar stays out of the hashed manifest.
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert set(diag) == {"integrate_s", "accepted_steps", "rejected_steps",
+                         "rhs_evals", "events", "status"}
+    assert diag["integrate_s"] > 0
+    assert diag["accepted_steps"] > 0
+    assert (diag["events"], diag["status"]) == (summary["events"],
+                                                summary["status"])
+    # Two evaluations per segment (its start and its first step size),
+    # then six per tried step.  A segment ends at t_end or at an event.
+    segments = diag["events"] + (diag["status"] == "completed")
+    tried = diag["accepted_steps"] + diag["rejected_steps"]
+    assert diag["rhs_evals"] == 6 * tried + 2 * segments
+    assert "diagnostics.json" not in json.loads(
+        (out / "manifest.json").read_text())["outputs"]
 
 
 def test_spectrum_mode_outputs(tmp_path):
@@ -561,8 +576,8 @@ _NEEDLE = {"form": "gaussian", "amplitude": 0.5, "width": 1e-300,
     (dict(_SMALL_FOLDED, mode="evolve",
           evolution={"steps": 2, "packet": {"width": 1e300}}),
      "evolution: packet width"),
-    # V(3) = 0, but V'(3) is NaN: solve_ivp ran on without end, or, with
-    # a loose tol, sampled its dense output past the last step.
+    # V(3) = 0, but V'(3) is NaN: the first step would take a NaN stage,
+    # and no step could be accepted.
     (_classical_config(potential=_NEEDLE, classical={"x": 3.0, "xdot": 2.0}),
      "classical: initial force"),
     (_classical_config(potential=_NEEDLE, dispersion={"kappa": 1e8},
@@ -667,6 +682,10 @@ _NEEDLE = {"form": "gaussian", "amplitude": 0.5, "width": 1e-300,
      "$.graph.name: 'ring' is not one of ['star', 'compton', 'box']"),
     ({"version": 1, "mode": "graph", "graph": {"resolution": 10}},
      "graph: graph mode without a file needs name"),
+    (dict(_LINE_KERNEL, potential={"form": "sampled"}),
+     "potential: the sampled form needs x and values"),
+    (_classical_config(potential={"form": "gaussian", "depth": 1.0}),
+     "potential: the gaussian form takes no parameter 'depth'"),
 ], ids=["sweep-value", "packet-width", "packet-center", "dt-budget",
         "classical-tol-zero", "classical-tol-negative", "classical-quartic-law",
         "classical-on-cusp", "unknown-criterion", "graph-no-truncation",
@@ -691,7 +710,8 @@ _NEEDLE = {"form": "gaussian", "amplitude": 0.5, "width": 1e-300,
         "graph-truncation-underflow", "unfolded-momentum-overflow",
         "dual-wire-no-kinetic", "fourier-no-potential",
         "periodic-no-assembly", "line-grid-no-n", "kernel-quadratic",
-        "graph-unknown-name", "graph-no-source"])
+        "graph-unknown-name", "graph-no-source", "sampled-no-table",
+        "potential-unknown-parameter"])
 # A numpy warning printed before the message breaks the one-line rule.
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_values_exit_two(tmp_path, payload, where):
@@ -1491,12 +1511,32 @@ def test_start_up_loads_no_jsonschema(tmp_path):
     assert out.stdout.strip() == "False"
 
 
-def test_import_cli_skips_scipy_integrate():
+def test_import_cli_skips_scipy_integrate(tmp_path):
     # multiprocessing is imported only when a worker pool may start.
     code = ("import sys, branchedq.cli; print([m in sys.modules for m in "
             "('scipy.integrate', 'multiprocessing')])")
     src = str(Path(branchedq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env={**os.environ,
-                                                     "PYTHONPATH": src})
+                         text=True, check=True, env=env)
     assert out.stdout.strip() == "[False, False]"
+    # The classical integrators are built in: neither a classical run nor
+    # C9 loads scipy's integrators or the optimizers they pull in.
+    cfg = _write_config(tmp_path / "c.json", _classical_config())
+    runs = {
+        "classical": ("from branchedq.cli import main\n"
+                      "try:\n"
+                      "    main(['run', '--config', sys.argv[1], '--out', "
+                      "sys.argv[2]])\n"
+                      "except SystemExit as exit:\n"
+                      "    assert exit.code == 0\n"),
+        "C9": ("from branchedq.acceptance import run_criterion\n"
+               "assert run_criterion('C9').passed\n"),
+    }
+    for name, run in runs.items():
+        code = ("import sys\n" + run + "print([m in sys.modules for m in "
+                "('scipy.integrate', 'scipy.optimize')])\n")
+        out = subprocess.run([sys.executable, "-c", code, cfg,
+                              str(tmp_path / "out")], capture_output=True,
+                             text=True, check=True, env=env)
+        assert out.stdout.strip() == "[False, False]", name
