@@ -14,12 +14,11 @@ import numpy as np
 from branchedq import DispersionLaw
 
 law = DispersionLaw(kappa=3.0)
-cusp = law.cusp_points()
 
 print("kappa = 3 dispersion")
-print(f"  cusp velocities  : {cusp.xdot_minus:+.3f}, {cusp.xdot_plus:+.3f}")
-print(f"  junction momenta : {cusp.p_minus:+.3f}, {cusp.p_plus:+.3f}")
-print(f"  cusp energy      : {cusp.energy:+.4f}")
+print(f"  cusp velocities  : {-law.v_cusp:+.3f}, {law.v_cusp:+.3f}")
+print(f"  junction momenta : {law.p_minus:+.3f}, {law.p_plus:+.3f}")
+print(f"  cusp energy      : {law.cusp_energy:+.4f}")
 print()
 
 print(" p      roots (branch: xdot)")
@@ -31,11 +30,10 @@ print()
 
 # Round trip through the folded coordinate: each (branch, momentum)
 # pair maps to a unique point u on a single line and back.
-dom = law.domain()
 print(" u      p      branch   (fold of unfold)")
 for u in np.linspace(-5.0, 5.0, 11):
-    p, branch = dom.fold(u)
-    u_back = dom.unfold(p, branch)
+    p, branch = law.fold(u)
+    u_back = law.unfold(p, branch)
     assert abs(u_back - u) < 1e-12
     print(f"{u:+5.1f}  {p:+5.2f}     {branch}")
 

@@ -22,12 +22,10 @@ _EXPORTS = {name: module for module, names in {
     "classical": ("ClassicalState", "Trajectory", "energy", "hamilton_rhs",
                   "integrate_euler_lagrange", "integrate_hamilton",
                   "poisson_bracket"),
-    "dispersion": ("BranchedDomain", "CuspData", "DispersionLaw",
-                   "velocity_sweep"),
+    "dispersion": ("DispersionLaw", "velocity_sweep"),
     "errors": ("BranchedQError", "ConfigError", "ConvergenceError",
                "DegeneracyError", "FluxBalanceError",
-               "IntegrationStalledError", "NonHermitianError",
-               "UnbranchedDispersionError"),
+               "IntegrationStalledError", "NonHermitianError"),
     "evolution": ("EvolutionReport", "MultiWave", "continuity_residual",
                   "junction_flux_residual", "probability_current",
                   "propagate"),

@@ -115,11 +115,13 @@ def _force_of(potential):
     return potential.gradient
 
 
-def poisson_bracket(F, G, state, law, eps=1e-6):
-    """Noncanonical bracket {F, G} at a state, by central differences.
+def poisson_bracket(F, G, state, law):
+    """Noncanonical bracket {F, G} at a state, by central differences of
+    step 1e-6.
 
     F and G are callables of (x, xdot).  Degenerate states are rejected.
     """
+    eps = 1e-6
     x, v = state.x, state.xdot
     hess = 3.0 * v * v - law.kappa
     if abs(hess) <= DEGENERACY_TOL:
@@ -133,7 +135,7 @@ def poisson_bracket(F, G, state, law, eps=1e-6):
     return (Fx * Gv - Fv * Gx) / hess
 
 
-def hamilton_rhs(state, law, potential, tol=DEGENERACY_TOL):
+def hamilton_rhs(state, law, potential):
     """(dx/dt, dxdot/dt) from the bracket; V' is `potential.gradient`.
 
     dx/dt is evaluated through the bracket expression, unsimplified, so its
@@ -143,9 +145,10 @@ def hamilton_rhs(state, law, potential, tol=DEGENERACY_TOL):
     v = state.xdot
     kappa = law.kappa
     hess = 3.0 * v * v - kappa
-    if abs(hess) <= tol:
+    if abs(hess) <= DEGENERACY_TOL:
         raise DegeneracyError(
-            f"degenerate state: |3 xdot^2 - kappa| = {abs(hess):.3e} <= {tol}",
+            f"degenerate state: |3 xdot^2 - kappa| = {abs(hess):.3e} "
+            f"<= {DEGENERACY_TOL}",
             xdot=v, hessian=hess)
     return (3.0 * v**3 - kappa * v) / hess, -grad(state.x) / hess
 

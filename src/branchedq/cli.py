@@ -432,6 +432,33 @@ def _hamiltonian_from(config, law, grid, potential):
     return fourier_conjugate_hamiltonian(law, potential, grid)
 
 
+def _operator_from(config):
+    law = _law_from(config)
+    potential = _potential_from(config)
+    return _hamiltonian_from(config, law, _grid_from(config, law), potential)
+
+
+def _stored(H):
+    """The matrix size `n` and its stored entries `nnz`, for a sidecar."""
+    return {"n": H.shape[0], "nnz": int(getattr(H, "nnz", H.size))}
+
+
+def _lowest(op, k):
+    """The lowest k eigenpairs of op (all, if it has fewer) and the
+    spectral sidecar: what was solved, how, and how well."""
+    H = op.matrix
+    res = solve_eigensystem(op, k=min(k, H.shape[0]))
+    max_residual = float(res.residuals.max())
+    eps_norm = float(np.finfo(float).eps * gershgorin_bound(H))
+    return res, {
+        **_stored(H),
+        "solver": res.solver,
+        "max_residual": max_residual,
+        "eps_norm": eps_norm,  # eigenvalues are defined only to about this
+        "residual_margin": max_residual / (_CERTIFY_MULTIPLE * eps_norm),
+    }
+
+
 def _grid_lead(grid):
     """The coordinate and branch columns, formatted once per run."""
     if isinstance(grid, FoldedGrid):
@@ -440,52 +467,37 @@ def _grid_lead(grid):
 
 
 # -- mode handlers -------------------------------------------------------------
+#
+# Each handler returns (files, ok, sidecar): the files the manifest hashes,
+# whether the run passed, and the `diagnostics.json` sidecar, which stays
+# out of the manifest because its timings differ between reruns.
 
 def _mode_spectrum(config, out):
     start = time.perf_counter()
-    law = _law_from(config)
-    potential = _potential_from(config)
-    grid = _grid_from(config, law)
-    op = _hamiltonian_from(config, law, grid, potential)
+    op = _operator_from(config)
     assembled = time.perf_counter()
-    k = int(config["solver"]["k"])
-    res = solve_eigensystem(op, k=min(k, grid.size))
+    res, sidecar = _lowest(op, int(config["solver"]["k"]))
     solved = time.perf_counter()
     files = ["eigenvalues.csv"]
     _write_columns(out / "eigenvalues.csv", ("index", "energy", "residual"),
                    "%d,%.17g,%.17g\n", [("", (np.arange(res.eigenvalues.size),
                                               res.eigenvalues, res.residuals))])
-    lead = _grid_lead(grid)
+    lead = _grid_lead(op.grid)
     for i in range(len(res.eigenvalues)):
         vec = res.eigenvectors[:, i]
         name = f"state_{i:03d}.csv"
         _write_columns(out / name, ("coordinate", "branch", "re", "im"),
                        "%.17g,%.17g\n", [("", (vec.real, vec.imag))], lead)
         files.append(name)
-    H = op.matrix
-    max_residual = float(res.residuals.max())
-    eps_norm = float(np.finfo(float).eps * gershgorin_bound(H))
-    # A sidecar outside the manifest: timings differ between reruns.
-    _write_json(out / "diagnostics.json", {
-        "assemble_s": assembled - start,
-        "solve_s": solved - assembled,
-        "write_s": time.perf_counter() - solved,
-        "n": H.shape[0],
-        "nnz": int(getattr(H, "nnz", H.size)),  # stored entries
-        "solver": res.solver,
-        "max_residual": max_residual,
-        "eps_norm": eps_norm,  # eigenvalues are defined only to about this
-        "residual_margin": max_residual / (_CERTIFY_MULTIPLE * eps_norm),
-    })
-    return files, True
+    return files, True, {"assemble_s": assembled - start,
+                         "solve_s": solved - assembled,
+                         "write_s": time.perf_counter() - solved, **sidecar}
 
 
 def _mode_evolve(config, out):
     start = time.perf_counter()
-    law = _law_from(config)
-    potential = _potential_from(config)
-    grid = _grid_from(config, law)
-    op = _hamiltonian_from(config, law, grid, potential)
+    op = _operator_from(config)
+    grid = op.grid
     assembled = time.perf_counter()
     ev = config["evolution"]
     steps = int(ev["steps"])
@@ -504,7 +516,6 @@ def _mode_evolve(config, out):
                    "%.17g,%.17g,%.17g,%.17g,%.17g\n",
                    [("", (rep.times, rep.norms, rep.energies, flux[:, 0],
                           flux[:, 1]))])
-    files = ["report.csv"]
 
     def blocks():
         for snap in rep.snapshots or [final]:
@@ -519,25 +530,20 @@ def _mode_evolve(config, out):
                    ("time", "coordinate", "branch", "re", "im", "rho",
                     "current"),
                    "%.17g,%.17g,%.17g,%.17g\n", blocks(), _grid_lead(grid))
-    files.append("snapshots.csv")
     _write_json(out / "summary.json", {
         "norm_drift": rep.norm_drift,
         "max_flux_residual": rep.max_flux_residual,
         "final_time": float(final.time),
     })
-    files.append("summary.json")
     H = op.matrix
-    # A sidecar outside the manifest, as in spectrum mode.
-    _write_json(out / "diagnostics.json", {
+    return ["report.csv", "snapshots.csv", "summary.json"], True, {
         "assemble_s": assembled - start,
         "propagate_s": propagated - assembled,
         "write_s": time.perf_counter() - propagated,
-        "n": H.shape[0],
-        "nnz": int(getattr(H, "nnz", H.size)),  # stored entries
+        **_stored(H),
         "steps": steps,
         "solver": "splu" if scipy.sparse.issparse(H) else "lu",
-    })
-    return files, True
+    }
 
 
 @_section("graph", OSError, ValueError, FluxBalanceError)
@@ -560,20 +566,19 @@ def _mode_graph(config, out):
         "total_conditions": total,
         "disposable_constants": constants,
     })
-    files = ["counting.json"]
+    files, sidecar = ["counting.json"], {}
     if "resolution" in gcfg:
         with _section("graph", ValueError):
             op = graph_hamiltonian(graph, int(gcfg["resolution"]),
                                    truncation=gcfg.get("truncation"))
-        k = int(config["solver"]["k"])
-        res = solve_eigensystem(op, k=min(k, op.matrix.shape[0]))
+        res, sidecar = _lowest(op, int(config["solver"]["k"]))
         w = res.eigenvalues
         _write_columns(out / "eigenvalues.csv",
                        ("index", "energy", "wavenumber"), "%d,%.17g,%.17g\n",
                        [("", (np.arange(w.size), w,
                               np.sqrt(np.where(w < 0.0, 0.0, w))))])
         files.append("eigenvalues.csv")
-    return files, True
+    return files, True, sidecar
 
 
 def _mode_classical(config, out):
@@ -604,14 +609,12 @@ def _mode_classical(config, out):
         "events": len(traj.events),
         "energy_drift": traj.energy_drift(),
     })
-    # A sidecar outside the manifest, as in spectrum mode.
-    _write_json(out / "diagnostics.json", {
+    return ["trajectory.csv", "summary.json"], True, {
         "integrate_s": integrate_s,
         **traj.stats,
         "events": len(traj.events),
         "status": traj.status,
-    })
-    return ["trajectory.csv", "summary.json"], True
+    }
 
 
 def _mode_kernel(config, out):
@@ -626,7 +629,7 @@ def _mode_kernel(config, out):
     with _section("kernel", ValueError, TypeError):
         op = build_convolution_potential(potential, grid, mode=mode, domain=law)
     offsets = grid.h * np.arange(-(grid.size - 1), grid.size)
-    samples = np.atleast_1d(potential.kernel(offsets))
+    samples = potential.kernel(offsets)
     _write_columns(out / "kernel.csv", ("offset", "re", "im"),
                    "%.17g,%.17g,%.17g\n",
                    [("", (offsets, samples.real, samples.imag))])
@@ -634,7 +637,7 @@ def _mode_kernel(config, out):
         "mode": mode,
         "hermiticity_defect": hermiticity_defect(op),
     })
-    return ["kernel.csv", "summary.json"], True
+    return ["kernel.csv", "summary.json"], True, _stored(op.matrix)
 
 
 def _mode_verify(config, out, jobs=1):
@@ -654,23 +657,22 @@ def _mode_verify(config, out, jobs=1):
     (out / "acceptance.txt").write_text("\n".join(lines) + "\n")
     _write_json(out / "summary.json",
                 {r.cid: bool(r.passed) for r in results})
-    # A sidecar outside the manifest, as in spectrum mode.  In-process
-    # spans cannot see a criterion run in a worker process; its time, taken
-    # there, comes back with its result.  The peak resident set is that of
-    # the largest process that ran criteria: the workers, all joined by
-    # now, or this process (ru_maxrss is in KiB on Linux).  A process that
-    # reaped larger children before this run reports theirs.
+    # In-process spans cannot see a criterion run in a worker process; its
+    # time, taken there, comes back with its result.  The peak resident set
+    # is that of the largest process that ran criteria: the workers, all
+    # joined by now, or this process (ru_maxrss is in KiB on Linux).  A
+    # process that reaped larger children before this run reports theirs.
     import resource
     usage = resource.getrusage(resource.RUSAGE_CHILDREN if workers > 1
                                else resource.RUSAGE_SELF)
-    _write_json(out / "diagnostics.json", {
+    ok = all(r.passed for r in results)
+    return ["acceptance.txt", "summary.json"], ok, {
         "run_s": run_s,
         "workers": workers,
         "dispatch": dispatch,
         "peak_rss_mb": usage.ru_maxrss / 1024.0,
         "elapsed_s": {r.cid: r.elapsed for r in results},
-    })
-    return ["acceptance.txt", "summary.json"], all(r.passed for r in results)
+    }
 
 
 _MODES = {
@@ -712,8 +714,10 @@ def _run_single(config, out_dir, jobs=1):
     out_dir.mkdir(parents=True, exist_ok=True)
     mode = config["mode"]
     # Of the modes, only verify spreads its work over worker processes.
-    files, ok = (_mode_verify(config, out_dir, jobs) if mode == "verify"
-                 else _MODES[mode](config, out_dir))
+    files, ok, sidecar = (_mode_verify(config, out_dir, jobs)
+                          if mode == "verify"
+                          else _MODES[mode](config, out_dir))
+    _write_json(out_dir / "diagnostics.json", sidecar)
     _finish(config, out_dir, files)
     return ok
 
@@ -827,10 +831,6 @@ def _execute(config_path, mode, jobs, seed, out):
             config["seed"] = int(seed)
         stem = Path(config_path).stem if config_path else config["mode"]
         out_dir = Path(out or config.get("out") or f"{stem}-out")
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-    try:
         ok = run_config(config, out_dir,
                         _usable_cpus() if jobs is None else jobs)
     except ConfigError as exc:
@@ -862,11 +862,9 @@ def main():
 
 @main.command()
 @_common
-@click.option("--mode", default=None,
-              type=click.Choice(sorted(_MODES)), help="Override config mode.")
-def run(config_path, jobs, seed, out, mode):
-    """Run a config-driven experiment."""
-    _execute(config_path, mode, jobs, seed, out)
+def run(config_path, jobs, seed, out):
+    """Run a config-driven experiment in its config's mode."""
+    _execute(config_path, None, jobs, seed, out)
 
 
 def _mode_command(name, doc):

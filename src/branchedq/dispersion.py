@@ -24,9 +24,9 @@ position-space wire with a polynomial kinetic stencil, assembled by
 Every momentum inversion is a view over one batched kernel,
 `branch_velocities`: the trigonometric three-root form (Nickalls, Math.
 Gazette 77 (1993) 354) inside the window |p| <= q_+, a polished Cardano
-root outside it, and one snap rule at the junctions.  The module also
-provides the fold/unfold maps between the three-sheeted momentum domain
-and a single real line with interior junction points.
+root outside it, and one snap rule at the junctions.  The law also provides the fold/unfold
+maps between the three-sheeted momentum domain and a single real line
+with interior junction points.
 """
 
 import math
@@ -34,8 +34,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import UnbranchedDispersionError
 
 BRANCHES = (1, 2, 3)
 
@@ -111,17 +109,6 @@ def branch_velocities(p, kappa):
 
 
 @dataclass(frozen=True)
-class CuspData:
-    """Cusp structure of a branched law: velocities and junction momenta."""
-
-    xdot_minus: float
-    xdot_plus: float
-    p_minus: float
-    p_plus: float
-    energy: float
-
-
-@dataclass(frozen=True)
 class DispersionLaw:
     """Kinetic structure of the quartic Lagrangian; branched for kappa > 0.
 
@@ -165,15 +152,6 @@ class DispersionLaw:
     def cusp_energy(self):
         """Kinetic energy at the cusps, E(+-v_c) = -kappa**2/12."""
         return -self.kappa**2 / 12.0
-
-    def cusp_points(self):
-        if not self.kappa > 0.0:
-            raise UnbranchedDispersionError(
-                f"unbranched dispersion: kappa = {self.kappa} <= 0 has a "
-                "monotone momentum map and no cusps"
-            )
-        return CuspData(-self.v_cusp, self.v_cusp, self.p_minus, self.p_plus,
-                        self.cusp_energy)
 
     # -- velocity-side maps ---------------------------------------------------
 
@@ -240,56 +218,50 @@ class DispersionLaw:
         row = branch_velocities(float(p), self.kappa)
         return [(b, float(v)) for b, v in zip(BRANCHES, row) if not np.isnan(v)]
 
-    def domain(self):
-        """Folded momentum domain with this law's junction points."""
-        return BranchedDomain(self.p_minus, self.p_plus)
-
-
-@dataclass(frozen=True)
-class BranchedDomain:
-    """Three momentum sheets glued at q_- and q_+, unfolded to one line.
-
-    The unfolded coordinate u runs over the whole real line; branch 1 maps
-    to u < q_-, branch 2 (orientation reversed) to q_- <= u <= q_+, branch 3
-    to u > q_+.  The junction p = q_+ (branches 1|2) sits at u = q_-, and
-    p = q_- (branches 2|3) at u = q_+, so distances along u are distances
-    along the glued momentum curve.
-    """
-
-    p_minus: float
-    p_plus: float
+    # -- the unfolded line ---------------------------------------------------
+    #
+    # The three momentum sheets glued at q_- and q_+ unfold to one real line
+    # u: branch 1 maps to u < q_-, branch 2 (orientation reversed) to
+    # q_- <= u <= q_+, branch 3 to u > q_+.  The junction p = q_+ (branches
+    # 1|2) sits at u = q_-, and p = q_- (branches 2|3) at u = q_+, so
+    # distances along u are distances along the glued momentum curve.
 
     def unfold(self, q, branch):
+        """The unfolded coordinate of momentum q on a branch."""
         q = np.asarray(q, dtype=float)
-        width = self.p_plus - self.p_minus
+        p_minus, p_plus = self.p_minus, self.p_plus
+        width = p_plus - p_minus
         if branch == 1:
-            if np.any(q > self.p_plus + 1e-12 * max(1.0, width)):
+            if np.any(q > p_plus + 1e-12 * max(1.0, width)):
                 raise ValueError("off-branch coordinate: branch 1 requires q <= q_+")
-            return q - self.p_plus + self.p_minus
+            return q - p_plus + p_minus
         if branch == 2:
             tol = 1e-12 * max(1.0, width)
-            if np.any(q > self.p_plus + tol) or np.any(q < self.p_minus - tol):
+            if np.any(q > p_plus + tol) or np.any(q < p_minus - tol):
                 raise ValueError("off-branch coordinate: branch 2 requires q in [q_-, q_+]")
-            return self.p_plus + self.p_minus - q
+            return p_plus + p_minus - q
         if branch == 3:
-            if np.any(q < self.p_minus - 1e-12 * max(1.0, width)):
+            if np.any(q < p_minus - 1e-12 * max(1.0, width)):
                 raise ValueError("off-branch coordinate: branch 3 requires q >= q_-")
-            return q + self.p_plus - self.p_minus
+            return q + p_plus - p_minus
         raise ValueError(f"branch must be one of {BRANCHES}, got {branch}")
 
     def fold(self, u):
-        """Map an unfolded coordinate back to (folded coordinate, branch)."""
+        """Map an unfolded coordinate back to (momentum, branch)."""
         u = np.asarray(u, dtype=float)
         branch = self.branch_of_unfolded(u)
-        width = self.p_plus - self.p_minus
+        p_minus, p_plus = self.p_minus, self.p_plus
+        width = p_plus - p_minus
         folded = np.where(branch == 1, u + width,
-                          np.where(branch == 2, self.p_plus + self.p_minus - u,
+                          np.where(branch == 2, p_plus + p_minus - u,
                                    u - width))
         if u.ndim == 0:
             return float(folded), int(branch)
         return folded, branch
 
     def branch_of_unfolded(self, u):
+        """Branch label of an unfolded coordinate; q_- and q_+ open branches
+        2 and 3."""
         u = np.asarray(u, dtype=float)
         return np.where(u < self.p_minus, 1, np.where(u < self.p_plus, 2, 3))
 

@@ -5,13 +5,6 @@ class BranchedQError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class UnbranchedDispersionError(BranchedQError):
-    """Cusp data was requested from a dispersion with no branching.
-
-    Raised for kappa <= 0: the momentum map is monotone, with one branch.
-    """
-
-
 class DegeneracyError(BranchedQError):
     """The Lagrangian Hessian 3*xdot**2 - kappa vanished (or nearly so).
 

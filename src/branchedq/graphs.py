@@ -396,10 +396,10 @@ def star_secular_spectrum(edge_count, length, k_max):
     return np.sort(ks[ks <= k_max])
 
 
-def star_graph(edge_count, length, alpha=1.0, beta=0.0):
+def star_graph(edge_count, length):
     """Equilateral star: Kirchhoff center, Dirichlet tips."""
     tips = [f"t{i}" for i in range(edge_count)]
-    edges = [Edge("c", t, length, alpha, beta) for t in tips]
+    edges = [Edge("c", t, length) for t in tips]
     conditions = {t: VertexCondition("dirichlet") for t in tips}
     return MetricGraph(["c"] + tips, edges, conditions=conditions)
 

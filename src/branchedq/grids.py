@@ -110,18 +110,17 @@ class FoldedGrid:
     def __init__(self, law, n_inner, n_arm):
         if not isinstance(law, DispersionLaw):
             raise TypeError("law must be a DispersionLaw")
-        domain = law.domain()
-        if not domain.p_plus > domain.p_minus:
+        p_minus, p_plus = law.p_minus, law.p_plus
+        if not p_plus > p_minus:
             raise ValueError("folded grids require a branched law (kappa > 0)")
         if n_inner < 2:
             raise ValueError("n_inner must be at least 2")
         if n_arm < 3:
             raise ValueError("n_arm must be at least 3")
 
-        self.domain = domain
         self.n_inner = int(n_inner)
         self.n_arm = int(n_arm)
-        self.h = (domain.p_plus - domain.p_minus) / n_inner
+        self.h = (p_plus - p_minus) / n_inner
         self.size = 2 * self.n_arm + self.n_inner - 1
 
         # Index of the shared node at folded coordinate q_+ (branches 1|2)
@@ -129,19 +128,19 @@ class FoldedGrid:
         self.junction_plus = self.n_arm - 1
         self.junction_minus = self.n_arm + self.n_inner - 1
 
-        u = domain.p_minus + self.h * (np.arange(self.size) - (self.n_arm - 1))
-        u[self.junction_plus] = domain.p_minus
-        u[self.junction_minus] = domain.p_plus
+        u = p_minus + self.h * (np.arange(self.size) - (self.n_arm - 1))
+        u[self.junction_plus] = p_minus
+        u[self.junction_minus] = p_plus
         self.u = u
 
-        branch = np.where(u < domain.p_minus, 1, np.where(u < domain.p_plus, 2, 3))
+        branch = law.branch_of_unfolded(u)
         self.branch = branch
 
-        p = np.where(branch == 1, u + domain.p_plus - domain.p_minus,
-                     np.where(branch == 2, domain.p_plus + domain.p_minus - u,
-                              u - domain.p_plus + domain.p_minus))
-        p[self.junction_plus] = domain.p_plus
-        p[self.junction_minus] = domain.p_minus
+        p = np.where(branch == 1, u + p_plus - p_minus,
+                     np.where(branch == 2, p_plus + p_minus - u,
+                              u - p_plus + p_minus))
+        p[self.junction_plus] = p_plus
+        p[self.junction_minus] = p_minus
         self.p = p
 
     def __repr__(self):

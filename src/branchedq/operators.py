@@ -168,7 +168,7 @@ def _unfolded_energy(law, u):
     """Kinetic energy as a function of the unfolded coordinate."""
     if not law.branched:
         return law.energy_of_momentum(u)
-    return law.branch_energy(*law.domain().fold(u))
+    return law.branch_energy(*law.fold(u))
 
 
 def _symbol_of_potential(V):
@@ -234,14 +234,14 @@ def build_dual_wire_hamiltonian(kinetic, W, grid, accuracy=2):
     """Position-space wire: polynomial kinetic stencil, multiplicative W.
 
     kinetic is the StencilSymbol of the momentum polynomial
-    c4 p^4 + c3 p^3 + c2 p^2 + c1 p.  On a FoldedGrid, W is
-    branch-resolved: a DispersionLaw (its energy curve read as a
-    multivalued potential) or a {branch: callable} mapping; the two values
-    meeting at each junction must agree.  On a LineGrid, W is a callable
-    or None.
+    c4 p^4 + c3 p^3 + c2 p^2 + c1 p.  On a FoldedGrid, W is a
+    DispersionLaw, its energy curve read as a multivalued potential.  On
+    a LineGrid, W is a callable or None.
     """
     if isinstance(grid, FoldedGrid):
-        diag = _dual_wire_diag(W, grid)
+        if not isinstance(W, DispersionLaw):
+            raise TypeError("on a FoldedGrid, W is a DispersionLaw")
+        diag = W.branch_energy(grid.p, grid.branch)
     elif isinstance(grid, LineGrid):
         if W is None:
             diag = np.zeros(grid.size)
@@ -256,27 +256,6 @@ def build_dual_wire_hamiltonian(kinetic, W, grid, accuracy=2):
         raise TypeError("build_dual_wire_hamiltonian needs a FoldedGrid or LineGrid")
     H = _assemble_line(grid.size, grid.h, kinetic, accuracy, diag)
     return OperatorMatrix(H, grid, symbol=kinetic)
-
-
-def _dual_wire_diag(W, grid):
-    if isinstance(W, DispersionLaw):
-        return W.branch_energy(grid.p, grid.branch)
-    if not isinstance(W, dict):
-        raise TypeError("on a FoldedGrid, W is a DispersionLaw or a "
-                        "{branch: callable} mapping")
-    diag = np.empty(grid.size)
-    for b in (1, 2, 3):
-        mask = grid.branch == b
-        diag[mask] = np.asarray(W[b](grid.p[mask]), dtype=float)
-    jp, jm = grid.junction_plus, grid.junction_minus
-    pp, pm = grid.domain.p_plus, grid.domain.p_minus
-    scale = max(np.max(np.abs(diag)), 1.0)
-    if abs(W[1](pp) - W[2](pp)) > 1e-10 * scale or \
-       abs(W[2](pm) - W[3](pm)) > 1e-10 * scale:
-        raise ValueError("branch potentials disagree at a junction")
-    diag[jp] = W[2](pp)
-    diag[jm] = W[2](pm)
-    return diag
 
 
 def build_convolution_potential(V, grid, mode="hermitian", domain=None):

@@ -157,10 +157,9 @@ class SampledPotential:
             np.searchsorted(self.x, x, side="right")]
 
     def kernel(self, q):
-        q = np.atleast_1d(np.asarray(q, dtype=float))
+        q = np.asarray(q, dtype=float)
         phases = np.exp(-1j * np.outer(q, self.x))
-        out = self.dx * phases @ self.values
-        return out if out.size > 1 else out[0]
+        return (self.dx * phases @ self.values).reshape(q.shape)
 
 
 _FORMS = {

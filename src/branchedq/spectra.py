@@ -356,12 +356,11 @@ def variance_minimize(op, psi0, tol=1e-10, max_iter=20000):
 def subspace_overlap(u, v):
     """Smallest principal-angle cosine between two eigenvector blocks.
 
-    Columns may be rotated arbitrarily inside degenerate subspaces; the
-    singular values of u* v are the invariant comparison.
+    u and v hold one vector per column.  Columns may be rotated
+    arbitrarily inside degenerate subspaces; the singular values of u* v
+    are the invariant comparison.
     """
-    u = np.atleast_2d(np.asarray(u, dtype=complex))
-    v = np.atleast_2d(np.asarray(v, dtype=complex))
-    if u.ndim == 2 and u.shape[0] < u.shape[1]:
-        u, v = u.T, v.T
+    u = np.asarray(u, dtype=complex)
+    v = np.asarray(v, dtype=complex)
     s = np.linalg.svd(u.conj().T @ v, compute_uv=False)
     return float(np.min(s))

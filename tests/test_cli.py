@@ -262,6 +262,26 @@ def test_graph_mode_counting_and_spectrum(tmp_path):
     assert len(lines) == 6
 
 
+def test_graph_sidecar_shows_a_spectrum_below_its_noise(tmp_path):
+    """Edge elements of 1.25e-77 beside half-line elements of 0.25 put
+    eps ||H||_inf far above the low spectrum.  The run still exits 0, but
+    the sidecar's eps_norm exceeds every energy it wrote."""
+    cfg = _write_config(tmp_path / "g.json", {
+        "version": 1, "mode": "graph",
+        "graph": {"name": "compton", "length": 1e-76, "truncation": 2.0,
+                  "resolution": 8}})
+    out = tmp_path / "out"
+    assert _invoke(["graph", "--config", cfg, "--out", str(out)]).exit_code == 0
+    energies = _eigenvalue_rows(out)[:, 0]
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert set(diag) == {"n", "nnz", "solver", "max_residual", "eps_norm",
+                         "residual_margin"}
+    assert diag["eps_norm"] == pytest.approx(5.68e138, rel=1e-3)
+    assert diag["eps_norm"] > np.max(np.abs(energies))
+    assert "diagnostics.json" not in json.loads(
+        (out / "manifest.json").read_text())["outputs"]
+
+
 def _eigenvalue_rows(out):
     """(energy, wavenumber) columns of a graph run's eigenvalues.csv."""
     rows = (out / "eigenvalues.csv").read_text().splitlines()[1:]
@@ -366,9 +386,8 @@ def test_spectrum_assemblies_match_library(tmp_path, grid, potential, solver):
         config["potential"] = potential
     cfg = _write_config(tmp_path / "s.json", config)
     out = tmp_path / "out"
-    # run --mode overrides the config's mode.
-    result = _invoke(["run", "--config", cfg, "--mode", "spectrum",
-                      "--out", str(out)])
+    # A mode subcommand overrides the config's mode.
+    result = _invoke(["spectrum", "--config", cfg, "--out", str(out)])
     assert result.exit_code == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["mode"] == "spectrum"
@@ -412,6 +431,11 @@ def test_kernel_hermitian_outputs(tmp_path):
     assert len(lines) == 1 + (2 * 160 - 1)
     offsets = np.array([float(row.split(",")[0]) for row in lines[1:]])
     np.testing.assert_allclose(offsets, -offsets[::-1], atol=1e-12)
+    # The sidecar, outside the manifest, sizes the dense kernel matrix.
+    assert json.loads((out / "diagnostics.json").read_text()) == {
+        "n": 160, "nnz": 160 * 160}
+    assert "diagnostics.json" not in json.loads(
+        (out / "manifest.json").read_text())["outputs"]
 
 
 def test_kernel_rejects_polynomial_potential(tmp_path):
@@ -783,8 +807,7 @@ def test_bad_graph_file_exits_two(tmp_path, text, where):
 
 def test_mode_override_checks_what_the_new_mode_reads(tmp_path):
     cfg = _write_config(tmp_path / "s.json", dict(_SMALL_FOLDED, mode="spectrum"))
-    result = _invoke(["run", "--config", cfg, "--mode", "graph",
-                      "--out", str(tmp_path / "out")])
+    result = _invoke(["graph", "--config", cfg, "--out", str(tmp_path / "out")])
     assert result.exit_code == 2
     assert result.output == ("config error: dispersion: graph mode does not "
                              "read it\n")

@@ -11,8 +11,7 @@ import sympy as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from branchedq import (BranchedDomain, DispersionLaw, UnbranchedDispersionError,
-                       velocity_sweep)
+from branchedq import DispersionLaw, velocity_sweep
 from branchedq.dispersion import (_SNAP_RTOL, BRANCHES, _polished_single_root,
                                   branch_velocities)
 
@@ -20,12 +19,13 @@ LAW = DispersionLaw(kappa=3.0)
 
 
 def test_cusp_data_kappa_three():
-    cd = LAW.cusp_points()
-    assert cd.xdot_plus == pytest.approx(1.0, abs=1e-15)
-    assert cd.xdot_minus == pytest.approx(-1.0, abs=1e-15)
-    assert cd.p_plus == pytest.approx(2.0, abs=1e-15)
-    assert cd.p_minus == pytest.approx(-2.0, abs=1e-15)
-    assert cd.energy == pytest.approx(-0.75, abs=1e-15)
+    assert LAW.v_cusp == pytest.approx(1.0, abs=1e-15)
+    assert LAW.p_plus == pytest.approx(2.0, abs=1e-15)
+    assert LAW.p_minus == pytest.approx(-2.0, abs=1e-15)
+    assert LAW.cusp_energy == pytest.approx(-0.75, abs=1e-15)
+    # the cusps are where the Legendre map folds: p(-+v_c) = q_+-
+    assert LAW.momentum(-LAW.v_cusp) == pytest.approx(LAW.p_plus, abs=1e-15)
+    assert LAW.energy(LAW.v_cusp) == pytest.approx(LAW.cusp_energy, abs=1e-15)
 
 
 def test_momentum_and_energy_frozen_values():
@@ -120,18 +120,16 @@ def test_roots_match_numpy_companion():
 
 
 def test_unfold_fold_round_trip():
-    dom = LAW.domain()
-    assert isinstance(dom, BranchedDomain)
-    assert dom.unfold(0.0, 1) == pytest.approx(-4.0)
-    assert dom.unfold(0.0, 2) == pytest.approx(0.0)
-    assert dom.unfold(0.0, 3) == pytest.approx(4.0)
+    assert LAW.unfold(0.0, 1) == pytest.approx(-4.0)
+    assert LAW.unfold(0.0, 2) == pytest.approx(0.0)
+    assert LAW.unfold(0.0, 3) == pytest.approx(4.0)
     # the three charts agree at the junctions
-    assert dom.unfold(2.0, 1) == pytest.approx(dom.unfold(2.0, 2))
-    assert dom.unfold(-2.0, 2) == pytest.approx(dom.unfold(-2.0, 3))
+    assert LAW.unfold(2.0, 1) == pytest.approx(LAW.unfold(2.0, 2))
+    assert LAW.unfold(-2.0, 2) == pytest.approx(LAW.unfold(-2.0, 3))
     rng = np.random.default_rng(11)
     u = rng.uniform(-9.0, 9.0, size=200)
-    q, branch = dom.fold(u)
-    back = np.array([dom.unfold(qi, bi) for qi, bi in zip(q, branch)])
+    q, branch = LAW.fold(u)
+    back = np.array([LAW.unfold(qi, bi) for qi, bi in zip(q, branch)])
     assert np.max(np.abs(back - u)) < 1e-12
 
 
@@ -141,9 +139,9 @@ _KAPPA = st.floats(-5.0, 10.0, allow_nan=False, allow_infinity=False)
 @settings(max_examples=200, deadline=None)
 @given(kappa=_KAPPA, u=st.floats(-50.0, 50.0, allow_nan=False))
 def test_unfold_inverts_fold(kappa, u):
-    dom = DispersionLaw(kappa=kappa).domain()
-    width = dom.p_plus - dom.p_minus
-    assert dom.unfold(*dom.fold(u)) == pytest.approx(
+    law = DispersionLaw(kappa=kappa)
+    width = law.p_plus - law.p_minus
+    assert law.unfold(*law.fold(u)) == pytest.approx(
         u, abs=1e-13 * max(1.0, abs(u), width))
 
 
@@ -163,11 +161,10 @@ def test_invert_momentum_trichotomy(kappa, ratio):
 
 
 def test_fold_branch_boundaries():
-    dom = LAW.domain()
-    assert dom.fold(-2.0 - 1e-9)[1] == 1
-    assert dom.fold(-2.0)[1] == 2
-    assert dom.fold(2.0 - 1e-9)[1] == 2
-    assert dom.fold(2.0)[1] == 3
+    assert LAW.fold(-2.0 - 1e-9)[1] == 1
+    assert LAW.fold(-2.0)[1] == 2
+    assert LAW.fold(2.0 - 1e-9)[1] == 2
+    assert LAW.fold(2.0)[1] == 3
 
 
 def test_velocity_sweep_columns():
@@ -202,15 +199,12 @@ def test_law_rejects_kappa_without_a_finite_cube(kappa):
     assert len(DispersionLaw(kappa=5e102).invert_momentum(0.0)) == 3
 
 
-def test_branched_only_helpers_raise_on_flat_laws():
+def test_flat_law_folded_chart_collapses_to_a_point():
     flat = DispersionLaw(kappa=-1.0)
-    with pytest.raises(UnbranchedDispersionError):
-        flat.cusp_points()
     # the folded chart collapses to a point but still round-trips
-    dom = flat.domain()
-    assert dom.p_minus == 0.0 and dom.p_plus == 0.0
-    q, b = dom.fold(1.5)
-    assert dom.unfold(q, b) == pytest.approx(1.5)
+    assert flat.p_minus == 0.0 and flat.p_plus == 0.0
+    q, b = flat.fold(1.5)
+    assert flat.unfold(q, b) == pytest.approx(1.5)
 
 
 def _per_branch_root(kappa, p, branch):

@@ -264,8 +264,12 @@ def test_drift_requires_flux_balance():
     H = op.matrix
     assert np.max(np.abs(H - H.conj().T)) < 1e-13 * np.max(np.abs(H))
 
+    # A star whose three edges all drift outward leaves its centre unbalanced.
+    tips = ["t0", "t1", "t2"]
     with pytest.raises(FluxBalanceError):
-        graph_hamiltonian(star_graph(3, 1.0, beta=0.5), 40)
+        graph_hamiltonian(MetricGraph(
+            ["c"] + tips, [Edge("c", t, 1.0, 1.0, 0.5) for t in tips],
+            conditions={t: VertexCondition("dirichlet") for t in tips}), 40)
 
 
 def test_weighted_matching_with_balanced_drift():

@@ -255,20 +255,13 @@ def test_dual_wire_matches_folded_for_polynomial_wells():
     assert np.array_equal(A, B)
 
 
-def test_dual_wire_branch_dict_junction_check():
+def test_folded_dual_wire_takes_its_w_from_a_law():
     g = FoldedGrid(LAW, 8, 6)
-    ok = {1: lambda p: np.asarray(p) * 0.0 + 1.0,
-          2: lambda p: np.asarray(p) * 0.0 + 1.0,
-          3: lambda p: np.asarray(p) * 0.0 + 1.0}
-    op = build_dual_wire_hamiltonian(StencilSymbol(0, 0, 1.0, 0), ok, g)
-    assert hermiticity_defect(op) < 1e-14
-    bad = dict(ok)
-    bad[3] = lambda p: np.asarray(p) * 0.0 + 2.0
-    with pytest.raises(ValueError):
-        build_dual_wire_hamiltonian(StencilSymbol(0, 0, 1.0, 0), bad, g)
-    # A folded W is branch-resolved: a nodal array or a potential is not.
-    for W in (np.zeros(g.size), QuadraticPotential(1.0)):
-        with pytest.raises(TypeError, match="DispersionLaw or a"):
+    # A folded W is the law's multivalued energy curve: a nodal array, a
+    # potential or a per-branch mapping is not one.
+    flat = {b: lambda p: np.zeros_like(p) for b in (1, 2, 3)}
+    for W in (np.zeros(g.size), QuadraticPotential(1.0), flat):
+        with pytest.raises(TypeError, match="W is a DispersionLaw$"):
             build_dual_wire_hamiltonian(StencilSymbol(0, 0, 1.0, 0), W, g)
 
 

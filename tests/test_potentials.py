@@ -123,6 +123,19 @@ def test_sampled_kernel_matches_analytic_source():
         assert abs(pot.kernel(q) - src.kernel(q)) < 1e-10
 
 
+def test_sampled_kernel_keeps_the_shape_of_q():
+    """Like the analytic kernels: a scalar offset gives a 0-d value, an
+    array of offsets one value each."""
+    x = np.linspace(-6.0, 6.0, 121)
+    pot = SampledPotential(x, np.exp(-x**2))
+    assert np.shape(pot.kernel(0.5)) == ()
+    q = np.array([-0.7, 0.5, 2.0])
+    values = pot.kernel(q)
+    assert values.shape == (3,)
+    np.testing.assert_allclose(values, [pot.kernel(qi) for qi in q],
+                               rtol=1e-14, atol=0.0)
+
+
 def test_sampled_potential_validation():
     with pytest.raises(ValueError):
         SampledPotential(np.array([0.0, 0.1, 0.3, 0.35]), np.zeros(4))
