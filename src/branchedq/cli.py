@@ -12,15 +12,19 @@ worker processes started with ``fork``; ``--jobs`` defaults to the CPUs
 the process may run on, and ``--jobs 1`` runs everything in this process.
 The artifacts are the same bytes either way, apart from the run times
 that ``acceptance.txt`` prints and the ``diagnostics.json`` sidecars.
-Most of a sweep point's time goes into formatting its CSV files, Python
-work that holds the interpreter lock, so worker threads ran a sweep no
-faster than one thread did.  Forked workers inherit the loaded modules and
-pay no second import.  Each file is rendered from a row template: the
-coordinate and branch columns are formatted once per run, and one ``%``
-fills a file's open ``%.17g`` slots.  On a 2-core VM, formatting the 239
-state files of a 239-row point takes 39 ms in memory (95 ms with one ``%``
-per row), and writing them to tmpfs 66 ms (118 ms).  What is left is the
-cost of the ``%.17g`` conversions themselves.
+Worker threads ran a sweep no faster than one thread did while its CSV
+formatting was Python work that held the interpreter lock.  Forked workers
+inherit the loaded modules and pay no second import.
+
+Every CSV float is rendered as the bytes of ``"%.17g" % v`` by one array
+kernel: with X = floor(log10|v|), it forms |v| * 10**(16 - X) as a
+double-double (Dekker, Numer. Math. 18 (1971) 224) from correctly rounded
+powers of ten, and rounds it to 17 digits.  A scaled fraction within 1e-12
+of 1/2, a scaled value outside [1e16, 1e17) and a magnitude outside
+[1e-270, 1e270] fall back to ``%``; zeros, infinities and NaNs are written
+directly.  Files are rendered and written in chunks of 4096 rows, a
+spectrum's state files several to a chunk.  On a 2-vCPU VM the kernel
+takes about 0.2 us per float, ``%`` about 1 us.
 
 The CLI defaults OpenBLAS to one thread unless ``OPENBLAS_NUM_THREADS``,
 ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set.  numpy and scipy each
@@ -40,10 +44,12 @@ workers; serially it takes 2.0 to 2.3 s).
 
 import contextlib
 import copy
+import functools
 import hashlib
 import json
 import math
 import os
+import re
 import sys
 import time
 from collections import namedtuple
@@ -290,48 +296,168 @@ def _check_reads(config, source=""):
     return resolved
 
 
-def _lead_text(fmt, *columns):
-    """Format columns that several files or blocks share, once per run.
+# -- CSV rendering -------------------------------------------------------------
+#
+# The kernel of the module docstring.  A value's slot holds the sign, the
+# "0.000" of -4 <= X < 0, d0, the point, d1..d16 and the exponent of X < -4
+# or X >= 17; for 1 <= X <= 16, d1..dX move left over the point.  Unused
+# bytes, trailing zeros and a bare point are NULs, which `_text` drops.
 
-    Returns one text per row, with `%` escaped so that it can open the
-    rows of a `_write_columns` template.
+_FIELD = re.compile(r"%(\.17g|d|%)")
+_SLOT = 29
+_X_MIN, _X_MAX = -272, 271  # the decimal exponents the tables cover
+
+
+@functools.lru_cache(maxsize=None)
+def _tables():
+    """For each X: 10**(16 - X) as correctly rounded (hi, lo) doubles, and
+    the slot bytes that X alone sets; and the digits of 0..9999, then the
+    same without their trailing zeros.
+
+    Built on first use, with integer arithmetic: int / int rounds correctly.
     """
-    rows = zip(*(np.asarray(c).tolist() for c in columns))
-    return [(fmt % row).replace("%", "%%") for row in rows]
+    hi, lo, slots = [], [], []
+    for x in range(_X_MIN, _X_MAX + 1):
+        num, den = 10 ** max(16 - x, 0), 10 ** max(x - 16, 0)
+        m, e = (num / den).as_integer_ratio()
+        hi.append(num / den)
+        lo.append((num * e - m * den) / (den * e))
+        slot = bytearray(_SLOT)
+        if -4 <= x < 0:
+            slot[1:2 - x] = b"0." + b"0" * (-1 - x)
+        elif x != 16:
+            slot[7] = ord(".")
+        if not -4 <= x < 17:
+            slot[24:24 + len(b"e%+03d" % x)] = b"e%+03d" % x
+        slots.append(bytes(slot))
+    return (np.array(hi), np.array(lo), np.array(slots, "V%d" % _SLOT),
+            np.array([b"%04d" % i for i in range(10000)]
+                     + [(b"%04d" % i).rstrip(b"0") for i in range(10000)],
+                     "S4"))
 
 
-# Rows rendered per `%`.  The rows in flight are held three times over, as
-# values, as a tuple and as text: a 10**6-row dispersion curve rendered with
-# one `%` peaked at 386 MB and took 4.1 s, in parts of this size 107 MB and
-# 3.2 s.
+def _exact_text(values):
+    """The per-value fallback: "%.17g" % v, as _SLOT-byte rows."""
+    text = np.array(["%.17g" % v for v in values.tolist()], "S%d" % _SLOT)
+    return text.view(np.uint8).reshape(-1, _SLOT)
+
+
+def _split(a):
+    c = 134217729.0 * a  # 2**27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+def _g17(values):
+    """"%.17g" % v of each value, as the rows of an (n, _SLOT) uint8 matrix."""
+    v = np.asarray(values, dtype=np.float64).ravel()
+    n = v.size
+    hi, lo, slots, quads = _tables()
+    a = np.abs(v)
+    ok = (a >= 1e-270) & (a <= 1e270)
+    a[~ok] = 1.0
+    x = np.floor(np.log10(a)).astype(np.int64)
+    ph = hi[x - _X_MIN]
+    p = a * ph
+    (ah, al), (bh, bl) = _split(a), _split(ph)
+    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl + a * lo[x - _X_MIN]
+    s = p + err
+    frac = err - (s - p)  # the scaled value is s + frac, s an integer
+    whole = np.floor(frac)
+    frac -= whole
+    d = s.astype(np.int64) + whole.astype(np.int64)
+    ok &= (d >= 10**16) & (np.abs(frac - 0.5) > 1e-12)
+    d += frac > 0.5
+    ok &= d < 10**17
+    # d0, d1..d8 and d9..d16; then d1..d16 as four groups of four digits,
+    # a group followed by zeros only spelled without its trailing zeros
+    top, high = d // 10**16, d // 10**8
+    low = d - high * 10**8
+    high -= top * 10**8
+    groups = np.empty((n, 4), np.int64)
+    groups[:, 0], groups[:, 2] = high // 10**4, low // 10**4
+    groups[:, 1] = high - groups[:, 0] * 10**4
+    groups[:, 3] = low - groups[:, 2] * 10**4 + 10000
+    groups[:, 2] += (groups[:, 3] == 10000) * 10000
+    groups[:, 1] += (low == 0) * 10000
+    groups[:, 0] += (groups[:, 1] == 10000) * 10000
+    out = slots[x - _X_MIN].view(np.uint8).reshape(n, _SLOT)
+    out[:, 0] = np.signbit(v) * np.uint8(ord("-"))
+    out[:, 6] = top + ord("0")
+    out[:, 7] *= (high | low) != 0
+    out[:, 8:24] = quads[groups].view(np.uint8).reshape(n, 16)
+    for q in np.unique(x[(x > 0) & (x < 17)]).tolist():
+        rows = np.flatnonzero(x == q)
+        digits = out[rows, 8:8 + q]
+        digits[digits == 0] = ord("0")  # integer digits keep their zeros
+        out[rows, 7:7 + q] = digits
+        out[rows, 7 + q] = (d[rows] % 10**(16 - q) != 0) * np.uint8(ord("."))
+    nan = np.isnan(v)
+    for mask, text in ((v == 0, b"0"), (np.isinf(v), b"inf"), (nan, b"nan")):
+        out[mask, 1:] = np.frombuffer(text.ljust(_SLOT - 1, b"\0"), np.uint8)
+        ok |= mask
+    out[nan, 0] = 0
+    if not ok.all():
+        out[~ok] = _exact_text(v[~ok])
+    return out
+
+
+def _ints(values):
+    """"%d" % v of each value, as the rows of a NUL-padded uint8 matrix."""
+    text = np.array(["%d" % v for v in np.asarray(values).ravel().tolist()],
+                    "S")
+    return text.view(np.uint8).reshape(text.size, text.itemsize)
+
+
+def _rows(fmt, columns, lead=None, prefix=""):
+    """The rows prefix + lead + `fmt`, as one NUL-padded uint8 matrix.
+
+    `fmt`'s "%.17g" and "%d" slots take the aligned columns in turn.
+    """
+    n, values = len(columns[0]), iter(columns)
+    parts = [prefix] if lead is None else [prefix, lead]
+    for i, piece in enumerate(_FIELD.split(fmt)):
+        if i % 2 and piece != "%":
+            piece = (_g17 if piece == ".17g" else _ints)(next(values))
+        parts.append(piece)
+    return np.hstack([np.broadcast_to(np.frombuffer(p.encode(), np.uint8),
+                                      (n, len(p))) if isinstance(p, str) else p
+                      for p in parts])
+
+
+def _text(rows):
+    """The bytes of a `_rows` matrix, NULs dropped."""
+    return rows.tobytes().translate(None, b"\0")
+
+
+def _lead_text(fmt, *columns):
+    """Format columns that several files or blocks share, once per run, as
+    a `_rows` matrix that opens the rows of a `_write_columns` file."""
+    return _rows(fmt, columns)
+
+
+# Rows rendered per call.  A file is written as its chunks are rendered, so
+# it is never held whole: rendered whole, the state files of a 239-row,
+# 8-point sweep raised its peak RSS at --jobs 1 from 71 to 86 MB.
 _ROWS_PER_CALL = 4096
 
 
 def _write_columns(path, header, fmt, blocks, lead=None):
-    """Write a CSV file block by block, each block rendered with one `%`.
+    """Write a CSV file block by block, `_ROWS_PER_CALL` rows per chunk.
 
     `blocks` yields (prefix, columns) pairs.  Row i of a block is the
-    prefix, then lead[i] (texts from `_lead_text`; no lead by default),
-    then `fmt` with its slots filled from row i of the aligned columns.
-    Blocks are written as they come, and a block longer than
-    `_ROWS_PER_CALL` rows in parts, so a file is never held whole.
+    prefix text, then row i of `lead` (no lead by default), then `fmt`
+    with its slots filled from row i of the aligned columns.
     """
-    shared = None if lead is None else [text + fmt for text in lead]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for prefix, columns in blocks:
             columns = [np.asarray(c) for c in columns]
-            prefix = prefix.replace("%", "%%")
             for start in range(0, columns[0].size, _ROWS_PER_CALL):
-                part = [c[start:start + _ROWS_PER_CALL] for c in columns]
-                n = part[0].size
-                # Row-major values as python scalars, as tolist() gives them.
-                values = np.empty((n, len(part)), dtype=object)
-                for j, column in enumerate(part):
-                    values[:, j] = column.tolist()
-                rows = [fmt] * n if shared is None else shared[start:start + n]
-                fh.write((prefix + prefix.join(rows))
-                         % tuple(values.ravel().tolist()))
+                stop = start + _ROWS_PER_CALL
+                fh.write(_text(_rows(
+                    fmt, [c[start:stop] for c in columns],
+                    None if lead is None else lead[start:stop], prefix)))
 
 
 def _write_json(path, payload):
@@ -482,13 +608,20 @@ def _mode_spectrum(config, out):
     _write_columns(out / "eigenvalues.csv", ("index", "energy", "residual"),
                    "%d,%.17g,%.17g\n", [("", (np.arange(res.eigenvalues.size),
                                               res.eigenvalues, res.residuals))])
+    # State files are rendered several to a chunk, then cut at their sizes.
     lead = _grid_lead(op.grid)
-    for i in range(len(res.eigenvalues)):
-        vec = res.eigenvectors[:, i]
-        name = f"state_{i:03d}.csv"
-        _write_columns(out / name, ("coordinate", "branch", "re", "im"),
-                       "%.17g,%.17g\n", [("", (vec.real, vec.imag))], lead)
-        files.append(name)
+    per_call = max(1, _ROWS_PER_CALL // len(lead))
+    for first in range(0, res.eigenvalues.size, per_call):
+        block = res.eigenvectors[:, first:first + per_call].T
+        rows = _rows("%.17g,%.17g\n", (block.real.ravel(), block.imag.ravel()),
+                     np.tile(lead, (len(block), 1)))
+        text, begin = _text(rows), 0
+        sizes = np.count_nonzero(rows.reshape(len(block), -1), axis=1)
+        for i, size in enumerate(sizes.tolist(), first):
+            files.append(f"state_{i:03d}.csv")
+            (out / files[-1]).write_bytes(b"coordinate,branch,re,im\n"
+                                          + text[begin:begin + size])
+            begin += size
     return files, True, {"assemble_s": assembled - start,
                          "solve_s": solved - assembled,
                          "write_s": time.perf_counter() - solved, **sidecar}
@@ -523,8 +656,8 @@ def _mode_evolve(config, out):
             current = (probability_current(data, grid.h, op.symbol)
                        if op.symbol is not None
                        else np.full(data.size, np.nan))
-            yield "%.17g," % snap.time, (data.real, data.imag,
-                                         np.abs(data) ** 2, current)
+            yield (_text(_lead_text("%.17g,", [snap.time])).decode(),
+                   (data.real, data.imag, np.abs(data) ** 2, current))
 
     _write_columns(out / "snapshots.csv",
                    ("time", "coordinate", "branch", "re", "im", "rho",

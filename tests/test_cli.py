@@ -16,6 +16,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -1088,6 +1089,66 @@ def test_spectrum_sweep_workers_match_serial_run(tmp_path, many_cpus):
         trees.append(_tree(out))
         assert len(list(out.glob("sweep-*/diagnostics.json"))) == 3
     assert trees[0] == trees[1]
+
+
+def test_manifests_match_across_jobs_and_chunks(tmp_path, many_cpus,
+                                                monkeypatch):
+    """Every sweep point writes the same manifest at --jobs 1 and 2, and
+    with the state files rendered one or two per call."""
+    grid = _SMALL_FOLDED["grid"]
+    size = 2 * grid["n_arm"] + grid["n_inner"] - 1
+    sweeps = {
+        "spectrum": dict(
+            _SMALL_FOLDED, mode="spectrum", solver={"k": size},
+            potential={"form": "quartic", "alpha": 0.4, "beta": 0.3,
+                       "gamma": 0.2},
+            sweep={"parameter": "dispersion.kappa",
+                   "values": [1.0, 2.0, 3.5]}),
+        "evolve": dict(
+            _SMALL_FOLDED, mode="evolve",
+            evolution={"dt": 1e-3, "steps": 20, "snapshot_every": 5},
+            sweep={"parameter": "evolution.packet.center",
+                   "values": [-2.0, 0.5]}),
+    }
+    for name, payload in sweeps.items():
+        cfg = _write_config(tmp_path / f"{name}.json", payload)
+        manifests = []
+        for jobs, rows in (("1", cli._ROWS_PER_CALL),
+                           ("2", cli._ROWS_PER_CALL), ("1", 2 * size)):
+            monkeypatch.setattr(cli, "_ROWS_PER_CALL", rows)
+            out = tmp_path / f"{name}-{len(manifests)}"
+            assert _invoke(["run", "--config", cfg, "--out", str(out),
+                            "--jobs", jobs]).exit_code == 0
+            manifests.append({p.parent.name: p.read_bytes()
+                              for p in out.glob("sweep-*/manifest.json")})
+        assert len(manifests[0]) == len(payload["sweep"]["values"])
+        assert manifests[0] == manifests[1] == manifests[2]
+        outputs = json.loads(manifests[0]["sweep-000"])["outputs"]
+        assert sum(key.startswith("state_") for key in outputs) == (
+            size if name == "spectrum" else 0)
+
+
+def test_sidecar_times_lie_within_the_run(tmp_path):
+    payloads = {
+        "spectrum": dict(_SMALL_FOLDED, mode="spectrum", solver={"k": 5}),
+        "evolve": dict(_SMALL_FOLDED, mode="evolve",
+                       evolution={"dt": 1e-3, "steps": 10,
+                                  "snapshot_every": 5}),
+        "classical": _classical_config(),
+    }
+    for name, payload in payloads.items():
+        cfg = _write_config(tmp_path / f"{name}.json", payload)
+        out = tmp_path / name
+        began = time.perf_counter()
+        assert _invoke(["run", "--config", cfg, "--out", str(out)]
+                       ).exit_code == 0
+        elapsed = time.perf_counter() - began
+        sidecar = json.loads((out / "diagnostics.json").read_text())
+        times = {key: value for key, value in sidecar.items()
+                 if key.endswith("_s")}
+        assert times, name
+        for key, value in times.items():
+            assert 0.0 <= value <= elapsed, (name, key, value)
 
 
 _NON_HERMITIAN = {
