@@ -23,6 +23,7 @@ evaluated from the two meeting branches must agree; their mismatch is the
 junction flux residual.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -103,6 +104,17 @@ class EvolutionReport:
         return float(np.max(np.abs(self.flux_residuals)))
 
 
+# States whose diagnostics are evaluated together: at most 64 steps and
+# about 1 MiB of states, so a 10^5-node grid checks one state at a time.
+_BLOCK_STEPS = 64
+_BLOCK_BYTES = 2**20
+
+
+def _vdots(V, W):
+    """np.vdot(v, w) of each pair of rows, as one stacked product."""
+    return (np.conj(V)[:, None, :] @ W[:, :, None])[:, 0, 0]
+
+
 def propagate(op, wave, dt, steps, snapshot_every=None, stability_budget=0.5):
     """Crank-Nicolson evolution for `steps` steps of size dt.
 
@@ -114,6 +126,15 @@ def propagate(op, wave, dt, steps, snapshot_every=None, stability_budget=0.5):
 
     I + i dt H/2 is factored once: by sparse LU (splu) when H is stored
     sparse, by dense LAPACK LU otherwise.
+
+    Each state is copied into a block of rows (`_BLOCK_STEPS` and
+    `_BLOCK_BYTES` bound it), and its norm, energy and flux residuals are
+    evaluated once the block is full, with the bits of a per-state
+    evaluation: numpy's sum over a C-contiguous row and its stacked
+    vector products round as they do on one state; a sparse H @ V.T
+    (scipy's csr_matvecs) as H @ v does, where a dense H is applied state
+    by state; and the flux's complex products are spelled in reals (see
+    `junction_flux_residual`).
 
     Returns (final MultiWave, EvolutionReport); the input wave is not
     modified.
@@ -141,31 +162,29 @@ def propagate(op, wave, dt, steps, snapshot_every=None, stability_budget=0.5):
     solve = splu(A.tocsc()).solve if sparse else partial(lu_solve, lu_factor(A))
 
     psi = wave.data.copy()
-    t0 = wave.time
-    times = t0 + dt * np.arange(steps + 1)
+    times = wave.time + dt * np.arange(steps + 1)
     norms = np.empty(steps + 1)
     energies = np.empty(steps + 1)
     flux = np.empty((steps + 1, 2)) if track_flux else None
-
-    def record(k, v):
-        norms[k] = np.sqrt(grid.h * np.sum(np.abs(v) ** 2))
-        num = np.real(np.vdot(v, H @ v))
-        energies[k] = num / np.vdot(v, v).real
-        if track_flux:
-            flux[k] = junction_flux_residual(v, grid, symbol)
-
     snapshots = []
-
-    def snap(k, v):
-        if snapshot_every is not None and (k % snapshot_every == 0 or k == steps):
-            snapshots.append(MultiWave(grid, v.copy(), times[k]))
-
-    record(0, psi)
-    snap(0, psi)
-    for k in range(1, steps + 1):
-        psi = solve(B @ psi)
-        record(k, psi)
-        snap(k, psi)
+    block = np.empty((max(1, min(steps + 1, _BLOCK_STEPS,
+                                 _BLOCK_BYTES // (16 * n))), n), dtype=complex)
+    for k in range(steps + 1):
+        if k:
+            psi = solve(B @ psi)
+        if snapshot_every is not None and (k % snapshot_every == 0
+                                           or k == steps):
+            snapshots.append(MultiWave(grid, psi.copy(), times[k]))
+        row = k % len(block)
+        block[row] = psi
+        if row + 1 < len(block) and k < steps:
+            continue
+        done, V = slice(k - row, k + 1), block[:row + 1]
+        norms[done] = np.sqrt(grid.h * np.sum(np.abs(V) ** 2, axis=1))
+        HV = (H @ V.T).T.copy() if sparse else np.array([H @ v for v in V])
+        energies[done] = np.real(_vdots(V, HV)) / _vdots(V, V).real
+        if track_flux:
+            flux[done] = junction_flux_residual(V, grid, symbol)
 
     final = MultiWave(grid, psi, times[-1])
     return final, EvolutionReport(times, norms, energies, flux, snapshots)
@@ -182,16 +201,30 @@ def _derivatives(psi, h):
     return f[2:-2], d1, d2, d3
 
 
-def _current_point(psi, d1, d2, d3, symbol):
+# Im(conj(a) b), Re(conj(a) b) and |a|^2: as numpy evaluates them on complex
+# arrays, and spelled so that arrays round as numpy's complex scalars do
+# (its array complex product and the array square of |a| move bits; libm
+# pow(x, 2), which a float64 scalar's ** 2 calls, does not).
+_ARRAY_ROUNDING = (lambda a, b: np.imag(np.conj(a) * b),
+                   lambda a, b: np.real(np.conj(a) * b),
+                   lambda a: np.abs(a) ** 2)
+_SCALAR_ROUNDING = (lambda a, b: a.real * b.imag - a.imag * b.real,
+                    lambda a, b: a.real * b.real + a.imag * b.imag,
+                    lambda a: np.array([math.pow(x, 2)
+                                        for x in np.abs(a).tolist()]))
+
+
+def _current_point(psi, d1, d2, d3, symbol, rounding=_ARRAY_ROUNDING):
+    im, re, square = rounding
     j = 0.0
     if symbol.c4 != 0.0:
-        j -= 2.0 * symbol.c4 * (np.imag(np.conj(psi) * d3) - np.imag(np.conj(d1) * d2))
+        j -= 2.0 * symbol.c4 * (im(psi, d3) - im(d1, d2))
     if symbol.c3 != 0.0:
-        j -= symbol.c3 * (2.0 * np.real(np.conj(psi) * d2) - np.abs(d1) ** 2)
+        j -= symbol.c3 * (2.0 * re(psi, d2) - square(d1))
     if symbol.c2 != 0.0:
-        j += 2.0 * symbol.c2 * np.imag(np.conj(psi) * d1)
+        j += 2.0 * symbol.c2 * im(psi, d1)
     if symbol.c1 != 0.0:
-        j += symbol.c1 * np.abs(psi) ** 2
+        j += symbol.c1 * square(psi)
     return j
 
 
@@ -210,23 +243,29 @@ _EDGE2 = np.array([2.0, -5.0, 4.0, -1.0])
 _EDGE3 = np.array([5.0, -18.0, 24.0, -14.0, 3.0]) / 2.0
 
 
-def _one_sided(values, h, toward):
-    """Derivatives at one end of `values` using only that side's data.
+def _edge(weights, rows):
+    """weights @ row for each row, as one stacked product that rounds as
+    the product on one row does."""
+    return (weights @ rows[:, :weights.size, None])[:, 0]
 
-    toward="left" evaluates at values[-1] with data extending left;
-    toward="right" evaluates at values[0] with data extending right.
+
+def _one_sided(rows, h, toward):
+    """Derivatives at one end of each row using only that side's data.
+
+    toward="left" evaluates at row[-1] with data extending left;
+    toward="right" evaluates at row[0] with data extending right.
     Odd orders flip sign between the two orientations.
     """
-    v = np.asarray(values, dtype=complex)
     if toward == "left":
-        v = v[::-1]
+        rows = rows[:, ::-1]
         s = 1.0
     else:
         s = -1.0
-    d1 = s * (_EDGE1 @ v[:3]) / h
-    d2 = (_EDGE2 @ v[:4]) / h**2 if v.size >= 4 else 0.0
-    d3 = s * (_EDGE3 @ v[:5]) / h**3 if v.size >= 5 else 0.0
-    return v[0], d1, d2, d3
+    size = rows.shape[1]
+    d1 = s * _edge(_EDGE1, rows) / h
+    d2 = _edge(_EDGE2, rows) / h**2 if size >= 4 else 0.0
+    d3 = s * _edge(_EDGE3, rows) / h**3 if size >= 5 else 0.0
+    return rows[:, 0], d1, d2, d3
 
 
 def junction_flux_residual(psi, grid, symbol):
@@ -236,7 +275,8 @@ def junction_flux_residual(psi, grid, symbol):
     junction value is shared), so agreement is a statement about the
     assembled dynamics, not an identity of the formula.  Returns the
     residual at the junction p = q_+ (branches 1|2) and at p = q_-
-    (branches 2|3).
+    (branches 2|3): shape (2,) for one state, (m, 2) for an (m, n) block
+    of states.  A block's rows are the bits of its states' own results.
     """
     if not isinstance(grid, FoldedGrid):
         raise TypeError("junction flux is defined on folded grids")
@@ -244,12 +284,14 @@ def junction_flux_residual(psi, grid, symbol):
     if grid.n_arm < need or grid.n_inner + 1 < need:
         raise ValueError("grid segments are too short for one-sided stencils")
     d = np.asarray(psi, dtype=complex)
-    out = np.empty(2)
+    rows = d.reshape(-1, d.shape[-1])
+    out = np.empty((len(rows), 2))
     for k, J in enumerate((grid.junction_plus, grid.junction_minus)):
-        left = _one_sided(d[J - need + 1:J + 1], grid.h, "left")
-        right = _one_sided(d[J:J + need], grid.h, "right")
-        out[k] = _current_point(*left, symbol) - _current_point(*right, symbol)
-    return out
+        left = _one_sided(rows[:, J - need + 1:J + 1], grid.h, "left")
+        right = _one_sided(rows[:, J:J + need], grid.h, "right")
+        out[:, k] = (_current_point(*left, symbol, _SCALAR_ROUNDING)
+                     - _current_point(*right, symbol, _SCALAR_ROUNDING))
+    return out if d.ndim == 2 else out[0]
 
 
 def continuity_residual(op, psi_before, psi_after, dt):

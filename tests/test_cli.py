@@ -676,6 +676,14 @@ _NEEDLE = {"form": "gaussian", "amplitude": 0.5, "width": 1e-300,
     (dict(_LINE_KERNEL, potential=_WELL, dispersion={"kappa": 0.0},
           kernel={"mode": "naive"}),
      "kernel: naive mode needs the branched domain"),
+    # A naive kernel of an asymmetric well assembles a non-Hermitian matrix.
+    ({"version": 1, "mode": "spectrum",
+      "potential": {"form": "gaussian", "amplitude": -1.5, "width": 0.7,
+                    "center": 0.8},
+      "grid": {"kind": "line", "x_min": -8.0, "x_max": 8.0, "n": 120},
+      "solver": {"k": 6, "assembly": "convolution"},
+      "kernel": {"mode": "naive"}},
+     "kernel: the convolution assembly with a naive kernel does not read it"),
     # Elements this short put a stiffness 2/h**2 past the float range.
     ({"version": 1, "mode": "graph",
       "graph": {"name": "compton", "length": 1e-300, "truncation": 2.0,
@@ -731,7 +739,8 @@ _NEEDLE = {"form": "gaussian", "amplitude": 0.5, "width": 1e-300,
         "convolution-accuracy", "box-graph-edges", "star-graph-truncation",
         "graph-file-name", "graph-truncation-without-resolution",
         "graph-solver-without-resolution", "kernel-naive-unbranched",
-        "kernel-naive-unbranched-flat", "graph-element-underflow",
+        "kernel-naive-unbranched-flat", "convolution-naive",
+        "graph-element-underflow",
         "graph-truncation-underflow", "unfolded-momentum-overflow",
         "dual-wire-no-kinetic", "fourier-no-potential",
         "periodic-no-assembly", "line-grid-no-n", "kernel-quadratic",
@@ -888,6 +897,27 @@ def test_resolved_config_reproduces_the_run(tmp_path, config, recorded):
         assert node == value, dotted
 
 
+@pytest.mark.parametrize("config", [c for c, _ in _ROUND_TRIPS.values()],
+                         ids=_ROUND_TRIPS)
+def test_manifest_digests_are_the_files_on_disk(tmp_path, monkeypatch,
+                                                config):
+    """The digests, taken from the bytes as they are written, are the sha256
+    of each file on disk, and the manifest lists every artifact but itself
+    and the sidecar.  Small chunks write each CSV in several pieces."""
+    monkeypatch.setattr(cli, "_ROWS_PER_CALL", 64)
+    cfg = _write_config(tmp_path / "c.json", config)
+    out = tmp_path / "out"
+    assert _invoke(["run", "--config", cfg, "--out", str(out),
+                    "--jobs", "1"]).exit_code == 0
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    on_disk = {p.name for p in out.iterdir()} - {"manifest.json",
+                                                  "diagnostics.json"}
+    assert set(outputs) == on_disk
+    for name, digest in outputs.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == \
+            digest, name
+
+
 def _drawn(schema):
     """Values that a schema fragment of the config table accepts."""
     if "const" in schema:
@@ -974,29 +1004,52 @@ def test_missing_config_exits_two():
     assert result.exit_code == 2
 
 
+# At kappa 1e-8 a quadratic well's flow stalls away from any cusp: the
+# step size collapses, a numerical failure.  (A naive convolution kernel,
+# which assembled a non-Hermitian matrix, is refused as a config error.)
+_STALL = {"version": 1, "mode": "classical", "dispersion": {"kappa": 1e-8},
+          "potential": {"form": "quadratic", "alpha": 1.0}}
+
+
 def test_numerical_failure_exits_three(tmp_path):
-    # Naive quadrature of an off-center Gaussian builds a visibly
-    # non-Hermitian matrix, which the eigensolver must refuse.
-    cfg = _write_config(
-        tmp_path / "nh.json",
-        {
-            "version": 1,
-            "mode": "spectrum",
-            "dispersion": {"kappa": 3.0},
-            "potential": {
-                "form": "gaussian",
-                "amplitude": 2.0,
-                "width": 1.0,
-                "center": 1.5,
-            },
-            "grid": {"kind": "line", "x_min": -12.0, "x_max": 12.0, "n": 160},
-            "solver": {"k": 3, "assembly": "convolution"},
-            "kernel": {"mode": "naive"},
-        },
-    )
-    result = _invoke(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")])
+    cfg = _write_config(tmp_path / "stall.json", _STALL)
+    result = _invoke(["classical", "--config", cfg, "--out",
+                      str(tmp_path / "out")])
     assert result.exit_code == 3
-    assert "numerical failure" in result.output
+    assert "numerical failure: step size collapsed" in result.output
+
+
+def test_process_entry_keeps_artifacts_and_exit_codes(tmp_path):
+    """`python -m branchedq.cli` runs through `console()`, which freezes the
+    import heap before the run: the same manifest as an in-process run, and
+    the same exit codes with one stderr line."""
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(branchedq.__file__).resolve().parents[1])}
+
+    def run(payload, name):
+        cfg = _write_config(tmp_path / f"{name}.json", payload)
+        proc = subprocess.run(
+            [sys.executable, "-m", "branchedq.cli", "run", "--config", cfg,
+             "--out", str(tmp_path / name), "--jobs", "1"],
+            capture_output=True, text=True, env=env)
+        return cfg, proc
+
+    evolve = dict(_SMALL_FOLDED, mode="evolve",
+                  evolution={"steps": 70, "snapshot_every": 20})
+    cfg, proc = run(evolve, "process")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert _invoke(["run", "--config", cfg, "--out", str(tmp_path / "inproc"),
+                    "--jobs", "1"]).exit_code == 0
+    assert (tmp_path / "process" / "manifest.json").read_bytes() == \
+        (tmp_path / "inproc" / "manifest.json").read_bytes()
+    _, proc = run(dict(evolve, evolution={"steps": 0}), "bad")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: ")
+    assert proc.stderr.count("\n") == 1
+    _, proc = run(_STALL, "stall")
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("numerical failure: step size collapsed")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_verify_single_criterion(tmp_path):
@@ -1151,23 +1204,14 @@ def test_sidecar_times_lie_within_the_run(tmp_path):
             assert 0.0 <= value <= elapsed, (name, key, value)
 
 
-_NON_HERMITIAN = {
-    "version": 1, "mode": "spectrum", "dispersion": {"kappa": 3.0},
-    "potential": {"form": "gaussian", "amplitude": 2.0, "width": 1.0,
-                  "center": 1.5},
-    "grid": {"kind": "line", "x_min": -12.0, "x_max": 12.0, "n": 160},
-    "solver": {"k": 3, "assembly": "convolution"},
-}
-
-
 @pytest.mark.parametrize("payload,code,message", [
     (dict(_SMALL_FOLDED, mode="evolve",
           evolution={"dt": 1e-3, "steps": 2},
           sweep={"parameter": "evolution.packet.center",
                  "values": [0.0, 1000]}),
      2, "config error: evolution: "),
-    (dict(_NON_HERMITIAN, sweep={"parameter": "kernel.mode",
-                                 "values": ["hermitian", "naive"]}),
+    (dict(_STALL, sweep={"parameter": "dispersion.kappa",
+                         "values": [3.0, 1e-8]}),
      3, "numerical failure: "),
 ], ids=["config-error", "numerical-failure"])
 def test_worker_failure_matches_serial_run(tmp_path, many_cpus, payload,

@@ -199,3 +199,141 @@ def test_continuity_needs_a_stencil_symbol():
     op, g = _line_operator(n=16)
     with pytest.raises(ValueError):
         continuity_residual(op, np.ones(16), np.ones(16), 0.1)
+
+
+# The per-state diagnostics that propagate evaluated before it checked
+# states in blocks, kept verbatim: the blocked evaluation must give their
+# bits.
+_EDGES = (np.array([3.0, -4.0, 1.0]) / 2.0, np.array([2.0, -5.0, 4.0, -1.0]),
+          np.array([5.0, -18.0, 24.0, -14.0, 3.0]) / 2.0)
+
+
+def _one_sided_per_state(values, h, toward):
+    v = np.asarray(values, dtype=complex)
+    if toward == "left":
+        v = v[::-1]
+        s = 1.0
+    else:
+        s = -1.0
+    d1 = s * (_EDGES[0] @ v[:3]) / h
+    d2 = (_EDGES[1] @ v[:4]) / h**2 if v.size >= 4 else 0.0
+    d3 = s * (_EDGES[2] @ v[:5]) / h**3 if v.size >= 5 else 0.0
+    return v[0], d1, d2, d3
+
+
+def _current_per_state(psi, d1, d2, d3, symbol):
+    j = 0.0
+    if symbol.c4 != 0.0:
+        j -= 2.0 * symbol.c4 * (np.imag(np.conj(psi) * d3)
+                                - np.imag(np.conj(d1) * d2))
+    if symbol.c3 != 0.0:
+        j -= symbol.c3 * (2.0 * np.real(np.conj(psi) * d2) - np.abs(d1) ** 2)
+    if symbol.c2 != 0.0:
+        j += 2.0 * symbol.c2 * np.imag(np.conj(psi) * d1)
+    if symbol.c1 != 0.0:
+        j += symbol.c1 * np.abs(psi) ** 2
+    return j
+
+
+def _flux_per_state(v, grid, symbol):
+    need = 5 if (symbol.c4 != 0.0 or symbol.c3 != 0.0) else 3
+    out = np.empty(2)
+    for k, J in enumerate((grid.junction_plus, grid.junction_minus)):
+        left = _one_sided_per_state(v[J - need + 1:J + 1], grid.h, "left")
+        right = _one_sided_per_state(v[J:J + need], grid.h, "right")
+        out[k] = (_current_per_state(*left, symbol)
+                  - _current_per_state(*right, symbol))
+    return out
+
+
+def _diagnostics_per_state(op, states):
+    H, grid = op.matrix, op.grid
+    norms, energies, flux = [], [], []
+    for v in states:
+        norms.append(np.sqrt(grid.h * np.sum(np.abs(v) ** 2)))
+        num = np.real(np.vdot(v, H @ v))
+        energies.append(num / np.vdot(v, v).real)
+        if isinstance(grid, FoldedGrid):
+            flux.append(_flux_per_state(v, grid, op.symbol))
+    return (np.array(norms), np.array(energies),
+            np.array(flux) if flux else None)
+
+
+def _quartic_folded():
+    g = FoldedGrid(LAW, 8, 36)
+    symbol = StencilSymbol.from_quartic_potential(0.3, 0.5, 0.2).scaled(0.01)
+    return build_folded_hamiltonian(LAW, g, symbol), -9.0, 0.5
+
+
+def _quadratic_folded():
+    # The packet reaches the junction within the run, so the flux is not
+    # all noise.
+    g = FoldedGrid(LAW, 12, 24)
+    return build_folded_hamiltonian(LAW, g, QuadraticPotential(1.0)), -3.0, 2.0
+
+
+def _line():
+    g = LineGrid(-12.0, 12.0, 96)
+    op = build_dual_wire_hamiltonian(StencilSymbol(0.0, 0.0, 0.5, 0.0),
+                                     lambda x: 0.5 * x**2, g)
+    return op, -2.0, 1.0
+
+
+def _line_dense():
+    op, _, _ = _line()
+    return OperatorMatrix(op.matrix.toarray(), op.grid), -2.0, 1.0
+
+
+@pytest.mark.parametrize("steps", [1, 63, 64, 65, 130])
+@pytest.mark.parametrize("case", [_quadratic_folded, _quartic_folded, _line,
+                                  _line_dense],
+                         ids=["folded-quadratic", "folded-quartic", "line",
+                              "line-dense"])
+def test_blocked_diagnostics_keep_the_per_state_bits(case, steps):
+    op, center, boost = case()
+    wave = MultiWave.gaussian(op.grid, center, 1.0, boost=boost)
+    _, rep = propagate(op, wave, 2e-3, steps, snapshot_every=1,
+                       stability_budget=None)
+    norms, energies, flux = _diagnostics_per_state(
+        op, [snap.data for snap in rep.snapshots])
+    assert rep.norms.tobytes() == norms.tobytes()
+    assert rep.energies.tobytes() == energies.tobytes()
+    if flux is None:
+        assert rep.flux_residuals is None
+    else:
+        assert rep.flux_residuals.tobytes() == flux.tobytes()
+        assert np.any(flux != 0.0)
+
+
+@pytest.mark.parametrize("case", [_quadratic_folded, _quartic_folded],
+                         ids=["folded-quadratic", "folded-quartic"])
+def test_junction_flux_of_a_block_is_that_of_its_rows(case):
+    op, center, boost = case()
+    wave = MultiWave.gaussian(op.grid, center, 1.0, boost=boost)
+    _, rep = propagate(op, wave, 2e-3, 40, snapshot_every=1,
+                       stability_budget=None)
+    block = np.array([snap.data for snap in rep.snapshots])
+    rows = junction_flux_residual(block, op.grid, op.symbol)
+    assert rows.shape == (41, 2)
+    for v, row in zip(block, rows):
+        single = junction_flux_residual(v, op.grid, op.symbol)
+        assert single.shape == (2,)
+        assert single.tobytes() == row.tobytes()
+        assert single.tobytes() == _flux_per_state(v, op.grid,
+                                                   op.symbol).tobytes()
+
+
+@pytest.mark.parametrize("symbol", [
+    StencilSymbol.from_quartic_potential(0.3, 0.5, 0.2),
+    StencilSymbol(0.0, 1.0, 0.0, 0.0)], ids=["quartic", "c3"])
+def test_junction_flux_of_random_blocks_keeps_the_per_state_bits(symbol):
+    # Enough rows that an array square of |d1| in place of libm pow(x, 2)
+    # would move some bits (it rounds about 1 in 1,000 values otherwise).
+    grid = FoldedGrid(LAW, 4, 5)
+    rng = np.random.default_rng(7)
+    scale = 10.0 ** rng.uniform(-8.0, 2.0, size=(5000, 1))
+    block = scale * (rng.standard_normal((5000, grid.size))
+                     + 1j * rng.standard_normal((5000, grid.size)))
+    rows = junction_flux_residual(block, grid, symbol)
+    per_state = np.array([_flux_per_state(v, grid, symbol) for v in block])
+    assert rows.tobytes() == per_state.tobytes()
