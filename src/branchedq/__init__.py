@@ -19,9 +19,8 @@ __version__ = "0.1.0"
 
 # Public name -> submodule that defines it.
 _EXPORTS = {name: module for module, names in {
-    "classical": ("ClassicalState", "Trajectory", "energy", "hamilton_rhs",
-                  "integrate_euler_lagrange", "integrate_hamilton",
-                  "poisson_bracket"),
+    "classical": ("ClassicalState", "Trajectory", "energy",
+                  "integrate_euler_lagrange", "integrate_hamilton"),
     "dispersion": ("DispersionLaw", "velocity_sweep"),
     "errors": ("BranchedQError", "ConfigError", "ConvergenceError",
                "DegeneracyError", "FluxBalanceError",
@@ -29,11 +28,10 @@ _EXPORTS = {name: module for module, names in {
     "evolution": ("EvolutionReport", "MultiWave", "continuity_residual",
                   "junction_flux_residual", "probability_current",
                   "propagate"),
-    "graphs": ("GRAPH_LIBRARY", "Edge", "GraphLayout", "HalfLine",
-               "MetricGraph", "VertexCondition", "box_graph",
-               "compton_graph", "count_conditions", "dump_graph",
-               "graph_hamiltonian", "load_graph", "node_flux", "star_graph",
-               "star_secular_spectrum"),
+    "graphs": ("GRAPH_LIBRARY", "Edge", "HalfLine", "MetricGraph",
+               "VertexCondition", "box_graph", "compton_graph",
+               "count_conditions", "graph_hamiltonian", "load_graph",
+               "star_graph", "star_secular_spectrum"),
     "grids": ("FoldedGrid", "LineGrid", "PeriodicGrid"),
     "operators": ("OperatorMatrix", "StencilSymbol",
                   "build_convolution_hamiltonian",
@@ -46,8 +44,7 @@ _EXPORTS = {name: module for module, names in {
                    "SampledPotential", "SechSquaredPotential", "has_kernel",
                    "potential_from_mapping"),
     "spectra": ("EigenResult", "newton_refine", "solve_eigensystem",
-                "stationarity_residual", "subspace_overlap",
-                "variance_minimize"),
+                "stationarity_residual", "variance_minimize"),
 }.items() for name in names}
 
 __all__ = sorted(_EXPORTS)

@@ -10,9 +10,9 @@ and Hamilton's equations for H = (3/4) xdot^4 - (kappa/2) xdot^2 + V(x) read
     dx/dt = (3 xdot^3 - kappa xdot) / (3 xdot^2 - kappa)
     dxdot/dt = -V'(x) / (3 xdot^2 - kappa).
 
-The first line simplifies to xdot algebraically; we evaluate it through the
-bracket anyway so the reduction is checked rather than assumed, and cross
-check the whole flow against a direct Euler-Lagrange integration of
+The first line simplifies to xdot algebraically.  integrate_hamilton writes
+it unsimplified, (3 xdot^3 - kappa xdot) / (3 xdot^2 - kappa), and
+criterion C9 checks the flow against a direct Euler-Lagrange integration of
 (3 xdot^2 - kappa) xddot = -V'(x).
 
 At |xdot| = sqrt(kappa/3) the bracket degenerates.  Trajectories that run
@@ -95,13 +95,6 @@ class Trajectory:
         if dt.size and not (np.all(dt > 0) or np.all(dt < 0)):
             raise ValueError("trajectory times must be strictly monotone")
 
-    def __len__(self):
-        return self.t.size
-
-    def final_state(self):
-        return ClassicalState(float(self.x[-1]), float(self.xdot[-1]),
-                              float(self.t[-1]))
-
     def energy_drift(self):
         return float(np.max(np.abs(self.energy - self.energy[0])))
 
@@ -113,44 +106,6 @@ def _force_of(potential):
         raise TypeError("potential must be None or an object with __call__ "
                         "and .gradient")
     return potential.gradient
-
-
-def poisson_bracket(F, G, state, law):
-    """Noncanonical bracket {F, G} at a state, by central differences of
-    step 1e-6.
-
-    F and G are callables of (x, xdot).  Degenerate states are rejected.
-    """
-    eps = 1e-6
-    x, v = state.x, state.xdot
-    hess = 3.0 * v * v - law.kappa
-    if abs(hess) <= DEGENERACY_TOL:
-        raise DegeneracyError(
-            f"bracket undefined at xdot = {v}: 3 xdot^2 - kappa = {hess:.3e}",
-            xdot=v, hessian=hess)
-    Fx = (F(x + eps, v) - F(x - eps, v)) / (2.0 * eps)
-    Fv = (F(x, v + eps) - F(x, v - eps)) / (2.0 * eps)
-    Gx = (G(x + eps, v) - G(x - eps, v)) / (2.0 * eps)
-    Gv = (G(x, v + eps) - G(x, v - eps)) / (2.0 * eps)
-    return (Fx * Gv - Fv * Gx) / hess
-
-
-def hamilton_rhs(state, law, potential):
-    """(dx/dt, dxdot/dt) from the bracket; V' is `potential.gradient`.
-
-    dx/dt is evaluated through the bracket expression, unsimplified, so its
-    agreement with xdot is a checked identity rather than a substitution.
-    """
-    grad = _force_of(potential)
-    v = state.xdot
-    kappa = law.kappa
-    hess = 3.0 * v * v - kappa
-    if abs(hess) <= DEGENERACY_TOL:
-        raise DegeneracyError(
-            f"degenerate state: |3 xdot^2 - kappa| = {abs(hess):.3e} "
-            f"<= {DEGENERACY_TOL}",
-            xdot=v, hessian=hess)
-    return (3.0 * v**3 - kappa * v) / hess, -grad(state.x) / hess
 
 
 def energy(state, law, potential=None):

@@ -93,7 +93,7 @@ from .operators import (StencilSymbol, build_convolution_hamiltonian,
                         fourier_conjugate_hamiltonian, gershgorin_bound,
                         hermiticity_defect)
 from .potentials import has_kernel, potential_from_mapping
-from .schema import SchemaViolation, check, check_schema
+from .schema import SchemaViolation, check, check_schema, parse_json
 from .spectra import _CERTIFY_MULTIPLE, solve_eigensystem
 
 # -- the config table -----------------------------------------------------------
@@ -447,12 +447,6 @@ def _text(rows):
     return rows.tobytes().translate(None, b"\0")
 
 
-def _lead_text(fmt, *columns):
-    """Format columns that several files or blocks share, once per run, as
-    a `_rows` matrix that opens the rows of a `_write_columns` file."""
-    return _rows(fmt, columns)
-
-
 # Rows rendered per call.  A file is written as its chunks are rendered, so
 # it is never held whole: rendered whole, the state files of a 239-row,
 # 8-point sweep raised its peak RSS at --jobs 1 from 71 to 86 MB.
@@ -503,23 +497,13 @@ def validate_config(doc, source="config"):
         raise ConfigError(f"{source}: {exc}") from None
 
 
-def _finite_number(text, parse=float):
-    """Parse a JSON number, refusing NaN, Infinity and float overflow."""
-    if not math.isfinite(float(text)):
-        raise ValueError(f"number {text[:24]} is NaN, infinite or beyond "
-                         "the float range")
-    return parse(text)
-
-
 def load_config(path):
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     try:
-        doc = json.loads(text, parse_float=_finite_number,
-                         parse_constant=_finite_number,
-                         parse_int=lambda t: _finite_number(t, int))
+        doc = parse_json(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno} "
                           f"column {exc.colno}: {exc.msg}") from None
@@ -620,8 +604,8 @@ def _lowest(op, k):
 def _grid_lead(grid):
     """The coordinate and branch columns, formatted once per run."""
     if isinstance(grid, FoldedGrid):
-        return _lead_text("%.17g,%d,", grid.u, grid.branch)
-    return _lead_text("%.17g,%d,", grid.x, np.zeros(grid.size, dtype=int))
+        return _rows("%.17g,%d,", (grid.u, grid.branch))
+    return _rows("%.17g,%d,", (grid.x, np.zeros(grid.size, dtype=int)))
 
 
 # -- mode handlers -------------------------------------------------------------
@@ -689,7 +673,7 @@ def _mode_evolve(config, out):
             current = (probability_current(data, grid.h, op.symbol)
                        if op.symbol is not None
                        else np.full(data.size, np.nan))
-            yield (_text(_lead_text("%.17g,", [snap.time])).decode(),
+            yield (_text(_rows("%.17g,", ([snap.time],))).decode(),
                    (data.real, data.imag, np.abs(data) ** 2, current))
 
     files["snapshots.csv"] = _write_columns(

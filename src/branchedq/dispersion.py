@@ -165,11 +165,6 @@ class DispersionLaw:
         v = np.asarray(v, dtype=float)
         return 0.75 * v**4 - 0.5 * self.kappa * v**2
 
-    def hessian(self, v):
-        """Velocity Hessian of the Lagrangian, 3*xdot**2 - kappa."""
-        v = np.asarray(v, dtype=float)
-        return 3.0 * v * v - self.kappa
-
     def branch_of_velocity(self, v):
         """Branch label for a velocity; cusps are assigned to branch 2."""
         v = np.asarray(v, dtype=float)

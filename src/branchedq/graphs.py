@@ -17,7 +17,6 @@ end supplies one decay condition, and each line owns two disposable
 constants, so conditions and constants balance on Kirchhoff networks.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +24,7 @@ import scipy.sparse
 
 from .errors import FluxBalanceError
 from .operators import OperatorMatrix
-from .schema import check, check_schema
+from .schema import check, check_schema, parse_json
 
 
 @dataclass(frozen=True)
@@ -184,8 +183,6 @@ def count_conditions(graph):
 class _Chain:
     """One meshed line: local nodes 0..n, global slots, endpoint factors."""
 
-    kind: str
-    index: int
     n: int
     h: float
     alpha: float
@@ -223,8 +220,7 @@ class GraphLayout:
 
     Interior nodes of every line come first, then one slot per
     non-Dirichlet vertex.  Physical edge values are the mass-scaled
-    entries of an eigenvector times the endpoint kappa factors;
-    chain_values() performs that extraction.
+    entries of an eigenvector times the endpoint kappa factors.
     """
 
     def __init__(self, graph, resolution, truncation=None):
@@ -236,7 +232,6 @@ class GraphLayout:
             raise ValueError("free lines have no vertices to mesh against")
         if not graph.edges and not graph.half_lines:
             raise ValueError("graph has no edges or half-lines to mesh")
-        self.graph = graph
         # Norms of mass-scaled vectors are plain sums; no grid spacing.
         self.h = 1.0
         self._kappa = {
@@ -274,8 +269,8 @@ class GraphLayout:
                 else:
                     slots[local] = -1
                     factors[local] = 0.0
-            self.chains.append(_Chain(kind, idx, n, length / n, alpha, beta,
-                                      slots, factors))
+            self.chains.append(_Chain(n, length / n, alpha, beta, slots,
+                                      factors))
 
         # Lumped mass: each element adds h/2 |factor|^2 at both ends.
         self.mass = np.zeros(self.size)
@@ -284,15 +279,6 @@ class GraphLayout:
             ends = _element_ends(c.n).ravel()
             ends = ends[c.slots[ends] >= 0]
             np.add.at(self.mass, c.slots[ends], w[ends])
-
-    def chain_values(self, w, chain):
-        """Physical wave values along a chain, local coordinate ascending."""
-        w = np.asarray(w, dtype=complex)
-        scaled = w / np.sqrt(self.mass)
-        vals = np.zeros(chain.n + 1, dtype=complex)
-        live = chain.slots >= 0
-        vals[live] = chain.factors[live] * scaled[chain.slots[live]]
-        return vals
 
 
 def graph_hamiltonian(graph, resolution, truncation=None):
@@ -344,38 +330,6 @@ def graph_hamiltonian(graph, resolution, truncation=None):
     data /= root[col]
     A = scipy.sparse.csr_array((data, (row, col)), shape=(n, n))
     return OperatorMatrix(A, layout)
-
-
-_FLUX_EDGE = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
-
-
-def node_flux(psi, vertex, op):
-    """Weighted inward flux sum_mu alpha_mu conj(kappa_mu) psi_mu' at a vertex.
-
-    `op` is the OperatorMatrix from graph_hamiltonian; psi is a vector in
-    its coordinates.  Derivatives use the 5-point one-sided stencil along
-    each incident line, oriented into the node.  Near zero on eigenstates
-    of non-Dirichlet vertices.
-    """
-    layout = op.grid if isinstance(op, OperatorMatrix) else None
-    if not isinstance(layout, GraphLayout):
-        raise TypeError("node_flux needs the OperatorMatrix of a graph")
-    g = layout.graph
-    flux = 0.0 + 0.0j
-    for (kind, idx, end) in g.incidence(vertex):
-        chain = next(c for c in layout.chains
-                     if c.kind == kind and c.index == idx)
-        vals = layout.chain_values(psi, chain)
-        if chain.n + 1 < 5:
-            raise ValueError("chain too short for the flux stencil")
-        if end == 1:
-            seg = vals[::-1][:5]
-        else:
-            seg = vals[:5]
-        outward = (_FLUX_EDGE @ seg) / chain.h
-        kappa = layout._kappa[vertex][(kind, idx)]
-        flux += chain.alpha * np.conj(kappa) * (-outward)
-    return complex(flux)
 
 
 # -- analytic oracle and library ----------------------------------------------
@@ -498,30 +452,6 @@ def graph_from_mapping(doc):
                        conditions)
 
 
-def graph_to_mapping(graph):
-    doc = {"version": 1, "vertices": [], "edges": [], "half_lines": [],
-           "free_lines": graph.free_lines}
-    for v in graph.vertices:
-        cond = graph.conditions[v]
-        entry = {"id": v, "condition": {"type": cond.kind}}
-        if cond.kappa is not None:
-            entry["condition"]["kappa"] = [[k.real, k.imag] for k in cond.kappa]
-        doc["vertices"].append(entry)
-    for e in graph.edges:
-        doc["edges"].append({"u": e.u, "v": e.v, "length": e.length,
-                             "alpha": e.alpha, "beta": e.beta})
-    for h in graph.half_lines:
-        doc["half_lines"].append({"vertex": h.vertex, "alpha": h.alpha,
-                                  "beta": h.beta})
-    return doc
-
-
 def load_graph(path):
     with open(path) as fh:
-        return graph_from_mapping(json.load(fh))
-
-
-def dump_graph(graph, path):
-    with open(path, "w") as fh:
-        json.dump(graph_to_mapping(graph), fh, indent=2)
-        fh.write("\n")
+        return graph_from_mapping(parse_json(fh.read()))

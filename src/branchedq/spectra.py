@@ -64,9 +64,6 @@ class EigenResult:
     residuals: np.ndarray = field(repr=False)
     solver: str = "eigh"
 
-    def __len__(self):
-        return self.eigenvalues.size
-
 
 def _checked_hermitian(op):
     H = as_matrix(op)
@@ -351,16 +348,3 @@ def variance_minimize(op, psi0, tol=1e-10, max_iter=20000):
         f"variance minimization hit the iteration cap at variance {var:.3e}",
         diagnostics={"iterations": max_iter, "variance": var,
                      "energy": e, "state": psi})
-
-
-def subspace_overlap(u, v):
-    """Smallest principal-angle cosine between two eigenvector blocks.
-
-    u and v hold one vector per column.  Columns may be rotated
-    arbitrarily inside degenerate subspaces; the singular values of u* v
-    are the invariant comparison.
-    """
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    s = np.linalg.svd(u.conj().T @ v, compute_uv=False)
-    return float(np.min(s))

@@ -1,4 +1,4 @@
-"""Classical flow of the branched kinetic law, bracket first.
+"""Classical flow of the branched kinetic law.
 
 kappa = 3 makes everything hand-checkable: the Hessian is 3 xdot^2 - 3,
 cusps sit at xdot = +-1, and a quadratic well pulls every outer-branch
@@ -11,9 +11,8 @@ import pytest
 
 from branchedq import (ClassicalState, DegeneracyError, DispersionLaw,
                        GaussianPotential, IntegrationStalledError,
-                       QuadraticPotential, Trajectory, energy, hamilton_rhs,
-                       integrate_euler_lagrange, integrate_hamilton,
-                       poisson_bracket)
+                       QuadraticPotential, Trajectory, energy,
+                       integrate_euler_lagrange, integrate_hamilton)
 from branchedq import classical
 from branchedq.acceptance import SEED
 
@@ -22,42 +21,12 @@ WELL = QuadraticPotential(1.0)
 BUMP = GaussianPotential(0.5, 2.0, 0.0)
 
 
-def test_canonical_bracket_of_x_and_p():
-    state = ClassicalState(0.3, 1.7)
-    x = lambda q, v: q
-    p = lambda q, v: LAW.momentum(v)
-    assert poisson_bracket(x, p, state, LAW) == pytest.approx(1.0, abs=1e-7)
-
-
-def test_bracket_generates_the_velocity():
-    """{x, H} must come out as xdot even though the bracket divides by the
-    Hessian; nothing is simplified by hand."""
-    state = ClassicalState(-0.4, 1.9)
-    x = lambda q, v: q
-    H = lambda q, v: LAW.energy(v) + WELL(q)
-    assert poisson_bracket(x, H, state, LAW) == pytest.approx(1.9, abs=1e-6)
-    p = lambda q, v: LAW.momentum(v)
-    assert poisson_bracket(p, H, state, LAW) == pytest.approx(0.4, abs=1e-6)
-
-
-def test_hamilton_rhs_frozen_point():
-    # x=1, xdot=2: Hessian 9, force -x
-    dx, dv = hamilton_rhs(ClassicalState(1.0, 2.0), LAW, WELL)
-    assert dx == pytest.approx(2.0, abs=1e-14)
-    assert dv == pytest.approx(-1.0 / 9.0, abs=1e-15)
-
-
 def test_energy_frozen_point():
     assert energy(ClassicalState(1.0, 2.0), LAW, WELL) == pytest.approx(6.5)
     assert energy(ClassicalState(1.0, 2.0), LAW) == pytest.approx(6.0)
 
 
 def test_degeneracy_raises_at_the_cusp():
-    with pytest.raises(DegeneracyError):
-        hamilton_rhs(ClassicalState(0.0, 1.0), LAW, WELL)
-    with pytest.raises(DegeneracyError):
-        poisson_bracket(lambda s: s.x, lambda s: s.xdot,
-                        ClassicalState(0.0, 1.0), LAW)
     with pytest.raises(DegeneracyError):
         integrate_hamilton(ClassicalState(0.0, 1.0), 1.0, LAW, WELL)
 
@@ -159,7 +128,8 @@ def test_backward_integration_reverses_the_orbit():
     te = np.linspace(0.0, 10.0, 101)
     fwd = integrate_hamilton(ClassicalState(-1.0, 2.1), 10.0, LAW, BUMP,
                              t_eval=te)
-    back = integrate_hamilton(fwd.final_state(), 0.0, LAW, BUMP,
+    end = ClassicalState(fwd.x[-1], fwd.xdot[-1], fwd.t[-1])
+    back = integrate_hamilton(end, 0.0, LAW, BUMP,
                               t_eval=te[::-1])
     assert back.t[0] == 10.0 and back.t[-1] == 0.0
     assert back.x[-1] == pytest.approx(-1.0, abs=1e-7)
@@ -173,7 +143,6 @@ def test_trajectory_columns_are_consistent():
     kin = 0.75 * traj.xdot**4 - 1.5 * traj.xdot**2
     assert np.allclose(traj.energy, kin + BUMP(traj.x), atol=1e-12)
     assert np.all(traj.branch == 3)
-    assert traj.final_state().t == traj.t[-1]
 
 
 def test_integrator_guards():
@@ -195,8 +164,8 @@ def test_stall_away_from_a_cusp_keeps_the_partial_orbit():
     partial = err.value.partial
     assert isinstance(partial, Trajectory)
     assert partial.status == "halted" and partial.events == []
-    assert len(partial) > 1 and partial.t[-1] < 10.0
-    assert partial.stats["accepted_steps"] == len(partial) - 1
+    assert partial.t.size > 1 and partial.t[-1] < 10.0
+    assert partial.stats["accepted_steps"] == partial.t.size - 1
 
 
 def _oracle(state, t_end, law, potential, t_eval, *, policy="halt",

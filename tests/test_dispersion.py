@@ -35,8 +35,6 @@ def test_momentum_and_energy_frozen_values():
     assert LAW.momentum(-1.0) == pytest.approx(2.0, abs=1e-15)
     assert LAW.energy(2.0) == pytest.approx(6.0, abs=1e-14)
     assert LAW.energy(1.0) == pytest.approx(-0.75, abs=1e-15)
-    assert LAW.hessian(1.0) == pytest.approx(0.0, abs=1e-15)
-    assert LAW.hessian(2.0) == pytest.approx(9.0, abs=1e-15)
 
 
 def test_legendre_transform_symbolic():

@@ -169,6 +169,52 @@ def test_folded_propagation_tracks_junction_flux():
     assert rep.max_flux_residual < 1e-8
 
 
+_QUARTIC = StencilSymbol.from_quartic_potential(0.3, 0.5, 0.2).scaled(0.01)
+
+
+def _crossing_packet(V, flip_reversed_branch=True):
+    """A packet pushed through the p = q_+ junction on three grids.
+
+    Returns the h-orders of the max flux residual between successive
+    grids, the largest norm drift, and the share of the final packet on
+    branches 2 and 3 of the finest grid.
+    """
+    flux, drift = [], []
+    for n_inner, n_arm in ((40, 140), (80, 279), (160, 557)):
+        g = FoldedGrid(LAW, n_inner, n_arm)
+        op = build_folded_hamiltonian(LAW, g, V,
+                                      flip_reversed_branch=flip_reversed_branch)
+        wave = MultiWave.gaussian(g, -4.0, 1.0, boost=3.0)
+        final, rep = propagate(op, wave, 1e-3, 1000, stability_budget=None)
+        flux.append(rep.max_flux_residual)
+        drift.append(rep.norm_drift)
+        rho = np.abs(final.data) ** 2
+        crossed = rho[g.branch != 1].sum() / rho.sum()
+    return np.log2(np.divide(flux[:-1], flux[1:])), max(drift), crossed
+
+
+def _converges_unitarily(orders, drift):
+    return orders[-1] >= 2.7 and drift < 1e-10
+
+
+@pytest.mark.parametrize("V", [QuadraticPotential(1.0), _QUARTIC],
+                         ids=["quadratic", "quartic"])
+def test_packet_crossing_a_junction_converges_unitarily(V):
+    """Measured orders 2.97, 2.99 (quadratic) and 2.87, 2.94 (quartic),
+    with norm drift at most 2e-13."""
+    orders, drift, crossed = _crossing_packet(V)
+    assert crossed > 0.5
+    assert _converges_unitarily(orders, drift), (orders, drift)
+
+
+def test_unflipped_branch_breaks_junction_crossing():
+    """Without the odd-coefficient flip on branch 2 the quartic operator is
+    not Hermitian: drift 3.4e-2 and orders 2.58, 2.44 fail the gate.  The
+    quadratic symbol has no odd part, so it cannot serve as the control."""
+    orders, drift, _ = _crossing_packet(_QUARTIC, flip_reversed_branch=False)
+    assert not _converges_unitarily(orders, drift)
+
+
 def test_junction_flux_requirements():
     g = LineGrid(-1.0, 1.0, 16)
     with pytest.raises(TypeError):

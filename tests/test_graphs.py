@@ -6,17 +6,18 @@ degree-2 Kirchhoff vertex assembles the very same operator as the merged
 interval (transparency), so their eigenvalues agree to roundoff.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from branchedq import (Edge, FluxBalanceError, GraphLayout, HalfLine,
-                       MetricGraph, VertexCondition, box_graph, compton_graph,
-                       count_conditions, dump_graph, graph_hamiltonian,
-                       load_graph, node_flux, solve_eigensystem, star_graph,
-                       star_secular_spectrum)
-from branchedq.graphs import graph_from_mapping, graph_to_mapping
+from branchedq import (Edge, FluxBalanceError, HalfLine, MetricGraph,
+                       VertexCondition, box_graph, compton_graph,
+                       count_conditions, graph_hamiltonian, load_graph,
+                       solve_eigensystem, star_graph, star_secular_spectrum)
+from branchedq.graphs import GraphLayout, graph_from_mapping
 
 
 def per_entry_graph_assembly(graph, resolution, truncation=None):
@@ -235,6 +236,30 @@ def test_star_spectrum_against_secular_oracle():
     assert abs(res.eigenvalues[4] - res.eigenvalues[5]) < 1e-9
 
 
+# 5-point one-sided first derivative at an end node, pointing away from it.
+_FLUX_EDGE = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
+
+
+def _node_flux(psi, vertex, op):
+    """Weighted inward flux sum_mu alpha_mu conj(kappa_mu) psi_mu' at a vertex.
+
+    Edge values are the mass-scaled entries of psi times the chain's
+    endpoint factors, whose value at the vertex is its kappa.  Each
+    derivative is the 5-point one-sided stencil along an incident chain.
+    """
+    layout = op.grid
+    slot = layout.vertex_slot[vertex]
+    scaled = psi / np.sqrt(layout.mass)
+    flux = 0.0
+    for c in layout.chains:
+        for end, local in ((0, np.arange(5)), (c.n, c.n - np.arange(5))):
+            if c.slots[end] == slot:
+                values = c.factors[local] * scaled[c.slots[local]]
+                outward = (_FLUX_EDGE @ values) / c.h
+                flux += c.alpha * np.conj(c.factors[end]) * (-outward)
+    return flux
+
+
 def test_node_flux_vanishes_on_eigenstates():
     graph = star_graph(3, 1.0)
     op = graph_hamiltonian(graph, 200)
@@ -242,7 +267,7 @@ def test_node_flux_vanishes_on_eigenstates():
     for i in range(4):
         psi = res.eigenvectors[:, i]
         scale = np.sqrt(res.eigenvalues[i])
-        assert abs(node_flux(psi, "c", op)) < 1e-5 * max(scale, 1.0)
+        assert abs(_node_flux(psi, "c", op)) < 1e-5 * max(scale, 1.0)
 
 
 def test_half_line_graphs_need_truncation():
@@ -311,14 +336,19 @@ def test_layout_rejects_free_lines_and_low_resolution():
 
 def test_json_round_trip(tmp_path):
     graph = compton_graph(1.5)
-    doc = graph_to_mapping(graph)
-    back = graph_from_mapping(doc)
-    assert count_conditions(back) == count_conditions(graph)
-    assert [e.length for e in back.edges] == [1.5]
+    doc = {"version": 1,
+           "vertices": [{"id": "L", "condition": {"type": "kirchhoff"}},
+                        {"id": "R"}],
+           "edges": [{"u": "L", "v": "R", "length": 1.5}],
+           "half_lines": [{"vertex": v} for v in "LLRR"]}
     path = tmp_path / "graph.json"
-    dump_graph(graph, path)
-    again = load_graph(path)
-    assert count_conditions(again) == count_conditions(graph)
+    path.write_text(json.dumps(doc))
+    for back in (graph_from_mapping(doc), load_graph(path)):
+        assert back.vertices == graph.vertices
+        assert back.edges == graph.edges
+        assert back.half_lines == graph.half_lines
+        assert back.conditions == graph.conditions
+        assert count_conditions(back) == count_conditions(graph)
 
 
 def test_json_schema_rejects_malformed_documents():
