@@ -10,31 +10,31 @@ with a small boost toward the junction.
 
 import numpy as np
 
-from branchedq import (DispersionLaw, FoldedGrid, MultiWave,
-                       QuadraticPotential, build_folded_hamiltonian,
-                       junction_flux_residual, probability_current, propagate)
+from branchedq import (DispersionLaw, FoldedGrid, QuadraticPotential,
+                       build_folded_hamiltonian, gaussian_packet,
+                       probability_current, propagate)
 
 law = DispersionLaw(kappa=3.0)
 grid = FoldedGrid(law, 40, 140)
 op = build_folded_hamiltonian(law, grid, QuadraticPotential(1.0))
-wave = MultiWave.gaussian(grid, -10.0, 1.0, boost=0.5)
+psi0 = gaussian_packet(grid, -10.0, 1.0, boost=0.5)
 
-final, report = propagate(op, wave, 1e-3, 1000, snapshot_every=250)
+final, report = propagate(op, psi0, 1e-3, 1000)
 
 print("1000 Crank-Nicolson steps, dt = 1e-3:")
 print(f"  norm drift          {report.norm_drift:.2e}")
 print(f"  max flux residual   {report.max_flux_residual:.2e}")
 print()
 print(" time    norm - 1      energy        flux residual")
-for snap in report.snapshots:
-    fplus, fminus = junction_flux_residual(snap.data, grid, op.symbol)
-    print(f" {snap.time:5.3f}   {snap.norm() - 1.0:+.2e}   "
-          f"{snap.energy(op):+.8f}   {max(abs(fplus), abs(fminus)):.2e}")
+for k in range(0, report.times.size, 250):
+    flux = np.max(np.abs(report.flux_residuals[k]))
+    print(f" {report.times[k]:5.3f}   {report.norms[k] - 1.0:+.2e}   "
+          f"{report.energies[k]:+.8f}   {flux:.2e}")
 
 print()
 print("density and current of the final state at a few nodes:")
-j = probability_current(final.data, grid.h, op.symbol)
-rho = np.abs(final.data) ** 2
+j = probability_current(final, grid.h, op.symbol)
+rho = np.abs(final) ** 2
 print(" u        branch   rho          j")
 for i in range(10, grid.size, 64):
     print(f" {grid.u[i]:+7.2f}      {grid.branch[i]}   "

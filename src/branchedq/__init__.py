@@ -25,7 +25,7 @@ _EXPORTS = {name: module for module, names in {
     "errors": ("BranchedQError", "ConfigError", "ConvergenceError",
                "DegeneracyError", "FluxBalanceError",
                "IntegrationStalledError", "NonHermitianError"),
-    "evolution": ("EvolutionReport", "MultiWave", "continuity_residual",
+    "evolution": ("EvolutionReport", "continuity_residual", "gaussian_packet",
                   "junction_flux_residual", "probability_current",
                   "propagate"),
     "graphs": ("GRAPH_LIBRARY", "Edge", "HalfLine", "MetricGraph",

@@ -20,7 +20,7 @@ import numpy as np
 
 from .classical import ClassicalState, integrate_euler_lagrange, integrate_hamilton
 from .dispersion import _SNAP_RTOL, DispersionLaw, _cusp, branch_velocities
-from .evolution import MultiWave, continuity_residual, propagate
+from .evolution import continuity_residual, gaussian_packet, propagate
 from .graphs import (Edge, HalfLine, MetricGraph, VertexCondition, box_graph,
                      compton_graph, count_conditions, graph_hamiltonian,
                      star_graph, star_secular_spectrum)
@@ -178,13 +178,13 @@ def criterion_known_spectra():
                 f"{res4.solver})")
 
 
-def _continuity_peak(op, wave, dt, steps):
+def _continuity_peak(op, psi0, dt, steps):
     # One factorization per run; every step is kept as a snapshot.
-    _, rep = propagate(op, wave, dt, steps, snapshot_every=1,
+    _, rep = propagate(op, psi0, dt, steps, snapshot_every=1,
                        stability_budget=None)
     worst = 0.0
     for before, after in zip(rep.snapshots, rep.snapshots[1:]):
-        r = continuity_residual(op, before.data, after.data, dt)
+        r = continuity_residual(op, before, after, dt)
         worst = max(worst, float(np.max(np.abs(r))))
     return worst
 
@@ -210,19 +210,19 @@ def criterion_unitarity_flux():
     for name, V, coarse, fine, finest, center, boost in runs:
         fg = FoldedGrid(law, *coarse)
         op = build_folded_hamiltonian(law, fg, V)
-        wave = MultiWave.gaussian(fg, center, 1.0, boost=boost)
-        _, rep = propagate(op, wave, 1e-3, 1000)
+        psi0 = gaussian_packet(fg, center, 1.0, boost=boost)
+        _, rep = propagate(op, psi0, 1e-3, 1000)
         drift = rep.norm_drift
         flux = rep.max_flux_residual
         ok = ok and drift < 1e-10 and flux < 1e-8
         details.append(f"{name} norm drift {drift:.1e}, flux {flux:.1e}")
 
-        r_h = _continuity_peak(op, wave, 1e-3, 10)
+        r_h = _continuity_peak(op, psi0, 1e-3, 10)
         fgf = FoldedGrid(law, *fine)
         opf = build_folded_hamiltonian(law, fgf, V)
-        wavef = MultiWave.gaussian(fgf, center, 1.0, boost=boost)
-        r_h2 = _continuity_peak(opf, wavef, 1e-3, 10)
-        r_dt2 = _continuity_peak(op, wave, 5e-4, 20)
+        r_h2 = _continuity_peak(
+            opf, gaussian_packet(fgf, center, 1.0, boost=boost), 1e-3, 10)
+        r_dt2 = _continuity_peak(op, psi0, 5e-4, 20)
         slope = float(np.log2(r_h / r_h2))
         dt_ratio = r_dt2 / r_h
         ok = ok and 1.5 <= slope <= 2.5 and 0.7 <= dt_ratio <= 1.4
@@ -231,8 +231,8 @@ def criterion_unitarity_flux():
         if finest is not None:
             fgx = FoldedGrid(law, *finest)
             r_h4 = _continuity_peak(build_folded_hamiltonian(law, fgx, V),
-                                    MultiWave.gaussian(fgx, center, 1.0,
-                                                       boost=boost), 1e-3, 10)
+                                    gaussian_packet(fgx, center, 1.0,
+                                                    boost=boost), 1e-3, 10)
             fine_slope = float(np.log2(r_h2 / r_h4))
             ok = ok and 1.8 <= fine_slope <= 2.2
             details.append(f"{name} finest-pair h-order {fine_slope:.2f} "

@@ -51,7 +51,7 @@ DEGENERACY_TOL = 1e-9
 # interpreted as cusp arrival rather than an unrelated failure.
 STALL_BAND = 1e-5
 
-_POLICIES = ("halt", "continue", "random-branch")
+_POLICIES = ("halt", "random-branch")
 
 
 @dataclass
@@ -347,18 +347,14 @@ def _run_segments(rhs, state0, end_time, law, potential, tol, policy, seed,
     arm = law.kappa >= 0.0
     hess0 = 3.0 * state0.xdot**2 - law.kappa
     if abs(hess0) <= DEGENERACY_TOL:
-        raise DegeneracyError(
-            "initial state sits on the degeneracy surface",
-            xdot=state0.xdot, hessian=hess0)
+        raise DegeneracyError("initial state sits on the degeneracy surface")
     rng = np.random.default_rng(seed)
     forward = end_time >= state0.t
     if t_eval is not None:
         t_eval = np.sort(np.asarray(t_eval, dtype=float))
         if np.any(t_eval[1:] == t_eval[:-1]):
             raise ValueError("t_eval holds a time twice")
-    # Only halt and random-branch act on a crossing; continue runs on
-    # until the vector field gives out.
-    watch = vc if arm and policy != "continue" else None
+    watch = vc if arm else None
 
     ts, xs, vs, flags = [], [], [], []
     events = []
@@ -376,10 +372,6 @@ def _run_segments(rhs, state0, end_time, law, potential, tol, policy, seed,
             vs.append(v)
             flags.append(flag)
 
-    def assemble(status):
-        return _assemble(law, potential, ts, xs, vs, flags, events, status,
-                         stats)
-
     while True:
         pts = None
         if t_eval is not None:
@@ -396,28 +388,19 @@ def _run_segments(rhs, state0, end_time, law, potential, tol, policy, seed,
             if not arm or abs(abs(v_raw) - vc) > STALL_BAND:
                 raise IntegrationStalledError(
                     f"step size collapsed at t = {t_ev:.6g} away from any "
-                    f"cusp (xdot = {v_raw:.6g})", partial=assemble("halted"))
-            if policy == "continue":
-                push(t_ev, x_ev, math.copysign(vc, v_raw), flag=1)
-                events.append(ClassicalState(x_ev, math.copysign(vc, v_raw),
-                                             t_ev))
-                raise IntegrationStalledError(
-                    "continue-through requested but the vector field does "
-                    f"not extend past the cusp reached at t = {t_ev:.6g}",
-                    partial=assemble("halted"))
+                    f"cusp (xdot = {v_raw:.6g})")
         v_ev = math.copysign(vc, v_raw)
         push(t_ev, x_ev, v_ev, flag=1)
         events.append(ClassicalState(x_ev, v_ev, t_ev))
 
-        # Only halt and random-branch watch for crossings, so only they get
-        # here; the coin is drawn only under random-branch.
+        # The coin is drawn only under random-branch.
         if policy == "halt" or len(events) >= max_events or rng.random() < 0.5:
             status = "halted"
             break
         t_cur, x_cur = t_ev, x_ev
         v_cur = -2.0 * v_ev
 
-    return assemble(status)
+    return _assemble(law, potential, ts, xs, vs, flags, events, status, stats)
 
 
 def integrate_hamilton(state0, end_time, law, potential=None, *, tol=1e-12,
@@ -426,8 +409,8 @@ def integrate_hamilton(state0, end_time, law, potential=None, *, tol=1e-12,
 
     `end_time` may lie before state0.t, which integrates backward.  Events
     are |xdot| = sqrt(kappa/3) crossings or tangential arrivals; `policy`
-    is halt, continue, or random-branch (seeded coin per event between
-    halting and jumping to the far junction root).
+    is halt or random-branch (seeded coin per event between halting and
+    jumping to the far junction root).
     """
     grad = _force_of(potential)
     kappa = float(law.kappa)

@@ -76,14 +76,13 @@ _BLAS_THREADS_SET = bool(set(_BLAS_THREAD_VARS) & set(os.environ))
 
 import click
 import numpy as np
-import scipy.sparse
 
 from .acceptance import CRITERIA, run_acceptance
 from .classical import ClassicalState, integrate_hamilton
 from .dispersion import DispersionLaw, velocity_sweep
 from .errors import (BranchedQError, ConfigError, DegeneracyError,
                      FluxBalanceError)
-from .evolution import MultiWave, probability_current, propagate
+from .evolution import gaussian_packet, probability_current, propagate
 from .graphs import (GRAPH_LIBRARY, count_conditions, graph_hamiltonian,
                      load_graph, star_graph)
 from .grids import FoldedGrid, LineGrid, PeriodicGrid
@@ -181,8 +180,7 @@ _CONFIG = {
         "xdot": _Key(_NUM, 2.0, _CLASSICAL),
         "t_end": _Key(_NUM, 10.0, _CLASSICAL),
         "tol": _Key(_POSITIVE, 1e-12, _CLASSICAL),
-        "policy": _Key(_enum("halt", "continue", "random-branch"), "halt",
-                       _CLASSICAL),
+        "policy": _Key(_enum("halt", "random-branch"), "halt", _CLASSICAL),
         "max_events": _Key(_int(1), 32, _CLASSICAL),
         "samples": _Key(_int(2), None, _CLASSICAL),
     },
@@ -585,13 +583,20 @@ def _stored(H):
     return {"n": H.shape[0], "nnz": int(getattr(H, "nnz", H.size))}
 
 
-def _lowest(op, k):
+def _lowest(op, k, section):
     """The lowest k eigenpairs of op (all, if it has fewer) and the
-    spectral sidecar: what was solved, how, and how well."""
+    spectral sidecar: what was solved, how, and how well.
+
+    An operator whose eps * ||H||inf is 0 gives its residuals no scale;
+    it is refused as a ConfigError of the config section that built it.
+    """
     H = op.matrix
+    eps_norm = float(np.finfo(float).eps * gershgorin_bound(H))
+    if eps_norm == 0.0:
+        raise ConfigError(f"{section}: the operator is zero to double "
+                          "precision (eps * ||H||inf is 0)")
     res = solve_eigensystem(op, k=min(k, H.shape[0]))
     max_residual = float(res.residuals.max())
-    eps_norm = float(np.finfo(float).eps * gershgorin_bound(H))
     return res, {
         **_stored(H),
         "solver": res.solver,
@@ -619,7 +624,7 @@ def _mode_spectrum(config, out):
     start = time.perf_counter()
     op = _operator_from(config)
     assembled = time.perf_counter()
-    res, sidecar = _lowest(op, int(config["solver"]["k"]))
+    res, sidecar = _lowest(op, int(config["solver"]["k"]), "solver")
     solved = time.perf_counter()
     files = {"eigenvalues.csv": _write_columns(
         out / "eigenvalues.csv", ("index", "energy", "residual"),
@@ -652,11 +657,11 @@ def _mode_evolve(config, out):
     ev = config["evolution"]
     steps = int(ev["steps"])
     with _section("evolution", ValueError):
-        wave = MultiWave.gaussian(grid, *(float(ev["packet"][key]) for key
-                                          in ("center", "width", "boost")))
-        final, rep = propagate(op, wave, float(ev["dt"]), steps,
-                               snapshot_every=ev.get("snapshot_every"),
-                               stability_budget=ev["stability_budget"])
+        psi0 = gaussian_packet(grid, *(float(ev["packet"][key]) for key
+                                       in ("center", "width", "boost")))
+        psi, rep = propagate(op, psi0, float(ev["dt"]), steps,
+                             snapshot_every=ev.get("snapshot_every"),
+                             stability_budget=ev["stability_budget"])
     propagated = time.perf_counter()
     nsteps = rep.times.size
     flux = rep.flux_residuals if rep.flux_residuals is not None \
@@ -667,13 +672,16 @@ def _mode_evolve(config, out):
         "%.17g,%.17g,%.17g,%.17g,%.17g\n",
         [("", (rep.times, rep.norms, rep.energies, flux[:, 0], flux[:, 1]))])}
 
+    # Without snapshots, the final state is written.
+    kept = (zip(rep.snapshot_times, rep.snapshots) if rep.snapshot_times.size
+            else [(rep.times[-1], psi)])
+
     def blocks():
-        for snap in rep.snapshots or [final]:
-            data = snap.data
+        for t, data in kept:
             current = (probability_current(data, grid.h, op.symbol)
                        if op.symbol is not None
                        else np.full(data.size, np.nan))
-            yield (_text(_rows("%.17g,", ([snap.time],))).decode(),
+            yield (_text(_rows("%.17g,", ([t],))).decode(),
                    (data.real, data.imag, np.abs(data) ** 2, current))
 
     files["snapshots.csv"] = _write_columns(
@@ -683,16 +691,15 @@ def _mode_evolve(config, out):
     files["summary.json"] = _write_json(out / "summary.json", {
         "norm_drift": rep.norm_drift,
         "max_flux_residual": rep.max_flux_residual,
-        "final_time": float(final.time),
+        "final_time": float(rep.times[-1]),
     })
-    H = op.matrix
     return files, True, {
         "assemble_s": assembled - start,
         "propagate_s": propagated - assembled,
         "write_s": time.perf_counter() - propagated,
-        **_stored(H),
+        **_stored(op.matrix),
         "steps": steps,
-        "solver": "splu" if scipy.sparse.issparse(H) else "lu",
+        "solver": rep.solver,
     }
 
 
@@ -720,7 +727,7 @@ def _mode_graph(config, out):
         with _section("graph", ValueError):
             op = graph_hamiltonian(graph, int(gcfg["resolution"]),
                                    truncation=gcfg.get("truncation"))
-        res, sidecar = _lowest(op, int(config["solver"]["k"]))
+        res, sidecar = _lowest(op, int(config["solver"]["k"]), "graph")
         w = res.eigenvalues
         files["eigenvalues.csv"] = _write_columns(
             out / "eigenvalues.csv", ("index", "energy", "wavenumber"),

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each message states what a reader needs of the failure; no error carries
+fields beyond it.
+"""
 
 
 class BranchedQError(Exception):
@@ -14,50 +18,23 @@ class DegeneracyError(BranchedQError):
     garbage.
     """
 
-    def __init__(self, message, xdot=None, hessian=None):
-        super().__init__(message)
-        self.xdot = xdot
-        self.hessian = hessian
-
 
 class IntegrationStalledError(BranchedQError):
-    """A trajectory could not be continued past a cusp.
-
-    Carries the partial trajectory computed so far in ``partial``, so
-    callers can inspect what was integrated before the stall.
-    """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """A trajectory could not be continued: its step size collapsed away
+    from any cusp, at the t and xdot that the message gives."""
 
 
 class ConvergenceError(BranchedQError):
-    """An iterative refinement failed to meet its tolerance.
-
-    ``diagnostics`` carries the residual history and last iterate so the
-    failure can be inspected.
-    """
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
+    """An iterative refinement failed to meet its tolerance; the message
+    gives its last residual or variance."""
 
 
 class NonHermitianError(BranchedQError):
     """A matrix expected to be Hermitian failed the symmetry check."""
 
-    def __init__(self, message, defect=None):
-        super().__init__(message)
-        self.defect = defect
-
 
 class FluxBalanceError(BranchedQError):
     """Graph drift coefficients violate the vertex flux-balance condition."""
-
-    def __init__(self, message, imbalance=None):
-        super().__init__(message)
-        self.imbalance = imbalance
 
 
 class ConfigError(BranchedQError):

@@ -1,5 +1,6 @@
 """Unitary time evolution and probability-current diagnostics.
 
+A state is a complex array with one value per node of its operator's grid.
 Propagation is Crank-Nicolson: (1 + i dt H/2) psi' = (1 - i dt H/2) psi,
 exactly norm-preserving for Hermitian H.  The discrete density balance it
 implies is
@@ -33,65 +34,41 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.sparse.linalg import splu
 
 from .grids import FoldedGrid
-from .operators import OperatorMatrix, as_matrix, gershgorin_bound
+from .operators import OperatorMatrix, gershgorin_bound
 
 
-def _grid_axis(grid):
-    return grid.u if isinstance(grid, FoldedGrid) else grid.x
-
-
-@dataclass
-class MultiWave:
-    """A wave function sampled on a grid, with its clock."""
-
-    grid: object
-    data: np.ndarray = field(repr=False)
-    time: float = 0.0
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=complex)
-        if self.data.shape != (self.grid.size,):
-            raise ValueError("data must hold one value per grid node")
-
-    @classmethod
-    def gaussian(cls, grid, center, width, boost=0.0):
-        """Normalized Gaussian packet exp(-(u-c)^2/(4 w^2) + i k u)."""
-        with np.errstate(over="ignore"):
-            square = np.float64(width) ** 2
-        if not (width > 0.0 and np.isfinite(square)):
-            raise ValueError(f"packet width must be positive with a finite "
-                             f"square, got {width:g}")
-        u = _grid_axis(grid)
-        # A packet far off the grid is reported once, by the norm check.
-        with np.errstate(over="ignore", invalid="ignore"):
-            data = np.exp(-((u - center) ** 2) / (4.0 * square)
-                          + 1j * boost * u)
-        wave = cls(grid, data)
-        norm = wave.norm()
-        if not 0.0 < norm < np.inf:
-            raise ValueError(f"packet norm on the grid is {norm:.3g}; "
-                             "move the center onto the grid or widen it")
-        wave.data /= norm
-        return wave
-
-    def norm(self):
-        return float(np.sqrt(self.grid.h * np.sum(np.abs(self.data) ** 2)))
-
-    def energy(self, op):
-        H = as_matrix(op)
-        num = np.real(np.vdot(self.data, H @ self.data))
-        return float(num / np.vdot(self.data, self.data).real)
+def gaussian_packet(grid, center, width, boost=0.0):
+    """Normalized Gaussian packet exp(-(u-c)^2/(4 w^2) + i k u) on `grid`:
+    a complex array with one value per node."""
+    with np.errstate(over="ignore"):
+        square = np.float64(width) ** 2
+    if not (width > 0.0 and np.isfinite(square)):
+        raise ValueError(f"packet width must be positive with a finite "
+                         f"square, got {width:g}")
+    u = grid.u if isinstance(grid, FoldedGrid) else grid.x
+    # A packet far off the grid is reported once, by the norm check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi = np.exp(-((u - center) ** 2) / (4.0 * square) + 1j * boost * u)
+    norm = float(np.sqrt(grid.h * np.sum(np.abs(psi) ** 2)))
+    if not 0.0 < norm < np.inf:
+        raise ValueError(f"packet norm on the grid is {norm:.3g}; "
+                         "move the center onto the grid or widen it")
+    psi /= norm
+    return psi
 
 
 @dataclass
 class EvolutionReport:
-    """Per-step unitarity and flux bookkeeping from propagate()."""
+    """Per-step unitarity and flux bookkeeping from propagate(), the states
+    it kept, and the factorization it stepped with ("splu" or "lu")."""
 
     times: np.ndarray
     norms: np.ndarray
     energies: np.ndarray
-    flux_residuals: np.ndarray = field(repr=False, default=None)
-    snapshots: list = field(repr=False, default_factory=list)
+    flux_residuals: np.ndarray = field(repr=False)
+    snapshots: np.ndarray = field(repr=False)
+    snapshot_times: np.ndarray
+    solver: str
 
     @property
     def norm_drift(self):
@@ -115,8 +92,9 @@ def _vdots(V, W):
     return (np.conj(V)[:, None, :] @ W[:, :, None])[:, 0, 0]
 
 
-def propagate(op, wave, dt, steps, snapshot_every=None, stability_budget=0.5):
-    """Crank-Nicolson evolution for `steps` steps of size dt.
+def propagate(op, psi0, dt, steps, snapshot_every=None, stability_budget=0.5):
+    """Crank-Nicolson evolution of the state psi0 on op's grid for `steps`
+    steps of size dt, starting at time 0.
 
     The scheme is unconditionally stable, but large dt * ||H|| trades
     accuracy for nothing; by default propagation refuses when the
@@ -136,10 +114,17 @@ def propagate(op, wave, dt, steps, snapshot_every=None, stability_budget=0.5):
     by state; and the flux's complex products are spelled in reals (see
     `junction_flux_residual`).
 
-    Returns (final MultiWave, EvolutionReport); the input wave is not
-    modified.
+    With `snapshot_every`, the states of every snapshot_every-th step and
+    of the last step are kept as the rows of `report.snapshots`, at
+    `report.snapshot_times`; without it both are empty.
+
+    Returns (final state, EvolutionReport); psi0 is not modified.
     """
-    H = as_matrix(op)
+    H, grid, symbol = op.matrix, op.grid, op.symbol
+    psi = np.array(psi0, dtype=complex)
+    n = grid.size
+    if psi.shape != (n,):
+        raise ValueError("psi0 must hold one value per grid node")
     if steps < 1:
         raise ValueError("steps must be positive")
     if stability_budget is not None:
@@ -149,11 +134,7 @@ def propagate(op, wave, dt, steps, snapshot_every=None, stability_budget=0.5):
                 f"dt * gershgorin = {budget:.3g} exceeds the accuracy budget "
                 f"{stability_budget}; refine dt or raise the budget")
 
-    n = H.shape[0]
-    symbol = op.symbol if isinstance(op, OperatorMatrix) else None
-    grid = wave.grid
     track_flux = isinstance(grid, FoldedGrid) and symbol is not None
-
     sparse = scipy.sparse.issparse(H)
     one = (scipy.sparse.diags_array(np.ones(n, dtype=complex), format="csr")
            if sparse else np.eye(n, dtype=complex))
@@ -161,20 +142,21 @@ def propagate(op, wave, dt, steps, snapshot_every=None, stability_budget=0.5):
     B = one - 0.5j * dt * H
     solve = splu(A.tocsc()).solve if sparse else partial(lu_solve, lu_factor(A))
 
-    psi = wave.data.copy()
-    times = wave.time + dt * np.arange(steps + 1)
+    times = dt * np.arange(steps + 1)
     norms = np.empty(steps + 1)
     energies = np.empty(steps + 1)
     flux = np.empty((steps + 1, 2)) if track_flux else None
-    snapshots = []
+    taken = ([] if snapshot_every is None
+             else sorted({*range(0, steps + 1, snapshot_every), steps}))
+    snapshot_row = {k: i for i, k in enumerate(taken)}
+    snapshots = np.empty((len(taken), n), dtype=complex)
     block = np.empty((max(1, min(steps + 1, _BLOCK_STEPS,
                                  _BLOCK_BYTES // (16 * n))), n), dtype=complex)
     for k in range(steps + 1):
         if k:
             psi = solve(B @ psi)
-        if snapshot_every is not None and (k % snapshot_every == 0
-                                           or k == steps):
-            snapshots.append(MultiWave(grid, psi.copy(), times[k]))
+        if k in snapshot_row:
+            snapshots[snapshot_row[k]] = psi
         row = k % len(block)
         block[row] = psi
         if row + 1 < len(block) and k < steps:
@@ -186,8 +168,9 @@ def propagate(op, wave, dt, steps, snapshot_every=None, stability_budget=0.5):
         if track_flux:
             flux[done] = junction_flux_residual(V, grid, symbol)
 
-    final = MultiWave(grid, psi, times[-1])
-    return final, EvolutionReport(times, norms, energies, flux, snapshots)
+    return psi, EvolutionReport(times, norms, energies, flux, snapshots,
+                                times[np.array(taken, dtype=int)],
+                                "splu" if sparse else "lu")
 
 
 # -- currents -----------------------------------------------------------------

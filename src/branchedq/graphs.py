@@ -155,8 +155,7 @@ class MetricGraph:
             raise FluxBalanceError(
                 f"vertex {v!r} violates the drift balance: "
                 f"sum beta |kappa|^2 = {balance:.6g} (must vanish for the "
-                "discrete operator to match the vertex conditions)",
-                imbalance=balance)
+                "discrete operator to match the vertex conditions)")
 
     def __repr__(self):
         return (f"MetricGraph({len(self.vertices)} vertices, "
@@ -234,7 +233,7 @@ class GraphLayout:
             raise ValueError("graph has no edges or half-lines to mesh")
         # Norms of mass-scaled vectors are plain sums; no grid spacing.
         self.h = 1.0
-        self._kappa = {
+        kappa = {
             v: dict(zip([(k, i) for k, i, _ in graph.incidence(v)],
                         graph.vertex_kappa(v)))
             for v in graph.vertices}
@@ -265,7 +264,7 @@ class GraphLayout:
             for local, v in ((0, va), (n, vb)):
                 if v is not None and v in self.vertex_slot:
                     slots[local] = self.vertex_slot[v]
-                    factors[local] = self._kappa[v][(kind, idx)]
+                    factors[local] = kappa[v][(kind, idx)]
                 else:
                     slots[local] = -1
                     factors[local] = 0.0
@@ -291,11 +290,11 @@ def graph_hamiltonian(graph, resolution, truncation=None):
     violations are rejected with the computed imbalance.
     """
     layout = GraphLayout(graph, resolution, truncation)
-    complex_needed = any(c.beta != 0.0 for c in layout.chains) or any(
-        complex(k).imag != 0.0
-        for v in graph.vertices for k in layout._kappa[v].values())
     # Drift-free graphs with real weights assemble real symmetric, which
-    # halves memory and lets the eigensolvers take the real path.
+    # halves memory and lets the eigensolvers take the real path.  A
+    # weighted vertex always has a slot, so the factors hold every weight.
+    complex_needed = any(c.beta != 0.0 or np.any(c.factors.imag)
+                         for c in layout.chains)
     dtype = complex if complex_needed else float
     rows, cols, vals = [], [], []
     for c in layout.chains:

@@ -75,7 +75,7 @@ def _checked_hermitian(op):
     if defect > 1e-12 * scale:
         raise NonHermitianError(
             f"matrix is not Hermitian: defect {defect:.3e} exceeds "
-            f"1e-12 * max|H| = {1e-12 * scale:.3e}", defect=defect)
+            f"1e-12 * max|H| = {1e-12 * scale:.3e}")
     if np.iscomplexobj(H) and not np.any((H.data if sparse else H).imag):
         H = H.real if sparse else np.ascontiguousarray(H.real)
     return H
@@ -269,7 +269,7 @@ def newton_refine(op, psi0, tol=1e-10, max_iter=25):
 
     The iteration homes in on whatever stationary pair is nearest; a
     start orthogonal to the intended target converges elsewhere or not at
-    all, in which case divergence is signalled with diagnostics.
+    all, in which case ConvergenceError is raised.
     """
     H = scipy.sparse.csr_array(as_matrix(op))
     n = H.shape[0]
@@ -277,10 +277,8 @@ def newton_refine(op, psi0, tol=1e-10, max_iter=25):
     E = float(np.real(np.vdot(psi, H @ psi)))
     one = scipy.sparse.eye_array(n, format="csr")
 
-    history = []
     for it in range(max_iter + 1):
         resid = float(np.max(stationarity_residual(op, psi)))
-        history.append(resid)
         if resid < tol:
             overlap = np.vdot(ref, psi)
             return E, psi * (abs(overlap) / overlap)
@@ -293,17 +291,14 @@ def newton_refine(op, psi0, tol=1e-10, max_iter=25):
             step = splu(K).solve(np.append(E * psi - H @ psi, 0.0))
         except RuntimeError as exc:
             raise ConvergenceError(
-                "Newton step failed: singular bordered system",
-                diagnostics={"iterations": it, "residuals": history}) from exc
+                "Newton step failed: singular bordered system") from exc
         psi = psi + step[:n]
         psi = psi / np.linalg.norm(psi)
         E = float(np.real(np.vdot(psi, H @ psi)))
 
     raise ConvergenceError(
         f"no convergence in {max_iter} Newton iterations "
-        f"(last stationarity residual {resid:.3e} > tol {tol:.3e})",
-        diagnostics={"iterations": max_iter, "residuals": history,
-                     "energy": E, "state": psi})
+        f"(last stationarity residual {resid:.3e} > tol {tol:.3e})")
 
 
 def variance_minimize(op, psi0, tol=1e-10, max_iter=20000):
@@ -316,8 +311,8 @@ def variance_minimize(op, psi0, tol=1e-10, max_iter=20000):
     ||(H - e) Q c||, the lowest right singular vector of (H - e) Q.  The
     subspace holds psi, so the variance never rises.  Stops when the
     variance falls below tol and returns (<H>, psi); a variance that stops
-    strictly decreasing above tol raises with the last iterate in the
-    diagnostics.
+    strictly decreasing above tol raises ConvergenceError with its last
+    value.
     """
     H = as_matrix(op)
     psi = _unit_start(psi0)
@@ -332,9 +327,7 @@ def variance_minimize(op, psi0, tol=1e-10, max_iter=20000):
             return e, psi
         if not var < last:
             raise ConvergenceError(
-                f"variance minimization stagnated at {var:.3e} > tol {tol:.3e}",
-                diagnostics={"iterations": it, "variance": var,
-                             "energy": e, "state": psi})
+                f"variance minimization stagnated at {var:.3e} > tol {tol:.3e}")
         if it == max_iter:
             break
         directions = [psi, H @ r - e * r] + ([] if prev is None else [prev])
@@ -345,6 +338,4 @@ def variance_minimize(op, psi0, tol=1e-10, max_iter=20000):
         psi = psi / np.linalg.norm(psi)
 
     raise ConvergenceError(
-        f"variance minimization hit the iteration cap at variance {var:.3e}",
-        diagnostics={"iterations": max_iter, "variance": var,
-                     "energy": e, "state": psi})
+        f"variance minimization hit the iteration cap at variance {var:.3e}")

@@ -32,7 +32,8 @@ from branchedq import acceptance, cli
 from branchedq.cli import (CONFIG_SCHEMA, _write_columns,
                           emit_dispersion_curve, main)
 from branchedq.errors import ConfigError
-from branchedq.evolution import MultiWave, probability_current, propagate
+from branchedq.evolution import (gaussian_packet, probability_current,
+                                 propagate)
 from branchedq.graphs import load_graph, star_secular_spectrum
 from branchedq.grids import FoldedGrid
 from branchedq.operators import (StencilSymbol, build_convolution_hamiltonian,
@@ -717,6 +718,13 @@ _NEEDLE = {"form": "gaussian", "amplitude": 0.5, "width": 1e-300,
      "potential: the sampled form needs x and values"),
     (_classical_config(potential={"form": "gaussian", "depth": 1.0}),
      "potential: the gaussian form takes no parameter 'depth'"),
+    (_classical_config(classical={"policy": "continue"}),
+     "'continue' is not one of ['halt', 'random-branch']"),
+    # eps * ||H||inf is 0, so the residuals have no scale.
+    (dict(_LINE_KERNEL, mode="spectrum",
+          potential={"form": "quadratic", "alpha": 0},
+          solver={"assembly": "dual-wire", "kinetic": [0, 0, 0, 0]}),
+     "solver: the operator is zero to double precision"),
 ], ids=["sweep-value", "packet-width", "packet-center", "dt-budget",
         "classical-tol-zero", "classical-tol-negative", "classical-quartic-law",
         "classical-on-cusp", "unknown-criterion", "graph-no-truncation",
@@ -743,7 +751,8 @@ _NEEDLE = {"form": "gaussian", "amplitude": 0.5, "width": 1e-300,
         "dual-wire-no-kinetic", "fourier-no-potential",
         "periodic-no-assembly", "line-grid-no-n", "kernel-quadratic",
         "graph-unknown-name", "graph-no-source", "sampled-no-table",
-        "potential-unknown-parameter"])
+        "potential-unknown-parameter", "classical-continue-policy",
+        "dual-wire-zero-operator"])
 # A numpy warning printed before the message breaks the one-line rule.
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_values_exit_two(tmp_path, payload, where):
@@ -811,9 +820,15 @@ def _star_edge(key, number):
     (_star_edge("alpha", "1e400"), "config error: graph: number 1e400 is NaN"),
     (_star_edge("length", "Infinity"),
      "config error: graph: number Infinity is NaN"),
+    # A zero matrix, and one whose eps * ||H||inf underflows to 0.
+    (_star_edge("alpha", "0.0"),
+     "config error: graph: the operator is zero to double precision"),
+    (_star_edge("alpha", "1e-320"),
+     "config error: graph: the operator is zero to double precision"),
 ], ids=["missing", "schema", "truncated", "dangling", "kappa-type",
         "drift-imbalance", "no-lines", "kappa-not-number-or-pair",
-        "alpha-nan", "beta-infinity", "alpha-overflow", "length-infinity"])
+        "alpha-nan", "beta-infinity", "alpha-overflow", "length-infinity",
+        "alpha-zero", "alpha-subnormal"])
 def test_bad_graph_file_exits_two(tmp_path, text, where):
     graph = tmp_path / "graph.json"
     if text is not None:
@@ -1562,9 +1577,9 @@ def _expected_snapshots(config):
     op = cli._hamiltonian_from(config, law, grid, cli._potential_from(config))
     ev = config["evolution"]
     packet = ev["packet"]
-    wave = MultiWave.gaussian(grid, packet["center"], packet["width"],
-                              packet["boost"])
-    _, rep = propagate(op, wave, ev["dt"], ev["steps"],
+    psi0 = gaussian_packet(grid, packet["center"], packet["width"],
+                           packet["boost"])
+    _, rep = propagate(op, psi0, ev["dt"], ev["steps"],
                        snapshot_every=ev["snapshot_every"],
                        stability_budget=ev.get("stability_budget", 0.5))
     if isinstance(grid, FoldedGrid):
@@ -1572,11 +1587,11 @@ def _expected_snapshots(config):
     else:
         coord, branch = grid.x, np.zeros(grid.size, dtype=int)
     rows = []
-    for snap in rep.snapshots:
-        current = (probability_current(snap.data, grid.h, op.symbol)
+    for t, snap in zip(rep.snapshot_times, rep.snapshots):
+        current = (probability_current(snap, grid.h, op.symbol)
                    if op.symbol is not None else np.full(grid.size, np.nan))
-        rows += zip([snap.time] * grid.size, coord, branch, snap.data.real,
-                    snap.data.imag, np.abs(snap.data) ** 2, current)
+        rows += zip([t] * grid.size, coord, branch, snap.real, snap.imag,
+                    np.abs(snap) ** 2, current)
     return len(rep.snapshots), rows
 
 

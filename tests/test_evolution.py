@@ -12,11 +12,11 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchedq import (DispersionLaw, FoldedGrid, LineGrid, MultiWave,
-                       OperatorMatrix, QuadraticPotential, StencilSymbol,
+from branchedq import (DispersionLaw, FoldedGrid, LineGrid, OperatorMatrix,
+                       QuadraticPotential, StencilSymbol,
                        build_dual_wire_hamiltonian, build_folded_hamiltonian,
-                       continuity_residual, junction_flux_residual,
-                       probability_current, propagate)
+                       continuity_residual, gaussian_packet,
+                       junction_flux_residual, probability_current, propagate)
 from branchedq.operators import gershgorin_bound
 
 LAW = DispersionLaw(kappa=3.0)
@@ -30,26 +30,30 @@ def _line_operator(n=24, seed=0, scale=1.0):
     return OperatorMatrix(H, g), g
 
 
+def _norm(grid, psi):
+    return np.sqrt(grid.h * np.sum(np.abs(psi) ** 2))
+
+
 def test_gaussian_packet_is_normalized():
     g = FoldedGrid(LAW, 40, 60)
-    w = MultiWave.gaussian(g, -4.0, 1.0, boost=0.7)
-    assert w.norm() == pytest.approx(1.0, abs=1e-12)
+    psi = gaussian_packet(g, -4.0, 1.0, boost=0.7)
+    assert psi.shape == (g.size,) and psi.dtype == complex
+    assert _norm(g, psi) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
-        MultiWave(g, np.zeros(g.size + 1))
-    with pytest.raises(ValueError):
-        MultiWave.gaussian(g, -4.0, 0.0)
+        gaussian_packet(g, -4.0, 0.0)
 
 
 def test_cayley_step_is_exactly_unitary():
     op, g = _line_operator(scale=0.2)
-    wave = MultiWave(g, np.exp(-np.linspace(-2, 2, g.size) ** 2))
-    wave.data /= wave.norm()
-    final, rep = propagate(op, wave, dt=0.05, steps=50)
+    psi0 = np.exp(-np.linspace(-2, 2, g.size) ** 2) + 0j
+    psi0 /= _norm(g, psi0)
+    kept = psi0.copy()
+    final, rep = propagate(op, psi0, dt=0.05, steps=50)
     assert rep.norm_drift < 1e-13
     assert np.max(np.abs(rep.energies - rep.energies[0])) < \
         1e-12 * max(1.0, abs(rep.energies[0]))
-    # the input wave must be left untouched
-    assert wave.time == 0.0 and wave.norm() == pytest.approx(1.0, abs=1e-12)
+    # the input state must be left untouched
+    assert np.array_equal(psi0, kept)
 
 
 def test_diagonal_hamiltonian_phases_are_cayley_exact():
@@ -58,12 +62,11 @@ def test_diagonal_hamiltonian_phases_are_cayley_exact():
     v = 1.0 + 0.3 * g.x**2
     op = build_dual_wire_hamiltonian(StencilSymbol(), lambda x: 1.0 + 0.3 * x**2, g)
     psi0 = np.full(g.size, 1.0 / np.sqrt(g.size * g.h), dtype=complex)
-    wave = MultiWave(g, psi0)
     dt, steps = 0.07, 9
-    final, _ = propagate(op, wave, dt, steps)
+    final, rep = propagate(op, psi0, dt, steps)
     r = (1.0 - 0.5j * dt * v) / (1.0 + 0.5j * dt * v)
-    assert np.max(np.abs(final.data - r**steps * psi0)) < 1e-13
-    assert final.time == pytest.approx(dt * steps)
+    assert np.max(np.abs(final - r**steps * psi0)) < 1e-13
+    assert rep.times[-1] == pytest.approx(dt * steps)
 
 
 def test_second_order_accuracy_in_dt():
@@ -71,13 +74,12 @@ def test_second_order_accuracy_in_dt():
     H = op.matrix
     psi0 = np.exp(-np.linspace(-2, 2, 16) ** 2).astype(complex)
     psi0 /= np.linalg.norm(psi0)
-    wave = MultiWave(g, psi0)
     T = 0.8
     exact = scipy.linalg.expm(-1j * T * H) @ psi0
     errs = []
     for steps in (20, 40):
-        final, _ = propagate(op, wave, T / steps, steps)
-        errs.append(np.linalg.norm(final.data - exact))
+        final, _ = propagate(op, psi0, T / steps, steps)
+        errs.append(np.linalg.norm(final - exact))
     ratio = errs[0] / errs[1]
     assert 3.0 < ratio < 5.0, f"dt-halving error ratio {ratio}"
 
@@ -94,33 +96,37 @@ def test_sparse_crank_nicolson_is_unitary_and_matches_dense(sym, n_inner, n_arm)
     g = FoldedGrid(LAW, n_inner, n_arm)
     op = build_folded_hamiltonian(LAW, g, sym)
     dense = OperatorMatrix(op.matrix.toarray(), g, symbol=op.symbol)
-    wave = MultiWave.gaussian(g, g.u[g.size // 2], 0.25 * (g.u[-1] - g.u[0]),
-                              boost=0.5)
+    psi0 = gaussian_packet(g, g.u[g.size // 2], 0.25 * (g.u[-1] - g.u[0]),
+                           boost=0.5)
     dt = 0.4 / gershgorin_bound(op)
-    final, rep = propagate(op, wave, dt, 20)
-    ref, _ = propagate(dense, wave, dt, 20)
+    final, rep = propagate(op, psi0, dt, 20)
+    ref, _ = propagate(dense, psi0, dt, 20)
     assert rep.norm_drift < 1e-12
-    assert np.max(np.abs(final.data - ref.data)) < 1e-12
+    assert np.max(np.abs(final - ref)) < 1e-12
 
 
 def test_stability_budget_guard():
     op, g = _line_operator(n=16, seed=2, scale=50.0)
-    wave = MultiWave(g, np.ones(16))
+    psi0 = np.ones(16)
     with pytest.raises(ValueError):
-        propagate(op, wave, dt=1.0, steps=1)
-    final, _ = propagate(op, wave, dt=1.0, steps=1, stability_budget=None)
-    assert np.isfinite(final.data).all()
+        propagate(op, psi0, dt=1.0, steps=1)
+    final, _ = propagate(op, psi0, dt=1.0, steps=1, stability_budget=None)
+    assert np.isfinite(final).all()
     with pytest.raises(ValueError):
-        propagate(op, wave, dt=0.1, steps=0, stability_budget=None)
+        propagate(op, psi0, dt=0.1, steps=0, stability_budget=None)
+    with pytest.raises(ValueError, match="one value per grid node"):
+        propagate(op, np.ones(17), dt=0.1, steps=1, stability_budget=None)
 
 
 def test_snapshot_schedule():
     op, g = _line_operator(n=16, seed=3, scale=0.1)
-    wave = MultiWave(g, np.ones(16, dtype=complex))
-    _, rep = propagate(op, wave, dt=0.01, steps=10, snapshot_every=4)
-    times = [s.time for s in rep.snapshots]
-    assert times == pytest.approx([0.0, 0.04, 0.08, 0.10])
+    psi0 = np.ones(16, dtype=complex)
+    _, rep = propagate(op, psi0, dt=0.01, steps=10, snapshot_every=4)
+    assert rep.snapshot_times == pytest.approx([0.0, 0.04, 0.08, 0.10])
+    assert rep.snapshots.shape == (4, 16)
     assert rep.flux_residuals is None  # not a folded grid
+    _, rep = propagate(op, psi0, dt=0.01, steps=10)
+    assert rep.snapshot_times.shape == (0,) and rep.snapshots.shape == (0, 16)
 
 
 @pytest.mark.parametrize("storage", ["sparse", "dense"])
@@ -129,19 +135,20 @@ def test_every_step_snapshots_equal_chained_single_steps(storage):
     if storage == "sparse":
         g = FoldedGrid(LAW, 8, 36)
         op = build_folded_hamiltonian(LAW, g, QuadraticPotential(1.0))
-        wave = MultiWave.gaussian(g, -10.0, 1.0, boost=0.5)
+        psi0 = gaussian_packet(g, -10.0, 1.0, boost=0.5)
     else:
         op, g = _line_operator(n=16, seed=4, scale=0.1)
-        wave = MultiWave(g, np.exp(-np.linspace(-2, 2, g.size) ** 2) + 0j)
-    _, rep = propagate(op, wave, 1e-3, 6, snapshot_every=1,
+        psi0 = np.exp(-np.linspace(-2, 2, g.size) ** 2) + 0j
+    _, rep = propagate(op, psi0, 1e-3, 6, snapshot_every=1,
                        stability_budget=None)
-    chained = [wave]
+    assert rep.solver == {"sparse": "splu", "dense": "lu"}[storage]
+    chained = [psi0]
     for _ in range(6):
         nxt, _ = propagate(op, chained[-1], 1e-3, 1, stability_budget=None)
         chained.append(nxt)
     assert len(rep.snapshots) == len(chained)
     for snap, step in zip(rep.snapshots, chained):
-        assert np.array_equal(snap.data, step.data)
+        assert np.array_equal(snap, step)
 
 
 def test_plane_wave_current_is_the_group_velocity():
@@ -161,9 +168,9 @@ def test_folded_propagation_tracks_junction_flux():
     # the packet starts a few widths out on the branch-1 arm
     g = FoldedGrid(LAW, 40, 80)
     op = build_folded_hamiltonian(LAW, g, QuadraticPotential(1.0))
-    wave = MultiWave.gaussian(g, -8.0, 1.0, boost=0.5)
+    psi0 = gaussian_packet(g, -8.0, 1.0, boost=0.5)
     dt = 1e-3
-    final, rep = propagate(op, wave, dt, 200)
+    final, rep = propagate(op, psi0, dt, 200)
     assert rep.flux_residuals.shape == (201, 2)
     assert rep.norm_drift < 1e-12
     assert rep.max_flux_residual < 1e-8
@@ -184,11 +191,11 @@ def _crossing_packet(V, flip_reversed_branch=True):
         g = FoldedGrid(LAW, n_inner, n_arm)
         op = build_folded_hamiltonian(LAW, g, V,
                                       flip_reversed_branch=flip_reversed_branch)
-        wave = MultiWave.gaussian(g, -4.0, 1.0, boost=3.0)
-        final, rep = propagate(op, wave, 1e-3, 1000, stability_budget=None)
+        psi0 = gaussian_packet(g, -4.0, 1.0, boost=3.0)
+        final, rep = propagate(op, psi0, 1e-3, 1000, stability_budget=None)
         flux.append(rep.max_flux_residual)
         drift.append(rep.norm_drift)
-        rho = np.abs(final.data) ** 2
+        rho = np.abs(final) ** 2
         crossed = rho[g.branch != 1].sum() / rho.sum()
     return np.log2(np.divide(flux[:-1], flux[1:])), max(drift), crossed
 
@@ -229,9 +236,9 @@ def test_continuity_residual_scales_as_h_squared():
     def peak(n_inner, n_arm, dt):
         g = FoldedGrid(LAW, n_inner, n_arm)
         op = build_folded_hamiltonian(LAW, g, QuadraticPotential(1.0))
-        wave = MultiWave.gaussian(g, -5.0, 1.2, boost=0.4)
-        final, _ = propagate(op, wave, dt, 1, stability_budget=None)
-        res = continuity_residual(op, wave.data, final.data, dt)
+        psi0 = gaussian_packet(g, -5.0, 1.2, boost=0.4)
+        final, _ = propagate(op, psi0, dt, 1, stability_budget=None)
+        res = continuity_residual(op, psi0, final, dt)
         return float(np.max(np.abs(res)))
 
     coarse = peak(20, 40, 1e-3)
@@ -337,11 +344,10 @@ def _line_dense():
                               "line-dense"])
 def test_blocked_diagnostics_keep_the_per_state_bits(case, steps):
     op, center, boost = case()
-    wave = MultiWave.gaussian(op.grid, center, 1.0, boost=boost)
-    _, rep = propagate(op, wave, 2e-3, steps, snapshot_every=1,
+    psi0 = gaussian_packet(op.grid, center, 1.0, boost=boost)
+    _, rep = propagate(op, psi0, 2e-3, steps, snapshot_every=1,
                        stability_budget=None)
-    norms, energies, flux = _diagnostics_per_state(
-        op, [snap.data for snap in rep.snapshots])
+    norms, energies, flux = _diagnostics_per_state(op, rep.snapshots)
     assert rep.norms.tobytes() == norms.tobytes()
     assert rep.energies.tobytes() == energies.tobytes()
     if flux is None:
@@ -355,10 +361,10 @@ def test_blocked_diagnostics_keep_the_per_state_bits(case, steps):
                          ids=["folded-quadratic", "folded-quartic"])
 def test_junction_flux_of_a_block_is_that_of_its_rows(case):
     op, center, boost = case()
-    wave = MultiWave.gaussian(op.grid, center, 1.0, boost=boost)
-    _, rep = propagate(op, wave, 2e-3, 40, snapshot_every=1,
+    psi0 = gaussian_packet(op.grid, center, 1.0, boost=boost)
+    _, rep = propagate(op, psi0, 2e-3, 40, snapshot_every=1,
                        stability_budget=None)
-    block = np.array([snap.data for snap in rep.snapshots])
+    block = rep.snapshots
     rows = junction_flux_residual(block, op.grid, op.symbol)
     assert rows.shape == (41, 2)
     for v, row in zip(block, rows):

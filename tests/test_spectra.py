@@ -328,9 +328,8 @@ def test_newton_refine_signals_divergence():
 def test_newton_refine_reports_singular_step():
     """From the equal superposition of diag(-1, 1) the Schur complement
     psi^H (H - E)^-1 psi vanishes, so the bordered system is singular."""
-    with pytest.raises(ConvergenceError, match="singular") as info:
+    with pytest.raises(ConvergenceError, match="singular"):
         newton_refine(np.diag([-1.0, 1.0]), PLUS)
-    assert info.value.diagnostics["iterations"] == 0
 
 
 def test_variance_minimize_recovers_eigenpair():
@@ -360,15 +359,11 @@ def test_variance_minimize_from_rough_start():
 
 
 def test_variance_minimize_reports_stagnation():
-    """Below the roundoff floor the variance stops decreasing; the error
-    carries the last iterate."""
+    """Below the roundoff floor the variance stops decreasing."""
     rng = np.random.default_rng(10)
     A = rng.normal(size=(10, 10))
     H = 0.5 * (A + A.T)
     psi0 = _noisy_start(np.ones(10), 0.3, 11)
-    with pytest.raises(ConvergenceError, match="stagnated") as info:
+    with pytest.raises(ConvergenceError, match="stagnated"):
         variance_minimize(H, psi0, tol=0.0)
-    diag = info.value.diagnostics
-    assert diag["variance"] < 1e-20
-    assert np.linalg.norm(diag["state"]) == pytest.approx(1.0, abs=1e-14)
 
