@@ -21,7 +21,7 @@ well = QuadraticPotential(1.0)
 
 op = build_folded_hamiltonian(law, grid, well)
 print(f"folded grid: {grid.size} nodes, h = {grid.h:.4f}")
-print(f"hermiticity defect: {hermiticity_defect(op):.2e}")
+print(f"hermiticity defect: {hermiticity_defect(op.matrix):.2e}")
 
 res = solve_eigensystem(op, k=6)
 

@@ -24,7 +24,7 @@ print("kernel assembly of an asymmetric Gaussian potential:")
 bump = GaussianPotential(2.0, 1.0, 1.5)
 for mode in ("naive", "hermitian"):
     M = build_convolution_potential(bump, grid, mode=mode, domain=law)
-    print(f"  {mode:9s} mode: hermiticity defect {hermiticity_defect(M):.2e}")
+    print(f"  {mode:9s} mode: hermiticity defect {hermiticity_defect(M.matrix):.2e}")
 
 print()
 print("centered Gaussian: both modes give the same real kernel:")

@@ -102,16 +102,17 @@ def criterion_hermiticity():
     ok = True
     for name, build in cases:
         op = build()
-        defect = hermiticity_defect(op)
+        defect = hermiticity_defect(op.matrix)
         scale = float(np.max(np.abs(op.matrix)))
         good = defect < 1e-12 * scale
         ok = ok and good
         details.append(f"{name} {defect:.1e}/{1e-12 * scale:.1e}")
 
     n1 = hermiticity_defect(build_folded_hamiltonian(
-        law, grid, QuarticPotential(0.4, 0.3, 0.2), flip_reversed_branch=False))
+        law, grid, QuarticPotential(0.4, 0.3, 0.2),
+        flip_reversed_branch=False).matrix)
     n2 = hermiticity_defect(build_convolution_potential(
-        asym, line, mode="naive", domain=law))
+        asym, line, mode="naive", domain=law).matrix)
     neg_ok = n1 > 1e-3 and n2 > 1e-3
     ok = ok and neg_ok
     details.append(f"controls unflipped {n1:.1e}, windowed-asymmetric {n2:.1e}")
@@ -139,7 +140,7 @@ def criterion_fold_unfold():
         # two paths agree to about eps*||H||inf, printed alongside.
         ok = ok and gap < 1e-8
         details.append(f"{name} max deviation {gap:.1e} "
-                       f"(eps*||H||inf {EPS * gershgorin_bound(hf):.1e}, "
+                       f"(eps*||H||inf {EPS * gershgorin_bound(hf.matrix):.1e}, "
                        f"{rf.solver}/{ru.solver})")
 
     grounds = []
@@ -174,7 +175,7 @@ def criterion_known_spectra():
     ok = oscil < 1e-6 and rel < 1e-3
     return ok, (f"oscillator levels off by {oscil:.1e} (tol 1e-6); "
                 f"clamped-box levels off by {rel:.1e} relative (tol 1e-3; "
-                f"eps*||H||inf {EPS * gershgorin_bound(op4):.1e}, "
+                f"eps*||H||inf {EPS * gershgorin_bound(op4.matrix):.1e}, "
                 f"{res4.solver})")
 
 

@@ -790,7 +790,7 @@ def _mode_kernel(config, out):
         [("", (offsets, samples.real, samples.imag))])}
     files["summary.json"] = _write_json(out / "summary.json", {
         "mode": mode,
-        "hermiticity_defect": hermiticity_defect(op),
+        "hermiticity_defect": hermiticity_defect(op.matrix),
     })
     return files, True, _stored(op.matrix)
 

@@ -24,7 +24,6 @@ evaluated from the two meeting branches must agree; their mismatch is the
 junction flux residual.
 """
 
-import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -76,7 +75,7 @@ class EvolutionReport:
 
     @property
     def max_flux_residual(self):
-        if self.flux_residuals is None or self.flux_residuals.size == 0:
+        if self.flux_residuals is None:
             return 0.0
         return float(np.max(np.abs(self.flux_residuals)))
 
@@ -85,11 +84,6 @@ class EvolutionReport:
 # about 1 MiB of states, so a 10^5-node grid checks one state at a time.
 _BLOCK_STEPS = 64
 _BLOCK_BYTES = 2**20
-
-
-def _vdots(V, W):
-    """np.vdot(v, w) of each pair of rows, as one stacked product."""
-    return (np.conj(V)[:, None, :] @ W[:, :, None])[:, 0, 0]
 
 
 def propagate(op, psi0, dt, steps, snapshot_every=None, stability_budget=0.5):
@@ -106,13 +100,9 @@ def propagate(op, psi0, dt, steps, snapshot_every=None, stability_budget=0.5):
     sparse, by dense LAPACK LU otherwise.
 
     Each state is copied into a block of rows (`_BLOCK_STEPS` and
-    `_BLOCK_BYTES` bound it), and its norm, energy and flux residuals are
-    evaluated once the block is full, with the bits of a per-state
-    evaluation: numpy's sum over a C-contiguous row and its stacked
-    vector products round as they do on one state; a sparse H @ V.T
-    (scipy's csr_matvecs) as H @ v does, where a dense H is applied state
-    by state; and the flux's complex products are spelled in reals (see
-    `junction_flux_residual`).
+    `_BLOCK_BYTES` bound it), and the norms, energies and flux residuals
+    of a full block are evaluated together, with H applied to the whole
+    block at once.
 
     With `snapshot_every`, the states of every snapshot_every-th step and
     of the last step are kept as the rows of `report.snapshots`, at
@@ -128,7 +118,7 @@ def propagate(op, psi0, dt, steps, snapshot_every=None, stability_budget=0.5):
     if steps < 1:
         raise ValueError("steps must be positive")
     if stability_budget is not None:
-        budget = dt * gershgorin_bound(op)
+        budget = dt * gershgorin_bound(H)
         if budget > stability_budget:
             raise ValueError(
                 f"dt * gershgorin = {budget:.3g} exceeds the accuracy budget "
@@ -139,7 +129,6 @@ def propagate(op, psi0, dt, steps, snapshot_every=None, stability_budget=0.5):
     one = (scipy.sparse.diags_array(np.ones(n, dtype=complex), format="csr")
            if sparse else np.eye(n, dtype=complex))
     A = one + 0.5j * dt * H
-    B = one - 0.5j * dt * H
     solve = splu(A.tocsc()).solve if sparse else partial(lu_solve, lu_factor(A))
 
     times = dt * np.arange(steps + 1)
@@ -154,7 +143,8 @@ def propagate(op, psi0, dt, steps, snapshot_every=None, stability_budget=0.5):
                                  _BLOCK_BYTES // (16 * n))), n), dtype=complex)
     for k in range(steps + 1):
         if k:
-            psi = solve(B @ psi)
+            # (1 + i dt H/2)^-1 (1 - i dt H/2) = 2 (1 + i dt H/2)^-1 - 1
+            psi = 2.0 * solve(psi) - psi
         if k in snapshot_row:
             snapshots[snapshot_row[k]] = psi
         row = k % len(block)
@@ -162,9 +152,11 @@ def propagate(op, psi0, dt, steps, snapshot_every=None, stability_budget=0.5):
         if row + 1 < len(block) and k < steps:
             continue
         done, V = slice(k - row, k + 1), block[:row + 1]
-        norms[done] = np.sqrt(grid.h * np.sum(np.abs(V) ** 2, axis=1))
-        HV = (H @ V.T).T.copy() if sparse else np.array([H @ v for v in V])
-        energies[done] = np.real(_vdots(V, HV)) / _vdots(V, V).real
+        squares = np.sum(np.abs(V) ** 2, axis=1)
+        norms[done] = np.sqrt(grid.h * squares)
+        # In V's row order: a product of mixed orders is slower.
+        HV = (H @ V.T).T.copy()
+        energies[done] = np.real(np.sum(np.conj(V) * HV, axis=1)) / squares
         if track_flux:
             flux[done] = junction_flux_residual(V, grid, symbol)
 
@@ -184,30 +176,18 @@ def _derivatives(psi, h):
     return f[2:-2], d1, d2, d3
 
 
-# Im(conj(a) b), Re(conj(a) b) and |a|^2: as numpy evaluates them on complex
-# arrays, and spelled so that arrays round as numpy's complex scalars do
-# (its array complex product and the array square of |a| move bits; libm
-# pow(x, 2), which a float64 scalar's ** 2 calls, does not).
-_ARRAY_ROUNDING = (lambda a, b: np.imag(np.conj(a) * b),
-                   lambda a, b: np.real(np.conj(a) * b),
-                   lambda a: np.abs(a) ** 2)
-_SCALAR_ROUNDING = (lambda a, b: a.real * b.imag - a.imag * b.real,
-                    lambda a, b: a.real * b.real + a.imag * b.imag,
-                    lambda a: np.array([math.pow(x, 2)
-                                        for x in np.abs(a).tolist()]))
-
-
-def _current_point(psi, d1, d2, d3, symbol, rounding=_ARRAY_ROUNDING):
-    im, re, square = rounding
-    j = 0.0
+def _current_point(psi, d1, d2, d3, symbol):
+    """The current at each node, zero everywhere for a zero symbol."""
+    j = np.zeros(np.shape(psi))
     if symbol.c4 != 0.0:
-        j -= 2.0 * symbol.c4 * (im(psi, d3) - im(d1, d2))
+        j -= 2.0 * symbol.c4 * (np.imag(np.conj(psi) * d3)
+                                - np.imag(np.conj(d1) * d2))
     if symbol.c3 != 0.0:
-        j -= symbol.c3 * (2.0 * re(psi, d2) - square(d1))
+        j -= symbol.c3 * (2.0 * np.real(np.conj(psi) * d2) - np.abs(d1) ** 2)
     if symbol.c2 != 0.0:
-        j += 2.0 * symbol.c2 * im(psi, d1)
+        j += 2.0 * symbol.c2 * np.imag(np.conj(psi) * d1)
     if symbol.c1 != 0.0:
-        j += symbol.c1 * square(psi)
+        j += symbol.c1 * np.abs(psi) ** 2
     return j
 
 
@@ -226,12 +206,6 @@ _EDGE2 = np.array([2.0, -5.0, 4.0, -1.0])
 _EDGE3 = np.array([5.0, -18.0, 24.0, -14.0, 3.0]) / 2.0
 
 
-def _edge(weights, rows):
-    """weights @ row for each row, as one stacked product that rounds as
-    the product on one row does."""
-    return (weights @ rows[:, :weights.size, None])[:, 0]
-
-
 def _one_sided(rows, h, toward):
     """Derivatives at one end of each row using only that side's data.
 
@@ -245,9 +219,9 @@ def _one_sided(rows, h, toward):
     else:
         s = -1.0
     size = rows.shape[1]
-    d1 = s * _edge(_EDGE1, rows) / h
-    d2 = _edge(_EDGE2, rows) / h**2 if size >= 4 else 0.0
-    d3 = s * _edge(_EDGE3, rows) / h**3 if size >= 5 else 0.0
+    d1 = s * np.sum(_EDGE1 * rows[:, :3], axis=1) / h
+    d2 = np.sum(_EDGE2 * rows[:, :4], axis=1) / h**2 if size >= 4 else 0.0
+    d3 = s * np.sum(_EDGE3 * rows[:, :5], axis=1) / h**3 if size >= 5 else 0.0
     return rows[:, 0], d1, d2, d3
 
 
@@ -256,10 +230,12 @@ def junction_flux_residual(psi, grid, symbol):
 
     Each side's current is evaluated from that side's nodes alone (the
     junction value is shared), so agreement is a statement about the
-    assembled dynamics, not an identity of the formula.  Returns the
-    residual at the junction p = q_+ (branches 1|2) and at p = q_-
-    (branches 2|3): shape (2,) for one state, (m, 2) for an (m, n) block
-    of states.  A block's rows are the bits of its states' own results.
+    assembled dynamics, not an identity of the formula.  Both sides
+    apply `probability_current`'s formula to one-sided differences.
+    Returns the residual at the junction p = q_+ (branches 1|2) and at
+    p = q_- (branches 2|3): shape (2,) for one state, (m, 2) for an
+    (m, n) block of states.  A block's rows are the bits of its states'
+    own results.
     """
     if not isinstance(grid, FoldedGrid):
         raise TypeError("junction flux is defined on folded grids")
@@ -272,8 +248,8 @@ def junction_flux_residual(psi, grid, symbol):
     for k, J in enumerate((grid.junction_plus, grid.junction_minus)):
         left = _one_sided(rows[:, J - need + 1:J + 1], grid.h, "left")
         right = _one_sided(rows[:, J:J + need], grid.h, "right")
-        out[:, k] = (_current_point(*left, symbol, _SCALAR_ROUNDING)
-                     - _current_point(*right, symbol, _SCALAR_ROUNDING))
+        out[:, k] = (_current_point(*left, symbol)
+                     - _current_point(*right, symbol))
     return out if d.ndim == 2 else out[0]
 
 

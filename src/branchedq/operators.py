@@ -84,12 +84,6 @@ class OperatorMatrix:
     symbol: StencilSymbol = None
 
 
-def as_matrix(op):
-    """The matrix of an operator: sparse stays sparse, the rest is an ndarray."""
-    H = op.matrix if isinstance(op, OperatorMatrix) else op
-    return H if scipy.sparse.issparse(H) else np.asarray(H)
-
-
 _D1_2 = {-1: -0.5, 1: 0.5}
 _D2_2 = {-1: 1.0, 0: -2.0, 1: 1.0}
 _D3_2 = {-2: -0.5, -1: 1.0, 1: -1.0, 2: 0.5}
@@ -372,9 +366,9 @@ def fourier_conjugate_hamiltonian(law, V, grid):
 _DEFECT_SLAB_ROWS = 64
 
 
-def hermiticity_defect(op):
-    """Largest entrywise deviation |H - H*|; compare to 1e-12 max|H|."""
-    H = as_matrix(op)
+def hermiticity_defect(H):
+    """Largest entrywise deviation |H - H*| of a sparse or dense matrix;
+    compare to 1e-12 max|H|."""
     if scipy.sparse.issparse(H):
         return float(abs(H - H.conj().T).max())
     # np.max, not max(): a NaN in any slab stays the result.
@@ -384,7 +378,6 @@ def hermiticity_defect(op):
         for i in range(0, H.shape[0], _DEFECT_SLAB_ROWS)]))
 
 
-def gershgorin_bound(op):
-    """Upper bound on the spectral radius by row sums, ||H||_inf."""
-    H = as_matrix(op)
+def gershgorin_bound(H):
+    """Upper bound on a matrix's spectral radius by row sums, ||H||_inf."""
     return float(abs(H).sum(axis=1).max())

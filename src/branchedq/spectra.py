@@ -35,7 +35,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh, splu
 
 from .errors import ConvergenceError, NonHermitianError
-from .operators import as_matrix, gershgorin_bound, hermiticity_defect
+from .operators import gershgorin_bound, hermiticity_defect
 
 # Shift-invert residuals must stay within this multiple of
 # eps * ||H||_inf: eigenvalues are defined only to about eps * ||H||.
@@ -66,7 +66,7 @@ class EigenResult:
 
 
 def _checked_hermitian(op):
-    H = as_matrix(op)
+    H = op.matrix
     sparse = scipy.sparse.issparse(H)
     if not np.all(np.isfinite(H.data if sparse else H)):
         raise ValueError("matrix has non-finite entries")
@@ -245,7 +245,7 @@ def stationarity_residual(op, psi):
     With chi = H psi each expectation is 2i Im <chi|O_i psi>, a product
     of neighboring entries of chi and psi.
     """
-    H = as_matrix(op)
+    H = op.matrix
     psi = _require_normalized(psi)
     chi = H @ psi
     a = np.conj(chi[:-1]) * psi[1:]
@@ -271,7 +271,7 @@ def newton_refine(op, psi0, tol=1e-10, max_iter=25):
     start orthogonal to the intended target converges elsewhere or not at
     all, in which case ConvergenceError is raised.
     """
-    H = scipy.sparse.csr_array(as_matrix(op))
+    H = scipy.sparse.csr_array(op.matrix)
     n = H.shape[0]
     psi = ref = _unit_start(psi0)
     E = float(np.real(np.vdot(psi, H @ psi)))
@@ -314,7 +314,7 @@ def variance_minimize(op, psi0, tol=1e-10, max_iter=20000):
     strictly decreasing above tol raises ConvergenceError with its last
     value.
     """
-    H = as_matrix(op)
+    H = op.matrix
     psi = _unit_start(psi0)
     prev = None
     last = np.inf

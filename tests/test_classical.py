@@ -142,7 +142,7 @@ def test_integrator_guards():
                            lambda x: 0.5 * x**2)
 
 
-def test_stall_away_from_a_cusp_keeps_the_partial_orbit():
+def test_stall_away_from_a_cusp_raises_stalled_error():
     """kappa = 1e-8 puts the cusp at xdot = 5.8e-5; the step size collapses
     near 1.3 times that, outside the band that counts as cusp arrival."""
     with pytest.raises(IntegrationStalledError, match="away from any cusp"):

@@ -239,6 +239,19 @@ def test_evolve_mode_outputs(tmp_path):
         (out / "manifest.json").read_text())["outputs"]
 
 
+def test_free_particle_evolves_with_zero_current(tmp_path):
+    cfg = _write_config(tmp_path / "e.json", {
+        "version": 1, "mode": "evolve",
+        "potential": {"form": "quadratic", "alpha": 0.0},
+        "evolution": {"steps": 10, "packet": {"center": -8.0}}})
+    out = tmp_path / "out"
+    assert _invoke(["evolve", "--config", cfg, "--out", str(out)]).exit_code == 0
+    report = np.loadtxt(out / "report.csv", delimiter=",", skiprows=1)
+    snaps = np.loadtxt(out / "snapshots.csv", delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(report)) and np.all(np.isfinite(snaps))
+    assert np.all(report[:, 3:] == 0.0) and np.all(snaps[:, 6] == 0.0)
+
+
 def test_graph_mode_counting_and_spectrum(tmp_path):
     cfg = _write_config(
         tmp_path / "g.json",

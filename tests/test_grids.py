@@ -52,6 +52,15 @@ def test_folded_grid_junction_momenta():
     assert g.u[g.junction_minus] == pytest.approx(2.0)
     assert g.p[g.junction_plus] == pytest.approx(2.0)
     assert g.p[g.junction_minus] == pytest.approx(-2.0)
+    # Off its two pinned junction nodes the grid's momenta are the law's
+    # fold of u, bit for bit.
+    for kappa in (1.0, 0.7, 5.3):
+        law = DispersionLaw(kappa=kappa)
+        g = FoldedGrid(law, 40, 60)
+        p, branch = law.fold(g.u)
+        off = np.delete(np.arange(g.size), [g.junction_plus, g.junction_minus])
+        assert np.array_equal(g.p[off], p[off])
+        assert np.array_equal(g.branch, branch)
 
 
 def test_folded_grid_validation():

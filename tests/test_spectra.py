@@ -22,7 +22,7 @@ from branchedq import (ConvergenceError, DispersionLaw, FoldedGrid, LineGrid,
                        stationarity_residual, variance_minimize)
 from branchedq.operators import gershgorin_bound
 
-TWO = np.diag([0.0, 1.0])
+TWO = OperatorMatrix(np.diag([0.0, 1.0]), None)
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
 
 
@@ -54,7 +54,7 @@ def test_two_level_eigensystem():
 
 
 def _spectral_tol(op):
-    return 64.0 * np.finfo(float).eps * gershgorin_bound(op)
+    return 64.0 * np.finfo(float).eps * gershgorin_bound(op.matrix)
 
 
 def test_dirichlet_laplacian_closed_form():
@@ -84,7 +84,7 @@ def test_dirichlet_laplacian_closed_form():
 
 def test_lowest_k_subset():
     H = np.diag(np.arange(10.0))
-    res = solve_eigensystem(H, k=3)
+    res = solve_eigensystem(OperatorMatrix(H, None), k=3)
     assert res.eigenvalues.size == 3
     assert np.allclose(res.eigenvalues, [0.0, 1.0, 2.0])
     assert res.eigenvectors.shape == (10, 3)
@@ -219,7 +219,8 @@ def test_large_residuals_fall_back(monkeypatch, caplog):
 
 def test_non_hermitian_rejected():
     with pytest.raises(NonHermitianError):
-        solve_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        solve_eigensystem(OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]),
+                                         None))
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -230,7 +231,7 @@ def test_non_finite_entries_rejected(bad):
                                  format="csr")
     H[7, 7] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        solve_eigensystem(H, k=3)
+        solve_eigensystem(OperatorMatrix(H, None), k=3)
 
 
 def probe_family(n):
@@ -265,7 +266,8 @@ def test_stationarity_residual_matches_probe_commutators(n, seed, sparse):
         H = np.where(mask | mask.T, H, 0.0)
     psi = rng.normal(size=n) + 1j * rng.normal(size=n)
     psi /= np.linalg.norm(psi)
-    res = stationarity_residual(scipy.sparse.csr_array(H) if sparse else H, psi)
+    op = OperatorMatrix(scipy.sparse.csr_array(H) if sparse else H, None)
+    res = stationarity_residual(op, psi)
     assert res.shape == (3 * n - 2,)
     oracle = [abs(np.vdot(psi, (H @ O - O @ H) @ psi)) for O in probe_family(n)]
     assert np.max(np.abs(res - oracle)) <= 1e-13 * max(np.linalg.norm(H, 2),
@@ -278,7 +280,7 @@ def test_stationarity_residual_frozen_values():
     # equal superposition: the Y hop probe sees commutator expectation i
     res = stationarity_residual(TWO, PLUS)
     assert np.max(res) == pytest.approx(1.0, abs=1e-12)
-    assert _stationarity_gap(TWO, PLUS) == pytest.approx(0.5, abs=1e-14)
+    assert _stationarity_gap(TWO.matrix, PLUS) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_stationarity_requires_normalized_state():
@@ -288,10 +290,11 @@ def test_stationarity_requires_normalized_state():
 
 def test_variance_pair_identity():
     X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    assert _variance_pair_residual(TWO, X, np.array([1.0, 0.0])) == \
+    assert _variance_pair_residual(TWO.matrix, X, np.array([1.0, 0.0])) == \
         pytest.approx(0.0, abs=1e-14)
     # O O* = 1 so the identity reduces to twice the variance: 2 * 1/4
-    assert _variance_pair_residual(TWO, X, PLUS) == pytest.approx(0.5, abs=1e-13)
+    assert _variance_pair_residual(TWO.matrix, X, PLUS) == \
+        pytest.approx(0.5, abs=1e-13)
 
 
 def _noisy_start(vec, scale, seed):
@@ -304,11 +307,11 @@ def _noisy_start(vec, scale, seed):
 def test_newton_refine_recovers_eigenpair():
     rng = np.random.default_rng(5)
     A = rng.normal(size=(12, 12))
-    H = 0.5 * (A + A.T)
-    ref = solve_eigensystem(H)
+    op = OperatorMatrix(0.5 * (A + A.T), None)
+    ref = solve_eigensystem(op)
     for idx in (0, 4):
         psi0 = _noisy_start(ref.eigenvectors[:, idx], 0.05, 100 + idx)
-        E, psi = newton_refine(H, psi0, tol=1e-10)
+        E, psi = newton_refine(op, psi0, tol=1e-10)
         assert abs(E - ref.eigenvalues[idx]) < 1e-8
         assert abs(np.vdot(ref.eigenvectors[:, idx], psi)) > 0.999
         # the phase is anchored to the start: <psi0|psi> real and positive
@@ -319,26 +322,26 @@ def test_newton_refine_recovers_eigenpair():
 def test_newton_refine_signals_divergence():
     rng = np.random.default_rng(6)
     A = rng.normal(size=(8, 8))
-    H = 0.5 * (A + A.T)
+    op = OperatorMatrix(0.5 * (A + A.T), None)
     psi0 = _noisy_start(np.ones(8), 1.0, 7)
     with pytest.raises(ConvergenceError):
-        newton_refine(H, psi0, tol=1e-12, max_iter=1)
+        newton_refine(op, psi0, tol=1e-12, max_iter=1)
 
 
 def test_newton_refine_reports_singular_step():
     """From the equal superposition of diag(-1, 1) the Schur complement
     psi^H (H - E)^-1 psi vanishes, so the bordered system is singular."""
     with pytest.raises(ConvergenceError, match="singular"):
-        newton_refine(np.diag([-1.0, 1.0]), PLUS)
+        newton_refine(OperatorMatrix(np.diag([-1.0, 1.0]), None), PLUS)
 
 
 def test_variance_minimize_recovers_eigenpair():
     rng = np.random.default_rng(8)
     A = rng.normal(size=(12, 12))
-    H = 0.5 * (A + A.T)
-    ref = solve_eigensystem(H)
+    op = OperatorMatrix(0.5 * (A + A.T), None)
+    ref = solve_eigensystem(op)
     psi0 = _noisy_start(ref.eigenvectors[:, 2], 0.05, 9)
-    E, psi = variance_minimize(H, psi0, tol=1e-9)
+    E, psi = variance_minimize(op, psi0, tol=1e-9)
     gaps = np.abs(ref.eigenvalues - E)
     idx = int(np.argmin(gaps))
     assert gaps[idx] < 1e-6
@@ -351,7 +354,7 @@ def test_variance_minimize_from_rough_start():
     A = rng.normal(size=(10, 10))
     H = 0.5 * (A + A.T)
     psi0 = _noisy_start(np.ones(10), 0.3, 11)
-    E, psi = variance_minimize(H, psi0, tol=1e-9)
+    E, psi = variance_minimize(OperatorMatrix(H, None), psi0, tol=1e-9)
     hpsi = H @ psi
     var = np.real(np.vdot(hpsi, hpsi)) - np.real(np.vdot(psi, hpsi)) ** 2
     assert var < 1e-9
@@ -365,5 +368,5 @@ def test_variance_minimize_reports_stagnation():
     H = 0.5 * (A + A.T)
     psi0 = _noisy_start(np.ones(10), 0.3, 11)
     with pytest.raises(ConvergenceError, match="stagnated"):
-        variance_minimize(H, psi0, tol=0.0)
+        variance_minimize(OperatorMatrix(H, None), psi0, tol=0.0)
 
