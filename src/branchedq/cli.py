@@ -329,26 +329,43 @@ def _tables():
     the slot bytes that X alone sets; and the digits of 0..9999, then the
     same without their trailing zeros.
 
-    Built on first use, with integer arithmetic: int / int rounds correctly.
+    Built on first use.  The powers take integer arithmetic, whose
+    int -> float and int / int round correctly where a float power need
+    not; the bytes take array arithmetic.
     """
-    hi, lo, slots = [], [], []
+    hi, lo = [], []
     for x in range(_X_MIN, _X_MAX + 1):
-        num, den = 10 ** max(16 - x, 0), 10 ** max(x - 16, 0)
-        m, e = (num / den).as_integer_ratio()
-        hi.append(num / den)
-        lo.append((num * e - m * den) / (den * e))
-        slot = bytearray(_SLOT)
-        if -4 <= x < 0:
-            slot[1:2 - x] = b"0." + b"0" * (-1 - x)
-        elif x != 16:
-            slot[7] = ord(".")
-        if not -4 <= x < 17:
-            slot[24:24 + len(b"e%+03d" % x)] = b"e%+03d" % x
-        slots.append(bytes(slot))
-    return (np.array(hi), np.array(lo), np.array(slots, "V%d" % _SLOT),
-            np.array([b"%04d" % i for i in range(10000)]
-                     + [(b"%04d" % i).rstrip(b"0") for i in range(10000)],
-                     "S4"))
+        if x <= 16:  # an integer: round it, then its remainder
+            n = 10 ** (16 - x)
+            hi.append(float(n))
+            lo.append(float(n - int(hi[-1])))
+        else:
+            d = 10 ** (x - 16)
+            m, e = (1 / d).as_integer_ratio()
+            hi.append(m / e)
+            lo.append((e - m * d) / (d * e))
+    x = np.arange(_X_MIN, _X_MAX + 1)
+    slots = np.zeros((x.size, _SLOT), np.uint8)
+    lead = (x >= -4) & (x < 0)  # "0." and -1 - X zeros from byte 1
+    col = np.arange(_SLOT)
+    slots[lead[:, None] & (col >= 1) & (col <= 1 - x[:, None])] = ord("0")
+    slots[lead, 2] = ord(".")
+    slots[~lead & (x != 16), 7] = ord(".")
+    shown = (x < -4) | (x >= 17)  # "e%+03d" % X from byte 24
+    a = np.abs(x)
+    digits = np.stack([a // 100, a // 10 % 10, a % 10], axis=1) + ord("0")
+    slots[shown, 24] = ord("e")
+    slots[shown, 25] = np.where(x < 0, ord("-"), ord("+"))[shown]
+    wide = shown & (a >= 100)
+    slots[wide, 26:29] = digits[wide]
+    slots[shown & ~wide, 26:28] = digits[shown & ~wide, 1:]
+    quads = (np.indices((10,) * 4).reshape(4, -1).T
+             + ord("0")).astype(np.uint8)
+    bare = quads.copy()
+    bare[np.logical_and.accumulate(quads[:, ::-1] == ord("0"),
+                                   axis=1)[:, ::-1]] = 0
+    return (np.array(hi), np.array(lo), slots.view("V%d" % _SLOT).ravel(),
+            np.concatenate([quads, bare]).view("S4").ravel())
 
 
 def _exact_text(values):

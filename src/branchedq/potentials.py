@@ -15,6 +15,13 @@ import numpy as np
 _ROOT2PI = np.sqrt(2.0 * np.pi)
 
 
+def _real(x):
+    """x as float64 values: a Python float as it is, anything else as an
+    array.  A classical orbit asks for one force at a time, and there the
+    0-d array round trip costs several times the arithmetic."""
+    return x if isinstance(x, float) else np.asarray(x, dtype=float)
+
+
 @dataclass(frozen=True)
 class QuadraticPotential:
     """V(x) = alpha * x**2 / 2."""
@@ -25,7 +32,7 @@ class QuadraticPotential:
         return 0.5 * self.alpha * np.square(x)
 
     def gradient(self, x):
-        return self.alpha * np.asarray(x, dtype=float)
+        return self.alpha * _real(x)
 
 
 @dataclass(frozen=True)
@@ -41,7 +48,7 @@ class QuarticPotential:
         return ((x + self.alpha) * x + self.beta) * x * x + self.gamma * x
 
     def gradient(self, x):
-        x = np.asarray(x, dtype=float)
+        x = _real(x)
         return ((4.0 * x + 3.0 * self.alpha) * x + 2.0 * self.beta) * x + self.gamma
 
 
@@ -67,7 +74,7 @@ class GaussianPotential(_Well):
         return self.amplitude * np.exp(-0.5 * z * z)
 
     def gradient(self, x):
-        z = (np.asarray(x, dtype=float) - self.center) / self.width
+        z = (_real(x) - self.center) / self.width
         return -self.amplitude * z / self.width * np.exp(-0.5 * z * z)
 
     def kernel(self, q):
@@ -86,7 +93,7 @@ class LorentzianPotential(_Well):
         return self.amplitude * w2 / (d * d + w2)
 
     def gradient(self, x):
-        d = np.asarray(x, dtype=float) - self.center
+        d = _real(x) - self.center
         w2 = self.width * self.width
         return -2.0 * self.amplitude * w2 * d / np.square(d * d + w2)
 
@@ -105,7 +112,7 @@ class SechSquaredPotential(_Well):
         return self.amplitude / np.square(np.cosh(z))
 
     def gradient(self, x):
-        z = (np.asarray(x, dtype=float) - self.center) / self.width
+        z = (_real(x) - self.center) / self.width
         return -2.0 * self.amplitude / self.width * np.tanh(z) / np.square(np.cosh(z))
 
     def kernel(self, q):

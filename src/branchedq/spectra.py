@@ -2,7 +2,9 @@
 variance minimization.
 
 Diagonalization is the oracle.  Dense LAPACK eigh serves dense storage and
-large shares of the spectrum; the lowest few eigenpairs of a sparse
+large shares of the spectrum, a full spectrum by divide and conquer
+(?heevd: faster than the MRRR default on clustered spectra, and nearer
+orthonormal, for O(n^2) workspace); the lowest few eigenpairs of a sparse
 operator come from ARPACK shift-invert (Ericsson & Ruhe, Math. Comp. 35
 (1980) 1251).  Banded Cholesky factorizations place the shift below the
 lowest eigenvalue, and an LDL^H inertia count certifies that no eigenvalue
@@ -21,7 +23,12 @@ stationarity residual pins an eigenstate of the discrete problem, and its
 expectations are closed-form products of neighboring entries of psi and
 H psi.  Newton refinement solves one bordered system by sparse LU per
 step; variance minimization is a three-term Rayleigh-Ritz recurrence on
-(H - <H>)^2.  Neither decomposes the spectrum.
+(H - <H>)^2, its gradient preconditioned by T = (H - sigma)^-2, where
+sigma is the shift-invert shift, at least 1 below the lowest eigenvalue.
+There T has no pole on the spectrum: it damps each eigencomponent by a
+factor that falls with its eigenvalue.  A shift inside the spectrum would
+amplify the eigenvector nearest it, wanted or not.  Neither decomposes
+the spectrum.
 """
 
 import logging
@@ -82,10 +89,12 @@ def _checked_hermitian(op):
 
 
 def _dense_eigh(H, k):
+    """Full spectra by divide and conquer (LAPACK ?syevd/?heevd), a subset
+    by the MRRR driver that scipy picks for subset_by_index."""
     if scipy.sparse.issparse(H):
         H = H.toarray()
     if k is None or k >= H.shape[0]:
-        return scipy.linalg.eigh(H)
+        return scipy.linalg.eigh(H, driver="evd")
     return scipy.linalg.eigh(H, subset_by_index=(0, k - 1))
 
 
@@ -105,12 +114,13 @@ def _rcm_band(H):
     return P.tocsc(), band
 
 
-def _lowest_bracket(band, norm):
-    """Bracket [lo, hi] of the lowest eigenvalue by banded Cholesky.
+def _shift_below(band, norm):
+    """A shift sigma at least 1 below the lowest eigenvalue lambda_0.
 
-    H - s is positive definite exactly when s lies below the lowest
-    eigenvalue, which lies in [-||H||_inf, min diag H].  Bisection stops
-    once the bracket is narrower than max(1, 1e-3 |lambda_0|).
+    H - s is positive definite exactly when s lies below lambda_0, which
+    lies in [-||H||_inf, min diag H]; bisection by banded Cholesky narrows
+    that to a bracket [lo, hi] narrower than max(1, 1e-3 |lambda_0|), and
+    sigma = lo - max(1, hi - lo).
     """
     pbtrf = scipy.linalg.lapack.get_lapack_funcs("pbtrf", (band,))
     lo, hi = -norm, float(np.min(band[0].real))
@@ -122,7 +132,7 @@ def _lowest_bracket(band, norm):
             lo = mid
         else:
             hi = mid
-    return lo, hi
+    return lo - max(1.0, hi - lo)
 
 
 def _negative_pivots(P, shift, floor):
@@ -162,8 +172,7 @@ def _shift_invert(H, k):
     norm = gershgorin_bound(H)
     eps_norm = np.finfo(float).eps * norm
     tol = _CERTIFY_MULTIPLE * eps_norm
-    lo, hi = _lowest_bracket(band, norm)
-    sigma = lo - max(1.0, hi - lo)
+    sigma = _shift_below(band, norm)
     v0 = np.random.default_rng(_START_SEED).standard_normal(H.shape[0])
     try:
         _, v = eigsh(H, k=k, sigma=sigma, which="LM", v0=v0.astype(H.dtype))
@@ -280,6 +289,8 @@ def newton_refine(op, psi0, tol=1e-10, max_iter=25):
     for it in range(max_iter + 1):
         resid = float(np.max(stationarity_residual(op, psi)))
         if resid < tol:
+            _log.info("Newton refinement: stationarity residual %.3e after "
+                      "%d iterations", resid, it)
             overlap = np.vdot(ref, psi)
             return E, psi * (abs(overlap) / overlap)
         if it == max_iter:
@@ -305,16 +316,35 @@ def variance_minimize(op, psi0, tol=1e-10, max_iter=20000):
     """Minimize var(H) = ||(H - <H>) psi||^2 over normalized states.
 
     A three-term Rayleigh-Ritz recurrence on the variance (LOBPCG on the
-    folded operator (H - e)^2): each step orthonormalizes psi, the
-    variance gradient (H - e) r with r = H psi - e psi, and the previous
-    iterate into Q, and moves to the combination Q c that minimizes
+    folded operator (H - e)^2, Knyazev, SIAM J. Sci. Comput. 23 (2001)
+    517): each step orthonormalizes psi, the preconditioned variance
+    gradient T (H - e) r with r = H psi - e psi, and the previous iterate
+    into Q, and moves to the combination Q c that minimizes
     ||(H - e) Q c||, the lowest right singular vector of (H - e) Q.  The
     subspace holds psi, so the variance never rises.  Stops when the
     variance falls below tol and returns (<H>, psi); a variance that stops
     strictly decreasing above tol raises ConvergenceError with its last
-    value.
+    value, as does the iteration cap.
+
+    The preconditioner is T = (H - sigma)^-2, with sigma the shift of
+    shift-invert: lo - max(1, hi - lo) for the banded Cholesky bracket
+    [lo, hi] of the lowest eigenvalue.  H - sigma is then Hermitian
+    positive definite, factored once per call, and T scales the gradient's
+    component along an eigenvalue lambda by (lambda - sigma)^-2.  That
+    evens out the (lambda - e)^2 weights, which the top of a grid
+    operator's spectrum dominates by orders of magnitude: C8's starts take
+    11-13 steps, not 505-538.  sigma sits below the spectrum so that the
+    weight falls monotonically in lambda; at a shift inside it, such as
+    the start's own <H>, the weight has a pole there, and the recurrence
+    can converge to whichever eigenvector lies nearest the shift instead
+    of the one the start is near.  Rejects non-Hermitian input and
+    non-finite entries, as solve_eigensystem does.
     """
-    H = op.matrix
+    H = scipy.sparse.csr_array(_checked_hermitian(op))
+    _, band = _rcm_band(H)
+    sigma = _shift_below(band, gershgorin_bound(H))
+    shifted = splu(scipy.sparse.csc_array(
+        H - sigma * scipy.sparse.eye_array(H.shape[0]), dtype=complex))
     psi = _unit_start(psi0)
     prev = None
     last = np.inf
@@ -324,13 +354,16 @@ def variance_minimize(op, psi0, tol=1e-10, max_iter=20000):
         r = hpsi - e * psi
         var = float(np.real(np.vdot(r, r)))
         if var < tol:
+            _log.info("variance minimization: variance %.3e after %d "
+                      "iterations", var, it)
             return e, psi
         if not var < last:
             raise ConvergenceError(
                 f"variance minimization stagnated at {var:.3e} > tol {tol:.3e}")
         if it == max_iter:
             break
-        directions = [psi, H @ r - e * r] + ([] if prev is None else [prev])
+        step = shifted.solve(shifted.solve(H @ r - e * r))
+        directions = [psi, step] + ([] if prev is None else [prev])
         Q, _ = np.linalg.qr(np.column_stack(directions))
         _, _, vh = np.linalg.svd(H @ Q - e * Q, full_matrices=False)
         prev, last = psi, var

@@ -58,6 +58,23 @@ def test_gradients_match_central_differences(pot):
     assert np.max(np.abs(fd - pot.gradient(x))) < 5e-8
 
 
+@pytest.mark.parametrize("pot", [
+    QuadraticPotential(1.7),
+    QuarticPotential(0.4, -1.1, 0.9),
+    GaussianPotential(2.0, 1.3, -0.7),
+    LorentzianPotential(1.5, 0.8, 0.3),
+    SechSquaredPotential(0.9, 1.1, 0.2),
+])
+def test_scalar_gradient_has_the_array_bits(pot):
+    """A Python float takes the scalar path (no 0-d array), and gives the
+    bits of the same x inside an array."""
+    rng = np.random.default_rng(7)
+    x = np.concatenate([rng.normal(0.0, 3.0, 2000), [0.0, -0.0, 1e-300, 40.0]])
+    scalar = np.array([pot.gradient(v) for v in x.tolist()])
+    assert np.array_equal(scalar.view(np.int64),
+                          pot.gradient(x).view(np.int64))
+
+
 def test_sampled_gradient_is_zero_outside_the_table():
     assert np.all(_TABLE.gradient([-7.0, -5.0 - 1e-9, 5.0 + 1e-9, 7.0]) == 0.0)
     # At a node, the slope of the segment to its right.
