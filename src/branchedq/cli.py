@@ -10,8 +10,8 @@ error, 3 numerical failure.
 Sweep points, and the criteria of a ``verify`` run, run in ``--jobs``
 worker processes started with ``fork``; ``--jobs`` defaults to the CPUs
 the process may run on, and ``--jobs 1`` runs everything in this process.
-The artifacts are the same bytes either way, apart from the run times
-that ``acceptance.txt`` prints and the ``diagnostics.json`` sidecars.
+The artifacts are the same bytes either way, apart from the
+``diagnostics.json`` sidecars.
 Worker threads ran a sweep no faster than one thread did while its CSV
 formatting was Python work that held the interpreter lock.  Forked workers
 inherit the loaded modules and pay no second import.
@@ -845,6 +845,9 @@ def _mode_verify(config, out, jobs=1):
         "dispatch": dispatch,
         "peak_rss_mb": usage.ru_maxrss / 1024.0,
         "elapsed_s": {r.cid: r.elapsed for r in results},
+        "shares": sorted(([r.cid, g.label, g.share] for r in results
+                          for g in r.gates if g.share is not None),
+                         key=lambda entry: -entry[2]),
     }
 
 

@@ -903,18 +903,6 @@ _ROUND_TRIPS = {
 }
 
 
-def _untimed(out):
-    """_tree(out) with the run times of acceptance.txt and their hash cut."""
-    files = _tree(out)
-    if "acceptance.txt" in files:
-        files["acceptance.txt"] = re.sub(rb" \(\d+\.\ds\) ", b" ",
-                                         files["acceptance.txt"])
-        manifest = json.loads(files["manifest.json"])
-        del manifest["outputs"]["acceptance.txt"]
-        files["manifest.json"] = manifest
-    return files
-
-
 @pytest.mark.parametrize("config,recorded", _ROUND_TRIPS.values(),
                          ids=_ROUND_TRIPS)
 def test_resolved_config_reproduces_the_run(tmp_path, config, recorded):
@@ -927,7 +915,7 @@ def test_resolved_config_reproduces_the_run(tmp_path, config, recorded):
     resolved = first / "config.resolved.json"
     assert _invoke(["run", "--config", str(resolved), "--out", str(again),
                     "--jobs", "1"]).exit_code == 0
-    assert _untimed(again) == _untimed(first)
+    assert _tree(again) == _tree(first)
     doc = json.loads(resolved.read_text())
     assert "out" not in doc
     for dotted, value in recorded.items():
@@ -1104,12 +1092,14 @@ def test_verify_single_criterion(tmp_path):
     assert json.loads((out / "summary.json").read_text()) == {"C6": True}
     diagnostics = json.loads((out / "diagnostics.json").read_text())
     assert set(diagnostics) == {"run_s", "workers", "dispatch", "peak_rss_mb",
-                                "elapsed_s"}
+                                "elapsed_s", "shares"}
     assert diagnostics["workers"] == 1
     assert diagnostics["dispatch"] == ["C6"]
     assert diagnostics["peak_rss_mb"] > 0
     assert set(diagnostics["elapsed_s"]) == {"C6"}
     assert diagnostics["elapsed_s"]["C6"] <= diagnostics["run_s"]
+    # C6's gates are all exact counts, which use no share of a bound.
+    assert diagnostics["shares"] == []
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest["outputs"]) == {"acceptance.txt", "summary.json",
                                         "config.resolved.json"}
@@ -1303,14 +1293,13 @@ def test_dead_worker_exits_three(tmp_path, forked, monkeypatch):
 
 
 def _verify(tmp_path, criteria, *args):
-    """Run verify on the criteria; (result, acceptance lines untimed, out)."""
+    """Run verify on the criteria; (result, acceptance lines, out)."""
     cfg = _write_config(tmp_path / "v.json", {"version": 1, "mode": "verify",
                                               "criteria": criteria})
     out = tmp_path / "out"
     shutil.rmtree(out, ignore_errors=True)
     result = _invoke(["verify", "--config", cfg, "--out", str(out), *args])
-    lines = [re.sub(r" \(\d+\.\ds\) ", " ", line) for line
-             in (out / "acceptance.txt").read_text().splitlines()]
+    lines = (out / "acceptance.txt").read_text().splitlines()
     return result, lines, out
 
 
@@ -1322,8 +1311,10 @@ def test_verify_workers_match_serial_run(tmp_path, many_cpus):
         diagnostics = json.loads((out / "diagnostics.json").read_text())
         assert diagnostics["dispatch"] == ["C10", "C6", "C1"]
         runs.append(((out / "summary.json").read_bytes(), lines,
-                     diagnostics["workers"]))
-    assert runs[0][:2] == runs[1][:2] == runs[2][:2]
+                     diagnostics["shares"], diagnostics["workers"]))
+    assert runs[0][:3] == runs[1][:3] == runs[2][:3]
+    shares = [share for _, _, share in runs[0][2]]
+    assert len(shares) == 3 and shares == sorted(shares, reverse=True)
     assert [line.split()[0] for line in runs[0][1]] == ["C1", "C6", "C10"]
     forks = "fork" in multiprocessing.get_all_start_methods()
     # --jobs defaults to the usable CPUs: one worker per criterion here.
@@ -1343,7 +1334,8 @@ def _raise():
 
 @pytest.mark.parametrize("check,detail", [
     (_raise, "raised RuntimeError: boom"),
-    (lambda: (False, "forced failure"), "forced failure"),
+    (lambda: [acceptance.Gate("forced failure", 1, "==", 0)],
+     "forced failure 1 (== 0)"),
 ], ids=["raises", "fails"])
 def test_failed_criterion_matches_serial_run(tmp_path, many_cpus, monkeypatch,
                                              check, detail):
