@@ -26,7 +26,8 @@ from .graphs import (Edge, HalfLine, MetricGraph, VertexCondition, box_graph,
                      compton_graph, count_conditions, graph_hamiltonian,
                      star_graph, star_secular_spectrum)
 from .grids import FoldedGrid, LineGrid, PeriodicGrid
-from .operators import (StencilSymbol, build_convolution_hamiltonian,
+from .operators import (StencilSymbol, _max_abs, _slab_max,
+                        build_convolution_hamiltonian,
                         build_convolution_potential, build_dual_wire_hamiltonian,
                         build_folded_hamiltonian, build_unfolded_hamiltonian,
                         fourier_conjugate_hamiltonian, gershgorin_bound,
@@ -141,7 +142,7 @@ def criterion_hermiticity():
     for name, build in cases:
         m = build().matrix
         gates.append(Gate(f"{name} defect / max|H|", hermiticity_defect(m)
-                          / float(np.max(np.abs(m))), "<", 1e-12))
+                          / _max_abs(m), "<", 1e-12))
 
     n1 = hermiticity_defect(build_folded_hamiltonian(
         law, grid, QuarticPotential(0.4, 0.3, 0.2),
@@ -386,7 +387,9 @@ def criterion_convolution_consistency():
     line = LineGrid(-20.0, 20.0, 800)
     mh = build_convolution_potential(V, line, mode="hermitian").matrix
     mn = build_convolution_potential(V, line, mode="naive", domain=law).matrix
-    entry = float(np.max(np.abs(mh - mn))) / float(np.max(np.abs(mh)))
+    entry = _slab_max(lambda rows: np.abs(mh[rows] - mn[rows]).max(),
+                      len(mh)) / _max_abs(mh)
+    del mh, mn  # the ring part runs without the two dense kernels
 
     pg = PeriodicGrid(-32.0, 32.0, 256)
     h1 = build_convolution_hamiltonian(law, V, pg, mode="hermitian")
@@ -416,17 +419,17 @@ CRITERIA = [
 ]
 
 
-# Close to longest-processing-time first (Graham, SIAM J. Appl. Math. 17
-# (1969) 416), from costs measured in fresh forked workers on a 2-core VM
-# (median of 16 `verify` runs): C9 0.12 s, C3 0.11, C10 0.10, C5 0.09,
-# C2 0.08, C7 0.08, C8 0.05, and C4, C6 and C1 under 0.05 s each.  C9
-# starts first; C10 and C2, which build the largest heaps (dense 800 x 800
-# kernels), run one after the other beside it, and the rest follow longest
-# first.  Over 12 alternating runs the sidecar's run_s read 0.298 s, against
-# 0.305 s with C8 first, the order kept while C8 was the longest criterion
-# (0.33 s).  Strict LPT, with C3 second and C10 third, was no faster
-# (0.303 s) and raised the peak resident set from 86.8 to 88.2 MB; it once
-# raised it from 87.5 to 94 MB, with C5 and C8 together and C10 third.
+# Close to longest-processing-time first (Graham, SIAM J. Appl. Math. 17 (1969)
+# 416), from costs measured in fresh forked workers on a 2-core VM (median of
+# 16 `verify` runs): C9 0.12 s, C3 0.11, C10 0.10, C5 0.09, C2 0.08, C7 0.08,
+# C8 0.05, and C4, C6 and C1 under 0.05 s each.  C9 starts first; C10 and C2,
+# which hold dense 800 x 800 kernels (traced peaks 21 and 12 MiB, the others
+# under 3.5), run one after the other beside it, and the rest follow.  Over
+# 12 alternating runs the sidecar's run_s read 0.298 s, against 0.305 s with C8
+# first, the order kept while C8 was the longest criterion (0.33 s).  Strict
+# LPT, with C3 second and C10 third, was no faster (0.303 s) and raised the
+# peak resident set from 86.8 to 88.2 MB; it once raised it from 87.5 to 94 MB,
+# with C5 and C8 together and C10 third.
 DISPATCH = ("C9", "C10", "C2", "C3", "C5", "C7", "C8", "C4", "C6", "C1")
 
 

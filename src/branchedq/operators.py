@@ -309,15 +309,14 @@ def _scaled(grid, K):
 
 
 def _windowed_sum(K1, w1, w2, w3):
-    """K1 w1 + conj(K1) w2 + K1 w3 (columns scaled), with one scratch
-    matrix beside K1 and the result."""
-    M = K1 * w1
-    term = np.conj(K1)
-    np.multiply(term, w2, out=term)
-    M += term
-    np.multiply(K1, w3, out=term)
-    M += term
-    return M
+    """K1 w1 + conj(K1) w2 + K1 w3 (columns scaled), in place in K1, one
+    row slab at a time, with two slab temporaries."""
+    for k in np.split(K1, range(_SLAB_ROWS, len(K1), _SLAB_ROWS)):
+        m, term = k * w1, np.conj(k)
+        m += np.multiply(term, w2, out=term)
+        np.add(m, np.multiply(k, w3, out=term), out=k)
+        del m, term  # before the next slab's are made
+    return K1
 
 
 def _heaviside_windows(xi, p_minus, p_plus):
@@ -361,9 +360,21 @@ def fourier_conjugate_hamiltonian(law, V, grid):
     return OperatorMatrix(H, grid)
 
 
-# Rows per slab of a dense defect: the temporaries are a few slabs, not
-# copies of the whole matrix.
-_DEFECT_SLAB_ROWS = 64
+# Rows per slab of each whole-matrix pass over a dense operator.
+_SLAB_ROWS = 64
+
+
+def _slab_max(reduce, n):
+    """max of reduce(rows) over n rows in slabs; np.max keeps a NaN."""
+    return float(np.max([reduce(slice(i, i + _SLAB_ROWS))
+                         for i in range(0, n, _SLAB_ROWS)]))
+
+
+def _max_abs(H):
+    """max|H| of a sparse or dense matrix; NaN or inf if a dense entry is."""
+    if scipy.sparse.issparse(H):
+        return float(abs(H).max())
+    return _slab_max(lambda rows: np.abs(H[rows]).max(), len(H))
 
 
 def hermiticity_defect(H):
@@ -371,13 +382,12 @@ def hermiticity_defect(H):
     compare to 1e-12 max|H|."""
     if scipy.sparse.issparse(H):
         return float(abs(H - H.conj().T).max())
-    # np.max, not max(): a NaN in any slab stays the result.
-    return float(np.max([
-        np.abs(H[i:i + _DEFECT_SLAB_ROWS]
-               - H[:, i:i + _DEFECT_SLAB_ROWS].conj().T).max()
-        for i in range(0, H.shape[0], _DEFECT_SLAB_ROWS)]))
+    return _slab_max(lambda rows: np.abs(H[rows] - H[:, rows].conj().T).max(),
+                     len(H))
 
 
 def gershgorin_bound(H):
     """Upper bound on a matrix's spectral radius by row sums, ||H||_inf."""
-    return float(abs(H).sum(axis=1).max())
+    if scipy.sparse.issparse(H):
+        return float(abs(H).sum(axis=1).max())
+    return _slab_max(lambda rows: np.abs(H[rows]).sum(axis=1).max(), len(H))

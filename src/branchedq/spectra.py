@@ -42,7 +42,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh, splu
 
 from .errors import ConvergenceError, NonHermitianError
-from .operators import gershgorin_bound, hermiticity_defect
+from .operators import _max_abs, gershgorin_bound, hermiticity_defect
 
 # Shift-invert residuals must stay within this multiple of
 # eps * ||H||_inf: eigenvalues are defined only to about eps * ||H||.
@@ -75,10 +75,12 @@ class EigenResult:
 def _checked_hermitian(op):
     H = op.matrix
     sparse = scipy.sparse.issparse(H)
-    if not np.all(np.isfinite(H.data if sparse else H)):
+    top = _max_abs(H)  # finite iff every entry is, unless |z| overflows
+    entries = H.data if sparse else H if np.isinf(top) else top
+    if not np.all(np.isfinite(entries)):
         raise ValueError("matrix has non-finite entries")
     defect = hermiticity_defect(H)
-    scale = max(float(abs(H).max()), 1e-300)
+    scale = max(top, 1e-300)
     if defect > 1e-12 * scale:
         raise NonHermitianError(
             f"matrix is not Hermitian: defect {defect:.3e} exceeds "

@@ -6,6 +6,7 @@ as the acceptance report.  The same checks back the `verify` CLI mode.
 """
 
 import re
+import tracemalloc
 
 import pytest
 
@@ -136,3 +137,23 @@ def test_first_dispatched_crash_lands_in_its_registry_slot(monkeypatch):
 def test_unknown_criteria_raise(ids, named):
     with pytest.raises(ValueError, match=f"^unknown criteria: {named}$"):
         run_acceptance(ids)
+
+
+# One 800 x 800 complex matrix, the size of C2's and C10's dense kernels.
+_KERNEL_BYTES = 800 * 800 * 16
+
+
+@pytest.mark.parametrize("cid,bound", [("C2", 1.4), ("C10", 2.4)])
+def test_dense_criteria_heap_peaks(cid, bound):
+    # With whole-matrix passes over the kernels, C2 peaked at 3.03 kernels
+    # and C10 at 4.02; in row slabs they peak at 1.19 and 2.18.
+    check = {c: fn for c, _, fn in CRITERIA}[cid]
+    check()  # the first run fills the library's caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        check()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * _KERNEL_BYTES

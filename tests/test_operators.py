@@ -22,7 +22,8 @@ from branchedq import (DispersionLaw, FoldedGrid, GaussianPotential, LineGrid,
                        build_convolution_potential, build_dual_wire_hamiltonian,
                        build_folded_hamiltonian, build_unfolded_hamiltonian,
                        fourier_conjugate_hamiltonian, hermiticity_defect)
-from branchedq.operators import _heaviside_windows, _unfolded_energy
+from branchedq.operators import (_heaviside_windows, _max_abs, _unfolded_energy,
+                                 _windowed_sum, gershgorin_bound)
 
 LAW = DispersionLaw(kappa=3.0)
 
@@ -392,10 +393,11 @@ def _unfused(V, grid, mode):
 
 @pytest.mark.parametrize("V", _KERNELS, ids=["complex", "complex-even", "real"])
 @pytest.mark.parametrize("mode", ["hermitian", "naive"])
-@pytest.mark.parametrize("n", [7, 100, 130, 200, 400])
+@pytest.mark.parametrize("n", [7, 63, 64, 65, 100, 129, 130, 200, 400, 800])
 def test_kernels_assembled_in_place_keep_every_bit(V, mode, n):
     # tobytes(), not ==: a flipped signed zero must fail.  The sizes sit
-    # on both sides of numpy's in-place threshold for temporaries.
+    # on both sides of numpy's in-place threshold for temporaries and of
+    # the 64-row slabs.
     g = LineGrid(-20.0, 20.0, n)
     expected = _unfused(V, g, mode)
     got = build_convolution_potential(V, g, mode=mode, domain=LAW).matrix
@@ -448,6 +450,49 @@ def test_blocked_defect_equals_the_whole_matrix_defect(n, dtype):
     assert np.isnan(hermiticity_defect(H))
 
 
+# Sizes around the 64-row slab, and C2's and C10's kernels.
+_SLAB_SIZES = [1, 2, 63, 64, 65, 129, 800]
+
+
+@pytest.mark.parametrize("V", _KERNELS[:2], ids=["asymmetric", "symmetric"])
+@pytest.mark.parametrize("n", _SLAB_SIZES)
+def test_windowed_sum_in_slabs_keeps_every_bit(V, n):
+    # Against the whole-matrix expression, on the nodes of a line grid;
+    # called directly, since a LineGrid needs 5 nodes or more.
+    h = 40.0 / (n + 1)
+    samples = V.kernel(h * np.arange(-(n - 1), n))
+    K1 = toeplitz(samples[n - 1:], samples[n - 1::-1])
+    w1, w2, w3 = _heaviside_windows(-20.0 + h * np.arange(1, n + 1),
+                                    LAW.p_minus, LAW.p_plus)
+    expected = K1 * w1 + np.conj(K1) * w2 + K1 * w3
+    assert _windowed_sum(K1, w1, w2, w3).tobytes() == expected.tobytes()
+
+
+_SPECIALS = [0.0, -0.0, 5e-324, -1e-310, 1e300, -1.7e308, np.inf, -np.inf,
+             np.nan]
+
+
+@pytest.mark.parametrize("n", _SLAB_SIZES)
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("specials", [6, 8, 9], ids=["finite", "inf", "nan"])
+def test_slab_reducers_keep_every_bit(n, dtype, specials):
+    # A Hermitian matrix with signed zeros, tiny and huge parts, and then
+    # infinities and NaNs, in about one part in twenty.
+    rng = np.random.default_rng(n)
+    H = rng.standard_normal((n, n)).astype(dtype)
+    if dtype is complex:
+        H += 1j * rng.standard_normal((n, n))
+    H = H + H.conj().T
+    parts = H.view(float).reshape(-1)
+    spots = rng.integers(0, parts.size, max(1, parts.size // 20))
+    parts[spots] = rng.choice(_SPECIALS[:specials], spots.size)
+    with np.errstate(all="ignore"):
+        got = [hermiticity_defect(H), gershgorin_bound(H), _max_abs(H)]
+        whole = [float(abs(H - H.conj().T).max()),
+                 float(abs(H).sum(axis=1).max()), float(np.max(np.abs(H)))]
+    assert np.array(got).tobytes() == np.array(whole).tobytes()
+
+
 def _heap_peak(build):
     """(result, peak bytes traced while building it)."""
     tracemalloc.start()
@@ -461,16 +506,18 @@ def _heap_peak(build):
 
 
 def test_dense_kernel_heap_peaks():
-    # The sizes of C2 and C10.  Ratios are of the result's nbytes: the
-    # plain expressions peaked at 4.02 (naive), 2.00 (hermitian), 2.02
-    # (Hamiltonian) and 2.01 (defect).
+    # The sizes of C2 and C10.  Ratios are of the result's nbytes, one
+    # 800 x 800 complex matrix: the plain expressions peaked at 4.02
+    # (naive), 2.00 (hermitian), 2.02 (Hamiltonian) and 2.01 (defect); the
+    # windowed sum in slabs, in place, peaks at 1.18.
     g = LineGrid(-20.0, 20.0, 800)
     V = GaussianPotential(2.0, 1.0, 1.5)
-    for mode, bound in (("naive", 3.1), ("hermitian", 1.1)):
+    for mode, bound in (("naive", 1.2), ("hermitian", 1.1)):
         op, peak = _heap_peak(lambda: build_convolution_potential(
             V, g, mode=mode, domain=LAW))
         assert peak <= bound * op.matrix.nbytes, mode
     H, peak = _heap_peak(lambda: build_convolution_hamiltonian(LAW, V, g))
     assert peak <= 1.1 * H.matrix.nbytes
-    _, peak = _heap_peak(lambda: hermiticity_defect(H.matrix))
-    assert peak <= 0.25 * H.matrix.nbytes
+    for reduce in (hermiticity_defect, gershgorin_bound, _max_abs):
+        _, peak = _heap_peak(lambda: reduce(H.matrix))
+        assert peak <= 0.25 * H.matrix.nbytes, reduce.__name__
