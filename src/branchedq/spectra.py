@@ -75,12 +75,10 @@ class EigenResult:
 def _checked_hermitian(op):
     H = op.matrix
     sparse = scipy.sparse.issparse(H)
-    top = _max_abs(H)  # finite iff every entry is, unless |z| overflows
-    entries = H.data if sparse else H if np.isinf(top) else top
-    if not np.all(np.isfinite(entries)):
+    if not np.all(np.isfinite(H.data if sparse else H)):
         raise ValueError("matrix has non-finite entries")
     defect = hermiticity_defect(H)
-    scale = max(top, 1e-300)
+    scale = max(_max_abs(H), 1e-300)
     if defect > 1e-12 * scale:
         raise NonHermitianError(
             f"matrix is not Hermitian: defect {defect:.3e} exceeds "

@@ -202,18 +202,12 @@ def main(argv=None):
     parser.add_argument("--expect-change", action="append", default=[],
                         metavar="GLOB", help="a disclosed change: a glob of "
                         "<case>/<path> keys (repeatable)")
-    parser.add_argument("--work", default=None, help="keep the outputs in "
-                        "this new directory (default: a temporary one)")
     args = parser.parse_args(argv)
 
     cases = json.loads(COVERING.read_text())
     with contextlib.ExitStack() as stack:
-        if args.work:
-            work = Path(args.work).resolve()
-            work.mkdir(parents=True)
-        else:
-            work = Path(stack.enter_context(tempfile.TemporaryDirectory(
-                prefix="differential-")))
+        work = Path(stack.enter_context(tempfile.TemporaryDirectory(
+            prefix="differential-")))
         trees = {"parent": stack.enter_context(
             checkout(args.parent, work / "tree-parent"))}
         trees["change"] = (stack.enter_context(checkout(
