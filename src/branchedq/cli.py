@@ -12,19 +12,22 @@ worker processes started with ``fork``; ``--jobs`` defaults to the CPUs
 the process may run on, and ``--jobs 1`` runs everything in this process.
 The artifacts are the same bytes either way, apart from the
 ``diagnostics.json`` sidecars.
-Worker threads ran a sweep no faster than one thread did while its CSV
-formatting was Python work that held the interpreter lock.  Forked workers
-inherit the loaded modules and pay no second import.
+Forked workers inherit the loaded modules and pay no second import.  Two
+threads in their place lost on a 2-vCPU VM (medians of 6 runs): the sweep
+took 1.36 s and 77 MB against 1.14 s and 64 MB, verify 0.73 s and 100 MB
+against 0.62 s and 70 MB.
 
-Every CSV float is rendered as the bytes of ``"%.17g" % v`` by one array
+Every CSV value is rendered as the bytes of ``"%.17g" % v`` by one array
 kernel: with X = floor(log10|v|), it forms |v| * 10**(16 - X) as a
 double-double (Dekker, Numer. Math. 18 (1971) 224) from correctly rounded
 powers of ten, and rounds it to 17 digits.  A scaled fraction within 1e-12
 of 1/2, a scaled value outside [1e16, 1e17) and a magnitude outside
 [1e-270, 1e270] fall back to ``%``; zeros, infinities and NaNs are written
-directly.  Files are rendered and written in chunks of 4096 rows, a
-spectrum's state files several to a chunk.  On a 2-vCPU VM the kernel
-takes about 0.2 us per float, ``%`` about 1 us.
+directly.  Integer columns (indices, branch labels, event flags) stay
+below 2**53, where float64 is exact and ``"%.17g"`` writes ``"%d"``'s bytes.
+Files are rendered and written in chunks of 4096 rows, state files and
+snapshots several whole to a chunk, whose grid columns are rendered once per
+run.  On a 2-vCPU VM the kernel takes about 0.2 us per float, ``%`` 1 us.
 
 The CLI defaults OpenBLAS to one thread unless ``OPENBLAS_NUM_THREADS``,
 ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set.  numpy and scipy each
@@ -59,7 +62,6 @@ import hashlib
 import json
 import math
 import os
-import re
 import sys
 import time
 from collections import namedtuple
@@ -318,7 +320,6 @@ def _check_reads(config, source=""):
 # or X >= 17; for 1 <= X <= 16, d1..dX move left over the point.  Unused
 # bytes, trailing zeros and a bare point are NULs, which `_text` drops.
 
-_FIELD = re.compile(r"%(\.17g|d|%)")
 _SLOT = 29
 _X_MIN, _X_MAX = -272, 271  # the decimal exponents the tables cover
 
@@ -434,24 +435,14 @@ def _g17(values):
     return out
 
 
-def _ints(values):
-    """"%d" % v of each value, as the rows of a NUL-padded uint8 matrix."""
-    text = np.array(["%d" % v for v in np.asarray(values).ravel().tolist()],
-                    "S")
-    return text.view(np.uint8).reshape(text.size, text.itemsize)
-
-
-def _rows(fmt, columns, lead=None, prefix=""):
-    """The rows prefix + lead + `fmt`, as one NUL-padded uint8 matrix.
-
-    `fmt`'s "%.17g" and "%d" slots take the aligned columns in turn.
-    """
-    n, values = len(columns[0]), iter(columns)
-    parts = [prefix] if lead is None else [prefix, lead]
-    for i, piece in enumerate(_FIELD.split(fmt)):
-        if i % 2 and piece != "%":
-            piece = (_g17 if piece == ".17g" else _ints)(next(values))
-        parts.append(piece)
+def _rows(columns):
+    """Row i of each of the aligned `columns`, comma separated and ended by
+    a newline, as one NUL-padded uint8 matrix.  A column of values is
+    rendered by `_g17`; a 2-D one is rendered already."""
+    parts = []
+    for column in columns:
+        parts += [_g17(column) if np.ndim(column) == 1 else column, ","]
+    parts[-1], n = "\n", len(parts[0])
     return np.hstack([np.broadcast_to(np.frombuffer(p.encode(), np.uint8),
                                       (n, len(p))) if isinstance(p, str) else p
                       for p in parts])
@@ -468,23 +459,25 @@ def _text(rows):
 _ROWS_PER_CALL = 4096
 
 
-def _write_columns(path, header, fmt, blocks, lead=None):
-    """Write a CSV file block by block, `_ROWS_PER_CALL` rows per chunk,
-    and return the sha256 hex digest of its bytes.
+def _groups(count, size):
+    """Slices over `count` items of `size` rows each: whole items, about
+    `_ROWS_PER_CALL` rows (one item at least) to a slice."""
+    step = max(1, _ROWS_PER_CALL // size)
+    return [slice(first, first + step) for first in range(0, count, step)]
 
-    `blocks` yields (prefix, columns) pairs.  Row i of a block is the
-    prefix text, then row i of `lead` (no lead by default), then `fmt`
-    with its slots filled from row i of the aligned columns.
-    """
+
+def _write_columns(path, blocks):
+    """Write the CSV file of `blocks`, {name: column} mappings with the same
+    names (the header), `_ROWS_PER_CALL` rows per chunk; return the sha256
+    hex digest of its bytes."""
     def chunks():
-        yield (",".join(header) + "\n").encode()
-        for prefix, columns in blocks:
-            columns = [np.asarray(c) for c in columns]
-            for start in range(0, columns[0].size, _ROWS_PER_CALL):
-                stop = start + _ROWS_PER_CALL
-                yield _text(_rows(
-                    fmt, [c[start:stop] for c in columns],
-                    None if lead is None else lead[start:stop], prefix))
+        for i, block in enumerate(blocks):
+            if i == 0:
+                yield (",".join(block) + "\n").encode()
+            columns = list(block.values())
+            for start in range(0, len(columns[0]), _ROWS_PER_CALL):
+                yield _text(_rows([c[start:start + _ROWS_PER_CALL]
+                                   for c in columns]))
 
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
@@ -604,14 +597,21 @@ def _lowest(op, k, section):
     """The lowest k eigenpairs of op (all, if it has fewer) and the
     spectral sidecar: what was solved, how, and how well.
 
-    An operator whose eps * ||H||inf is 0 gives its residuals no scale;
-    it is refused as a ConfigError of the config section that built it.
+    An operator whose eps * ||H||inf is 0 gives its residuals no scale,
+    and one whose residual tolerance squared overflows (||H||inf above
+    about 9.4e167) gives their norms no room; either is refused as a
+    ConfigError of the config section that built it.
     """
     H = op.matrix
     eps_norm = float(np.finfo(float).eps * gershgorin_bound(H))
     if eps_norm == 0.0:
         raise ConfigError(f"{section}: the operator is zero to double "
                           "precision (eps * ||H||inf is 0)")
+    tol = _CERTIFY_MULTIPLE * eps_norm
+    if math.isfinite(tol) and not math.isfinite(tol * tol):
+        raise ConfigError(f"{section}: the operator is too large for double "
+                          "precision (the square of its residual tolerance "
+                          f"{_CERTIFY_MULTIPLE:g} * eps * ||H||inf overflows)")
     res = solve_eigensystem(op, k=min(k, H.shape[0]))
     max_residual = float(res.residuals.max())
     return res, {
@@ -619,15 +619,19 @@ def _lowest(op, k, section):
         "solver": res.solver,
         "max_residual": max_residual,
         "eps_norm": eps_norm,  # eigenvalues are defined only to about this
-        "residual_margin": max_residual / (_CERTIFY_MULTIPLE * eps_norm),
+        "residual_margin": max_residual / tol,
     }
 
 
-def _grid_lead(grid):
-    """The coordinate and branch columns, formatted once per run."""
+def _grid_columns(grid):
+    """The coordinate and branch columns of the grid's nodes, rendered once
+    for every state's rows, without the bytes that are NUL in every row."""
     if isinstance(grid, FoldedGrid):
-        return _rows("%.17g,%d,", (grid.u, grid.branch))
-    return _rows("%.17g,%d,", (grid.x, np.zeros(grid.size, dtype=int)))
+        columns = {"coordinate": grid.u, "branch": grid.branch}
+    else:
+        columns = {"coordinate": grid.x, "branch": np.zeros(grid.size, int)}
+    text = {name: _g17(column) for name, column in columns.items()}
+    return {name: rows[:, rows.any(axis=0)] for name, rows in text.items()}
 
 
 # -- mode handlers -------------------------------------------------------------
@@ -643,23 +647,24 @@ def _mode_spectrum(config, out):
     assembled = time.perf_counter()
     res, sidecar = _lowest(op, int(config["solver"]["k"]), "solver")
     solved = time.perf_counter()
-    files = {"eigenvalues.csv": _write_columns(
-        out / "eigenvalues.csv", ("index", "energy", "residual"),
-        "%d,%.17g,%.17g\n", [("", (np.arange(res.eigenvalues.size),
-                                   res.eigenvalues, res.residuals))])}
+    files = {"eigenvalues.csv": _write_columns(out / "eigenvalues.csv", [{
+        "index": np.arange(res.eigenvalues.size),
+        "energy": res.eigenvalues, "residual": res.residuals}])}
     # State files are rendered several to a chunk, then cut at their sizes.
-    lead = _grid_lead(op.grid)
-    per_call = max(1, _ROWS_PER_CALL // len(lead))
-    for first in range(0, res.eigenvalues.size, per_call):
-        block = res.eigenvectors[:, first:first + per_call].T
-        rows = _rows("%.17g,%.17g\n", (block.real.ravel(), block.imag.ravel()),
-                     np.tile(lead, (len(block), 1)))
+    where = _grid_columns(op.grid)
+    for group in _groups(res.eigenvalues.size, op.grid.size):
+        states = res.eigenvectors[:, group].T
+        columns = {**{name: np.tile(text, (len(states), 1))
+                      for name, text in where.items()},
+                   "re": states.real.ravel(), "im": states.imag.ravel()}
+        rows = _rows(columns.values())
+        header = (",".join(columns) + "\n").encode()
         text, begin = _text(rows), 0
-        sizes = np.count_nonzero(rows.reshape(len(block), -1), axis=1)
-        for i, size in enumerate(sizes.tolist(), first):
+        sizes = np.count_nonzero(rows.reshape(len(states), -1), axis=1)
+        for i, size in enumerate(sizes.tolist(), group.start):
             name = f"state_{i:03d}.csv"
-            files[name] = _write_bytes(out / name, b"coordinate,branch,re,im\n"
-                                       + text[begin:begin + size])
+            files[name] = _write_bytes(out / name,
+                                       header + text[begin:begin + size])
             begin += size
     return files, True, {"assemble_s": assembled - start,
                          "solve_s": solved - assembled,
@@ -683,28 +688,28 @@ def _mode_evolve(config, out):
     nsteps = rep.times.size
     flux = rep.flux_residuals if rep.flux_residuals is not None \
         else np.full((nsteps, 2), np.nan)
-    files = {"report.csv": _write_columns(
-        out / "report.csv",
-        ("time", "norm", "energy", "flux_plus", "flux_minus"),
-        "%.17g,%.17g,%.17g,%.17g,%.17g\n",
-        [("", (rep.times, rep.norms, rep.energies, flux[:, 0], flux[:, 1]))])}
+    files = {"report.csv": _write_columns(out / "report.csv", [{
+        "time": rep.times, "norm": rep.norms, "energy": rep.energies,
+        "flux_plus": flux[:, 0], "flux_minus": flux[:, 1]}])}
 
     # Without snapshots, the final state is written.
-    kept = (zip(rep.snapshot_times, rep.snapshots) if rep.snapshot_times.size
-            else [(rep.times[-1], psi)])
+    times, kept = ((rep.snapshot_times, rep.snapshots)
+                   if rep.snapshot_times.size else (rep.times[-1:], psi[None]))
+    where = _grid_columns(grid)
 
     def blocks():
-        for t, data in kept:
-            current = (probability_current(data, grid.h, op.symbol)
-                       if op.symbol is not None
-                       else np.full(data.size, np.nan))
-            yield (_text(_rows("%.17g,", ([t],))).decode(),
-                   (data.real, data.imag, np.abs(data) ** 2, current))
+        for group in _groups(len(kept), grid.size):
+            data = kept[group]
+            current = (np.full(data.size, np.nan) if op.symbol is None
+                       else np.concatenate([probability_current(
+                           state, grid.h, op.symbol) for state in data]))
+            yield {"time": np.repeat(times[group], grid.size),
+                   **{name: np.tile(text, (len(data), 1))
+                      for name, text in where.items()},
+                   "re": data.real.ravel(), "im": data.imag.ravel(),
+                   "rho": np.abs(data.ravel()) ** 2, "current": current}
 
-    files["snapshots.csv"] = _write_columns(
-        out / "snapshots.csv",
-        ("time", "coordinate", "branch", "re", "im", "rho", "current"),
-        "%.17g,%.17g,%.17g,%.17g\n", blocks(), _grid_lead(grid))
+    files["snapshots.csv"] = _write_columns(out / "snapshots.csv", blocks())
     files["summary.json"] = _write_json(out / "summary.json", {
         "norm_drift": rep.norm_drift,
         "max_flux_residual": rep.max_flux_residual,
@@ -746,10 +751,9 @@ def _mode_graph(config, out):
                                    truncation=gcfg.get("truncation"))
         res, sidecar = _lowest(op, int(config["solver"]["k"]), "graph")
         w = res.eigenvalues
-        files["eigenvalues.csv"] = _write_columns(
-            out / "eigenvalues.csv", ("index", "energy", "wavenumber"),
-            "%d,%.17g,%.17g\n", [("", (np.arange(w.size), w,
-                                       np.sqrt(np.where(w < 0.0, 0.0, w))))])
+        files["eigenvalues.csv"] = _write_columns(out / "eigenvalues.csv", [{
+            "index": np.arange(w.size), "energy": w,
+            "wavenumber": np.sqrt(np.where(w < 0.0, 0.0, w))}])
     return files, True, sidecar
 
 
@@ -771,11 +775,9 @@ def _mode_classical(config, out):
                                   max_events=int(c["max_events"]),
                                   t_eval=t_eval)
         integrate_s = time.perf_counter() - start
-    files = {"trajectory.csv": _write_columns(
-        out / "trajectory.csv", ("t", "x", "xdot", "p", "E", "branch", "event"),
-        "%.17g,%.17g,%.17g,%.17g,%.17g,%d,%d\n",
-        [("", (traj.t, traj.x, traj.xdot, traj.momentum, traj.energy,
-               traj.branch, traj.event_flag))])}
+    files = {"trajectory.csv": _write_columns(out / "trajectory.csv", [{
+        "t": traj.t, "x": traj.x, "xdot": traj.xdot, "p": traj.momentum,
+        "E": traj.energy, "branch": traj.branch, "event": traj.event_flag}])}
     files["summary.json"] = _write_json(out / "summary.json", {
         "status": traj.status,
         "events": len(traj.events),
@@ -802,9 +804,8 @@ def _mode_kernel(config, out):
         op = build_convolution_potential(potential, grid, mode=mode, domain=law)
     offsets = grid.h * np.arange(-(grid.size - 1), grid.size)
     samples = potential.kernel(offsets)
-    files = {"kernel.csv": _write_columns(
-        out / "kernel.csv", ("offset", "re", "im"), "%.17g,%.17g,%.17g\n",
-        [("", (offsets, samples.real, samples.imag))])}
+    files = {"kernel.csv": _write_columns(out / "kernel.csv", [{
+        "offset": offsets, "re": samples.real, "im": samples.imag}])}
     files["summary.json"] = _write_json(out / "summary.json", {
         "mode": mode,
         "hermiticity_defect": hermiticity_defect(op.matrix),
@@ -981,10 +982,8 @@ def emit_dispersion_curve(kappa, samples, v_min=-3.0, v_max=3.0,
                           path="dispersion.csv"):
     """Write the (xdot, p, E, branch) sweep tracing the momentum-energy curve."""
     law = DispersionLaw(kappa=float(kappa))
-    data = velocity_sweep(law, float(v_min), float(v_max), int(samples))
-    _write_columns(Path(path), ("xdot", "p", "E", "branch"),
-                   "%.17g,%.17g,%.17g,%d\n",
-                   [("", (data["xdot"], data["p"], data["E"], data["branch"]))])
+    _write_columns(Path(path), [velocity_sweep(law, float(v_min),
+                                                float(v_max), int(samples))])
     return Path(path)
 
 

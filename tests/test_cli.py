@@ -738,6 +738,13 @@ _NEEDLE = {"form": "gaussian", "amplitude": 0.5, "width": 1e-300,
           potential={"form": "quadratic", "alpha": 0},
           solver={"assembly": "dual-wire", "kinetic": [0, 0, 0, 0]}),
      "solver: the operator is zero to double precision"),
+    # 64 * eps * ||H||inf squared overflows, so a residual's norm would.
+    ({"version": 1, "mode": "spectrum",
+      "grid": {"kind": "line", "x_min": -1.0, "x_max": 1.0, "n": 5},
+      "potential": {"form": "quadratic", "alpha": 1.0},
+      "solver": {"assembly": "dual-wire",
+                 "kinetic": [-1.0, 4.4366529212936, 1e-8, 1e300], "k": 2}},
+     "solver: the operator is too large for double precision"),
 ], ids=["sweep-value", "packet-width", "packet-center", "dt-budget",
         "classical-tol-zero", "classical-tol-negative", "classical-quartic-law",
         "classical-on-cusp", "unknown-criterion", "graph-no-truncation",
@@ -765,7 +772,7 @@ _NEEDLE = {"form": "gaussian", "amplitude": 0.5, "width": 1e-300,
         "periodic-no-assembly", "line-grid-no-n", "kernel-quadratic",
         "graph-unknown-name", "graph-no-source", "sampled-no-table",
         "potential-unknown-parameter", "classical-continue-policy",
-        "dual-wire-zero-operator"])
+        "dual-wire-zero-operator", "dual-wire-residual-overflow"])
 # A numpy warning printed before the message breaks the one-line rule.
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_values_exit_two(tmp_path, payload, where):
@@ -1532,45 +1539,40 @@ def test_write_columns_matches_csv_writer(tmp_path, monkeypatch):
         # numpy scalars per cell on the oracle side, whole columns on the
         # new one
         _csv_writer_oracle(old, header, zip(x, ints, cplx.real, cplx.imag))
-        _write_columns(new, header, "%.17g,%d,%.17g,%.17g\n",
-                       [("", (x, ints, cplx.real, cplx.imag))])
+        _write_columns(new, [dict(zip(header, (x, ints, cplx.real,
+                                               cplx.imag)))])
         assert new.read_bytes() == old.read_bytes()
         # python floats and ints, as the eigenvalue tables used to pass them
         _csv_writer_oracle(old, ("index", "energy"),
                            [(i, float(e)) for i, e in enumerate(x)])
-        _write_columns(new, ("index", "energy"), "%d,%.17g\n",
-                       [("", (np.arange(n), x))])
+        _write_columns(new, [{"index": np.arange(n), "energy": x}])
         assert new.read_bytes() == old.read_bytes()
-        # an empty lead with an int column no float holds exactly
-        big = np.array([2**53 + 1, -(2**62), 0, 7] * (n // 4)
-                       + [1] * (n % 4))
-        _csv_writer_oracle(old, ("energy", "count"), zip(x, big))
-        _write_columns(new, ("energy", "count"), "%.17g,%d\n", [("", (x, big))])
+        # integer columns out to +-2**53, where float64 still holds every
+        # integer, rendered as "%d" renders them
+        edge = np.array([2**53, -(2**53), 2**53 - 1, 1 - 2**53, 10**15,
+                         -(10**15), 0, 7] * (n // 8) + [1] * (n % 8))
+        _csv_writer_oracle(old, ("energy", "count"), zip(x, edge))
+        _write_columns(new, [{"energy": x, "count": edge}])
         assert new.read_bytes() == old.read_bytes()
-
-        # a templated lead: special values in the shared coordinate column
-        # and in the open columns
+        # several blocks of the same names, with a repeated time column and
+        # special values in the shared coordinate column and in the others
         re, im = np.roll(x, 3), x[::-1].copy()
-        lead = cli._rows("%.17g,%d,", (x, ints))
-        _csv_writer_oracle(old, header, zip(x, ints, re, im))
-        _write_columns(new, header, "%.17g,%.17g\n", [("", (re, im))], lead)
-        assert new.read_bytes() == old.read_bytes()
-        # several blocks under one lead, each opened by its own prefix
         times = [0.0, np.nan, 1e-300]
         blocks = [(np.roll(re, k), np.roll(im, -k)) for k in range(3)]
         _csv_writer_oracle(old, ("time",) + header,
                            [(t, *row) for t, (a, b) in zip(times, blocks)
                             for row in zip(x, ints, a, b)])
-        _write_columns(new, ("time",) + header, "%.17g,%.17g\n",
-                       iter([("%.17g," % t, cols)
-                             for t, cols in zip(times, blocks)]), lead)
+        _write_columns(new, iter([{"time": np.full(n, t), "x": x,
+                                   "branch": ints, "re": a, "im": b}
+                                  for t, (a, b) in zip(times, blocks)]))
         assert new.read_bytes() == old.read_bytes()
-        # a literal % in lead and prefix text is escaped, not a slot
-        _csv_writer_oracle(old, ("tag", "share", "re"),
-                           [("p%", f"{i}%", v)
-                            for i, v in zip(ints.tolist(), re)])
-        _write_columns(new, ("tag", "share", "re"), "%.17g\n",
-                       [("p%,", (re,))], cli._rows("%d%%,", (ints,)))
+        # columns rendered already, as the grid columns are: whole, or
+        # without the bytes that are NUL in every row
+        branch = cli._g17(ints)
+        _csv_writer_oracle(old, header, zip(x, ints, re, im))
+        _write_columns(new, [{"x": cli._g17(x),
+                              "branch": branch[:, branch.any(axis=0)],
+                              "re": re, "im": im}])
         assert new.read_bytes() == old.read_bytes()
 
 

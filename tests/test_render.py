@@ -31,7 +31,7 @@ def _assert_exact(values):
     for start in range(0, values.size, _CHUNK):
         part = values[start:start + _CHUNK]
         want = "".join("%.17g\n" % v for v in part.tolist()).encode()
-        got = cli._text(cli._rows("%.17g\n", [part]))
+        got = cli._text(cli._rows([part]))
         if got != want:
             bad = [(v, w, g) for v, w, g in zip(part.tolist(), want.split(),
                                                 got.split()) if w != g]
