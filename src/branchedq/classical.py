@@ -47,8 +47,10 @@ import numpy as np
 from .errors import DegeneracyError, IntegrationStalledError
 
 DEGENERACY_TOL = 1e-9
-# Velocity band around the cusp inside which a step-size collapse is
-# interpreted as cusp arrival rather than an unrelated failure.
+# Velocity band around the cusp, relative to v_c, inside which a step-size
+# collapse is interpreted as cusp arrival rather than an unrelated failure:
+# the orbits are covariant under xdot -> s xdot, kappa -> s**2 kappa, and a
+# cusp arrival stalls at about 1.1e-7 v_c at every scale.
 STALL_BAND = 1e-5
 
 _POLICIES = ("halt", "random-branch")
@@ -385,7 +387,7 @@ def _run_segments(rhs, state0, end_time, law, potential, tol, policy, seed,
         if outcome == "completed":
             break
         if outcome == "stalled":
-            if not arm or abs(abs(v_raw) - vc) > STALL_BAND:
+            if not arm or abs(abs(v_raw) - vc) > STALL_BAND * vc:
                 raise IntegrationStalledError(
                     f"step size collapsed at t = {t_ev:.6g} away from any "
                     f"cusp (xdot = {v_raw:.6g})")

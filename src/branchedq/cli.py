@@ -3,9 +3,9 @@
 Every run validates its JSON config against a versioned schema, writes the
 mode's CSV/JSON outputs plus the resolved config (each setting the run reads,
 defaults included; not `out`), and finishes with a manifest of sha256 content
-hashes, so identical (config, seed) pairs are byte-checkable.  All floating
-point output uses 17 significant digits.  Exit codes: 0 success, 2 config
-error, 3 numerical failure.
+hashes, so identical (config, seed) pairs are byte-checkable.  CSV values
+use 17 significant digits, and NPY arrays hold the float64 bits.  Exit
+codes: 0 success, 2 config error, 3 numerical failure.
 
 Sweep points, and the criteria of a ``verify`` run, run in ``--jobs``
 worker processes started with ``fork``; ``--jobs`` defaults to the CPUs
@@ -25,9 +25,9 @@ of 1/2, a scaled value outside [1e16, 1e17) and a magnitude outside
 [1e-270, 1e270] fall back to ``%``; zeros, infinities and NaNs are written
 directly.  Integer columns (indices, branch labels, event flags) stay
 below 2**53, where float64 is exact and ``"%.17g"`` writes ``"%d"``'s bytes.
-Files are rendered and written in chunks of 4096 rows, state files and
-snapshots several whole to a chunk, whose grid columns are rendered once per
-run.  On a 2-vCPU VM the kernel takes about 0.2 us per float, ``%`` 1 us.
+Files are rendered and written in chunks of 4096 rows, state files several
+whole to a chunk, whose grid columns are rendered once per run.  On a 2-vCPU
+VM the kernel takes about 0.2 us per float, ``%`` 1 us.
 
 The CLI defaults OpenBLAS to one thread unless ``OPENBLAS_NUM_THREADS``,
 ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set.  numpy and scipy each
@@ -59,6 +59,7 @@ import copy
 import functools
 import gc
 import hashlib
+import io
 import json
 import math
 import os
@@ -459,25 +460,16 @@ def _text(rows):
 _ROWS_PER_CALL = 4096
 
 
-def _groups(count, size):
-    """Slices over `count` items of `size` rows each: whole items, about
-    `_ROWS_PER_CALL` rows (one item at least) to a slice."""
-    step = max(1, _ROWS_PER_CALL // size)
-    return [slice(first, first + step) for first in range(0, count, step)]
-
-
-def _write_columns(path, blocks):
-    """Write the CSV file of `blocks`, {name: column} mappings with the same
-    names (the header), `_ROWS_PER_CALL` rows per chunk; return the sha256
-    hex digest of its bytes."""
+def _write_columns(path, columns):
+    """Write the CSV file of `columns`, a {name: column} mapping (the names
+    are the header), `_ROWS_PER_CALL` rows per chunk; return the sha256 hex
+    digest of its bytes."""
     def chunks():
-        for i, block in enumerate(blocks):
-            if i == 0:
-                yield (",".join(block) + "\n").encode()
-            columns = list(block.values())
-            for start in range(0, len(columns[0]), _ROWS_PER_CALL):
-                yield _text(_rows([c[start:start + _ROWS_PER_CALL]
-                                   for c in columns]))
+        yield (",".join(columns) + "\n").encode()
+        values = list(columns.values())
+        for start in range(0, len(values[0]), _ROWS_PER_CALL):
+            yield _text(_rows([c[start:start + _ROWS_PER_CALL]
+                               for c in values]))
 
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
@@ -491,6 +483,14 @@ def _write_bytes(path, data):
     """Write `data` to `path`; returns the sha256 hex digest of `data`."""
     Path(path).write_bytes(data)
     return hashlib.sha256(data).hexdigest()
+
+
+def _write_array(path, array):
+    """Write `array` in the NPY format; returns the sha256 hex digest of the
+    bytes written."""
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return _write_bytes(path, buffer.getvalue())
 
 
 def _write_json(path, payload):
@@ -647,25 +647,22 @@ def _mode_spectrum(config, out):
     assembled = time.perf_counter()
     res, sidecar = _lowest(op, int(config["solver"]["k"]), "solver")
     solved = time.perf_counter()
-    files = {"eigenvalues.csv": _write_columns(out / "eigenvalues.csv", [{
+    files = {"eigenvalues.csv": _write_columns(out / "eigenvalues.csv", {
         "index": np.arange(res.eigenvalues.size),
-        "energy": res.eigenvalues, "residual": res.residuals}])}
-    # State files are rendered several to a chunk, then cut at their sizes.
+        "energy": res.eigenvalues, "residual": res.residuals})}
+    # State files are rendered several whole to a chunk, then cut by state.
     where = _grid_columns(op.grid)
-    for group in _groups(res.eigenvalues.size, op.grid.size):
-        states = res.eigenvectors[:, group].T
+    step = max(1, _ROWS_PER_CALL // op.grid.size)
+    for first in range(0, res.eigenvalues.size, step):
+        states = res.eigenvectors[:, first:first + step].T
         columns = {**{name: np.tile(text, (len(states), 1))
                       for name, text in where.items()},
                    "re": states.real.ravel(), "im": states.imag.ravel()}
-        rows = _rows(columns.values())
+        rows = _rows(columns.values()).reshape(len(states), -1)
         header = (",".join(columns) + "\n").encode()
-        text, begin = _text(rows), 0
-        sizes = np.count_nonzero(rows.reshape(len(states), -1), axis=1)
-        for i, size in enumerate(sizes.tolist(), group.start):
+        for i, state in enumerate(rows, first):
             name = f"state_{i:03d}.csv"
-            files[name] = _write_bytes(out / name,
-                                       header + text[begin:begin + size])
-            begin += size
+            files[name] = _write_bytes(out / name, header + _text(state))
     return files, True, {"assemble_s": assembled - start,
                          "solve_s": solved - assembled,
                          "write_s": time.perf_counter() - solved, **sidecar}
@@ -688,28 +685,20 @@ def _mode_evolve(config, out):
     nsteps = rep.times.size
     flux = rep.flux_residuals if rep.flux_residuals is not None \
         else np.full((nsteps, 2), np.nan)
-    files = {"report.csv": _write_columns(out / "report.csv", [{
+    files = {"report.csv": _write_columns(out / "report.csv", {
         "time": rep.times, "norm": rep.norms, "energy": rep.energies,
-        "flux_plus": flux[:, 0], "flux_minus": flux[:, 1]}])}
-
+        "flux_plus": flux[:, 0], "flux_minus": flux[:, 1]})}
     # Without snapshots, the final state is written.
     times, kept = ((rep.snapshot_times, rep.snapshots)
                    if rep.snapshot_times.size else (rep.times[-1:], psi[None]))
-    where = _grid_columns(grid)
-
-    def blocks():
-        for group in _groups(len(kept), grid.size):
-            data = kept[group]
-            current = (np.full(data.size, np.nan) if op.symbol is None
-                       else np.concatenate([probability_current(
-                           state, grid.h, op.symbol) for state in data]))
-            yield {"time": np.repeat(times[group], grid.size),
-                   **{name: np.tile(text, (len(data), 1))
-                      for name, text in where.items()},
-                   "re": data.real.ravel(), "im": data.imag.ravel(),
-                   "rho": np.abs(data.ravel()) ** 2, "current": current}
-
-    files["snapshots.csv"] = _write_columns(out / "snapshots.csv", blocks())
+    currents = (np.full(kept.shape, np.nan) if op.symbol is None
+                else np.array([probability_current(state, grid.h, op.symbol)
+                               for state in kept]))
+    files["snapshots.npy"] = _write_array(out / "snapshots.npy", kept)
+    files["currents.npy"] = _write_array(out / "currents.npy", currents)
+    files["snapshot_times.csv"] = _write_columns(out / "snapshot_times.csv",
+                                                 {"time": times})
+    files["grid.csv"] = _write_columns(out / "grid.csv", _grid_columns(grid))
     files["summary.json"] = _write_json(out / "summary.json", {
         "norm_drift": rep.norm_drift,
         "max_flux_residual": rep.max_flux_residual,
@@ -751,9 +740,9 @@ def _mode_graph(config, out):
                                    truncation=gcfg.get("truncation"))
         res, sidecar = _lowest(op, int(config["solver"]["k"]), "graph")
         w = res.eigenvalues
-        files["eigenvalues.csv"] = _write_columns(out / "eigenvalues.csv", [{
+        files["eigenvalues.csv"] = _write_columns(out / "eigenvalues.csv", {
             "index": np.arange(w.size), "energy": w,
-            "wavenumber": np.sqrt(np.where(w < 0.0, 0.0, w))}])
+            "wavenumber": np.sqrt(np.where(w < 0.0, 0.0, w))})
     return files, True, sidecar
 
 
@@ -775,9 +764,9 @@ def _mode_classical(config, out):
                                   max_events=int(c["max_events"]),
                                   t_eval=t_eval)
         integrate_s = time.perf_counter() - start
-    files = {"trajectory.csv": _write_columns(out / "trajectory.csv", [{
+    files = {"trajectory.csv": _write_columns(out / "trajectory.csv", {
         "t": traj.t, "x": traj.x, "xdot": traj.xdot, "p": traj.momentum,
-        "E": traj.energy, "branch": traj.branch, "event": traj.event_flag}])}
+        "E": traj.energy, "branch": traj.branch, "event": traj.event_flag})}
     files["summary.json"] = _write_json(out / "summary.json", {
         "status": traj.status,
         "events": len(traj.events),
@@ -804,8 +793,8 @@ def _mode_kernel(config, out):
         op = build_convolution_potential(potential, grid, mode=mode, domain=law)
     offsets = grid.h * np.arange(-(grid.size - 1), grid.size)
     samples = potential.kernel(offsets)
-    files = {"kernel.csv": _write_columns(out / "kernel.csv", [{
-        "offset": offsets, "re": samples.real, "im": samples.imag}])}
+    files = {"kernel.csv": _write_columns(out / "kernel.csv", {
+        "offset": offsets, "re": samples.real, "im": samples.imag})}
     files["summary.json"] = _write_json(out / "summary.json", {
         "mode": mode,
         "hermiticity_defect": hermiticity_defect(op.matrix),
@@ -982,8 +971,8 @@ def emit_dispersion_curve(kappa, samples, v_min=-3.0, v_max=3.0,
                           path="dispersion.csv"):
     """Write the (xdot, p, E, branch) sweep tracing the momentum-energy curve."""
     law = DispersionLaw(kappa=float(kappa))
-    _write_columns(Path(path), [velocity_sweep(law, float(v_min),
-                                                float(v_max), int(samples))])
+    _write_columns(Path(path), velocity_sweep(law, float(v_min),
+                                              float(v_max), int(samples)))
     return Path(path)
 
 

@@ -244,8 +244,9 @@ class DispersionLaw:
     def fold(self, u):
         """Map an unfolded coordinate back to (momentum, branch)."""
         u = np.asarray(u, dtype=float)
-        branch = self.branch_of_unfolded(u)
         p_minus, p_plus = self.p_minus, self.p_plus
+        # q_- and q_+ open branches 2 and 3
+        branch = np.where(u < p_minus, 1, np.where(u < p_plus, 2, 3))
         width = p_plus - p_minus
         folded = np.where(branch == 1, u + width,
                           np.where(branch == 2, p_plus + p_minus - u,
@@ -253,12 +254,6 @@ class DispersionLaw:
         if u.ndim == 0:
             return float(folded), int(branch)
         return folded, branch
-
-    def branch_of_unfolded(self, u):
-        """Branch label of an unfolded coordinate; q_- and q_+ open branches
-        2 and 3."""
-        u = np.asarray(u, dtype=float)
-        return np.where(u < self.p_minus, 1, np.where(u < self.p_plus, 2, 3))
 
 
 def velocity_sweep(law, v_min, v_max, num):

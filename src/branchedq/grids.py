@@ -72,12 +72,8 @@ class PeriodicGrid:
                              "nonzero")
 
     @property
-    def period(self):
-        return self.x_max - self.x_min
-
-    @property
     def h(self):
-        return self.period / self.n
+        return (self.x_max - self.x_min) / self.n
 
     @property
     def x(self):

@@ -150,6 +150,26 @@ def test_stall_away_from_a_cusp_raises_stalled_error():
                            DispersionLaw(kappa=1e-8), QuadraticPotential(1.0))
 
 
+def _scaled_cusp_orbit(s):
+    """The kappa = 3 quadratic-well orbit into the cusp, scaled by s: the
+    law is covariant under xdot -> s xdot, kappa -> s**2 kappa, t -> t / s
+    and V -> s**4 V."""
+    return integrate_hamilton(ClassicalState(0.0, 2.0 * s), 10.0 / s,
+                              DispersionLaw(kappa=3.0 * s**2),
+                              QuadraticPotential(s**4))
+
+
+@pytest.mark.parametrize("s", [1e-4, 1e-2, 1.0, 1e2, 1e3])
+def test_cusp_arrival_is_scale_covariant(s):
+    """A cusp arrival stalls at about 1.1e-7 v_c at every scale, so the
+    band that counts it as one is relative to v_c: at s = 100 (v_c = 100)
+    an absolute band of 1e-5 called it a stall away from any cusp."""
+    traj = _scaled_cusp_orbit(s)
+    assert traj.status == "halted" and len(traj.events) == 1
+    reference = _scaled_cusp_orbit(1.0).events[0].t
+    assert traj.events[0].t * s == pytest.approx(reference, rel=1e-8)
+
+
 def _oracle(state, t_end, law, potential, t_eval, *, policy="halt",
             seed=None, tol=1e-12, direct=False):
     """The same runs through scipy's solve_ivp(method="RK45"): the

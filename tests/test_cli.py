@@ -35,7 +35,6 @@ from branchedq.errors import ConfigError
 from branchedq.evolution import (gaussian_packet, probability_current,
                                  propagate)
 from branchedq.graphs import load_graph, star_secular_spectrum
-from branchedq.grids import FoldedGrid
 from branchedq.operators import (StencilSymbol, build_convolution_hamiltonian,
                                  build_dual_wire_hamiltonian,
                                  build_unfolded_hamiltonian,
@@ -221,10 +220,13 @@ def test_evolve_mode_outputs(tmp_path):
     report = (out / "report.csv").read_text().splitlines()
     assert report[0] == "time,norm,energy,flux_plus,flux_minus"
     assert len(report) == 8
-    snaps = (out / "snapshots.csv").read_text().splitlines()
-    assert snaps[0] == "time,coordinate,branch,re,im,rho,current"
-    times = sorted({float(row.split(",")[0]) for row in snaps[1:]})
-    assert times == [0.0, 0.003, 0.006]
+    times = (out / "snapshot_times.csv").read_text().splitlines()
+    assert times == ["time", "0", "0.0030000000000000001",
+                     "0.0060000000000000001"]
+    grid = (out / "grid.csv").read_text().splitlines()
+    assert grid[0] == "coordinate,branch" and len(grid) == 1 + 2 * 20 + 12 - 1
+    assert np.load(out / "snapshots.npy").shape == (3, 2 * 20 + 12 - 1)
+    assert np.load(out / "currents.npy").shape == (3, 2 * 20 + 12 - 1)
     summary = json.loads((out / "summary.json").read_text())
     assert summary["final_time"] == 0.006
     assert summary["norm_drift"] < 1e-12
@@ -247,9 +249,10 @@ def test_free_particle_evolves_with_zero_current(tmp_path):
     out = tmp_path / "out"
     assert _invoke(["evolve", "--config", cfg, "--out", str(out)]).exit_code == 0
     report = np.loadtxt(out / "report.csv", delimiter=",", skiprows=1)
-    snaps = np.loadtxt(out / "snapshots.csv", delimiter=",", skiprows=1)
+    snaps = np.load(out / "snapshots.npy")
+    currents = np.load(out / "currents.npy")
     assert np.all(np.isfinite(report)) and np.all(np.isfinite(snaps))
-    assert np.all(report[:, 3:] == 0.0) and np.all(snaps[:, 6] == 0.0)
+    assert np.all(report[:, 3:] == 0.0) and np.all(currents == 0.0)
 
 
 def test_graph_mode_counting_and_spectrum(tmp_path):
@@ -1539,67 +1542,42 @@ def test_write_columns_matches_csv_writer(tmp_path, monkeypatch):
         # numpy scalars per cell on the oracle side, whole columns on the
         # new one
         _csv_writer_oracle(old, header, zip(x, ints, cplx.real, cplx.imag))
-        _write_columns(new, [dict(zip(header, (x, ints, cplx.real,
-                                               cplx.imag)))])
+        _write_columns(new, dict(zip(header, (x, ints, cplx.real,
+                                              cplx.imag))))
         assert new.read_bytes() == old.read_bytes()
         # python floats and ints, as the eigenvalue tables used to pass them
         _csv_writer_oracle(old, ("index", "energy"),
                            [(i, float(e)) for i, e in enumerate(x)])
-        _write_columns(new, [{"index": np.arange(n), "energy": x}])
+        _write_columns(new, {"index": np.arange(n), "energy": x})
         assert new.read_bytes() == old.read_bytes()
         # integer columns out to +-2**53, where float64 still holds every
         # integer, rendered as "%d" renders them
         edge = np.array([2**53, -(2**53), 2**53 - 1, 1 - 2**53, 10**15,
                          -(10**15), 0, 7] * (n // 8) + [1] * (n % 8))
         _csv_writer_oracle(old, ("energy", "count"), zip(x, edge))
-        _write_columns(new, [{"energy": x, "count": edge}])
+        _write_columns(new, {"energy": x, "count": edge})
         assert new.read_bytes() == old.read_bytes()
-        # several blocks of the same names, with a repeated time column and
-        # special values in the shared coordinate column and in the others
+        # a repeated time column and a tiled coordinate column, special
+        # values in both and in the others
         re, im = np.roll(x, 3), x[::-1].copy()
         times = [0.0, np.nan, 1e-300]
         blocks = [(np.roll(re, k), np.roll(im, -k)) for k in range(3)]
         _csv_writer_oracle(old, ("time",) + header,
                            [(t, *row) for t, (a, b) in zip(times, blocks)
                             for row in zip(x, ints, a, b)])
-        _write_columns(new, iter([{"time": np.full(n, t), "x": x,
-                                   "branch": ints, "re": a, "im": b}
-                                  for t, (a, b) in zip(times, blocks)]))
+        _write_columns(new, {"time": np.repeat(times, n), "x": np.tile(x, 3),
+                             "branch": np.tile(ints, 3),
+                             "re": np.concatenate([a for a, _ in blocks]),
+                             "im": np.concatenate([b for _, b in blocks])})
         assert new.read_bytes() == old.read_bytes()
         # columns rendered already, as the grid columns are: whole, or
         # without the bytes that are NUL in every row
         branch = cli._g17(ints)
         _csv_writer_oracle(old, header, zip(x, ints, re, im))
-        _write_columns(new, [{"x": cli._g17(x),
-                              "branch": branch[:, branch.any(axis=0)],
-                              "re": re, "im": im}])
+        _write_columns(new, {"x": cli._g17(x),
+                             "branch": branch[:, branch.any(axis=0)],
+                             "re": re, "im": im})
         assert new.read_bytes() == old.read_bytes()
-
-
-def _expected_snapshots(config):
-    """snapshots.csv rows recomputed from the library, for the oracle."""
-    config = cli._resolve(config)
-    law = cli._law_from(config)
-    grid = cli._grid_from(config, law)
-    op = cli._hamiltonian_from(config, law, grid, cli._potential_from(config))
-    ev = config["evolution"]
-    packet = ev["packet"]
-    psi0 = gaussian_packet(grid, packet["center"], packet["width"],
-                           packet["boost"])
-    _, rep = propagate(op, psi0, ev["dt"], ev["steps"],
-                       snapshot_every=ev["snapshot_every"],
-                       stability_budget=ev.get("stability_budget", 0.5))
-    if isinstance(grid, FoldedGrid):
-        coord, branch = grid.u, grid.branch
-    else:
-        coord, branch = grid.x, np.zeros(grid.size, dtype=int)
-    rows = []
-    for t, snap in zip(rep.snapshot_times, rep.snapshots):
-        current = (probability_current(snap, grid.h, op.symbol)
-                   if op.symbol is not None else np.full(grid.size, np.nan))
-        rows += zip([t] * grid.size, coord, branch, snap.real, snap.imag,
-                    np.abs(snap) ** 2, current)
-    return len(rep.snapshots), rows
 
 
 @pytest.mark.parametrize("grid,potential,solver,budget", [
@@ -1608,8 +1586,10 @@ def _expected_snapshots(config):
     ({"kind": "line", "x_min": -12.0, "x_max": 12.0, "n": 96}, _WELL,
      {"assembly": "convolution"}, None),
 ], ids=["folded", "line-convolution"])
-def test_snapshots_csv_matches_csv_writer(tmp_path, grid, potential, solver,
+def test_snapshot_arrays_match_the_report(tmp_path, grid, potential, solver,
                                           budget):
+    """snapshots.npy holds the report's snapshots and currents.npy their
+    currents, bit for bit; NaN currents without a stencil symbol."""
     config = {"version": 1, "mode": "evolve", "dispersion": {"kappa": 3.0},
               "potential": potential, "grid": grid, "solver": solver,
               "evolution": {"dt": 1e-3, "steps": 6, "snapshot_every": 3,
@@ -1619,15 +1599,35 @@ def test_snapshots_csv_matches_csv_writer(tmp_path, grid, potential, solver,
     out = tmp_path / "out"
     cfg = _write_config(tmp_path / "e.json", config)
     assert _invoke(["evolve", "--config", cfg, "--out", str(out)]).exit_code == 0
-    count, rows = _expected_snapshots(config)
-    assert count == 3
-    if grid["kind"] == "line":  # branch 0 and no current off a stencil
-        assert all(r[2] == 0 and np.isnan(r[6]) for r in rows)
-    _csv_writer_oracle(tmp_path / "oracle.csv",
-                       ("time", "coordinate", "branch", "re", "im", "rho",
-                        "current"), rows)
-    assert (out / "snapshots.csv").read_bytes() == \
-        (tmp_path / "oracle.csv").read_bytes()
+    resolved = cli._resolve(config)
+    law = cli._law_from(resolved)
+    grid = cli._grid_from(resolved, law)
+    op = cli._hamiltonian_from(resolved, law, grid,
+                               cli._potential_from(resolved))
+    ev = resolved["evolution"]
+    packet = ev["packet"]
+    psi0 = gaussian_packet(grid, packet["center"], packet["width"],
+                           packet["boost"])
+    _, rep = propagate(op, psi0, ev["dt"], ev["steps"],
+                       snapshot_every=ev["snapshot_every"],
+                       stability_budget=ev["stability_budget"])
+    snapshots = np.load(out / "snapshots.npy")
+    currents = np.load(out / "currents.npy")
+    assert snapshots.shape == currents.shape == (3, grid.size)
+    assert snapshots.tobytes() == rep.snapshots.tobytes()
+    if solver:  # the convolution assembly has no stencil symbol
+        assert op.symbol is None and np.isnan(currents).all()
+    else:
+        assert currents.tobytes() == np.array([
+            probability_current(snap, grid.h, op.symbol)
+            for snap in rep.snapshots]).tobytes()
+    times = np.loadtxt(out / "snapshot_times.csv", skiprows=1)
+    assert times.tobytes() == rep.snapshot_times.tobytes()
+    # the node of each column; branch 0 off a folded grid
+    nodes = np.loadtxt(out / "grid.csv", delimiter=",", skiprows=1)
+    coordinate, branch = ((grid.x, 0) if solver else (grid.u, grid.branch))
+    assert nodes[:, 0].tobytes() == coordinate.tobytes()
+    assert np.array_equal(nodes[:, 1], np.broadcast_to(branch, grid.size))
 
 
 @pytest.mark.parametrize("preset,expected", [

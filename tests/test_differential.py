@@ -82,3 +82,26 @@ def test_identical_trees_show_no_difference(differential, tmp_path):
     text, unexpected = differential["report"]({1: (diffs, count, {})})
     assert unexpected == 0
     assert text.splitlines()[-1] == "0 differences, 0 unexpected"
+
+
+def test_report_summarizes_each_case(differential, tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    _side(parent, b"0,1.5,1e-15\n1,2.5,0.25\n", "aa", b"{}",
+          extra={"curve/table.csv": b"a\n1\n"})
+    _side(change, b"0,1.5,1e-15\n1,2.5,0.5\n", "bb", b"{}",
+          stderr=b"warning\n", extra={"curve/extra.csv": b"a\n",
+                                       "curve/table.csv": b"a\n1\n2\n"})
+    diffs, count, unlisted = differential["compare"](parent, change)
+    text, unexpected = differential["report"](
+        {1: (diffs, count, unlisted), 2: (diffs, count, unlisted)},
+        ["spec/*", "curve/extra.csv"])
+    lines = text.splitlines()
+    # one line per case, after the --jobs lines and ahead of the detail
+    assert lines[2:4] == [
+        "case curve: 3 files: 1 only in change, 1 bytes differ, 1 CSV "
+        "(1 not aligned); 1 expected, 2 unexpected",
+        "case spec: 2 files: 1 bytes differ, 1 CSV (largest "
+        "max|d|/max|value| 0.5); 2 expected, 0 unexpected"]
+    assert lines[4].startswith(("expected   ", "UNEXPECTED "))
+    assert unexpected == 2
+    assert lines[-1] == "5 differences, 2 unexpected"

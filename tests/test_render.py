@@ -123,8 +123,7 @@ def test_cli_runs_take_the_fast_path(tmp_path, fallbacks):
     sweep = workloads["WORKLOADS"]["spectrum-sweep"].config(20260817,
                                                             smoke=True)
     assert cli.run_config(sweep, tmp_path / "sweep", jobs=1)
-    # a real eigenvector's im column, and evolve's NaN current column under
-    # an assembly with no stencil symbol
+    # a real eigenvector's im column
     real = {"version": 1, "mode": "spectrum",
             "potential": {"form": "quadratic", "alpha": 1.0},
             "grid": {"kind": "folded", "n_inner": 8, "n_arm": 10},
@@ -133,17 +132,6 @@ def test_cli_runs_take_the_fast_path(tmp_path, fallbacks):
     state = np.loadtxt(tmp_path / "real" / "state_002.csv", delimiter=",",
                        skiprows=1)
     assert not state[:, 3].any()
-    evolve = {"version": 1, "mode": "evolve",
-              "potential": {"form": "gaussian", "amplitude": -2.0,
-                            "width": 1.0, "center": 0.5},
-              "grid": {"kind": "periodic", "x_min": -12.0, "x_max": 12.0,
-                       "n": 96},
-              "solver": {"assembly": "convolution"},
-              "evolution": {"dt": 1e-3, "steps": 10, "snapshot_every": 5}}
-    assert cli.run_config(evolve, tmp_path / "evolve", jobs=1)
-    snapshots = np.loadtxt(tmp_path / "evolve" / "snapshots.csv",
-                           delimiter=",", skiprows=1)
-    assert np.isnan(snapshots[:, -1]).all()
     assert fallbacks == []
 
 

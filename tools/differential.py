@@ -31,7 +31,9 @@ them by name.  A file on one side only is a difference.  A difference whose
 key (``<case>/<path>``) matches an ``--expect-change`` glob is disclosed;
 any other one is unexpected and makes the exit code 1.  For each differing
 CSV the report gives, per numeric column, max|d| (the largest absolute
-difference) and max|d| / max|value| (over the finite values of both sides).
+difference) and max|d| / max|value| (over the finite values of both sides).  Ahead of
+the detail, one line per case counts its differing files by kind and says
+how many of them are expected.
 """
 
 import argparse
@@ -167,10 +169,48 @@ def _detail(detail):
                      for name, worst, rel in detail)
 
 
+_KINDS = ("only in parent", "only in change", "bytes differ")
+
+
+def _disclosed(key, expected):
+    return any(fnmatch.fnmatchcase(key, glob) for glob in expected)
+
+
+def _summary(files, expected):
+    """One line per case: its differing files counted by kind (a CSV with
+    the largest max|d| / max|value| of its columns), and how many of them
+    are expected.  `files` maps each differing key to its details."""
+    cases = {}
+    for key, details in files.items():
+        cases.setdefault(key.split("/", 1)[0], []).append((key, details))
+    lines = []
+    for case, entries in sorted(cases.items()):
+        kinds, scaled, unaligned = Counter(), [], 0
+        for key, details in entries:
+            kind = details[0] if details[0] in _KINDS else "CSV"
+            kinds[kind] += 1
+            if kind == "CSV":  # a string when the tables do not line up
+                unaligned += any(isinstance(d, str) for d in details)
+                scaled += [rel for d in details if not isinstance(d, str)
+                           for _, _, rel in d]
+        counts = [f"{kinds[kind]} {kind}" for kind in _KINDS if kinds[kind]]
+        if kinds["CSV"]:
+            notes = [f"{unaligned} not aligned"] if unaligned else []
+            if scaled:
+                notes.append(f"largest max|d|/max|value| {max(scaled):.3g}")
+            counts.append(f"{kinds['CSV']} CSV ({'; '.join(notes)})")
+        disclosed = sum(_disclosed(key, expected) for key, _ in entries)
+        lines.append(f"case {case}: {len(entries)} files: {', '.join(counts)}; "
+                     f"{disclosed} expected, {len(entries) - disclosed} "
+                     "unexpected")
+    return lines
+
+
 def report(results, expected=()):
     """The report of {jobs: compare(...)} under the --expect-change globs,
-    and the number of unexpected differences."""
-    seen = {}
+    and the number of unexpected differences: a line per --jobs value, a
+    summary line per case, then a line per difference."""
+    seen, files = {}, {}
     lines = []
     for jobs, (diffs, count, unlisted) in results.items():
         listed = ", ".join(f"{name} x{n}" for name, n in sorted(unlisted.items()))
@@ -178,15 +218,17 @@ def report(results, expected=()):
                      f"(not in their directory's manifest): {listed or 'none'}")
         for key, detail in diffs.items():
             seen.setdefault((key, _detail(detail)), []).append(jobs)
+            files.setdefault(key, []).append(detail)
+    lines += _summary(files, expected)
     unexpected = 0
     for (key, detail), jobs in seen.items():
-        disclosed = any(fnmatch.fnmatchcase(key, glob) for glob in expected)
+        disclosed = _disclosed(key, expected)
         unexpected += not disclosed
         flag = "expected  " if disclosed else "UNEXPECTED"
         lines.append(f"{flag} {key} [--jobs {', '.join(map(str, jobs))}]: "
                      f"{detail}")
     for glob in expected:
-        if not any(fnmatch.fnmatchcase(key, glob) for key, _ in seen):
+        if not any(fnmatch.fnmatchcase(key, glob) for key in files):
             lines.append(f"expected, not seen: {glob}")
     lines.append(f"{len(seen)} differences, {unexpected} unexpected")
     return "\n".join(lines), unexpected
