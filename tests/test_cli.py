@@ -1049,12 +1049,29 @@ _STALL = {"version": 1, "mode": "classical", "dispersion": {"kappa": 1e-8},
           "potential": {"form": "quadratic", "alpha": 1.0}}
 
 
+# At kappa 0 every turning point lies on the degeneracy surface xdot = 0,
+# where the cusp speed is 0 too, so no stall there counts as a cusp arrival.
+# Without a potential the same law never turns and exits 0.
+_STALLS = {
+    "kappa 1e-8": (_STALL, "numerical failure: step size collapsed"),
+    "kappa 0": (dict(_STALL, dispersion={"kappa": 0.0}),
+                "numerical failure: step size collapsed at t = 2.93483 away "
+                "from any cusp (xdot = 4.66016e-05)\n"),
+}
+
+
 def test_numerical_failure_exits_three(tmp_path):
-    cfg = _write_config(tmp_path / "stall.json", _STALL)
-    result = _invoke(["classical", "--config", cfg, "--out",
-                      str(tmp_path / "out")])
-    assert result.exit_code == 3
-    assert "numerical failure: step size collapsed" in result.output
+    for name, (config, message) in _STALLS.items():
+        cfg = _write_config(tmp_path / f"{name}.json", config)
+        result = _invoke(["classical", "--config", cfg, "--out",
+                          str(tmp_path / name)])
+        assert result.exit_code == 3, name
+        assert message in result.output, name
+    free = {key: value for key, value in _STALLS["kappa 0"][0].items()
+            if key != "potential"}
+    cfg = _write_config(tmp_path / "free.json", free)
+    assert _invoke(["classical", "--config", cfg, "--out",
+                    str(tmp_path / "free")]).exit_code == 0
 
 
 def test_process_entry_keeps_artifacts_and_exit_codes(tmp_path):

@@ -17,6 +17,7 @@ from branchedq import (DispersionLaw, FoldedGrid, LineGrid, OperatorMatrix,
                        build_dual_wire_hamiltonian, build_folded_hamiltonian,
                        continuity_residual, gaussian_packet,
                        junction_flux_residual, probability_current, propagate)
+from branchedq import evolution
 from branchedq.operators import gershgorin_bound
 
 LAW = DispersionLaw(kappa=3.0)
@@ -381,6 +382,9 @@ def _line_dense():
     return OperatorMatrix(op.matrix.toarray(), op.grid), -2.0, 1.0
 
 
+# The steps of each run as they fall at 64-row blocks: one state, one full
+# block, and one, two and three states past a block edge.  Each run takes
+# the same place against the edges of the blocks that propagate uses.
 @pytest.mark.parametrize("steps", [1, 63, 64, 65, 130])
 @pytest.mark.parametrize("case", [_quadratic_folded, _quartic_folded, _line,
                                   _line_dense],
@@ -390,6 +394,8 @@ def test_blocked_diagnostics_keep_the_per_state_bits(case, steps):
     """The norms keep the per-state bits; the energies and flux residuals
     agree with the per-state formulas to a few rounding errors."""
     op, center, boost = case()
+    rows = evolution._block_rows(op.grid.size)
+    steps += (rows - 64) * ((steps + 1) // 64)
     psi0 = gaussian_packet(op.grid, center, 1.0, boost=boost)
     _, rep = propagate(op, psi0, 2e-3, steps, snapshot_every=1,
                        stability_budget=None)
@@ -406,6 +412,28 @@ def test_blocked_diagnostics_keep_the_per_state_bits(case, steps):
         _assert_flux_near_per_state(rep.flux_residuals, V, op.grid,
                                     op.symbol)
         assert np.any(flux != 0.0)
+
+
+@pytest.mark.parametrize("case", [_quadratic_folded, _quartic_folded],
+                         ids=["folded-quadratic", "folded-quartic"])
+def test_sparse_diagnostics_keep_their_bits_at_any_block_size(case,
+                                                               monkeypatch):
+    """A sparse H @ V.T computes each column on its own and the sums run
+    along rows, so the block size moves no bit of a sparse run."""
+    op, center, boost = case()
+    psi0 = gaussian_packet(op.grid, center, 1.0, boost=boost)
+
+    def run(rows):
+        monkeypatch.setattr(evolution, "_BLOCK_BYTES",
+                            rows * 5 * 16 * op.grid.size)
+        assert evolution._block_rows(op.grid.size) == rows
+        return propagate(op, psi0, 2e-3, 100, snapshot_every=7,
+                         stability_budget=None)
+
+    (final, rep), (final5, rep5) = run(64), run(5)
+    assert final.tobytes() == final5.tobytes()
+    for name in ("norms", "energies", "flux_residuals", "snapshots"):
+        assert getattr(rep, name).tobytes() == getattr(rep5, name).tobytes()
 
 
 @pytest.mark.parametrize("case", [_quadratic_folded, _quartic_folded],
