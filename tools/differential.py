@@ -73,9 +73,10 @@ def checkout(rev, path):
                         "--force", str(path)], check=False)
 
 
-def run_case(tree, case, jobs, base):
-    """Run one case under `tree` in base/cases/<name>; its exit code, stdout
-    and stderr become the files @exit, @stdout and @stderr there."""
+def run_case(tree, case, jobs, base, blas_threads=1):
+    """Run one case under `tree` in base/cases/<name>, on `blas_threads`
+    OpenBLAS threads; its exit code, stdout and stderr become the files
+    @exit, @stdout and @stderr there."""
     out = base / "cases" / case["name"]
     out.mkdir(parents=True)
     if "config" in case:
@@ -88,7 +89,8 @@ def run_case(tree, case, jobs, base):
         argv = case["argv"]
     env = {key: value for key, value in os.environ.items()
            if key not in BLAS_ENV and key != "PYTHONPATH"}
-    env.update(PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
+    env.update(PYTHONPATH=str(tree / "src"),
+               OPENBLAS_NUM_THREADS=str(blas_threads))
     proc = subprocess.run([sys.executable, "-m", "branchedq.cli", *argv],
                           cwd=out, env=env, capture_output=True,
                           timeout=RUN_TIMEOUT_S)
