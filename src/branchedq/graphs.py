@@ -190,24 +190,6 @@ class _Chain:
     factors: np.ndarray = field(repr=False)
 
 
-def _cmul(x, y):
-    """Complex product by the textbook formula, one rounding per operation.
-
-    numpy's vectorized complex multiply may fuse multiply-adds, which
-    leaves conj(f) * f with a roundoff imaginary part; this form keeps it
-    exactly real and rounds like a scalar complex product.
-    """
-    out = np.empty(np.broadcast(x, y).shape, dtype=complex)
-    out.real = x.real * y.real - x.imag * y.imag
-    out.imag = x.real * y.imag + x.imag * y.real
-    return out
-
-
-def _element_ends(n):
-    """Local end nodes (i, i + 1) of a chain's n P1 elements, shape (n, 2)."""
-    return np.arange(n)[:, None] + np.arange(2)
-
-
 # Shortest element length.  A P1 element of length h puts its stiffness over
 # its lumped mass, 2 alpha / h**2, into the matrix: at 1e-150 that is 2e300
 # for alpha 1, so a shorter element would overflow the assembly.
@@ -275,9 +257,9 @@ class GraphLayout:
         self.mass = np.zeros(self.size)
         for c in self.chains:
             w = np.abs(c.factors) ** 2 * (c.h / 2.0)
-            ends = _element_ends(c.n).ravel()
-            ends = ends[c.slots[ends] >= 0]
-            np.add.at(self.mass, c.slots[ends], w[ends])
+            for end in (slice(None, -1), slice(1, None)):
+                live = c.slots[end] >= 0
+                np.add.at(self.mass, c.slots[end][live], w[end][live])
 
 
 def graph_hamiltonian(graph, resolution, truncation=None):
@@ -295,39 +277,27 @@ def graph_hamiltonian(graph, resolution, truncation=None):
     # weighted vertex always has a slot, so the factors hold every weight.
     complex_needed = any(c.beta != 0.0 or np.any(c.factors.imag)
                          for c in layout.chains)
-    dtype = complex if complex_needed else float
     rows, cols, vals = [], [], []
     for c in layout.chains:
-        # Element i, then row end a, then column end b: the order a loop
-        # over elements adds the 2 x 2 element matrices in.
-        ends = _element_ends(c.n)
-        a = np.repeat(ends, 2, axis=1).ravel()
-        b = np.tile(ends, 2).ravel()
-        live = (c.slots[a] >= 0) & (c.slots[b] >= 0)
-        a, b = a[live], b[live]
-        pair = _cmul(np.conj(c.factors[a]), c.factors[b])
+        # Element i joins local nodes a = i and b = i + 1.  Its diagonal
+        # terms |f|^2 stay real; the (b, a) term is the conjugate of (a, b).
+        a, b = c.slots[:-1], c.slots[1:]
+        fa, fb = c.factors[:-1], c.factors[1:]
         stiff = c.alpha / c.h
-        term = _cmul(pair, np.where(a == b, stiff, -stiff).astype(complex))
-        if c.beta != 0.0:
-            drift = -0.5j * c.beta
-            off = a != b
-            term[off] += _cmul(pair[off],
-                               np.where(b[off] > a[off], drift, -drift))
-        rows.append(c.slots[a])
-        cols.append(c.slots[b])
-        vals.append(term if dtype is complex else term.real)
-    # Duplicates accumulate in element order (np.add.at is unbuffered), so
-    # every entry is the same floating-point sum a dense += would form.
-    n = layout.size
-    keys, slot = np.unique(np.concatenate(rows) * n + np.concatenate(cols),
-                           return_inverse=True)
-    data = np.zeros(keys.size, dtype=dtype)
-    np.add.at(data, slot, np.concatenate(vals))
-    row, col = np.divmod(keys, n)
+        link = (a >= 0) & (b >= 0)
+        off = (np.conj(fa) * fb * (-stiff - 0.5j * c.beta))[link]
+        rows += [a, b, a[link], b[link]]
+        cols += [a, b, b[link], a[link]]
+        vals += [np.abs(fa) ** 2 * stiff, np.abs(fb) ** 2 * stiff, off,
+                 np.conj(off)]
+    row, col, data = map(np.concatenate, (rows, cols, vals))
+    live = row >= 0
+    row, col, data = row[live], col[live], data[live]
     root = np.sqrt(layout.mass)
-    data /= root[row]
-    data /= root[col]
-    A = scipy.sparse.csr_array((data, (row, col)), shape=(n, n))
+    data = data / (root[row] * root[col])
+    n = layout.size
+    A = scipy.sparse.coo_array((data if complex_needed else data.real,
+                                (row, col)), shape=(n, n)).tocsr()
     return OperatorMatrix(A, layout)
 
 

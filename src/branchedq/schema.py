@@ -8,8 +8,8 @@ bool is not a number, 2.0 is an integer, `const` and `enum` tell true
 from 1).  It reports the error, and the message text, that the Python
 reference validator (version 4.26, a test dependency) picks with its
 `best_match`; tests/test_schema.py compares the two.  `check_schema`
-refuses a schema that uses any other keyword or type, so that no check is
-skipped in silence.  `parse_json` reads both kinds of document and refuses
+refuses a schema that uses any other keyword or type, or a list or object
+as a `const` or `enum` value, so that no check is skipped in silence.  `parse_json` reads both kinds of document and refuses
 the numbers no schema keyword can: NaN, Infinity and float overflow.
 
 The reference validator, imported at start-up before, took 0.07 s of every
@@ -21,7 +21,6 @@ import json
 import math
 import numbers
 import re
-from collections.abc import Mapping, Sequence
 from typing import NamedTuple
 
 _TYPES = {
@@ -73,16 +72,9 @@ def _unbool(value, true=object(), false=object()):
 
 
 def _equal(one, two):
-    """JSON equality: true is not 1, and 2.0 is 2."""
-    if one is two:
-        return True
+    """JSON equality with a scalar: true is not 1, and 2.0 is 2."""
     if isinstance(one, str) or isinstance(two, str):
         return one == two
-    if isinstance(one, Sequence) and isinstance(two, Sequence):
-        return len(one) == len(two) and all(map(_equal, one, two))
-    if isinstance(one, Mapping) and isinstance(two, Mapping):
-        return len(one) == len(two) and all(
-            key in two and _equal(value, two[key]) for key, value in one.items())
     return _unbool(one) == _unbool(two)
 
 
@@ -231,6 +223,9 @@ def check_schema(schema):
         raise ValueError(f"schema keywords {sorted(unknown)} are not checked")
     if schema.get("additionalProperties", False) is not False:
         raise ValueError("only additionalProperties: false is checked")
+    values = schema.get("enum", []) + [schema.get("const")]
+    if any(isinstance(value, (list, dict)) for value in values):
+        raise ValueError("only scalar const and enum values are checked")
     types = schema.get("type", ())
     unknown = set([types] if isinstance(types, str) else types) - set(_TYPES)
     if unknown:

@@ -163,3 +163,16 @@ def test_kappa_entry_reports_the_branch_it_nearly_matched():
 def test_unchecked_keyword_is_refused(schema):
     with pytest.raises(ValueError):
         check_schema(schema)
+
+
+@pytest.mark.parametrize("schema", [
+    {"const": [1, 2]},
+    {"const": {"a": 1}},
+    {"enum": [1, [1, 2]]},
+    {"type": "object", "properties": {"a": {"enum": [{"b": True}]}}},
+], ids=["const-list", "const-object", "enum-list", "nested-enum-object"])
+def test_container_const_or_enum_is_refused(schema):
+    """`_equal` compares scalars only, so a list or object that a `const`
+    or `enum` names would be compared wrongly."""
+    with pytest.raises(ValueError, match="scalar const and enum"):
+        check_schema(schema)
