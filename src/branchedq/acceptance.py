@@ -420,16 +420,16 @@ CRITERIA = [
 
 
 # Close to longest-processing-time first (Graham, SIAM J. Appl. Math. 17
-# (1969) 416), from costs measured in fresh forked workers on a 2-core VM
-# (median of 16 `verify` runs): C9 0.12 s, C3 0.11, C10 0.10, C5 0.09,
-# C2 0.08, C7 0.08, C8 0.05, and C4, C6 and C1 under 0.05 s each.  C9
+# (1969) 416) as it was set, when C9 was the longest criterion.  Costs now,
+# from the sidecar's elapsed_s of 12 `verify --jobs 2` runs in fresh
+# processes on a 2-vCPU VM (medians): C3 0.082 s, C10 0.065, C9 0.052,
+# C5 0.048, C2 0.039, C7 0.036, C4 0.023, C6 and C8 0.021, C1 0.004.  C9
 # starts first; C10 and C2, which hold dense 800 x 800 kernels (peaks 21 and
-# 12 MiB), run one after the other beside it, and the rest follow longest
-# first.  Over 12 alternating runs the sidecar's run_s read 0.298 s, against
-# 0.305 s with C8 first, the order kept while C8 was the longest criterion
-# (0.33 s).  Strict LPT, with C3 second and C10 third, was no faster
-# (0.303 s) and raised the peak resident set from 86.8 to 88.2 MB; it once
-# raised it from 87.5 to 94 MB, with C5 and C8 together and C10 third.
+# 12 MiB), run one after the other beside it, and the rest follow.  The
+# order stays, since an order change has moved the peak resident set:
+# strict LPT, with C3 second and C10 third, was no faster (run_s 0.303
+# against 0.298 s over 12 alternating runs) and raised it from 86.8 to
+# 88.2 MB, once from 87.5 to 94 MB.
 DISPATCH = ("C9", "C10", "C2", "C3", "C5", "C7", "C8", "C4", "C6", "C1")
 
 

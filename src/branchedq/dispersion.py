@@ -49,7 +49,8 @@ _TRIG_SHIFTS = 2.0 * np.pi * np.array([2.0, 1.0, 0.0])
 
 
 def _cusp(kappa):
-    """(v_c, q_+) = (sqrt(kappa/3), 2 (kappa/3)**1.5), both 0 where kappa <= 0.
+    """(v_c, q_+) = (sqrt(kappa/3), 2 (kappa/3)**1.5), both 0 where kappa <= 0
+    (q_+ also where it underflows).
 
     A scalar kappa stays a numpy scalar, whose ** is the libm pow; an
     array's ** may differ from it in the last bit.
@@ -90,7 +91,7 @@ def branch_velocities(p, kappa):
     """
     vc, qp = _cusp(kappa)
     p = np.asarray(p, dtype=float)
-    branched = np.asarray(kappa) > 0.0
+    branched = qp > 0.0
     gap = np.abs(p) - qp
     near = branched & (np.abs(gap) <= _SNAP_RTOL * np.maximum(1.0, qp))
     inside = branched & (gap <= 0.0)
@@ -110,7 +111,13 @@ def branch_velocities(p, kappa):
 
 @dataclass(frozen=True)
 class DispersionLaw:
-    """Kinetic structure of the quartic Lagrangian; branched for kappa > 0.
+    """Kinetic structure of the quartic Lagrangian.
+
+    The law is branched when its junction momentum q_+ = 2 (kappa/3)**1.5 is
+    positive, the one test of `branched`, `branch_velocities`,
+    `energy_of_momentum` and `FoldedGrid`: kappa > 0, but not below about
+    5.5e-216, where q_+ underflows to 0.  The window |p| <= q_+ then holds
+    only p = 0, where every branch's energy is 0 in double precision.
 
     kappa must be finite with a finite cube (|kappa| below about 5.6e102),
     since the momentum inversion evaluates kappa**3.
@@ -129,13 +136,13 @@ class DispersionLaw:
 
     @property
     def branched(self):
-        return self.kappa > 0.0
+        return self.p_plus > 0.0
 
     # -- cusp data -----------------------------------------------------------
 
     @property
     def v_cusp(self):
-        """Cusp velocity sqrt(kappa/3); 0 when the law is unbranched."""
+        """Cusp velocity sqrt(kappa/3); 0 when kappa <= 0."""
         return _cusp(self.kappa)[0]
 
     @property
@@ -174,12 +181,12 @@ class DispersionLaw:
     # -- momentum-side maps ---------------------------------------------------
 
     def energy_of_momentum(self, p):
-        """Single-valued kinetic energy E(p) of an unbranched (kappa <= 0) law.
+        """Single-valued kinetic energy E(p) of an unbranched law.
 
         Branched laws are multivalued in p; use branch_energy.
         """
         p = np.asarray(p, dtype=float)
-        if self.kappa > 0.0:
+        if self.branched:
             raise ValueError(
                 "energy is multivalued in p for a branched law; use branch_energy"
             )

@@ -106,9 +106,9 @@ class FoldedGrid:
     def __init__(self, law, n_inner, n_arm):
         if not isinstance(law, DispersionLaw):
             raise TypeError("law must be a DispersionLaw")
+        if not law.branched:
+            raise ValueError("folded grids require a branched law (q_+ > 0)")
         p_minus, p_plus = law.p_minus, law.p_plus
-        if not p_plus > p_minus:
-            raise ValueError("folded grids require a branched law (kappa > 0)")
         if n_inner < 2:
             raise ValueError("n_inner must be at least 2")
         if n_arm < 3:

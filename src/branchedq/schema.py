@@ -9,8 +9,9 @@ from 1).  It reports the error, and the message text, that the Python
 reference validator (version 4.26, a test dependency) picks with its
 `best_match`; tests/test_schema.py compares the two.  `check_schema`
 refuses a schema that uses any other keyword or type, or a list or object
-as a `const` or `enum` value, so that no check is skipped in silence.  `parse_json` reads both kinds of document and refuses
-the numbers no schema keyword can: NaN, Infinity and float overflow.
+as a `const` or `enum` value, so that no check is skipped in silence.
+`parse_json` reads both kinds of document and refuses the numbers no
+schema keyword can: NaN, Infinity and float overflow.
 
 The reference validator, imported at start-up before, took 0.07 s of every
 `import branchedq.cli` on a 2-core VM (0.533 -> 0.465 s, medians of 15

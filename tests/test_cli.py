@@ -1074,6 +1074,27 @@ def test_numerical_failure_exits_three(tmp_path):
                     str(tmp_path / "free")]).exit_code == 0
 
 
+# Below kappa 5.5e-216 the junction momentum q_+ = 2 (kappa/3)**1.5
+# underflows to 0, so the law is unbranched: the momentum inversion took
+# q_+ = 0 as a window and divided 0 by 0 at p = 0.
+_TINY_KAPPA = {"version": 1, "mode": "spectrum",
+               "dispersion": {"kappa": 1e-300},
+               "potential": {"form": "gaussian", "amplitude": 1.0,
+                             "width": 1.0},
+               "grid": {"kind": "periodic", "x_min": -10, "x_max": 10,
+                        "n": 64},
+               "solver": {"assembly": "fourier", "k": 4}}
+
+
+def test_kappa_whose_junction_underflows_runs_unbranched(tmp_path):
+    cfg = _write_config(tmp_path / "tiny.json", _TINY_KAPPA)
+    result = _invoke(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert (result.exit_code, result.stderr) == (0, "")
+    energies = np.loadtxt(tmp_path / "o" / "eigenvalues.csv", delimiter=",",
+                          skiprows=1)[:, 1]
+    assert energies.size == 4 and np.all(np.isfinite(energies))
+
+
 def test_process_entry_keeps_artifacts_and_exit_codes(tmp_path):
     """`python -m branchedq.cli` runs through `console()`, which freezes the
     import heap before the run: the same manifest as an in-process run, and

@@ -11,7 +11,7 @@ import sympy as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from branchedq import DispersionLaw, velocity_sweep
+from branchedq import DispersionLaw, FoldedGrid, velocity_sweep
 from branchedq.dispersion import (_SNAP_RTOL, BRANCHES, _polished_single_root,
                                   branch_velocities)
 
@@ -187,6 +187,24 @@ def test_unbranched_laws_are_graceful():
         0.75 * v**4 + 0.5 * v**2, abs=1e-12)
     with pytest.raises(ValueError):
         LAW.energy_of_momentum(1.0)
+
+
+@pytest.mark.parametrize("kappa", [1e-300, 5e-324, 5.4e-216])
+def test_kappa_whose_junction_underflows_is_unbranched(kappa):
+    """One rule: a law is branched when q_+ > 0.  Below about 5.5e-216 the
+    junction momentum underflows, and every test reads the law as
+    unbranched, the momentum inversion too (no 0/0 at p = 0)."""
+    law = DispersionLaw(kappa=kappa)
+    assert law.p_plus == 0.0 and not law.branched
+    p = np.array([-1.0, -1e-300, 0.0, 1e-300, 1.0])
+    roots = branch_velocities(p, kappa)
+    assert np.array_equal(np.count_nonzero(~np.isnan(roots), axis=1),
+                          np.ones(p.size))
+    assert np.array_equal(law.energy_of_momentum(p),
+                          law.energy(np.nansum(roots, axis=1)))
+    with pytest.raises(ValueError, match="branched law"):
+        FoldedGrid(law, 10, 10)
+    assert DispersionLaw(kappa=5.5e-216).branched
 
 
 @pytest.mark.parametrize("kappa", [np.nan, np.inf, -np.inf, 1e200, -1e103])

@@ -497,3 +497,14 @@ def test_dense_kernel_heap_peaks():
     for reduce in (hermiticity_defect, gershgorin_bound, _max_abs):
         _, peak = _heap_peak(lambda: reduce(H.matrix))
         assert peak <= 0.25 * H.matrix.nbytes, reduce.__name__
+
+
+def test_unbranched_unfolded_diagonal_is_the_single_valued_energy():
+    """On an unbranched law the unfolded coordinate is the momentum itself:
+    without a potential the operator is diagonal in E(p)."""
+    law = DispersionLaw(kappa=-1.0)
+    grid = LineGrid(-3.0, 3.0, 41)
+    H = build_unfolded_hamiltonian(law, grid).matrix
+    assert np.array_equal(H.diagonal(), law.energy_of_momentum(grid.x))
+    assert np.count_nonzero(H.toarray() if hasattr(H, "toarray") else H) \
+        == np.count_nonzero(H.diagonal())

@@ -6,7 +6,7 @@ Usage (from the repository root):
 
     python3 tools/ledger.py --check HEAD      # a revision against the ledger
     python3 tools/ledger.py --check           # this working tree
-    python3 tools/ledger.py --record          # re-record from this working tree
+    python3 tools/ledger.py --record          # re-record: this working tree
     python3 tools/ledger.py --check 131719d --ledger baae54c.json \\
         --jobs 2 --blas-threads 2
 
@@ -62,6 +62,7 @@ import contextlib
 import csv
 import json
 import math
+import multiprocessing
 import os
 import re
 import runpy
@@ -84,7 +85,7 @@ REFEREE_N = 200
 REFEREE_DIGITS = 30
 
 
-# -- reading a run ---------------------------------------------------------------
+# -- reading a run -----------------------------------------------------------
 
 def _columns(path):
     with open(path, newline="") as fh:
@@ -153,6 +154,7 @@ def read_case(case_dir, scale=None):
     multiple, norms = scale or (None, None)
 
     def add(name, values, tol=lambda: 0.0):
+        # `tol` runs at once, so it may read the loop's variables.
         numbers[name] = {"values": list(values)}
         if scale:
             numbers[name]["tol"] = tol()
@@ -211,7 +213,7 @@ def read_case(case_dir, scale=None):
     return numbers
 
 
-# -- recording -------------------------------------------------------------------
+# -- recording ---------------------------------------------------------------
 
 # Run under the recorded tree: each run's operator, built again from its
 # resolved config, saved with its Gershgorin bound and, when it is small
@@ -237,8 +239,8 @@ for run in sys.argv[2:]:
         op = cli._operator_from(config)
     H = op.matrix
     small = H.shape[0] <= int(sys.argv[1]) and config["mode"] != "evolve"
-    dense = (H.toarray() if hasattr(H, "toarray") else np.asarray(H)) \
-        if small else np.empty(0)
+    dense = (H.toarray() if hasattr(H, "toarray") else H) if small \
+        else np.empty(0)
     np.savez(run + "/ledger-operator.npz", norm=gershgorin_bound(H),
              matrix=dense)
 print(_CERTIFY_MULTIPLE)
@@ -277,7 +279,9 @@ def record(tree, runs, names, jobs):
     small = [(name, run) for name in names
              for run in sorted((runs / name).rglob("eigenvalues.csv"))
              if saved[run.parent]["matrix"].size]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=jobs,
+                             mp_context=multiprocessing.get_context("spawn")) \
+            as pool:
         futures = {}
         for name, run in small:
             at = "" if run.parent.name == name else run.parent.name + "/"
@@ -291,24 +295,28 @@ def record(tree, runs, names, jobs):
     return ledger
 
 
-# -- checking --------------------------------------------------------------------
+# -- checking ----------------------------------------------------------------
 
 def _distance(a, b):
-    if a == b:
+    """|a - b|: 0 for two NaNs, inf for a NaN against a number and for
+    unequal texts or flags."""
+    if a == b or a != a and b != b:
         return 0.0
     if isinstance(a, (str, bool)) or isinstance(b, (str, bool)):
         return math.inf
-    if math.isnan(a) and math.isnan(b):
-        return 0.0
-    return abs(a - b) if not (math.isnan(a) or math.isnan(b)) else math.inf
+    d = abs(a - b)
+    return math.inf if math.isnan(d) else d
 
 
-def _referee_distance(values, exact, eps_norm):
-    """Largest |value - exact| over the list, in units of `eps_norm`."""
+def _referee_distance(entry, exact):
+    """Largest |value - exact| over a list, in units of eps ||H||inf."""
+    if entry is None:
+        return "not written"
     with localcontext() as ctx:
         ctx.prec = 2 * REFEREE_DIGITS
-        return float(max(abs(Decimal(v) - Decimal(x))
-                         for v, x in zip(values, exact)) / Decimal(eps_norm))
+        worst = max(abs(Decimal(v) - Decimal(x))
+                    for v, x in zip(entry["values"], exact["values"]))
+        return f"{float(worst / Decimal(exact['eps_norm'])):.3g}"
 
 
 def compare(ledger, run):
@@ -346,13 +354,10 @@ def compare(ledger, run):
                          f"{detail}")
     for key, exact in ledger["referee"].items():
         case, name = key.split("/", 1)
-        got = run.get(case, {}).get(name)
-        theirs = ("not written" if got is None else
-                  f"{_referee_distance(got['values'], exact['values'], exact['eps_norm']):.3g}")
-        mine = _referee_distance(ledger["cases"][case][name]["values"],
-                                 exact["values"], exact["eps_norm"])
+        mine = _referee_distance(ledger["cases"][case][name], exact)
+        theirs = _referee_distance(run.get(case, {}).get(name), exact)
         lines.append(f"referee {key}: {len(exact['values'])} eigenvalues "
-                     f"within {mine:.3g} (ledger) and {theirs} (checked) "
+                     f"within {mine} (ledger) and {theirs} (checked) "
                      "eps*||H||inf of the exact ones")
     extra = sum(len(numbers) for case, numbers in run.items()
                 if case not in ledger["cases"]) + sum(
@@ -363,7 +368,7 @@ def compare(ledger, run):
     return lines, failures
 
 
-# -- command line ----------------------------------------------------------------
+# -- command line ------------------------------------------------------------
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
