@@ -506,5 +506,4 @@ def test_unbranched_unfolded_diagonal_is_the_single_valued_energy():
     grid = LineGrid(-3.0, 3.0, 41)
     H = build_unfolded_hamiltonian(law, grid).matrix
     assert np.array_equal(H.diagonal(), law.energy_of_momentum(grid.x))
-    assert np.count_nonzero(H.toarray() if hasattr(H, "toarray") else H) \
-        == np.count_nonzero(H.diagonal())
+    assert H.count_nonzero() == np.count_nonzero(H.diagonal())
