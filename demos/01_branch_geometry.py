@@ -5,8 +5,7 @@ p = xdot**3 - kappa*xdot is a cubic in the velocity, so inverting it
 gives one or three real velocities depending on where p sits relative
 to the junction values +-2(kappa/3)**1.5.  This script prints the cusp
 data, walks the three-branch inversion across that window, and shows
-the fold/unfold coordinate pair that later turns the three branches
-into a single grid.
+the fold map that later turns the three branches into a single grid.
 """
 
 import numpy as np
@@ -28,13 +27,11 @@ for p in (-4.0, -2.0, -0.5, 0.0, 0.5, 2.0, 4.0):
     print(f"{p:+5.1f}   {txt}")
 print()
 
-# Round trip through the folded coordinate: each (branch, momentum)
-# pair maps to a unique point u on a single line and back.
-print(" u      p      branch   (fold of unfold)")
+# The folded coordinate: each point u of a single line maps to one
+# (branch, momentum) pair, with the junctions at u = q_- and u = q_+.
+print(" u      p      branch")
 for u in np.linspace(-5.0, 5.0, 11):
     p, branch = law.fold(u)
-    u_back = law.unfold(p, branch)
-    assert abs(u_back - u) < 1e-12
     print(f"{u:+5.1f}  {p:+5.2f}     {branch}")
 
 print()

@@ -43,11 +43,16 @@ EPS = np.finfo(float).eps
 @dataclass(frozen=True)
 class Gate:
     """A bound written once: `value op bound`, op "<", "<=", ">", "==" or
-    "in" (inclusive [lo, hi]); `share` is the part of the bound used."""
+    "in" (inclusive [lo, hi]); `share` is the part of the bound used.
+
+    `label` names the gate and stays constant; `note` is measured context
+    (a solver path, a matrix norm), printed in brackets after the label.
+    """
     label: str
     value: object
     op: str
     bound: object
+    note: str = ""
     _COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
                 "==": operator.eq, "in": lambda v, b: b[0] <= v <= b[1]}
 
@@ -67,9 +72,10 @@ class Gate:
         return math.inf if math.isnan(share) else float(share)
 
     def __str__(self):
+        label = f"{self.label} [{self.note}]" if self.note else self.label
         if self.share is None:
-            return f"{self.label} {self.value} ({self.op} {self.bound})"
-        return (f"{self.label} {self.value:#.3g} ({self.op} {self.bound}, "
+            return f"{label} {self.value} ({self.op} {self.bound})"
+        return (f"{label} {self.value:#.3g} ({self.op} {self.bound}, "
                 f"{self.share:.2f} of it)")
 
 
@@ -172,8 +178,9 @@ def criterion_fold_unfold():
         # The 1e-8 gate holds only while both sides take one solver path:
         # two paths agree to about eps*||H||inf, printed alongside.
         gates.append(Gate(
-            f"{name} max deviation [{rf.solver}/{ru.solver}, eps*||H||inf "
-            f"{EPS * gershgorin_bound(hf.matrix):.1e}]", gap, "<", 1e-8))
+            f"{name} max deviation", gap, "<", 1e-8,
+            f"{rf.solver}/{ru.solver}, eps*||H||inf "
+            f"{EPS * gershgorin_bound(hf.matrix):.1e}"))
 
     grounds = []
     for n_inner, n_arm in ((125, 188), (250, 375), (500, 749)):
@@ -203,9 +210,9 @@ def criterion_known_spectra():
     # The box's eps*||H||inf (about 6e-4) is close to the 1e-3 tolerance
     # on its unit ground level: the measured error there is roundoff.
     return [Gate("oscillator level error", oscil, "<", 1e-6),
-            Gate(f"clamped-box relative level error [{res4.solver}, "
-                 f"eps*||H||inf {EPS * gershgorin_bound(op4.matrix):.1e}]",
-                 rel, "<", 1e-3)]
+            Gate("clamped-box relative level error", rel, "<", 1e-3,
+                 f"{res4.solver}, eps*||H||inf "
+                 f"{EPS * gershgorin_bound(op4.matrix):.1e}")]
 
 
 def _continuity_peak(op, psi0, dt, steps):

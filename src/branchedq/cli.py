@@ -835,9 +835,8 @@ def _mode_verify(config, out, jobs=1):
         "dispatch": dispatch,
         "peak_rss_mb": usage.ru_maxrss / 1024.0,
         "elapsed_s": {r.cid: r.elapsed for r in results},
-        "shares": sorted(([r.cid, g.label, g.share] for r in results
-                          for g in r.gates if g.share is not None),
-                         key=lambda entry: -entry[2]),
+        "gates": [[r.cid, g.label, g.value, g.op, g.bound, g.share]
+                  for r in results for g in r.gates],
     }
 
 

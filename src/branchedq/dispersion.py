@@ -24,9 +24,9 @@ position-space wire with a polynomial kinetic stencil, assembled by
 Every momentum inversion is a view over one batched kernel,
 `branch_velocities`: the trigonometric three-root form (Nickalls, Math.
 Gazette 77 (1993) 354) inside the window |p| <= q_+, a polished Cardano
-root outside it, and one snap rule at the junctions.  The law also provides the fold/unfold
-maps between the three-sheeted momentum domain and a single real line
-with interior junction points.
+root outside it, and one snap rule at the junctions.  The law also
+provides the fold map from a single real line with interior junction
+points to the three-sheeted momentum domain.
 """
 
 import math
@@ -228,28 +228,8 @@ class DispersionLaw:
     # 1|2) sits at u = q_-, and p = q_- (branches 2|3) at u = q_+, so
     # distances along u are distances along the glued momentum curve.
 
-    def unfold(self, q, branch):
-        """The unfolded coordinate of momentum q on a branch."""
-        q = np.asarray(q, dtype=float)
-        p_minus, p_plus = self.p_minus, self.p_plus
-        width = p_plus - p_minus
-        if branch == 1:
-            if np.any(q > p_plus + 1e-12 * max(1.0, width)):
-                raise ValueError("off-branch coordinate: branch 1 requires q <= q_+")
-            return q - p_plus + p_minus
-        if branch == 2:
-            tol = 1e-12 * max(1.0, width)
-            if np.any(q > p_plus + tol) or np.any(q < p_minus - tol):
-                raise ValueError("off-branch coordinate: branch 2 requires q in [q_-, q_+]")
-            return p_plus + p_minus - q
-        if branch == 3:
-            if np.any(q < p_minus - 1e-12 * max(1.0, width)):
-                raise ValueError("off-branch coordinate: branch 3 requires q >= q_-")
-            return q + p_plus - p_minus
-        raise ValueError(f"branch must be one of {BRANCHES}, got {branch}")
-
     def fold(self, u):
-        """Map an unfolded coordinate back to (momentum, branch)."""
+        """Map an unfolded coordinate to (momentum, branch)."""
         u = np.asarray(u, dtype=float)
         p_minus, p_plus = self.p_minus, self.p_plus
         # q_- and q_+ open branches 2 and 3

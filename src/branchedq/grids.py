@@ -21,67 +21,51 @@ from .dispersion import DispersionLaw
 
 
 @dataclass(frozen=True)
-class LineGrid:
+class _UniformGrid:
+    """n equispaced nodes over [x_min, x_max]: the first sits `_FIRST`
+    steps past x_min, and n + `_FIRST` steps span the interval."""
+
+    x_min: float
+    x_max: float
+    n: int
+
+    def __post_init__(self):
+        if not self.x_max > self.x_min:
+            raise ValueError("x_max must exceed x_min")
+        if self.n < self._MIN_NODES:
+            raise ValueError(f"need at least {self._MIN_NODES} {self._NODES}")
+        if not 0.0 < self.h < np.inf:
+            raise ValueError(f"grid step {self.h:g} must be finite and "
+                             "nonzero")
+
+    @property
+    def h(self):
+        return (self.x_max - self.x_min) / (self.n + self._FIRST)
+
+    @property
+    def x(self):
+        return self.x_min + self.h * np.arange(self._FIRST,
+                                               self.n + self._FIRST)
+
+    @property
+    def size(self):
+        return self.n
+
+
+class LineGrid(_UniformGrid):
     """Interior nodes of [x_min, x_max] with Dirichlet values at both ends.
 
     n is the number of unknowns; the end points themselves carry value 0
     and are not stored.
     """
 
-    x_min: float
-    x_max: float
-    n: int
-
-    def __post_init__(self):
-        if not self.x_max > self.x_min:
-            raise ValueError("x_max must exceed x_min")
-        if self.n < 5:
-            raise ValueError("need at least 5 interior nodes")
-        if not 0.0 < self.h < np.inf:
-            raise ValueError(f"grid step {self.h:g} must be finite and "
-                             "nonzero")
-
-    @property
-    def h(self):
-        return (self.x_max - self.x_min) / (self.n + 1)
-
-    @property
-    def x(self):
-        return self.x_min + self.h * np.arange(1, self.n + 1)
-
-    @property
-    def size(self):
-        return self.n
+    _FIRST, _MIN_NODES, _NODES = 1, 5, "interior nodes"
 
 
-@dataclass(frozen=True)
-class PeriodicGrid:
+class PeriodicGrid(_UniformGrid):
     """n equispaced nodes on a ring of circumference x_max - x_min."""
 
-    x_min: float
-    x_max: float
-    n: int
-
-    def __post_init__(self):
-        if not self.x_max > self.x_min:
-            raise ValueError("x_max must exceed x_min")
-        if self.n < 4:
-            raise ValueError("need at least 4 nodes")
-        if not 0.0 < self.h < np.inf:
-            raise ValueError(f"grid step {self.h:g} must be finite and "
-                             "nonzero")
-
-    @property
-    def h(self):
-        return (self.x_max - self.x_min) / self.n
-
-    @property
-    def x(self):
-        return self.x_min + self.h * np.arange(self.n)
-
-    @property
-    def size(self):
-        return self.n
+    _FIRST, _MIN_NODES, _NODES = 0, 4, "nodes"
 
 
 class FoldedGrid:

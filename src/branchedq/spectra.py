@@ -159,7 +159,8 @@ def _negative_pivots(P, shift, floor):
 
 
 def _shift_invert(H, k):
-    """Lowest k eigenpairs by ARPACK shift-invert, or None if uncertified.
+    """Lowest k eigenpairs and their residual norms by ARPACK shift-invert,
+    or None if uncertified.
 
     The shift sits at least 1 below the lowest eigenvalue, bracketed by
     banded Cholesky, so (H - sigma)^-1 maps the wanted eigenvalues to the
@@ -188,7 +189,8 @@ def _shift_invert(H, k):
     w, C = scipy.linalg.eigh(np.einsum("ik,il->kl", vc, H @ v),
                              np.einsum("ik,il->kl", vc, v))
     v = np.einsum("ik,kl->il", v, C)
-    worst = float(np.max(np.linalg.norm(H @ v - v * w, axis=0)))
+    res = np.linalg.norm(H @ v - v * w, axis=0)
+    worst = float(np.max(res))
     if not worst <= tol:
         _log.info("shift-invert uncertified: residual margin %.3g "
                   "(max residual %.3e, tolerance %.3e)", worst / tol, worst,
@@ -204,7 +206,7 @@ def _shift_invert(H, k):
                   "theta_max + tol = %.17g, expected %d", count,
                   w[-1] + tol, k)
         return None
-    return w, v
+    return w, v, res
 
 
 def solve_eigensystem(op, k=None):
@@ -225,8 +227,11 @@ def solve_eigensystem(op, k=None):
     if scipy.sparse.issparse(H) and k is not None and 20 * k <= n:
         found = _shift_invert(H, k)
         solver = "shift-invert" if found is not None else "eigh-fallback"
-    w, v = found if found is not None else _dense_eigh(H, k)
-    res = np.linalg.norm(H @ v - v * w, axis=0)
+    if found is None:
+        w, v = _dense_eigh(H, k)
+        res = np.linalg.norm(H @ v - v * w, axis=0)
+    else:
+        w, v, res = found
     return EigenResult(w, v.astype(complex), res, solver)
 
 

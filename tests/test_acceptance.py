@@ -5,7 +5,6 @@ prints the standard one-line PASS/FAIL summary, so `pytest -v -s` doubles
 as the acceptance report.  The same checks back the `verify` CLI mode.
 """
 
-import re
 import tracemalloc
 
 import pytest
@@ -77,9 +76,7 @@ def test_criterion(cid):
     result = run_acceptance([cid])[0]
     print(result.line())
     assert result.passed, result.line()
-    # A bracketed part of a label is measured context, not a declaration.
-    assert [(re.sub(r" \[.*\]", "", g.label), g.op, g.bound)
-            for g in result.gates] == BOUNDS[cid]
+    assert [(g.label, g.op, g.bound) for g in result.gates] == BOUNDS[cid]
     hairs = [(g.label, g.share) for g in result.gates
              if g.share is not None and g.share > 0.5
              and (cid, g.label) not in THIN]

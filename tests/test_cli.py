@@ -1140,17 +1140,55 @@ def test_verify_single_criterion(tmp_path):
     assert json.loads((out / "summary.json").read_text()) == {"C6": True}
     diagnostics = json.loads((out / "diagnostics.json").read_text())
     assert set(diagnostics) == {"run_s", "workers", "dispatch", "peak_rss_mb",
-                                "elapsed_s", "shares"}
+                                "elapsed_s", "gates"}
     assert diagnostics["workers"] == 1
     assert diagnostics["dispatch"] == ["C6"]
     assert diagnostics["peak_rss_mb"] > 0
     assert set(diagnostics["elapsed_s"]) == {"C6"}
     assert diagnostics["elapsed_s"]["C6"] <= diagnostics["run_s"]
     # C6's gates are all exact counts, which use no share of a bound.
-    assert diagnostics["shares"] == []
+    assert [(cid, share) for cid, *_, share in diagnostics["gates"]] == \
+        [("C6", None)] * 3
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest["outputs"]) == {"acceptance.txt", "summary.json",
                                         "config.resolved.json"}
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} in JSON")
+
+
+def test_verify_sidecar_gates_match_acceptance_txt(tmp_path):
+    # Every kind of gate: bounds, a band, exact ints, tuples and a string,
+    # and C3's and C4's noted gates.
+    cfg = _write_config(tmp_path / "v.json", {
+        "version": 1, "mode": "verify",
+        "criteria": ["C1", "C3", "C4", "C6", "C9"]})
+    out = tmp_path / "out"
+    assert _invoke(["verify", "--config", cfg, "--out", str(out),
+                    "--jobs", "1"]).exit_code == 0
+    gates = json.loads((out / "diagnostics.json").read_text(),
+                       parse_constant=_no_constant)["gates"]
+    printed = [(line.split()[0], gate)
+               for line in (out / "acceptance.txt").read_text().splitlines()
+               for gate in line.split(": ", 1)[1].split("; ")]
+    assert [cid for cid, _ in printed] == [entry[0] for entry in gates]
+    for (_, text), (_, label, value, op, bound, share) in zip(printed, gates):
+        assert text.startswith(label)
+        rest = text[len(label):]
+        if rest.startswith(" ["):  # the note, printed after the label
+            rest = rest[rest.index("]") + 1:]
+        if op == "==":  # JSON holds a tuple as a list
+            shown = str(tuple(value) if isinstance(value, list) else value)
+            assert share is None
+        else:
+            shown = f"{value:#.3g}"
+            assert rest.endswith(f", {share:.2f} of it)")
+        assert rest.startswith(f" {shown} ({op} ")
+    notes = [text for _, text in printed if "] " in text]
+    assert [text.split(" [")[0] for text in notes] == [
+        "quadratic max deviation", "quartic max deviation",
+        "clamped-box relative level error"]
 
 
 @pytest.fixture
@@ -1359,10 +1397,12 @@ def test_verify_workers_match_serial_run(tmp_path, many_cpus):
         diagnostics = json.loads((out / "diagnostics.json").read_text())
         assert diagnostics["dispatch"] == ["C10", "C6", "C1"]
         runs.append(((out / "summary.json").read_bytes(), lines,
-                     diagnostics["shares"], diagnostics["workers"]))
+                     diagnostics["gates"], diagnostics["workers"]))
     assert runs[0][:3] == runs[1][:3] == runs[2][:3]
-    shares = [share for _, _, share in runs[0][2]]
-    assert len(shares) == 3 and shares == sorted(shares, reverse=True)
+    # Gates in report order; the four exact counts have no share.
+    assert [(cid, share is None) for cid, *_, share in runs[0][2]] == \
+        [("C1", True), ("C1", False)] + [("C6", True)] * 3 + \
+        [("C10", False)] * 2
     assert [line.split()[0] for line in runs[0][1]] == ["C1", "C6", "C10"]
     forks = "fork" in multiprocessing.get_all_start_methods()
     # --jobs defaults to the usable CPUs: one worker per criterion here.

@@ -117,18 +117,19 @@ def test_roots_match_numpy_companion():
             assert a == pytest.approx(b, abs=1e-7)
 
 
-def test_unfold_fold_round_trip():
-    assert LAW.unfold(0.0, 1) == pytest.approx(-4.0)
-    assert LAW.unfold(0.0, 2) == pytest.approx(0.0)
-    assert LAW.unfold(0.0, 3) == pytest.approx(4.0)
-    # the three charts agree at the junctions
-    assert LAW.unfold(2.0, 1) == pytest.approx(LAW.unfold(2.0, 2))
-    assert LAW.unfold(-2.0, 2) == pytest.approx(LAW.unfold(-2.0, 3))
-    rng = np.random.default_rng(11)
-    u = rng.uniform(-9.0, 9.0, size=200)
-    q, branch = LAW.fold(u)
-    back = np.array([LAW.unfold(qi, bi) for qi, bi in zip(q, branch)])
-    assert np.max(np.abs(back - u)) < 1e-12
+def test_fold_known_points_and_junctions():
+    # p = 0 lies at u = -4, 0 and 4 on branches 1, 2 and 3
+    assert LAW.fold(-4.0) == (0.0, 1)
+    assert LAW.fold(0.0) == (0.0, 2)
+    assert LAW.fold(4.0) == (0.0, 3)
+    # u = q_- opens branch 2 at p = q_+, and u = q_+ branch 3 at p = q_-;
+    # just below each, the previous branch reaches the same momentum
+    assert LAW.fold(LAW.p_minus) == (LAW.p_plus, 2)
+    assert LAW.fold(LAW.p_plus) == (LAW.p_minus, 3)
+    below = np.nextafter([LAW.p_minus, LAW.p_plus], -np.inf)
+    q, branch = LAW.fold(below)
+    assert branch.tolist() == [1, 2]
+    assert q == pytest.approx([LAW.p_plus, LAW.p_minus], abs=1e-12)
 
 
 _KAPPA = st.floats(-5.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -136,11 +137,20 @@ _KAPPA = st.floats(-5.0, 10.0, allow_nan=False, allow_infinity=False)
 
 @settings(max_examples=200, deadline=None)
 @given(kappa=_KAPPA, u=st.floats(-50.0, 50.0, allow_nan=False))
-def test_unfold_inverts_fold(kappa, u):
+def test_fold_keeps_distances_to_the_junctions(kappa, u):
+    """Each branch is a piece of the line, glued at the junctions: u's
+    distance from the junction that opens its branch is q's distance from
+    that junction's momentum."""
     law = DispersionLaw(kappa=kappa)
-    width = law.p_plus - law.p_minus
-    assert law.unfold(*law.fold(u)) == pytest.approx(
-        u, abs=1e-13 * max(1.0, abs(u), width))
+    q_minus, q_plus = law.p_minus, law.p_plus
+    q, branch = law.fold(u)
+    tol = 1e-13 * max(1.0, abs(u), q_plus - q_minus)
+    if u < q_minus:
+        assert branch == 1 and q_plus - q == pytest.approx(q_minus - u, abs=tol)
+    elif u < q_plus:
+        assert branch == 2 and q_plus - q == pytest.approx(u - q_minus, abs=tol)
+    else:
+        assert branch == 3 and q - q_minus == pytest.approx(u - q_plus, abs=tol)
 
 
 @settings(max_examples=200, deadline=None)
@@ -217,10 +227,11 @@ def test_law_rejects_kappa_without_a_finite_cube(kappa):
 
 def test_flat_law_folded_chart_collapses_to_a_point():
     flat = DispersionLaw(kappa=-1.0)
-    # the folded chart collapses to a point but still round-trips
+    # the folded chart collapses to a point: no u lands on branch 2
     assert flat.p_minus == 0.0 and flat.p_plus == 0.0
-    q, b = flat.fold(1.5)
-    assert flat.unfold(q, b) == pytest.approx(1.5)
+    assert flat.fold(-1.5) == (-1.5, 1)
+    assert flat.fold(0.0) == (0.0, 3)
+    assert flat.fold(1.5) == (1.5, 3)
 
 
 def _per_branch_root(kappa, p, branch):

@@ -68,3 +68,19 @@ def test_shifted_eigenvalue_fails(tool, ledger, run):
     fail = next(line for line in lines if line.startswith("FAIL"))
     assert fail.startswith("FAIL  graph-star/energy: max|d| ")
     assert " eps*||H||inf" in fail
+
+
+def test_gate_note_stays_out_of_the_key(tool, tmp_path):
+    # C3 prints its solver path and eps*||H||inf after its labels; the
+    # ledger keys its gates by id and label alone.
+    config = tmp_path / "v.json"
+    config.write_text(json.dumps({"version": 1, "mode": "verify",
+                                  "criteria": ["C3"]}))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["run", "--config", str(config),
+                                       "--jobs", "1", "--out", str(out)])
+    (out / "@exit").write_text(f"{result.exit_code}\n")
+    assert "quadratic max deviation [" in (out / "acceptance.txt").read_text()
+    assert set(tool["read_case"](out)) == {
+        "@exit", "C3 passed", "C3 quadratic max deviation",
+        "C3 quartic max deviation", "C3 dyadic order"}
