@@ -26,7 +26,9 @@ from .graphs import (Edge, HalfLine, MetricGraph, VertexCondition, box_graph,
                      compton_graph, count_conditions, graph_hamiltonian,
                      star_graph, star_secular_spectrum)
 from .grids import FoldedGrid, LineGrid, PeriodicGrid
-from .operators import (StencilSymbol, _max_abs, _slab_max,
+# build_convolution_potential is bound here, though no criterion calls it,
+# because perfbench/tracer.py wraps this module's binding by name.
+from .operators import (StencilSymbol, _KernelSlabs, _max_abs, _slab_max,
                         build_convolution_hamiltonian,
                         build_convolution_potential, build_dual_wire_hamiltonian,
                         build_folded_hamiltonian, build_unfolded_hamiltonian,
@@ -131,30 +133,30 @@ def criterion_hermiticity():
                     "c0": VertexCondition("weighted",
                                           (1.0, 1.0, np.sqrt(2.0)))})
 
-    # Built one at a time, so that at most one dense kernel is alive.
+    # Built one at a time; the dense kernels only ever a slab at a time.
     cases = [
         ("folded quadratic", lambda: build_folded_hamiltonian(
-            law, grid, QuadraticPotential(1.0))),
+            law, grid, QuadraticPotential(1.0)).matrix),
         ("folded quartic", lambda: build_folded_hamiltonian(
-            law, grid, QuarticPotential(0.4, 0.3, 0.2))),
+            law, grid, QuarticPotential(0.4, 0.3, 0.2)).matrix),
         ("dual wire", lambda: build_dual_wire_hamiltonian(
-            StencilSymbol(0.2, 0.1, 0.5, 0.3), law, grid)),
-        ("hermitian convolution", lambda: build_convolution_hamiltonian(
-            law, asym, line, mode="hermitian")),
-        ("kirchhoff graph", lambda: graph_hamiltonian(star_graph(3, 1.0), 266)),
-        ("weighted graph", lambda: graph_hamiltonian(weighted, 266)),
+            StencilSymbol(0.2, 0.1, 0.5, 0.3), law, grid).matrix),
+        ("hermitian convolution", lambda: _KernelSlabs(
+            asym, line, "hermitian", law, kinetic=True)),
+        ("kirchhoff graph", lambda: graph_hamiltonian(
+            star_graph(3, 1.0), 266).matrix),
+        ("weighted graph", lambda: graph_hamiltonian(weighted, 266).matrix),
     ]
     gates = []
     for name, build in cases:
-        m = build().matrix
+        m = build()
         gates.append(Gate(f"{name} defect / max|H|", hermiticity_defect(m)
                           / _max_abs(m), "<", 1e-12))
 
     n1 = hermiticity_defect(build_folded_hamiltonian(
         law, grid, QuarticPotential(0.4, 0.3, 0.2),
         flip_reversed_branch=False).matrix)
-    n2 = hermiticity_defect(build_convolution_potential(
-        asym, line, mode="naive", domain=law).matrix)
+    n2 = hermiticity_defect(_KernelSlabs(asym, line, "naive", law))
     return gates + [Gate("control unflipped defect", n1, ">", 1e-3),
                     Gate("control windowed-asymmetric defect", n2, ">", 1e-3)]
 
@@ -392,11 +394,11 @@ def criterion_convolution_consistency():
     law = DispersionLaw(kappa=3.0)
     V = GaussianPotential(1.0, 1.0, 0.0)
     line = LineGrid(-20.0, 20.0, 800)
-    mh = build_convolution_potential(V, line, mode="hermitian").matrix
-    mn = build_convolution_potential(V, line, mode="naive", domain=law).matrix
+    # Both kernels only ever a row slab at a time.
+    mh = _KernelSlabs(V, line, "hermitian")
+    mn = _KernelSlabs(V, line, "naive", law)
     entry = _slab_max(lambda rows: np.abs(mh[rows] - mn[rows]).max(),
                       len(mh)) / _max_abs(mh)
-    del mh, mn  # the ring part runs without the two dense kernels
 
     pg = PeriodicGrid(-32.0, 32.0, 256)
     h1 = build_convolution_hamiltonian(law, V, pg, mode="hermitian")
@@ -431,12 +433,13 @@ CRITERIA = [
 # from the sidecar's elapsed_s of 12 `verify --jobs 2` runs in fresh
 # processes on a 2-vCPU VM (medians): C3 0.082 s, C10 0.065, C9 0.052,
 # C5 0.048, C2 0.039, C7 0.036, C4 0.023, C6 and C8 0.021, C1 0.004.  C9
-# starts first; C10 and C2, which hold dense 800 x 800 kernels (peaks 21 and
-# 12 MiB), run one after the other beside it, and the rest follow.  The
-# order stays, since an order change has moved the peak resident set:
-# strict LPT, with C3 second and C10 third, was no faster (run_s 0.303
-# against 0.298 s over 12 alternating runs) and raised it from 86.8 to
-# 88.2 MB, once from 87.5 to 94 MB.
+# starts first; C10 and C2 run one after the other beside it, and the rest
+# follow.  C10 and C2 no longer hold an 800 x 800 kernel (traced peaks 5.2
+# and 2.8 MiB, from 21 and 12), but the order stays: when they did, an
+# order change moved the peak resident set, and it has not been measured
+# again since.  Strict LPT, with C3 second and C10 third, was no faster
+# (run_s 0.303 against 0.298 s over 12 alternating runs) and raised it
+# from 86.8 to 88.2 MB, once from 87.5 to 94 MB.
 DISPATCH = ("C9", "C10", "C2", "C3", "C5", "C7", "C8", "C4", "C6", "C1")
 
 

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-from scipy.linalg import toeplitz, circulant
 
 from .dispersion import DispersionLaw
 from .grids import FoldedGrid, LineGrid, PeriodicGrid
@@ -256,67 +255,111 @@ def build_convolution_potential(V, grid, mode="hermitian", domain=None):
     """Kernel realization of a decaying potential on the unfolded grid.
 
     hermitian mode: plain convolution by K1(xi - xi') with the 1/(2 pi)
-    measure, Toeplitz on a LineGrid (Dirichlet truncation) or circulant
-    on a PeriodicGrid.  naive mode: the three-interval windowed kernel
-    sum with the reversed middle interval conjugated (K2 = conj(K1));
-    for asymmetric V this is not Hermitian and is kept for testing.  The
-    naive windows split at the junction momenta of `domain`, a branched
-    DispersionLaw.
+    measure.  Entry (i, j) is the kernel sample at offset (i - j) h,
+    times h / (2 pi): Toeplitz on a LineGrid (Dirichlet truncation), and
+    on a PeriodicGrid circulant, with i - j taken mod n into the half
+    period.  naive mode: the three-interval windowed kernel sum with the
+    reversed middle interval conjugated (K2 = conj(K1)), the windows
+    scaling the columns; for asymmetric V this is not Hermitian and is
+    kept for testing.  The naive windows split at the junction momenta of
+    `domain`, a branched DispersionLaw.
     """
-    if not has_kernel(V):
-        raise ValueError("potential has no integrable transform (a polynomial's "
-                         "kernel is a string of delta-function derivatives); "
-                         "use the stencil assembly instead")
-    if mode not in ("hermitian", "naive"):
-        raise ValueError(f"unknown kernel mode {mode!r}")
+    return OperatorMatrix(_KernelSlabs(V, grid, mode, domain).matrix(), grid)
 
-    if isinstance(grid, LineGrid):
-        offsets = grid.h * np.arange(-(grid.size - 1), grid.size)
-        samples = V.kernel(offsets)
-        pos = samples[grid.size - 1:]
-        neg = samples[grid.size - 1::-1]
-        K1 = toeplitz(pos, neg)
-        if mode == "naive":
-            if not (isinstance(domain, DispersionLaw) and domain.branched):
-                raise ValueError("naive mode needs the branched domain for "
-                                 "its windows")
-            K1 = _windowed_sum(
-                K1, *_heaviside_windows(grid.x, domain.p_minus, domain.p_plus))
-        return OperatorMatrix(_scaled(grid, K1), grid)
 
-    if isinstance(grid, PeriodicGrid):
-        if mode != "hermitian":
-            raise ValueError("windowed kernels need the truncated line, not a ring")
+class _KernelSlabs:
+    """A dense convolution kernel, built a slab of rows or columns at a time.
+
+    The kernel samples and the naive windows are taken once.  `self[rows]`
+    and `self[:, cols]` (unit-step slices) build that slab of the matrix
+    that `build_convolution_potential` returns, or with `kinetic` that of
+    `build_convolution_hamiltonian` (the law is `domain`), bit for bit; so
+    the dense branches of `hermiticity_defect` and `_max_abs` reduce over
+    it without the n x n matrix.
+    """
+
+    def __init__(self, V, grid, mode="hermitian", domain=None, kinetic=False):
+        if not has_kernel(V):
+            raise ValueError("potential has no integrable transform (a "
+                             "polynomial's kernel is a string of "
+                             "delta-function derivatives); use the stencil "
+                             "assembly instead")
+        if mode not in ("hermitian", "naive"):
+            raise ValueError(f"unknown kernel mode {mode!r}")
         n = grid.size
-        wrap = np.arange(n)
-        wrap[wrap > n // 2] -= n
-        samples = np.asarray(V.kernel(grid.h * wrap), dtype=complex)
-        if n % 2 == 0:
-            # The half-period offset is shared between +n/2 and -n/2;
-            # its Hermitian part is the consistent sample.
-            samples[n // 2] = samples[n // 2].real
-        return OperatorMatrix(_scaled(grid, circulant(samples)), grid)
+        self._windows = None
+        if isinstance(grid, LineGrid):
+            samples = np.asarray(V.kernel(grid.h * np.arange(-(n - 1), n)))
+            if mode == "naive":
+                if not (isinstance(domain, DispersionLaw) and domain.branched):
+                    raise ValueError("naive mode needs the branched domain "
+                                     "for its windows")
+                self._windows = _heaviside_windows(grid.x, domain.p_minus,
+                                                   domain.p_plus)
+        elif isinstance(grid, PeriodicGrid):
+            if mode != "hermitian":
+                raise ValueError("windowed kernels need the truncated line, "
+                                 "not a ring")
+            wrap = np.arange(n)
+            wrap[wrap > n // 2] -= n
+            ring = np.asarray(V.kernel(grid.h * wrap), dtype=complex)
+            if n % 2 == 0:
+                # The half-period offset is shared between +n/2 and -n/2;
+                # its Hermitian part is the consistent sample.
+                ring[n // 2] = ring[n // 2].real
+            # Offsets 1 - n .. n - 1, each taken mod n.
+            samples = np.concatenate([ring[1:], ring])
+        else:
+            raise TypeError("build_convolution_potential needs a LineGrid or "
+                            "PeriodicGrid")
+        # Entry (i, j), the sample at offset i - j, is _reversed[n-1-i+j],
+        # so each row of a slab is a contiguous run of it.
+        self._reversed = samples[::-1].copy()
+        self._scale = grid.h / (2.0 * np.pi)
+        self._diagonal = _unfolded_energy(domain, grid.x) if kinetic else None
+        self.shape = (n, n)
+        self.size = n * n
 
-    raise TypeError("build_convolution_potential needs a LineGrid or PeriodicGrid")
+    def __len__(self):
+        return self.shape[0]
 
+    def __getitem__(self, key):
+        rows, cols = key if isinstance(key, tuple) else (key, slice(None))
+        (i0, i1, _), (j0, j1, _) = (s.indices(len(self)) for s in (rows, cols))
+        return self._fill(np.empty((i1 - i0, j1 - j0), self._reversed.dtype),
+                          i0, j0)
 
-def _scaled(grid, K):
-    """K times the measure h / (2 pi), in place.  The operand order is
-    fixed: numpy runs `scale * K` on a temporary K of 256 KiB or more as
-    K * scale, and the two orders give some underflowing products zeros of
-    opposite sign."""
-    return np.multiply(grid.h / (2.0 * np.pi), K, out=K)
+    def matrix(self):
+        """The whole n x n matrix, filled one row slab at a time."""
+        K = np.empty(self.shape, self._reversed.dtype)
+        for i in range(0, len(K), _SLAB_ROWS):
+            self._fill(K[i:i + _SLAB_ROWS], i, 0)
+        return K
 
-
-def _windowed_sum(K1, w1, w2, w3):
-    """K1 w1 + conj(K1) w2 + K1 w3 (columns scaled), in place in K1, one
-    row slab at a time, with two slab temporaries."""
-    for k in np.split(K1, range(_SLAB_ROWS, len(K1), _SLAB_ROWS)):
-        m, term = k * w1, np.conj(k)
-        m += np.multiply(term, w2, out=term)
-        np.add(m, np.multiply(k, w3, out=term), out=k)
-        del m, term  # before the next slab's are made
-    return K1
+    def _fill(self, out, i0, j0):
+        """out := the block whose top left entry is (i0, j0), with one
+        block-sized temporary at most."""
+        (m, w), n = out.shape, len(self)
+        runs = np.lib.stride_tricks.sliding_window_view(self._reversed, w)
+        k = runs[n - m - i0 + j0:n - i0 + j0][::-1]  # the samples, a view
+        # The measure multiplies in one operand order: numpy runs
+        # `scale * K` on a temporary K of 256 KiB or more as K * scale, and
+        # the two orders give some underflowing products zeros of opposite
+        # sign.
+        if self._windows is None:
+            np.multiply(self._scale, k, out=out)
+        else:
+            # K w1 + conj(K) w2 + K w3, the windows scaling the columns.
+            w1, w2, w3 = (win[j0:j0 + w] for win in self._windows)
+            term = np.conj(k)
+            np.multiply(k, w1, out=out)
+            out += np.multiply(term, w2, out=term)
+            out += np.multiply(k, w3, out=term)
+            np.multiply(self._scale, out, out=out)
+        if self._diagonal is not None:
+            d = np.arange(max(i0, j0), min(i0 + m, j0 + w))
+            out[d - i0, d - j0] += self._diagonal[d]
+        return out
 
 
 def _heaviside_windows(xi, p_minus, p_plus):
@@ -334,9 +377,8 @@ def _heaviside_windows(xi, p_minus, p_plus):
 
 def build_convolution_hamiltonian(law, V, grid, mode="hermitian"):
     """Kinetic diagonal plus the kernel potential on the unfolded grid."""
-    H = build_convolution_potential(V, grid, mode=mode, domain=law).matrix
-    H[np.diag_indices_from(H)] += _unfolded_energy(law, grid.x)
-    return OperatorMatrix(H, grid)
+    return OperatorMatrix(
+        _KernelSlabs(V, grid, mode, law, kinetic=True).matrix(), grid)
 
 
 def fourier_conjugate_hamiltonian(law, V, grid):

@@ -22,8 +22,8 @@ from branchedq import (DispersionLaw, FoldedGrid, GaussianPotential, LineGrid,
                        build_convolution_potential, build_dual_wire_hamiltonian,
                        build_folded_hamiltonian, build_unfolded_hamiltonian,
                        fourier_conjugate_hamiltonian, hermiticity_defect)
-from branchedq.operators import (_heaviside_windows, _max_abs, _unfolded_energy,
-                                 gershgorin_bound)
+from branchedq.operators import (_heaviside_windows, _KernelSlabs, _max_abs,
+                                 _unfolded_energy, gershgorin_bound)
 
 LAW = DispersionLaw(kappa=3.0)
 
@@ -433,6 +433,50 @@ def test_ring_kernel_scale_keeps_one_operand_order(n):
     assert expected.tobytes() != np.multiply(C, g.h / (2.0 * np.pi)).tobytes()
     got = build_convolution_potential(_Underflowing(), g).matrix
     assert got.tobytes() == expected.tobytes()
+
+
+def _scipy_kernel(V, grid, mode):
+    """The kernel matrix by scipy's toeplitz (through `_unfused`) or
+    circulant, from the builder's samples."""
+    if isinstance(grid, LineGrid):
+        return _unfused(V, grid, mode)
+    n = grid.size
+    wrap = np.arange(n)
+    wrap[wrap > n // 2] -= n
+    samples = np.asarray(V.kernel(grid.h * wrap), dtype=complex)
+    if n % 2 == 0:
+        samples[n // 2] = samples[n // 2].real
+    return np.multiply(grid.h / (2.0 * np.pi), circulant(samples))
+
+
+@pytest.mark.parametrize("grid,mode", [
+    (LineGrid(-20.0, 20.0, 150), "hermitian"),
+    (LineGrid(-20.0, 20.0, 150), "naive"),
+    (PeriodicGrid(-16.0, 16.0, 96), "hermitian"),
+    (PeriodicGrid(-16.0, 16.0, 97), "hermitian"),
+], ids=["line-hermitian", "line-naive", "ring-even", "ring-odd"])
+def test_kernel_slabs_are_the_built_matrices(grid, mode):
+    V = GaussianPotential(2.0, 1.0, 1.5)
+    potential = build_convolution_potential(V, grid, mode=mode,
+                                            domain=LAW).matrix
+    hamiltonian = build_convolution_hamiltonian(LAW, V, grid, mode=mode).matrix
+    # Every row and column slab, in the slab height and in an odd width
+    # that ends in a short slab, has the built matrix's bytes.
+    n = grid.size
+    for built, kinetic in ((potential, False), (hamiltonian, True)):
+        slabs = _KernelSlabs(V, grid, mode, LAW, kinetic=kinetic)
+        assert len(slabs) == n and slabs.shape == built.shape
+        for width in (64, 7):
+            for i in range(0, n, width):
+                rows, cols = slabs[i:i + width], slabs[:, i:i + width]
+                assert rows.tobytes() == built[i:i + width].tobytes()
+                assert cols.tobytes() == np.ascontiguousarray(
+                    built[:, i:i + width]).tobytes()
+    # scipy stays the reference for the entry rule.
+    expected = _scipy_kernel(V, grid, mode)
+    assert potential.tobytes() == expected.tobytes()
+    expected[np.diag_indices_from(expected)] += _unfolded_energy(LAW, grid.x)
+    assert hamiltonian.tobytes() == expected.tobytes()
 
 
 _SPECIALS = [0.0, -0.0, 5e-324, -1e-310, 1e300, -1.7e308, np.inf, -np.inf,
