@@ -432,14 +432,17 @@ CRITERIA = [
 # (1969) 416) as it was set, when C9 was the longest criterion.  Costs now,
 # from the sidecar's elapsed_s of 12 `verify --jobs 2` runs in fresh
 # processes on a 2-vCPU VM (medians): C3 0.082 s, C10 0.065, C9 0.052,
-# C5 0.048, C2 0.039, C7 0.036, C4 0.023, C6 and C8 0.021, C1 0.004.  C9
-# starts first; C10 and C2 run one after the other beside it, and the rest
-# follow.  C10 and C2 no longer hold an 800 x 800 kernel (traced peaks 5.2
-# and 2.8 MiB, from 21 and 12), but the order stays: when they did, an
-# order change moved the peak resident set, and it has not been measured
-# again since.  Strict LPT, with C3 second and C10 third, was no faster
-# (run_s 0.303 against 0.298 s over 12 alternating runs) and raised it
-# from 86.8 to 88.2 MB, once from 87.5 to 94 MB.
+# C5 0.048, C2 0.039, C7 0.036, C4 0.023, C6 and C8 0.021, C1 0.004.  C2
+# has since read 0.077 s over slab-built kernels, and 0.045 once its
+# defects reduced over the upper block triangle (medians of 12 alternating
+# runs on one host, where C3 read 0.131 s both times).  C9 starts first;
+# C10 and C2 run one after the other beside it, and the rest follow.  C10
+# and C2 no longer hold an 800 x 800 kernel (traced peaks 5.2 and 2.8 MiB,
+# from 21 and 12), but the order stays: when they did, an order change
+# moved the peak resident set, and it has not been measured again since.
+# Strict LPT, with C3 second and C10 third, was no faster (run_s 0.303
+# against 0.298 s over 12 alternating runs) and raised it from 86.8 to
+# 88.2 MB, once from 87.5 to 94 MB.
 DISPATCH = ("C9", "C10", "C2", "C3", "C5", "C7", "C8", "C4", "C6", "C1")
 
 

@@ -327,8 +327,8 @@ def _segment(rhs, t, x, v, t_end, tol, samples, vc, push, stats):
     return "completed", t, x, v
 
 
-def _run_segments(rhs, state0, end_time, law, potential, tol, policy, seed,
-                  max_events, t_eval):
+def _run_segments(rhs, state0, end_time, law, potential, tol, t_eval,
+                  policy="halt", seed=None, max_events=32):
     if policy not in _POLICIES:
         raise ValueError(f"unknown degeneracy policy {policy!r}")
     if t_eval is not None and end_time == state0.t:
@@ -424,18 +424,18 @@ def integrate_hamilton(state0, end_time, law, potential=None, *, tol=1e-12,
         except ArithmeticError:  # numpy's inf and NaN, for python floats
             return math.nan, math.nan
 
-    return _run_segments(rhs, state0, end_time, law, potential, tol, policy,
-                         seed, max_events, t_eval)
+    return _run_segments(rhs, state0, end_time, law, potential, tol, t_eval,
+                         policy, seed, max_events)
 
 
 def integrate_euler_lagrange(state0, end_time, law, potential=None, *,
-                             tol=1e-12, policy="halt", seed=None,
-                             max_events=32, t_eval=None):
-    """Integrate (3 xdot^2 - kappa) xddot = -V'(x) directly.
+                             tol=1e-12, t_eval=None):
+    """Integrate (3 xdot^2 - kappa) xddot = -V'(x) directly: the halting
+    reference for the bracket flow on cusp-free orbits.
 
-    Same contract and event machinery as integrate_hamilton, but the right
-    hand side comes straight from the Euler-Lagrange equation: dx/dt is
-    xdot itself, with no bracket in sight.
+    Same contract and event machinery as integrate_hamilton under the halt
+    policy, but the right hand side comes straight from the Euler-Lagrange
+    equation: dx/dt is xdot itself, with no bracket in sight.
     """
     grad = _force_of(potential)
     kappa = float(law.kappa)
@@ -446,5 +446,4 @@ def integrate_euler_lagrange(state0, end_time, law, potential=None, *,
         except ZeroDivisionError:
             return v, math.nan
 
-    return _run_segments(rhs, state0, end_time, law, potential, tol, policy,
-                         seed, max_events, t_eval)
+    return _run_segments(rhs, state0, end_time, law, potential, tol, t_eval)

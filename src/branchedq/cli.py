@@ -970,18 +970,9 @@ def run_config(config, out_dir, jobs=1):
     return all(_map(_run_task, tasks, jobs, "sweep"))
 
 
-def emit_dispersion_curve(kappa, samples, v_min=-3.0, v_max=3.0,
-                          path="dispersion.csv"):
-    """Write the (xdot, p, E, branch) sweep tracing the momentum-energy curve."""
-    law = DispersionLaw(kappa=float(kappa))
-    _write_columns(Path(path), velocity_sweep(law, float(v_min),
-                                              float(v_max), int(samples)))
-    return Path(path)
-
-
 # -- click wiring ---------------------------------------------------------------
 
-def _execute(config_path, mode, jobs, seed, out):
+def _execute(config_path, mode, jobs, out):
     try:
         if config_path:
             config = load_config(config_path)
@@ -991,8 +982,6 @@ def _execute(config_path, mode, jobs, seed, out):
             raise ConfigError("--config is required")
         if mode:
             config["mode"] = mode
-        if seed is not None:
-            config["seed"] = int(seed)
         stem = Path(config_path).stem if config_path else config["mode"]
         out_dir = Path(out or config.get("out") or f"{stem}-out")
         ok = run_config(config, out_dir,
@@ -1008,8 +997,6 @@ def _execute(config_path, mode, jobs, seed, out):
 
 def _common(fn):
     fn = click.option("--out", default=None, help="Output directory.")(fn)
-    fn = click.option("--seed", default=None, type=int,
-                      help="Override the config seed.")(fn)
     fn = click.option("--jobs", default=None, type=click.IntRange(min=1),
                       help="Worker processes for sweep points and verify "
                            "criteria (default: the usable CPUs); the "
@@ -1026,16 +1013,16 @@ def main():
 
 @main.command()
 @_common
-def run(config_path, jobs, seed, out):
+def run(config_path, jobs, out):
     """Run a config-driven experiment in its config's mode."""
-    _execute(config_path, None, jobs, seed, out)
+    _execute(config_path, None, jobs, out)
 
 
 def _mode_command(name, doc):
     @main.command(name=name, help=doc)
     @_common
-    def _cmd(config_path, jobs, seed, out):
-        _execute(config_path, name, jobs, seed, out)
+    def _cmd(config_path, jobs, out):
+        _execute(config_path, name, jobs, out)
     return _cmd
 
 
@@ -1073,7 +1060,8 @@ def _finite_velocity(ctx, param, value):
 def dispersion(kappa, samples, v_min, v_max, out):
     """Emit the swallowtail (xdot, p, E, branch) curve as CSV."""
     try:
-        emit_dispersion_curve(kappa, samples, v_min, v_max, out)
+        law = DispersionLaw(kappa=kappa)
+        _write_columns(Path(out), velocity_sweep(law, v_min, v_max, samples))
     except ValueError as exc:
         raise click.BadParameter(str(exc), param_hint="--kappa") from None
     click.echo(f"wrote {out}")

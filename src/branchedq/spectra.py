@@ -54,6 +54,9 @@ _CERTIFY_MULTIPLE = 64.0
 # seed also makes reruns byte-identical.
 _START_SEED = 20260814
 
+# Iteration caps of newton_refine and variance_minimize.
+_NEWTON_MAX_ITER, _VARIANCE_MAX_ITER = 25, 20000
+
 _log = logging.getLogger(__name__)
 
 
@@ -268,7 +271,7 @@ def stationarity_residual(op, psi):
         [np.imag(np.conj(chi) * psi), np.imag(a + b), np.real(b - a)]))
 
 
-def newton_refine(op, psi0, tol=1e-10, max_iter=25):
+def newton_refine(op, psi0, tol=1e-10):
     """Newton iteration for an eigenpair near psi0.
 
     Each step solves the complex bordered system
@@ -276,7 +279,7 @@ def newton_refine(op, psi0, tol=1e-10, max_iter=25):
         [[H - E, -psi], [psi^H, 0]] [dpsi; dE] = [(E - H) psi; 0]
 
     by sparse LU, then renormalizes psi and resets E to the Rayleigh
-    quotient; it stops when the stationarity residual drops below tol.
+    quotient, for at most 25 steps, until its stationarity residual < tol.
     The update psi + dpsi = dE (H - E)^-1 psi makes this Rayleigh quotient
     iteration.  Returns (E, psi) with E = <psi|H|psi> and the phase of psi
     chosen so that <psi0|psi> is real and positive.
@@ -291,14 +294,14 @@ def newton_refine(op, psi0, tol=1e-10, max_iter=25):
     E = float(np.real(np.vdot(psi, H @ psi)))
     one = scipy.sparse.eye_array(n, format="csr")
 
-    for it in range(max_iter + 1):
+    for it in range(_NEWTON_MAX_ITER + 1):
         resid = float(np.max(stationarity_residual(op, psi)))
         if resid < tol:
             _log.info("Newton refinement: stationarity residual %.3e after "
                       "%d iterations", resid, it)
             overlap = np.vdot(ref, psi)
             return E, psi * (abs(overlap) / overlap)
-        if it == max_iter:
+        if it == _NEWTON_MAX_ITER:
             break
         K = scipy.sparse.block_array(
             [[H - E * one, -psi[:, None]], [psi.conj()[None, :], None]],
@@ -313,11 +316,11 @@ def newton_refine(op, psi0, tol=1e-10, max_iter=25):
         E = float(np.real(np.vdot(psi, H @ psi)))
 
     raise ConvergenceError(
-        f"no convergence in {max_iter} Newton iterations "
+        f"no convergence in {_NEWTON_MAX_ITER} Newton iterations "
         f"(last stationarity residual {resid:.3e} > tol {tol:.3e})")
 
 
-def variance_minimize(op, psi0, tol=1e-10, max_iter=20000):
+def variance_minimize(op, psi0, tol=1e-10):
     """Minimize var(H) = ||(H - <H>) psi||^2 over normalized states.
 
     A three-term Rayleigh-Ritz recurrence on the variance (LOBPCG on the
@@ -329,7 +332,7 @@ def variance_minimize(op, psi0, tol=1e-10, max_iter=20000):
     subspace holds psi, so the variance never rises.  Stops when the
     variance falls below tol and returns (<H>, psi); a variance that stops
     strictly decreasing above tol raises ConvergenceError with its last
-    value, as does the iteration cap.
+    value, as does the cap of 20,000 steps (_VARIANCE_MAX_ITER).
 
     The preconditioner is T = (H - sigma)^-2, with sigma the shift of
     shift-invert: lo - max(1, hi - lo) for the banded Cholesky bracket
@@ -353,7 +356,7 @@ def variance_minimize(op, psi0, tol=1e-10, max_iter=20000):
     psi = _unit_start(psi0)
     prev = None
     last = np.inf
-    for it in range(max_iter + 1):
+    for it in range(_VARIANCE_MAX_ITER + 1):
         hpsi = H @ psi
         e = float(np.real(np.vdot(psi, hpsi)))
         r = hpsi - e * psi
@@ -365,7 +368,7 @@ def variance_minimize(op, psi0, tol=1e-10, max_iter=20000):
         if not var < last:
             raise ConvergenceError(
                 f"variance minimization stagnated at {var:.3e} > tol {tol:.3e}")
-        if it == max_iter:
+        if it == _VARIANCE_MAX_ITER:
             break
         step = shifted.solve(shifted.solve(H @ r - e * r))
         directions = [psi, step] + ([] if prev is None else [prev])

@@ -30,8 +30,7 @@ from hypothesis import strategies as st
 
 import branchedq
 from branchedq import acceptance, cli
-from branchedq.cli import (CONFIG_SCHEMA, _write_columns,
-                          emit_dispersion_curve, main)
+from branchedq.cli import CONFIG_SCHEMA, _write_columns, main
 from branchedq.errors import ConfigError
 from branchedq.evolution import (gaussian_packet, probability_current,
                                  propagate)
@@ -1539,6 +1538,19 @@ def test_bad_jobs_exit_two(tmp_path, jobs):
     assert "Invalid value for '--jobs'" in result.output
 
 
+@pytest.mark.parametrize("command", ["run", "spectrum", "evolve", "graph",
+                                     "classical", "kernel", "verify"])
+def test_seed_option_is_gone(tmp_path, command):
+    """A config's `seed` is the one way to set the seed."""
+    cfg = _write_config(tmp_path / "c.json", _classical_config())
+    out = tmp_path / "out"
+    result = _invoke([command, "--config", cfg, "--seed", "3", "--out",
+                      str(out)])
+    assert result.exit_code == 2
+    assert "No such option '--seed'" in result.output
+    assert not out.exists()
+
+
 def test_dispersion_command_csv(tmp_path):
     out = tmp_path / "disp.csv"
     result = _invoke(
@@ -1611,9 +1623,11 @@ def test_dispersion_command_takes_the_largest_finite_energy(tmp_path):
     assert np.isfinite(rows).all() and rows[-1, 0] == 1.15e77
 
 
-def test_emit_dispersion_curve_direct(tmp_path):
+def test_dispersion_command_short_curve(tmp_path):
     out = tmp_path / "curve.csv"
-    emit_dispersion_curve(3.0, 7, v_min=-1.5, v_max=1.5, path=str(out))
+    result = _invoke(["dispersion", "--kappa", "3.0", "--samples", "7",
+                      "--v-min", "-1.5", "--v-max", "1.5", "--out", str(out)])
+    assert result.exit_code == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 8
     first = [float(v) for v in lines[1].split(",")]

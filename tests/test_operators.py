@@ -507,10 +507,41 @@ def test_blocked_defect_equals_the_whole_matrix_defect(n, dtype):
             whole = [float(abs(S - S.conj().T).max()),
                      float(abs(S).sum(axis=1).max()), float(np.max(np.abs(S)))]
         assert np.array(got).tobytes() == np.array(whole).tobytes(), specials
+    # The defect reduces over the upper block triangle only: |x - conj(y)|
+    # is the same float for either order of a pair.  A matrix far from
+    # Hermitian and a NaN below the diagonal keep their bits too.
+    A = rng.standard_normal((n, n)).astype(dtype)
+    if dtype is complex:
+        A += 1j * rng.standard_normal((n, n))
+    below = H.copy()
+    below[-1, 0] = complex(np.nan, 1.0) if dtype is complex else np.nan
+    for S in (A, below):
+        assert np.float64(hermiticity_defect(S)).tobytes() == \
+            np.float64(np.abs(S - S.conj().T).max()).tobytes()
+    assert np.isnan(hermiticity_defect(below))
     # A NaN in the last slab only is the result, as in the whole-matrix max.
     H[-1, -1] = np.nan
     assert np.isnan(hermiticity_defect(H))
     assert np.isnan(gershgorin_bound(H)) and np.isnan(_max_abs(H))
+
+
+def test_slab_defect_fills_the_upper_block_triangle(monkeypatch):
+    """A defect over an 800-node slab source fills n^2 + 64 n entries or
+    so, not every slab twice (2 n^2)."""
+    g = LineGrid(-20.0, 20.0, 800)
+    slabs = _KernelSlabs(GaussianPotential(2.0, 1.0, 1.5), g, "naive", LAW)
+    filled = []
+    fill = _KernelSlabs._fill
+
+    def counted(self, out, i0, j0):
+        filled.append(out.size)
+        return fill(self, out, i0, j0)
+    monkeypatch.setattr(_KernelSlabs, "_fill", counted)
+    defect = hermiticity_defect(slabs)
+    assert sum(filled) <= 1.1 * g.size**2
+    monkeypatch.undo()
+    K = slabs.matrix()
+    assert defect == float(np.abs(K - K.conj().T).max())
 
 
 def _heap_peak(build):

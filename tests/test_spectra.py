@@ -321,13 +321,14 @@ def test_newton_refine_recovers_eigenpair():
         assert abs(anchor.imag) <= 1e-14 and anchor.real > 0.0
 
 
-def test_newton_refine_signals_divergence():
+def test_newton_refine_signals_divergence(monkeypatch):
+    monkeypatch.setattr(branchedq.spectra, "_NEWTON_MAX_ITER", 1)
     rng = np.random.default_rng(6)
     A = rng.normal(size=(8, 8))
     op = OperatorMatrix(0.5 * (A + A.T), None)
     psi0 = _noisy_start(np.ones(8), 1.0, 7)
     with pytest.raises(ConvergenceError):
-        newton_refine(op, psi0, tol=1e-12, max_iter=1)
+        newton_refine(op, psi0, tol=1e-12)
 
 
 def test_newton_refine_reports_singular_step():
@@ -390,7 +391,7 @@ def test_refiners_log_their_iterations(caplog):
     assert len(_iterations(caplog, "Newton refinement")) == 3
 
 
-def test_variance_minimize_on_a_stiff_folded_quartic():
+def test_variance_minimize_on_a_stiff_folded_quartic(monkeypatch):
     """On 399 nodes the plain variance gradient is too stiff: from this
     start, without the preconditioner, the recurrence is still at variance
     0.63 after 20,000 steps; 200 would end at 5e4.  The start is C8's
@@ -404,8 +405,8 @@ def test_variance_minimize_on_a_stiff_folded_quartic():
     rng = np.random.default_rng(20260814)
     noise = rng.standard_normal(fg.size) + 1j * rng.standard_normal(fg.size)
     psi0 = exact + 0.05 * noise / np.linalg.norm(noise)
-    E, psi = variance_minimize(op, psi0 / np.linalg.norm(psi0), tol=1e-8,
-                               max_iter=200)
+    monkeypatch.setattr(branchedq.spectra, "_VARIANCE_MAX_ITER", 200)
+    E, psi = variance_minimize(op, psi0 / np.linalg.norm(psi0), tol=1e-8)
     assert abs(E - ref.eigenvalues[0]) < 1e-6
     assert abs(np.vdot(exact, psi)) > 0.999
 
