@@ -509,12 +509,8 @@ def validate_config(doc, source="config"):
 
 
 def load_config(path):
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from None
-    try:
-        doc = parse_json(text)
+    try:  # an OSError names the path; not UTF-8 is a ValueError
+        doc = parse_json(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno} "
                           f"column {exc.colno}: {exc.msg}") from None
@@ -953,7 +949,8 @@ def run_config(config, out_dir, jobs=1):
     items, usable CPUs) forked worker processes, or one after another in
     this process when the BLAS pools were not sized from the environment
     (see the module docstring).  Each sweep point runs its own criteria
-    one after another.
+    one after another.  Every point's directory is made before any point
+    runs, so one that cannot be made refuses the sweep.
     """
     out_dir = Path(out_dir)
     sweep = config.get("sweep")
@@ -967,26 +964,23 @@ def run_config(config, out_dir, jobs=1):
         validate_config(sub, source=f"sweep value {i}")
         tasks.append((_check_reads(sub, source=f"sweep value {i}: "),
                       out_dir / f"sweep-{i:03d}"))
+    for _, point_dir in tasks:
+        point_dir.mkdir(parents=True, exist_ok=True)
     return all(_map(_run_task, tasks, jobs, "sweep"))
 
 
 # -- click wiring ---------------------------------------------------------------
 
-def _execute(config_path, mode, jobs, out):
+def _execute(config_path, jobs, out):
+    """Run the config at `config_path` (None: all criteria); exit with its
+    code."""
     try:
-        if config_path:
-            config = load_config(config_path)
-        elif mode == "verify":
-            config = {"version": 1, "mode": "verify"}
-        else:
-            raise ConfigError("--config is required")
-        if mode:
-            config["mode"] = mode
-        stem = Path(config_path).stem if config_path else config["mode"]
-        out_dir = Path(out or config.get("out") or f"{stem}-out")
-        ok = run_config(config, out_dir,
+        config = ({"version": 1, "mode": "verify"} if config_path is None
+                  else load_config(config_path))
+        stem = "verify" if config_path is None else Path(config_path).stem
+        ok = run_config(config, out or config.get("out") or f"{stem}-out",
                         _usable_cpus() if jobs is None else jobs)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # an OSError names its path
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
     except (BranchedQError, ValueError, np.linalg.LinAlgError) as exc:
@@ -995,15 +989,11 @@ def _execute(config_path, mode, jobs, out):
     sys.exit(0 if ok else 3)
 
 
-def _common(fn):
-    fn = click.option("--out", default=None, help="Output directory.")(fn)
-    fn = click.option("--jobs", default=None, type=click.IntRange(min=1),
-                      help="Worker processes for sweep points and verify "
-                           "criteria (default: the usable CPUs); the "
-                           "results do not depend on it.")(fn)
-    fn = click.option("--config", "config_path", default=None,
-                      type=click.Path(), help="JSON experiment config.")(fn)
-    return fn
+_OUT = click.option("--out", default=None, help="Output directory.")
+_JOBS = click.option("--jobs", default=None, type=click.IntRange(min=1),
+                     help="Worker processes for sweep points and verify "
+                          "criteria (default: the usable CPUs); the results "
+                          "do not depend on it.")
 
 
 @click.group()
@@ -1012,26 +1002,21 @@ def main():
 
 
 @main.command()
-@_common
+@click.option("--config", "config_path", required=True, type=click.Path(),
+              help="JSON experiment config; its `mode` names the run.")
+@_JOBS
+@_OUT
 def run(config_path, jobs, out):
     """Run a config-driven experiment in its config's mode."""
-    _execute(config_path, None, jobs, out)
+    _execute(config_path, jobs, out)
 
 
-def _mode_command(name, doc):
-    @main.command(name=name, help=doc)
-    @_common
-    def _cmd(config_path, jobs, out):
-        _execute(config_path, name, jobs, out)
-    return _cmd
-
-
-_mode_command("spectrum", "Solve an eigenvalue problem.")
-_mode_command("evolve", "Propagate a wave packet.")
-_mode_command("graph", "Count conditions and solve a metric graph.")
-_mode_command("classical", "Integrate the classical flow.")
-_mode_command("kernel", "Tabulate a convolution kernel.")
-_mode_command("verify", "Run the acceptance suite.")
+@main.command()
+@_JOBS
+@_OUT
+def verify(jobs, out):
+    """Run the acceptance suite (a verify config picks criteria)."""
+    _execute(None, jobs, out)
 
 
 def _finite_velocity(ctx, param, value):
@@ -1064,6 +1049,9 @@ def dispersion(kappa, samples, v_min, v_max, out):
         _write_columns(Path(out), velocity_sweep(law, v_min, v_max, samples))
     except ValueError as exc:
         raise click.BadParameter(str(exc), param_hint="--kappa") from None
+    except OSError as exc:
+        raise click.BadParameter(f"cannot write {out}: {exc.strerror}",
+                                 param_hint="--out") from None
     click.echo(f"wrote {out}")
 
 

@@ -64,13 +64,19 @@ class _Well:
         if not self.width > 0.0:
             raise ValueError(f"well width must be positive, got {self.width}")
 
+    def _scaled(self, x, cap):
+        """(x - center) / width, finite for any width: x - center is
+        clipped at `cap` widths, beyond which the well is 0 in float64."""
+        return np.clip(np.asarray(x, dtype=float) - self.center,
+                       -cap * self.width, cap * self.width) / self.width
+
 
 @dataclass(frozen=True)
 class GaussianPotential(_Well):
     """V(x) = amplitude * exp(-(x - center)**2 / (2 width**2))."""
 
     def __call__(self, x):
-        z = (np.asarray(x, dtype=float) - self.center) / self.width
+        z = self._scaled(x, 40.0)  # exp(-z * z / 2) is 0 beyond |z| = 39
         return self.amplitude * np.exp(-0.5 * z * z)
 
     def gradient(self, x):
@@ -79,13 +85,21 @@ class GaussianPotential(_Well):
 
     def kernel(self, q):
         q = np.asarray(q, dtype=float)
-        flat = self.amplitude * self.width * _ROOT2PI * np.exp(-0.5 * np.square(q * self.width))
+        # As in __call__, clipped at |z| = 40, beyond which it is 0.
+        z = np.clip(q, -40.0 / self.width, 40.0 / self.width) * self.width
+        flat = self.amplitude * self.width * _ROOT2PI * np.exp(-0.5 * np.square(z))
         return flat * np.exp(-1j * q * self.center)
 
 
 @dataclass(frozen=True)
 class LorentzianPotential(_Well):
     """V(x) = amplitude * width**2 / ((x - center)**2 + width**2)."""
+
+    def __post_init__(self):  # else V(center) is 0/0 or inf/inf
+        super().__post_init__()
+        if not 0.0 < self.width * self.width < float("inf"):
+            raise ValueError("lorentzian width must have a positive finite "
+                             f"square, got {self.width}")
 
     def __call__(self, x):
         d = np.asarray(x, dtype=float) - self.center
@@ -108,8 +122,11 @@ class SechSquaredPotential(_Well):
     """V(x) = amplitude * sech((x - center)/width)**2."""
 
     def __call__(self, x):
-        z = (np.asarray(x, dtype=float) - self.center) / self.width
-        return self.amplitude / np.square(np.cosh(z))
+        # Past 350, short of cosh(z)**2's overflow, it is 4 exp(-2|z|).
+        z = self._scaled(x, 400.0)
+        near = np.abs(z) < 350.0
+        return np.where(near, self.amplitude / np.square(np.cosh(z * near)),
+                        self.amplitude * (4.0 * np.exp(-2.0 * np.abs(z))))
 
     def gradient(self, x):
         z = (_real(x) - self.center) / self.width
@@ -117,11 +134,14 @@ class SechSquaredPotential(_Well):
 
     def kernel(self, q):
         q = np.asarray(q, dtype=float)
-        t = 0.5 * np.pi * q * self.width
-        # t/sinh(t) is even analytic; series below 1e-4 avoids the 0/0.
-        small = np.abs(t) < 1e-4
-        ts = np.where(small, 1.0, t)
-        ratio = np.where(small, 1.0 - t * t / 6.0, ts / np.sinh(ts))
+        bound = 800.0 / (0.5 * np.pi * self.width)
+        t = 0.5 * np.pi * np.clip(q, -bound, bound) * self.width
+        # t/sinh(t) is even analytic: a series below 1e-4 avoids the 0/0;
+        # past 710, where sinh overflows, it is 2|t| exp(-|t|) (0 past 760).
+        small, large = np.abs(t) < 1e-4, np.abs(t) > 710.0
+        ts = np.where(small | large, 1.0, t)
+        ratio = np.where(small, 1.0 - t * t / 6.0, np.where(
+            large, 2.0 * np.abs(t) * np.exp(-np.abs(t)), ts / np.sinh(ts)))
         return self.amplitude * 2.0 * self.width * ratio * np.exp(-1j * q * self.center)
 
 

@@ -168,7 +168,7 @@ def test_spectrum_mode_outputs(tmp_path):
         },
     )
     out = tmp_path / "out"
-    assert _invoke(["spectrum", "--config", cfg, "--out", str(out)]).exit_code == 0
+    assert _invoke(["run", "--config", cfg, "--out", str(out)]).exit_code == 0
     lines = (out / "eigenvalues.csv").read_text().splitlines()
     assert lines[0] == "index,energy,residual"
     assert len(lines) == 4
@@ -216,7 +216,7 @@ def test_evolve_mode_outputs(tmp_path):
         },
     )
     out = tmp_path / "out"
-    assert _invoke(["evolve", "--config", cfg, "--out", str(out)]).exit_code == 0
+    assert _invoke(["run", "--config", cfg, "--out", str(out)]).exit_code == 0
     report = (out / "report.csv").read_text().splitlines()
     assert report[0] == "time,norm,energy,flux_plus,flux_minus"
     assert len(report) == 8
@@ -247,7 +247,7 @@ def test_free_particle_evolves_with_zero_current(tmp_path):
         "potential": {"form": "quadratic", "alpha": 0.0},
         "evolution": {"steps": 10, "packet": {"center": -8.0}}})
     out = tmp_path / "out"
-    assert _invoke(["evolve", "--config", cfg, "--out", str(out)]).exit_code == 0
+    assert _invoke(["run", "--config", cfg, "--out", str(out)]).exit_code == 0
     report = np.loadtxt(out / "report.csv", delimiter=",", skiprows=1)
     snaps = np.load(out / "snapshots.npy")
     currents = np.load(out / "currents.npy")
@@ -266,7 +266,7 @@ def test_graph_mode_counting_and_spectrum(tmp_path):
         },
     )
     out = tmp_path / "out"
-    assert _invoke(["graph", "--config", cfg, "--out", str(out)]).exit_code == 0
+    assert _invoke(["run", "--config", cfg, "--out", str(out)]).exit_code == 0
     counting = json.loads((out / "counting.json").read_text())
     assert counting == {
         "node_conditions": 6,
@@ -288,7 +288,7 @@ def test_graph_sidecar_shows_a_spectrum_below_its_noise(tmp_path):
         "graph": {"name": "compton", "length": 1e-76, "truncation": 2.0,
                   "resolution": 8}})
     out = tmp_path / "out"
-    assert _invoke(["graph", "--config", cfg, "--out", str(out)]).exit_code == 0
+    assert _invoke(["run", "--config", cfg, "--out", str(out)]).exit_code == 0
     energies = _eigenvalue_rows(out)[:, 0]
     diag = json.loads((out / "diagnostics.json").read_text())
     assert set(diag) == {"n", "nnz", "solver", "max_residual", "eps_norm",
@@ -313,7 +313,7 @@ def test_graph_mode_named_star(tmp_path):
                   "resolution": 80},
         "solver": {"k": 4}})
     out = tmp_path / "out"
-    assert _invoke(["graph", "--config", cfg, "--out", str(out)]).exit_code == 0
+    assert _invoke(["run", "--config", cfg, "--out", str(out)]).exit_code == 0
     assert json.loads((out / "counting.json").read_text()) == {
         "node_conditions": 8, "infinity_conditions": 0,
         "total_conditions": 8, "disposable_constants": 8}
@@ -344,7 +344,7 @@ def test_graph_file_with_complex_weights_round_trips(tmp_path):
             "graph": {"file": str(graph), "resolution": 25},
             "solver": {"k": 4}})
         out = tmp_path / name
-        assert _invoke(["graph", "--config", cfg, "--out", str(out)]).exit_code == 0
+        assert _invoke(["run", "--config", cfg, "--out", str(out)]).exit_code == 0
         return out
 
     first = tmp_path / "weighted.json"
@@ -396,14 +396,13 @@ def _library_spectrum(assembly, law, grid, potential, solver):
 ], ids=["unfolded-line", "dual-wire-line", "dual-wire-folded",
         "convolution-ring", "fourier-ring"])
 def test_spectrum_assemblies_match_library(tmp_path, grid, potential, solver):
-    config = {"version": 1, "mode": "evolve", "dispersion": {"kappa": 3.0},
+    config = {"version": 1, "mode": "spectrum", "dispersion": {"kappa": 3.0},
               "grid": grid, "solver": solver}
     if potential is not None:
         config["potential"] = potential
     cfg = _write_config(tmp_path / "s.json", config)
     out = tmp_path / "out"
-    # A mode subcommand overrides the config's mode.
-    result = _invoke(["spectrum", "--config", cfg, "--out", str(out)])
+    result = _invoke(["run", "--config", cfg, "--out", str(out)])
     assert result.exit_code == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["mode"] == "spectrum"
@@ -437,7 +436,7 @@ def test_kernel_hermitian_outputs(tmp_path):
         },
     )
     out = tmp_path / "out"
-    assert _invoke(["kernel", "--config", cfg, "--out", str(out)]).exit_code == 0
+    assert _invoke(["run", "--config", cfg, "--out", str(out)]).exit_code == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["mode"] == "hermitian"
     assert summary["hermiticity_defect"] < 1e-12
@@ -468,7 +467,7 @@ def test_kernel_run_holds_only_slabs(tmp_path, mode):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        result = _invoke(["kernel", "--config", cfg, "--out",
+        result = _invoke(["run", "--config", cfg, "--out",
                           str(tmp_path / "out")])
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
@@ -489,7 +488,7 @@ def test_kernel_rejects_polynomial_potential(tmp_path):
             "grid": {"kind": "line", "x_min": -5.0, "x_max": 5.0, "n": 50},
         },
     )
-    result = _invoke(["kernel", "--config", cfg, "--out", str(tmp_path / "out")])
+    result = _invoke(["run", "--config", cfg, "--out", str(tmp_path / "out")])
     assert result.exit_code == 2
     assert "config error" in result.output
 
@@ -505,7 +504,7 @@ def test_kernel_tabulates_a_sampled_potential(tmp_path):
         "version": 1, "mode": "kernel", "potential": _SAMPLED,
         "grid": {"kind": "line", "x_min": -4.0, "x_max": 4.0, "n": 40}})
     out = tmp_path / "out"
-    assert _invoke(["kernel", "--config", cfg, "--out", str(out)]).exit_code == 0
+    assert _invoke(["run", "--config", cfg, "--out", str(out)]).exit_code == 0
     rows = np.array([[float(v) for v in row.split(",")] for row
                      in (out / "kernel.csv").read_text().splitlines()[1:]])
     q = rows[:, 0]
@@ -526,7 +525,7 @@ def test_classical_mode_takes_a_sampled_potential(tmp_path):
             "classical": {"x": -3.0, "xdot": 1.5, "t_end": 4.0,
                           "samples": 9}})
         out = tmp_path / potential["form"]
-        assert _invoke(["classical", "--config", cfg,
+        assert _invoke(["run", "--config", cfg,
                         "--out", str(out)]).exit_code == 0
         rows = (out / "trajectory.csv").read_text().splitlines()
         finals.append([float(v) for v in rows[-1].split(",")[:3]])
@@ -561,6 +560,16 @@ _LINE_KERNEL = {
 
 _NEEDLE = {"form": "gaussian", "amplitude": 0.5, "width": 1e-300,
            "center": 1.0}
+
+# A well a few hundred widths from a node is 0 in float64, and its kernel a
+# few hundred inverse widths out: each is evaluated there with no overflow.
+_TINY_WELLS = {"version": 1, "mode": "spectrum", "dispersion": {"kappa": 3.0},
+               "grid": {"kind": "periodic", "x_min": -5.0, "x_max": 5.0,
+                        "n": 32},
+               "solver": {"assembly": "fourier", "k": 4}}
+_FAR_KERNELS = {"version": 1, "mode": "kernel",
+                "grid": {"kind": "periodic", "x_min": -1e300, "x_max": 1e300,
+                         "n": 16}}
 
 
 @pytest.mark.parametrize("payload,where", [
@@ -773,6 +782,9 @@ _NEEDLE = {"form": "gaussian", "amplitude": 0.5, "width": 1e-300,
       "solver": {"assembly": "dual-wire",
                  "kinetic": [-1.0, 4.4366529212936, 1e-8, 1e300], "k": 2}},
      "solver: the operator is too large for double precision"),
+    # width**2 underflows to 0, so V(center) would be 0/0.
+    (dict(_TINY_WELLS, potential={"form": "lorentzian", "width": 5e-324}),
+     "potential: lorentzian width must have a positive finite square"),
 ], ids=["sweep-value", "packet-width", "packet-center", "dt-budget",
         "classical-tol-zero", "classical-tol-negative", "classical-quartic-law",
         "classical-on-cusp", "unknown-criterion", "graph-no-truncation",
@@ -800,7 +812,8 @@ _NEEDLE = {"form": "gaussian", "amplitude": 0.5, "width": 1e-300,
         "periodic-no-assembly", "line-grid-no-n", "kernel-quadratic",
         "graph-unknown-name", "graph-no-source", "sampled-no-table",
         "potential-unknown-parameter", "classical-continue-policy",
-        "dual-wire-zero-operator", "dual-wire-residual-overflow"])
+        "dual-wire-zero-operator", "dual-wire-residual-overflow",
+        "fourier-lorentzian-width-underflow"])
 # A numpy warning printed before the message breaks the one-line rule.
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_values_exit_two(tmp_path, payload, where):
@@ -816,6 +829,33 @@ def test_bad_values_exit_two(tmp_path, payload, where):
     sections = "|".join(CONFIG_SCHEMA["properties"])
     assert re.match(rf"config error: (sweep value \d+: )?({re.escape(cfg)}: "
                     rf"|(\$\.)?({sections})[:.[])", lines[0]), lines[0]
+
+
+@pytest.mark.parametrize("payload", [
+    dict(_TINY_WELLS, potential={"form": "gaussian", "width": 5e-324}),
+    dict(_TINY_WELLS, potential={"form": "sech2", "width": 5e-324}),
+    dict(_FAR_KERNELS, potential={"form": "gaussian", "amplitude": 1.0,
+                                  "width": 1.0}),
+    dict(_FAR_KERNELS, potential={"form": "sech2", "amplitude": 1.0,
+                                  "width": 1.0}),
+], ids=["fourier-gaussian-width-5e-324", "fourier-sech2-width-5e-324",
+        "kernel-gaussian-grid-1e300", "kernel-sech2-grid-1e300"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_wells_reach_their_limit_without_a_warning(tmp_path, payload):
+    cfg = _write_config(tmp_path / "c.json", payload)
+    out = tmp_path / "out"
+    result = _invoke(["run", "--config", cfg, "--out", str(out)])
+    assert result.exit_code == 0 and result.output == ""
+    for path in out.glob("*.csv"):
+        values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        assert np.isfinite(values).all(), path.name
+    if payload["mode"] == "spectrum":  # the well is 1 at x = 0 alone
+        potential = cli._potential_from(payload)
+        x = cli._grid_from(payload, cli._law_from(payload)).x
+        assert potential(x).tolist() == (x == 0.0).tolist()
+    else:  # the samples at every offset but 0 are 0
+        kernel = np.loadtxt(out / "kernel.csv", delimiter=",", skiprows=1)
+        assert np.count_nonzero(kernel[:, 1]) == 1
 
 
 def test_sweep_refuses_a_point_before_any_runs(tmp_path):
@@ -890,14 +930,39 @@ def test_bad_graph_file_exits_two(tmp_path, text, where):
     assert where in result.output
 
 
-def test_mode_override_checks_what_the_new_mode_reads(tmp_path):
+@pytest.mark.parametrize("command", ["spectrum", "evolve", "graph",
+                                     "classical", "kernel"])
+def test_retired_mode_commands_exit_two(tmp_path, command):
+    """A config's `mode` is the one way to name a run's mode."""
     cfg = _write_config(tmp_path / "s.json", dict(_SMALL_FOLDED, mode="spectrum"))
-    result = _invoke(["graph", "--config", cfg, "--out", str(tmp_path / "out")])
+    out = tmp_path / "out"
+    result = _invoke([command, "--config", cfg, "--out", str(out)])
     assert result.exit_code == 2
-    assert result.output == ("config error: dispersion: graph mode does not "
-                             "read it\n")
-    assert not (tmp_path / "out").exists()
+    assert f"No such command '{command}'" in result.output
+    assert not out.exists()
     assert set(cli._MODE_NAMES) == set(cli._MODES)
+    assert sorted(cli.main.commands) == ["dispersion", "run", "verify"]
+
+
+def test_verify_takes_no_config(tmp_path, monkeypatch):
+    """`verify` runs every criterion; a subset of them is a `run` of a
+    verify config."""
+    cfg = _write_config(tmp_path / "v.json",
+                        {"version": 1, "mode": "verify", "criteria": ["C6"]})
+    out = tmp_path / "out"
+    result = _invoke(["verify", "--config", cfg, "--out", str(out)])
+    assert result.exit_code == 2
+    assert "No such option '--config'" in result.output
+    assert not out.exists()
+    asked = []
+    monkeypatch.setattr(cli, "run_acceptance",
+                        lambda ids, map_fn: asked.append(ids) or [])
+    monkeypatch.chdir(tmp_path)
+    assert _invoke(["verify", "--jobs", "1"]).exit_code == 0
+    assert asked == [None]  # every criterion
+    manifest = json.loads((tmp_path / "verify-out" / "manifest.json")
+                          .read_text())
+    assert manifest["mode"] == "verify"
 
 
 # Each mode once, with the settings config.resolved.json must record: its
@@ -1062,9 +1127,18 @@ def test_malformed_json_exits_two(tmp_path):
     assert "config error" in result.output
 
 
+def test_undecodable_config_exits_two(tmp_path):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe{")
+    result = _invoke(["run", "--config", str(path)])
+    assert result.exit_code == 2
+    assert result.output.startswith(f"config error: {path}: 'utf-8' codec")
+
+
 def test_missing_config_exits_two():
     result = _invoke(["run"])
     assert result.exit_code == 2
+    assert "Missing option '--config'" in result.output
 
 
 # At kappa 1e-8 a quadratic well's flow stalls away from any cusp: the
@@ -1088,14 +1162,14 @@ _STALLS = {
 def test_numerical_failure_exits_three(tmp_path):
     for name, (config, message) in _STALLS.items():
         cfg = _write_config(tmp_path / f"{name}.json", config)
-        result = _invoke(["classical", "--config", cfg, "--out",
+        result = _invoke(["run", "--config", cfg, "--out",
                           str(tmp_path / name)])
         assert result.exit_code == 3, name
         assert message in result.output, name
     free = {key: value for key, value in _STALLS["kappa 0"][0].items()
             if key != "potential"}
     cfg = _write_config(tmp_path / "free.json", free)
-    assert _invoke(["classical", "--config", cfg, "--out",
+    assert _invoke(["run", "--config", cfg, "--out",
                     str(tmp_path / "free")]).exit_code == 0
 
 
@@ -1158,7 +1232,7 @@ def test_verify_single_criterion(tmp_path):
         tmp_path / "v.json", {"version": 1, "mode": "verify", "criteria": ["C6"]}
     )
     out = tmp_path / "out"
-    result = _invoke(["verify", "--config", cfg, "--out", str(out)])
+    result = _invoke(["run", "--config", cfg, "--out", str(out)])
     assert result.exit_code == 0
     assert "C6 PASS" in result.output
     assert "C6 PASS" in (out / "acceptance.txt").read_text()
@@ -1190,7 +1264,7 @@ def test_verify_sidecar_gates_match_acceptance_txt(tmp_path):
         "version": 1, "mode": "verify",
         "criteria": ["C1", "C3", "C4", "C6", "C9"]})
     out = tmp_path / "out"
-    assert _invoke(["verify", "--config", cfg, "--out", str(out),
+    assert _invoke(["run", "--config", cfg, "--out", str(out),
                     "--jobs", "1"]).exit_code == 0
     gates = json.loads((out / "diagnostics.json").read_text(),
                        parse_constant=_no_constant)["gates"]
@@ -1409,7 +1483,7 @@ def _verify(tmp_path, criteria, *args):
                                               "criteria": criteria})
     out = tmp_path / "out"
     shutil.rmtree(out, ignore_errors=True)
-    result = _invoke(["verify", "--config", cfg, "--out", str(out), *args])
+    result = _invoke(["run", "--config", cfg, "--out", str(out), *args])
     lines = (out / "acceptance.txt").read_text().splitlines()
     return result, lines, out
 
@@ -1467,7 +1541,7 @@ def test_dead_verify_worker_exits_three(tmp_path, forked, monkeypatch):
     _broken_c6(monkeypatch, lambda: os._exit(1))
     cfg = _write_config(tmp_path / "v.json", {"version": 1, "mode": "verify",
                                               "criteria": ["C1", "C6"]})
-    result = _invoke(["verify", "--config", cfg, "--out",
+    result = _invoke(["run", "--config", cfg, "--out",
                       str(tmp_path / "out"), "--jobs", "2"])
     assert result.exit_code == 3
     assert result.stderr.startswith("numerical failure: verify worker died")
@@ -1538,17 +1612,59 @@ def test_bad_jobs_exit_two(tmp_path, jobs):
     assert "Invalid value for '--jobs'" in result.output
 
 
-@pytest.mark.parametrize("command", ["run", "spectrum", "evolve", "graph",
-                                     "classical", "kernel", "verify"])
+@pytest.mark.parametrize("command", ["run", "verify", "dispersion"])
 def test_seed_option_is_gone(tmp_path, command):
     """A config's `seed` is the one way to set the seed."""
     cfg = _write_config(tmp_path / "c.json", _classical_config())
     out = tmp_path / "out"
-    result = _invoke([command, "--config", cfg, "--seed", "3", "--out",
-                      str(out)])
+    config = ["--config", cfg] if command == "run" else []
+    result = _invoke([command, *config, "--seed", "3", "--out", str(out)])
     assert result.exit_code == 2
     assert "No such option '--seed'" in result.output
     assert not out.exists()
+
+
+def _files(root):
+    return sorted(p.relative_to(root).as_posix()
+                  for p in root.rglob("*") if p.is_file())
+
+
+@pytest.mark.parametrize("case", ["run-into-a-file", "sweep-point-a-file",
+                                  "dispersion-into-a-directory",
+                                  "dispersion-into-a-missing-directory"])
+def test_unusable_output_path_exits_two(tmp_path, many_cpus, case):
+    """One line that names the path, no traceback, and nothing written.
+    (A read-only directory is not tried: a root user may write to it.)"""
+    sweep = {"parameter": "classical.xdot", "values": [1.5, 2.5]}
+    cfg = _write_config(tmp_path / "c.json", _classical_config(
+        **({"sweep": sweep} if case.startswith("sweep") else {})))
+    out = tmp_path / "out"
+    argv = ["run", "--config", cfg, "--jobs", "2", "--out", str(out)]
+    if case == "run-into-a-file":
+        out.write_text("")
+        path = out
+    elif case == "sweep-point-a-file":
+        out.mkdir()
+        path = out / "sweep-001"
+        path.write_text("")
+    elif case == "dispersion-into-a-directory":
+        out.mkdir()
+        path, argv = out, ["dispersion", "--out", str(out)]
+    else:
+        path = out / "d.csv"
+        argv = ["dispersion", "--out", str(path)]
+    before = _files(tmp_path)
+    result = _invoke(argv)
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    last = result.output.splitlines()[-1]
+    assert str(path) in last
+    if argv[0] == "run":
+        assert result.output == last + "\n"
+        assert last.startswith("config error: ")
+    else:
+        assert last.startswith("Error: Invalid value for --out: cannot write")
+    assert _files(tmp_path) == before
 
 
 def test_dispersion_command_csv(tmp_path):
@@ -1716,7 +1832,7 @@ def test_snapshot_arrays_match_the_report(tmp_path, grid, potential, solver,
                                        "boost": 0.5}}}
     out = tmp_path / "out"
     cfg = _write_config(tmp_path / "e.json", config)
-    assert _invoke(["evolve", "--config", cfg, "--out", str(out)]).exit_code == 0
+    assert _invoke(["run", "--config", cfg, "--out", str(out)]).exit_code == 0
     resolved = cli._resolve(config)
     law = cli._law_from(resolved)
     grid = cli._grid_from(resolved, law)

@@ -10,6 +10,7 @@ attribute counts, and so does an import; strings and docstrings do not.
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import branchedq
@@ -41,8 +42,9 @@ def test_every_public_name_has_a_reader():
 
 # The settings of the public API: every callable in `branchedq.__all__`
 # with its parameters and defaults, and every click command with its
-# options and defaults.  A change that adds or drops a setting, or moves a
-# default, edits this table.  An exception takes its message only.
+# options and defaults (or "required").  A change that adds or drops a
+# setting, or moves a default, edits this table.  An exception takes its
+# message only.
 API_SETTINGS = {
     "BranchedQError": "(message)",
     "ClassicalState": "(x, xdot, t=0.0)",
@@ -109,10 +111,9 @@ API_SETTINGS = {
     "variance_minimize": "(op, psi0, tol=1e-10)",
     "velocity_sweep": "(law, v_min, v_max, num)",
 }
-_CONFIG_DRIVEN = ["--config=None", "--jobs=None", "--out=None"]
 CLI_SETTINGS = {
-    **{name: _CONFIG_DRIVEN for name in ("run", "spectrum", "evolve", "graph",
-                                         "classical", "kernel", "verify")},
+    "run": ["--config=required", "--jobs=None", "--out=None"],
+    "verify": ["--jobs=None", "--out=None"],
     "dispersion": ["--kappa=3.0", "--samples=601", "--v-min=-3.0",
                    "--v-max=3.0", "--out='dispersion.csv'"],
 }
@@ -139,6 +140,29 @@ def test_public_settings_are_pinned():
 
 
 def test_command_options_are_pinned():
-    got = {name: [f"{p.opts[0]}={p.default!r}" for p in command.params]
+    got = {name: [f"{p.opts[0]}="
+                  + ("required" if p.required else repr(p.default))
+                  for p in command.params]
            for name, command in cli.main.commands.items()}
     assert got == CLI_SETTINGS
+
+
+def _usage_lines():
+    """The `branchedq ...` lines of README's usage block: the first shell
+    block under "## Command line"."""
+    readme = (_ROOT / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [line.split() for line in block.splitlines()
+            if line.startswith("branchedq ")]
+
+
+def test_readme_usage_names_only_declared_options():
+    lines = _usage_lines()
+    assert sorted(words[1] for words in lines) == sorted(cli.main.commands)
+    for words in lines:
+        command = cli.main.commands[words[1]]
+        declared = {opt for p in command.params for opt in p.opts}
+        used = {word.strip("[]") for word in words[2:]
+                if word.strip("[]").startswith("--")}
+        assert used <= declared, (words[1], sorted(used - declared))

@@ -27,7 +27,7 @@ def test_tracer_sees_a_folded_spectrum_run(tmp_path):
         "solver": {"k": 3}}))
     with runpy.run_path(str(_TRACER))["Tracer"]() as tracer:
         result = CliRunner().invoke(
-            main, ["spectrum", "--config", str(cfg), "--jobs", "1",
+            main, ["run", "--config", str(cfg), "--jobs", "1",
                    "--out", str(tmp_path / "out")], catch_exceptions=False)
     assert result.exit_code == 0
     metrics = tracer.layer_metrics()
