@@ -930,6 +930,18 @@ def test_bad_graph_file_exits_two(tmp_path, text, where):
     assert where in result.output
 
 
+def test_mode_override_checks_what_the_new_mode_reads(tmp_path):
+    """A config whose mode is switched is checked against what the new mode
+    reads."""
+    cfg = _write_config(tmp_path / "s.json", dict(_SMALL_FOLDED, mode="graph"))
+    result = _invoke(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert result.output == ("config error: dispersion: graph mode does not "
+                             "read it\n")
+    assert not (tmp_path / "out").exists()
+    assert set(cli._MODE_NAMES) == set(cli._MODES)
+
+
 @pytest.mark.parametrize("command", ["spectrum", "evolve", "graph",
                                      "classical", "kernel"])
 def test_retired_mode_commands_exit_two(tmp_path, command):
@@ -1612,13 +1624,25 @@ def test_bad_jobs_exit_two(tmp_path, jobs):
     assert "Invalid value for '--jobs'" in result.output
 
 
-@pytest.mark.parametrize("command", ["run", "verify", "dispersion"])
+# The config each retired mode command now runs through `run --config`.
+_SEED_CONFIGS = {"run": _classical_config(),
+                 "spectrum": _ROUND_TRIPS["spectrum-folded"][0],
+                 "evolve": _ROUND_TRIPS["evolve"][0],
+                 "graph": _ROUND_TRIPS["graph"][0],
+                 "classical": _classical_config(),
+                 "kernel": _ROUND_TRIPS["kernel"][0]}
+
+
+@pytest.mark.parametrize("command", [*_SEED_CONFIGS, "verify", "dispersion"])
 def test_seed_option_is_gone(tmp_path, command):
-    """A config's `seed` is the one way to set the seed."""
-    cfg = _write_config(tmp_path / "c.json", _classical_config())
+    """A config's `seed` is the one way to set the seed: `run` refuses
+    --seed whatever mode its config names, and so do verify and dispersion."""
     out = tmp_path / "out"
-    config = ["--config", cfg] if command == "run" else []
-    result = _invoke([command, *config, "--seed", "3", "--out", str(out)])
+    args = [command]
+    if command in _SEED_CONFIGS:
+        args = ["run", "--config",
+                _write_config(tmp_path / "c.json", _SEED_CONFIGS[command])]
+    result = _invoke([*args, "--seed", "3", "--out", str(out)])
     assert result.exit_code == 2
     assert "No such option '--seed'" in result.output
     assert not out.exists()
